@@ -61,12 +61,10 @@ class MlpModel:
             raise DimensionMismatch(
                 f"model expects {self.layer_dims[0]} features, got {features.shape[-1]}"
             )
-        activation = np.atleast_2d(features)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activation @ w + b
-            activation = _sigmoid(z) if i == last else np.maximum(z, 0.0)
-        return activation[:, 0]
+        for _, output in _forward(np.atleast_2d(features), self.weights,
+                                  self.biases):
+            pass
+        return output[:, 0]
 
     def label(self, features):
         """Hard labels in {-1, +1}; ties at the threshold go to +1."""
@@ -83,6 +81,20 @@ def _sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
+
+
+def _forward(features, weights, biases):
+    """Yield (pre-activation, activation) for each layer of a 2-d batch.
+
+    The last activation is the sigmoid output, shape (n, 1). Yielding
+    lets inference drop each layer as soon as the next one is built.
+    """
+    activation = features
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activation @ w + b
+        activation = _sigmoid(z) if i == last else np.maximum(z, 0.0)
+        yield z, activation
 
 
 def _bce(proba, target01):
@@ -146,12 +158,8 @@ def train_mlp(features, labels, config=TrainConfig()):
     history = []
 
     for step in range(1, config.epochs + 1):
-        # Forward pass, keeping pre-activations for backprop.
-        zs, hs = [], [features]
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            z = hs[-1] @ w + b
-            zs.append(z)
-            hs.append(_sigmoid(z) if i == len(weights) - 1 else np.maximum(z, 0.0))
+        zs, hs = zip(*_forward(features, weights, biases))
+        hs = (features,) + hs
         proba = hs[-1]
         if step == 1:
             history.append(_bce(proba[:, 0], target[:, 0]))
@@ -165,6 +173,7 @@ def train_mlp(features, labels, config=TrainConfig()):
             if i > 0:
                 delta = (delta @ weights[i].T) * (zs[i - 1] > 0.0)
         grads = grads_w[::-1] + grads_b[::-1]
+        del zs, hs  # release the activations before the next forward pass
 
         lr_t = config.learning_rate
         bc1 = 1.0 - beta1**step
@@ -176,7 +185,9 @@ def train_mlp(features, labels, config=TrainConfig()):
             v += (1.0 - beta2) * g * g
             p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-        history.append(_bce(_forward_proba(features, weights, biases), target[:, 0]))
+        for _, output in _forward(features, weights, biases):
+            pass
+        history.append(_bce(output[:, 0], target[:, 0]))
 
     return MlpModel(
         layer_dims=layer_dims,
@@ -185,15 +196,6 @@ def train_mlp(features, labels, config=TrainConfig()):
         threshold=0.5,
         loss_history=history,
     )
-
-
-def _forward_proba(features, weights, biases):
-    activation = features
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = activation @ w + b
-        activation = _sigmoid(z) if i == last else np.maximum(z, 0.0)
-    return activation[:, 0]
 
 
 def predict(model, x):

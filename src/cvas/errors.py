@@ -62,7 +62,11 @@ class IdenticalMeans(CvasError):
 
 
 class SolverDidNotConverge(CvasError):
-    """Slope solver hit its iteration cap before the gradient tolerance."""
+    """Damped Newton slope solver missed the gradient tolerance.
+
+    Raised when the gradient-norm line search stalls or 100 Newton
+    iterations pass without ||g|| <= 1e-9 * (1 + |F|).
+    """
 
 
 # ---------------------------------------------------------------- recourse

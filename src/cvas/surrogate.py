@@ -37,8 +37,8 @@ from .errors import (
 from .moments import halfspace_distance, ridge
 
 _GRAD_TOL = 1e-9
-_MAX_ITER = 20000
-_ARMIJO_SIGMA = 1e-4
+_MAX_NEWTON = 100
+_MAX_HALVINGS = 60
 _FR_RHO_CAP = 700.0
 
 
@@ -67,6 +67,9 @@ class Divergence:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DivergenceKind(self.kind))
+        if math.isnan(self.rho_pos) or math.isnan(self.rho_neg):
+            raise DomainError(
+                f"radii must not be NaN, got ({self.rho_pos}, {self.rho_neg})")
         if self.rho_pos < 0.0 or self.rho_neg < 0.0:
             raise NegativeRadius(
                 f"radii must be nonnegative, got ({self.rho_pos}, {self.rho_neg})"
@@ -152,22 +155,42 @@ def lambert_w_minus1(x):
     return min(w, -1.0)
 
 
-def _logdet_weight(rho):
-    # sqrt(-W_-1(-exp(-rho-1))); equals 1 at rho = 0.
-    return math.sqrt(-lambert_w_minus1(-math.exp(-rho - 1.0)))
-
-
-def _class_weight(kind, rho):
+def _terms(kind, rho, covariance):
+    # tau = sum of weight * sqrt(w^T M w) over these (weight, M) pairs.
+    if rho < 0.0:
+        raise NegativeRadius(f"rho must be nonnegative, got {rho}")
+    if not math.isfinite(rho):
+        raise DomainError(
+            f"rho must be finite, got {rho}; "
+            "use asymptotic_surrogate for infinite radii"
+        )
+    if kind is DivergenceKind.QUADRATIC:
+        return [(1.0, covariance + math.sqrt(rho) * np.eye(len(covariance)))]
+    if kind is DivergenceKind.BURES:
+        return [(1.0, covariance), (rho, np.eye(len(covariance)))]
     if kind is DivergenceKind.FISHER_RAO:
         if rho > _FR_RHO_CAP:
             raise DomainError(
                 f"fisher-rao radius {rho} exceeds the overflow cap {_FR_RHO_CAP}; "
                 "use asymptotic_surrogate for larger radii"
             )
-        return math.exp(rho / 2.0)
+        return [(math.exp(rho / 2.0), covariance)]
     if kind is DivergenceKind.LOGDET:
-        return _logdet_weight(rho)
-    return 1.0
+        # sqrt(-W_-1(-exp(-rho-1))); equals 1 at rho = 0.
+        return [(math.sqrt(-lambert_w_minus1(-math.exp(-rho - 1.0))), covariance)]
+    return [(1.0, covariance)]
+
+
+def _derivatives(terms, w):
+    # Value, gradient and Hessian of sum c * sqrt(w^T M w).
+    value, grad, hess = 0.0, 0.0, 0.0
+    for c, m in terms:
+        mw = m @ w
+        s = math.sqrt(float(w @ mw))
+        value += c * s
+        grad = grad + (c / s) * mw
+        hess = hess + (c / s) * (m - np.outer(mw, mw) / (s * s))
+    return value, grad, hess
 
 
 def tau(kind, rho, covariance, w):
@@ -179,22 +202,13 @@ def tau(kind, rho, covariance, w):
     logdet -> sqrt(-W_-1(-exp(-rho-1))) * q.
 
     The covariance is used as given; ridge upstream if it may be
-    singular.
+    singular. Radii must be finite; NaN or +inf raise DomainError.
     """
-    kind = DivergenceKind(kind)
-    if rho < 0.0:
-        raise NegativeRadius(f"rho must be nonnegative, got {rho}")
+    terms = _terms(DivergenceKind(kind), rho, np.asarray(covariance, dtype=float))
     w = np.asarray(w, dtype=float).reshape(-1)
     if not np.any(w):
         raise ZeroSlope("tau requires a nonzero slope")
-    covariance = np.asarray(covariance, dtype=float)
-    if kind is DivergenceKind.QUADRATIC:
-        quad = float(w @ covariance @ w) + math.sqrt(rho) * float(w @ w)
-        return math.sqrt(quad)
-    core = math.sqrt(float(w @ covariance @ w))
-    if kind is DivergenceKind.BURES:
-        return rho * float(np.linalg.norm(w)) + core
-    return _class_weight(kind, rho) * core
+    return _derivatives(terms, w)[0]
 
 
 def _reduced_basis(direction):
@@ -204,16 +218,30 @@ def _reduced_basis(direction):
     return q[:, 1:]
 
 
+def _backtrack(reduced, z, step, grad_norm):
+    # Halve t from 1 until ||g(z + t step)|| <= (1 - 1e-4 t) ||g(z)||.
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        trial = reduced(z + t * step)
+        if float(np.linalg.norm(trial[3])) <= (1.0 - 1e-4 * t) * grad_norm:
+            return trial
+        t *= 0.5
+    raise SolverDidNotConverge(
+        f"line search stalled at reduced gradient norm {grad_norm:.3e}")
+
+
 def solve_cvas(moments_pos, moments_neg, divergence):
     """Solve the robust surrogate problem for one divergence setting.
 
     Eliminates the normalization w^T a = 1 (a = mu_pos - mu_neg) through
     w = w0 + N z with w0 = a/||a||^2 and N an orthonormal null-space
-    basis, then runs gradient descent with Armijo backtracking on the
-    reduced convex objective. Near the floating-point floor of the
-    objective the line search switches to certifying descent in the
-    gradient norm, which stays accurately computable after function
-    value differences vanish in double precision.
+    basis, then runs damped Newton on the reduced convex objective until
+    ||g|| <= 1e-9 * (1 + |F|). The line search halves the step until the
+    reduced gradient norm falls by the factor (1 - 1e-4 t): the reduced
+    Hessian is positive definite, so the Newton direction always
+    decreases ||g||, and the analytic gradient stays accurate after
+    differences in F have rounded away. With d = 1 there are no free
+    directions and w0 is the answer.
 
     Returns
     -------
@@ -223,159 +251,45 @@ def solve_cvas(moments_pos, moments_neg, divergence):
 
     Raises
     ------
+    DomainError
+        If a radius is not finite, or a fisher-rao radius exceeds 700;
+        use asymptotic_surrogate for the infinite-radius limit.
     IdenticalMeans
         If the class means coincide.
     SolverDidNotConverge
-        If the reduced gradient norm never falls to 1e-9 * (1 + |F|)
-        within 20000 iterations plus a damped Newton polish.
+        If the line search stalls or the gradient test still fails
+        after 100 Newton iterations.
     """
-    kind = divergence.kind
     mu_pos, mu_neg = moments_pos.mean, moments_neg.mean
     a = mu_pos - mu_neg
     if not np.any(a):
         raise IdenticalMeans("class means are identical; no normalized slope exists")
 
-    cov_pos = ridge(moments_pos.covariance)
-    cov_neg = ridge(moments_neg.covariance)
-    d = a.shape[0]
-    if kind is DivergenceKind.QUADRATIC:
-        m_pos = cov_pos + math.sqrt(divergence.rho_pos) * np.eye(d)
-        m_neg = cov_neg + math.sqrt(divergence.rho_neg) * np.eye(d)
-    else:
-        m_pos, m_neg = cov_pos, cov_neg
-    c_pos = _class_weight(kind, divergence.rho_pos)
-    c_neg = _class_weight(kind, divergence.rho_neg)
-    beta = 0.0
-    if kind is DivergenceKind.BURES:
-        beta = divergence.rho_pos + divergence.rho_neg
-
-    def value(w):
-        total = c_pos * math.sqrt(float(w @ m_pos @ w))
-        total += c_neg * math.sqrt(float(w @ m_neg @ w))
-        if beta:
-            total += beta * float(np.linalg.norm(w))
-        return total
-
-    def gradient(w):
-        grad = c_pos * (m_pos @ w) / math.sqrt(float(w @ m_pos @ w))
-        grad += c_neg * (m_neg @ w) / math.sqrt(float(w @ m_neg @ w))
-        if beta:
-            grad += beta * w / float(np.linalg.norm(w))
-        return grad
-
-    def hessian(w):
-        h = np.zeros((d, d))
-        for c, m in ((c_pos, m_pos), (c_neg, m_neg)):
-            mw = m @ w
-            s = math.sqrt(float(w @ mw))
-            h += c * (m / s - np.outer(mw, mw) / s**3)
-        if beta:
-            norm = float(np.linalg.norm(w))
-            h += beta * (np.eye(d) / norm - np.outer(w, w) / norm**3)
-        return h
-
+    kind = divergence.kind
+    terms_pos = _terms(kind, divergence.rho_pos, ridge(moments_pos.covariance))
+    terms_neg = _terms(kind, divergence.rho_neg, ridge(moments_neg.covariance))
     w0 = a / float(a @ a)
     basis = _reduced_basis(a)
-    z = np.zeros(d - 1)
-    w = w0
-    f = value(w)
-    g = basis.T @ gradient(w)
-    z_prev = g_prev = None
-    step = 1.0
-    converged = d == 1  # no free directions: w0 is the unique feasible slope
 
-    for _ in range(_MAX_ITER):
-        if converged:
-            break
+    def reduced(z):
+        w = w0 + basis @ z
+        f, grad, hess = _derivatives(terms_pos + terms_neg, w)
+        return z, w, f, basis.T @ grad, basis.T @ hess @ basis
+
+    z, w, f, g, h = reduced(np.zeros(a.shape[0] - 1))
+    for _ in range(_MAX_NEWTON):
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            converged = True
             break
+        z, w, f, g, h = _backtrack(reduced, z, np.linalg.solve(h, -g), grad_norm)
+    else:
+        raise SolverDidNotConverge(
+            f"reduced gradient norm {grad_norm:.3e} above tolerance "
+            f"after {_MAX_NEWTON} Newton iterations"
+        )
 
-        # Barzilai-Borwein trial step: matches the local curvature, so the
-        # first Armijo trial is Newton-like instead of an overshooting
-        # doubled carryover that ping-pongs around the minimizer.
-        trial = step * 2.0
-        if z_prev is not None:
-            dz, dg = z - z_prev, g - g_prev
-            denom = float(dg @ dg)
-            if denom > 0.0:
-                bb = float(dz @ dg) / denom
-                if math.isfinite(bb) and bb > 0.0:
-                    trial = bb
-
-        t = trial
-        accepted = False
-        for _ in range(60):
-            z_try = z - t * g
-            w_try = w0 + basis @ z_try
-            f_try = value(w_try)
-            if f_try <= f - _ARMIJO_SIGMA * t * grad_norm * grad_norm:
-                accepted = True
-                break
-            t *= 0.5
-        if accepted:
-            z_prev, g_prev = z, g
-            z, w, f = z_try, w_try, f_try
-            g = basis.T @ gradient(w)
-            step = t
-            continue
-
-        # Armijo cannot certify decrease once f differences hit machine
-        # precision; fall back to strict descent in the gradient norm,
-        # which the analytic gradient keeps computable below that floor.
-        t = trial
-        improved = False
-        for _ in range(60):
-            z_try = z - t * g
-            w_try = w0 + basis @ z_try
-            g_try = basis.T @ gradient(w_try)
-            if float(np.linalg.norm(g_try)) < grad_norm * (1.0 - 1e-12):
-                z_prev, g_prev = z, g
-                z, w, g = z_try, w_try, g_try
-                f = value(w)
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-
-    if not converged:
-        # Damped Newton polish: first-order steps can stall a decade or
-        # two above tolerance once Armijo decreases fall below machine
-        # precision; the analytic reduced Hessian restores quadratic
-        # local convergence for the last digits.
-        lam = 0.0
-        for _ in range(50):
-            grad_norm = float(np.linalg.norm(g))
-            if grad_norm <= _GRAD_TOL * (1.0 + abs(f)):
-                converged = True
-                break
-            reduced = basis.T @ hessian(w) @ basis
-            try:
-                delta = np.linalg.solve(reduced + lam * np.eye(d - 1), -g)
-            except np.linalg.LinAlgError:
-                lam = max(10.0 * lam, 1e-12)
-                continue
-            w_try = w0 + basis @ (z + delta)
-            g_try = basis.T @ gradient(w_try)
-            if float(np.linalg.norm(g_try)) < grad_norm:
-                z, w, g = z + delta, w_try, g_try
-                f = value(w)
-                lam /= 10.0
-            else:
-                lam = max(10.0 * lam, 1e-12)
-
-    if not converged:
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm > _GRAD_TOL * (1.0 + abs(f)):
-            raise SolverDidNotConverge(
-                f"reduced gradient norm {grad_norm:.3e} above tolerance "
-                f"after {_MAX_ITER} iterations"
-            )
-
-    tau_pos = tau(kind, divergence.rho_pos, cov_pos, w)
-    tau_neg = tau(kind, divergence.rho_neg, cov_neg, w)
+    tau_pos = _derivatives(terms_pos, w)[0]
+    tau_neg = _derivatives(terms_neg, w)[0]
     objective = tau_pos + tau_neg
     kappa = 1.0 / objective
     b = float(w @ mu_pos) - kappa * tau_pos

@@ -61,15 +61,17 @@ def _score(line):
 
 
 @contextmanager
-def scored(number, summary):
+def scored(number, summary, elapsed=None):
+    """Record PASS/FAIL; elapsed overrides the block's own wall time."""
     start = time.perf_counter()
     try:
         yield
     except BaseException:
         _score(f"criterion {number:02d}: FAIL  {summary}")
         raise
-    _score(f"criterion {number:02d}: PASS  {summary} "
-           f"({time.perf_counter() - start:.2f} s)")
+    if elapsed is None:
+        elapsed = time.perf_counter() - start
+    _score(f"criterion {number:02d}: PASS  {summary} ({elapsed:.2f} s)")
 
 
 def counter_moments():
@@ -311,9 +313,9 @@ def synthetic_fixture_report():
 
 
 def test_criterion_13_end_to_end_trend(synthetic_fixture_report):
+    report, elapsed = synthetic_fixture_report
     with scored(13, "robust recourses cost more and survive future models "
-                    "better on the frozen fixture"):
-        report, elapsed = synthetic_fixture_report
+                    "better on the frozen fixture", elapsed=elapsed):
         plain, robust = report.rows
         assert plain.rho_neg == 0.0 and robust.rho_neg == 10.0
         assert robust.future_validity >= plain.future_validity

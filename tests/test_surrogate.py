@@ -25,6 +25,7 @@ from cvas import (
     tau,
     worst_case_misclassification,
 )
+from cvas.moments import ridge
 from cvas.surrogate import _reduced_basis
 
 from helpers import random_instance, random_pd
@@ -133,6 +134,10 @@ def test_tau_validation():
         tau("nominal", 0.0, np.eye(2), [0.0, 0.0])
     with pytest.raises(DomainError):
         tau("fisher-rao", 701.0, np.eye(2), [1.0, 0.0])
+    for kind in ("nominal",) + KINDS:
+        for rho in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                tau(kind, rho, np.eye(2), [1.0, 0.0])
 
 
 def test_divergence_validation():
@@ -142,6 +147,12 @@ def test_divergence_validation():
         Divergence(kind="nominal", rho_neg=1.0)
     with pytest.raises(ValueError):
         Divergence(kind="frobenius")
+    with pytest.raises(DomainError):
+        Divergence(kind="bures", rho_neg=math.nan)
+    with pytest.raises(DomainError):
+        Divergence(kind="logdet", rho_pos=math.nan)
+    # +inf is how asymptotic_surrogate records the inflated radius
+    assert Divergence(kind="bures", rho_neg=math.inf).rho_neg == math.inf
 
 
 # ---------------------------------------------------------------- solve
@@ -172,6 +183,60 @@ def test_identical_means():
     m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=10)
     with pytest.raises(IdenticalMeans):
         solve_cvas(m, m, Divergence(kind="nominal"))
+
+
+def test_solve_rejects_infinite_radius():
+    pos, neg = counter_moments()
+    for kind in KINDS:
+        with pytest.raises(DomainError, match="asymptotic_surrogate"):
+            solve_cvas(pos, neg, Divergence(kind=kind, rho_neg=math.inf))
+
+
+def _tau_gradient(kind, rho, cov, w):
+    # Gradient in w of each tau closed form, written out independently.
+    q = math.sqrt(float(w @ cov @ w))
+    if kind == "quadratic":
+        m = cov + math.sqrt(rho) * np.eye(w.shape[0])
+        return m @ w / math.sqrt(float(w @ m @ w))
+    if kind == "bures":
+        return cov @ w / q + rho * w / float(np.linalg.norm(w))
+    return (tau(kind, rho, cov, w) / q) * (cov @ w) / q  # tau = c(rho) q
+
+
+def _assert_stationary(pos, neg, div):
+    sur = solve_cvas(pos, neg, div)
+    a = pos.mean - neg.mean
+    assert abs(float(sur.w @ a) - 1.0) <= 1e-12
+    grad = np.zeros_like(a)
+    for moments, rho in ((pos, div.rho_pos), (neg, div.rho_neg)):
+        cov = ridge(moments.covariance)
+        grad += _tau_gradient(div.kind.value, rho, cov, sur.w)
+        margin = abs(float(sur.w @ moments.mean) - sur.b)
+        assert abs(margin - sur.kappa * tau(div.kind, rho, cov, sur.w)) <= 1e-12
+    projected = grad - a * float(a @ grad) / float(a @ a)
+    assert float(np.linalg.norm(projected)) <= 1e-8 * (1.0 + sur.objective)
+
+
+@pytest.mark.parametrize("d", (2, 5, 20))
+@pytest.mark.parametrize("kind", ("nominal",) + KINDS)
+def test_solve_stationary(kind, d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(10):
+        pos, neg = random_moments(rng, d)
+        if kind == "nominal":
+            div = Divergence(kind=kind)
+        else:
+            div = Divergence(kind=kind, rho_pos=rng.uniform(0.0, 10.0),
+                             rho_neg=rng.uniform(0.0, 10.0))
+        _assert_stationary(pos, neg, div)
+
+
+def test_solve_stationary_bures_fixed():
+    # Newton with Armijo backtracking on F stalls above the gradient
+    # tolerance here; backtracking on ||g|| converges.
+    pos, neg = random_moments(np.random.default_rng(4), 5)
+    _assert_stationary(pos, neg, Divergence(kind="bures", rho_pos=1.82,
+                                            rho_neg=7.47))
 
 
 def test_solve_normalization_and_equalization():
