@@ -161,8 +161,8 @@ def train_mlp(features, labels, config=TrainConfig()):
         zs, hs = zip(*_forward(features, weights, biases))
         hs = (features,) + hs
         proba = hs[-1]
-        if step == 1:
-            history.append(_bce(proba[:, 0], target[:, 0]))
+        # The loss after step - 1 updates; the last one is taken below.
+        history.append(_bce(proba[:, 0], target[:, 0]))
 
         # Backward pass. Sigmoid + BCE collapse to (p - y) / n at the head.
         delta = (proba - target) / n
@@ -185,9 +185,9 @@ def train_mlp(features, labels, config=TrainConfig()):
             v += (1.0 - beta2) * g * g
             p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-        for _, output in _forward(features, weights, biases):
-            pass
-        history.append(_bce(output[:, 0], target[:, 0]))
+    for _, output in _forward(features, weights, biases):
+        pass
+    history.append(_bce(output[:, 0], target[:, 0]))
 
     return MlpModel(
         layer_dims=layer_dims,

@@ -499,8 +499,8 @@ def _run_eval(ns, rho_grid):
                                seed=ns.seed)
     train_features = dataset.features[dataset.train_idx]
     train_labels = dataset.labels[dataset.train_idx]
-    # Reproduced bit-exactly inside sweep(), which trains with the same
-    # config on the same split; only instance selection happens here.
+    # The current model: it selects the instances here, and sweep() uses
+    # it instead of training it again.
     model = train_mlp(train_features, train_labels, train_config)
     test_features = dataset.features[dataset.test_idx]
     unfavorable = test_features[model.label(test_features) == -1]
@@ -512,7 +512,7 @@ def _run_eval(ns, rho_grid):
                         train=train_config, n_models=ns.n_models,
                         action_kinds=dataset.action_kinds)
     report = sweep((train_features, train_labels), shifted, instances,
-                   ns.divergence, rho_grid, ns.mode, config)
+                   ns.divergence, rho_grid, ns.mode, config, model=model)
     if str(ns.out).endswith(".json"):
         report.to_json(ns.out)
     else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .blackbox import TrainConfig, simulate_future_models, train_mlp
-from .errors import CvasError, EmptyInput
+from .errors import CvasError, DimensionMismatch, EmptyInput
 from .moments import estimate_moments
 from .recourse import (
     actionable_recourse,
@@ -59,23 +59,60 @@ def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
     max ||w(x0) - w(x')||_2 over the neighbors (normalized slopes).
     Neighbors whose pipeline fails are skipped; at least one must
     succeed.
+
+    Only the final solve depends on the divergence: the neighbors'
+    boundary samples and moments do not. sweep() therefore computes the
+    neighbor moments once per instance and repeats only the solves for
+    each radius; this function does both halves for one divergence.
     """
     sampler_config, divergence = pipeline_config
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     base = fit_surrogate(model, x0, dataset, sampler_config, divergence)
+    neighbors = _neighbor_moments(model, dataset, x0, sampler_config,
+                                  n_neighbors, noise_var, seed)
+    return _max_slope_gap(base.w, neighbors, divergence)
+
+
+def _neighbor_moments(model, dataset, x0, sampler_config, n_neighbors,
+                      noise_var, seed):
+    """(mom_pos, mom_neg) at each of n_neighbors draws from N(x0, noise_var * I).
+
+    A neighbor whose sampling fails contributes the CvasError it raised
+    instead, stripped of its traceback, whose frames would keep the
+    neighbor's ball sample alive for as long as the list is kept.
+    """
     rng = np.random.default_rng(seed)
     neighbors = x0 + rng.normal(0.0, math.sqrt(noise_var),
                                 size=(n_neighbors, x0.shape[0]))
-    worst = None
-    last_error = None
+    moments = []
     for neighbor in neighbors:
         try:
-            other = fit_surrogate(model, neighbor, dataset, sampler_config,
-                                  divergence)
+            sample = synthesize(neighbor, dataset, model, sampler_config)
+            moments.append((estimate_moments(sample.positives),
+                            estimate_moments(sample.negatives)))
+        except CvasError as exc:
+            moments.append(exc.with_traceback(None))
+    return moments
+
+
+def _max_slope_gap(base_w, neighbor_moments, divergence):
+    """max ||base_w - w(x')||_2 over the neighbors that solve at divergence.
+
+    Entries of neighbor_moments that are errors, and neighbors whose
+    solve fails, are skipped; if none is left, the last error is raised.
+    """
+    worst = None
+    last_error = None
+    for item in neighbor_moments:
+        if isinstance(item, CvasError):
+            last_error = item
+            continue
+        try:
+            other = solve_cvas(item[0], item[1], divergence)
         except CvasError as exc:
             last_error = exc
             continue
-        gap = float(np.linalg.norm(base.w - other.w))
+        gap = float(np.linalg.norm(base_w - other.w))
         worst = gap if worst is None else max(worst, gap)
     if worst is None:
         raise last_error
@@ -205,7 +242,7 @@ def _derived_seeds(master, count):
 
 
 def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid,
-          mode, config=EvalConfig()):
+          mode, config=EvalConfig(), model=None):
     """Full evaluation over a grid of negative-class radii.
 
     Trains the current model on the present dataset and the future
@@ -213,6 +250,19 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     generates a recourse for every instance and aggregates the metrics
     into one report row. Instances whose sampling or solve fails are
     skipped and counted in n_skipped. Deterministic per master seed.
+
+    The radius enters only through solve_cvas, so the work that does not
+    depend on it is done once per instance: the boundary sample and its
+    moments, the default action grids (actionable mode), and, the first
+    time the instance reaches the sensitivity step, the moments of its
+    sensitivity neighbors. Each radius then runs the instance's solve,
+    its recourse search, its local fidelity and one solve per
+    sensitivity neighbor.
+
+    model, if given, is the current model already trained with
+    config.train on dataset_present (for instance to select the
+    unfavorably classified instances); sweep() then uses it instead of
+    training the same model again.
     """
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     if instances.size == 0:
@@ -229,22 +279,25 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     n_instances = instances.shape[0]
     seeds = _derived_seeds(config.seed, 1 + 3 * n_instances)
 
-    # The current model trains with config.train verbatim so callers can
-    # reproduce it (e.g. to select unfavorably classified instances).
-    model = train_mlp(present_x, present_y, config.train)
+    # The current model trains with config.train verbatim, so a caller's
+    # own training on the present data gives the same model to pass in.
+    if model is None:
+        model = train_mlp(present_x, present_y, config.train)
+    elif model.layer_dims[0] != present_x.shape[1]:
+        raise DimensionMismatch(
+            f"model expects {model.layer_dims[0]} features, the present "
+            f"dataset has {present_x.shape[1]}")
     ensemble = simulate_future_models(shifted_x, shifted_y,
                                       n_models=config.n_models,
                                       fraction=config.fraction,
                                       config=replace(config.train, seed=seeds[0]))
 
-    r_p = config.sampler.r_p
-    if r_p is None:
-        r_p = 0.05 * max_pairwise_distance(present_x, seed=config.seed)
-    r_fid = config.r_fid
-    if r_fid is None:
-        r_fid = 0.1 * max_pairwise_distance(present_x, seed=config.seed)
+    r_p, r_fid = config.sampler.r_p, config.r_fid
+    if r_p is None or r_fid is None:
+        spread = max_pairwise_distance(present_x, seed=config.seed)
+        r_p = 0.05 * spread if r_p is None else r_p
+        r_fid = 0.1 * spread if r_fid is None else r_fid
 
-    # Boundary samples do not depend on rho; fit moments once per instance.
     prepared = []
     for i, x0 in enumerate(instances):
         sampler_cfg = replace(config.sampler, seed=seeds[1 + 3 * i], r_p=r_p)
@@ -255,8 +308,13 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         except CvasError:
             prepared.append(None)
             continue
-        prepared.append((x0, sampler_cfg, moments,
+        actions = None
+        if mode == "actionable":
+            actions = default_action_grids(x0, present_x,
+                                           kinds=config.action_kinds)
+        prepared.append((x0, sampler_cfg, moments, actions,
                          seeds[1 + 3 * i + 1], seeds[1 + 3 * i + 2]))
+    neighbor_moments = {}  # instance index -> _neighbor_moments(), filled lazily
 
     rows = []
     for rho in rho_grid:
@@ -264,17 +322,15 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
                                 rho_neg=rho)
         recourses, fidelities, sensitivities = [], [], []
         skipped = sum(1 for p in prepared if p is None)
-        for item in prepared:
+        for i, item in enumerate(prepared):
             if item is None:
                 continue
-            x0, sampler_cfg, (mom_pos, mom_neg), fid_seed, sens_seed = item
+            x0, sampler_cfg, (mom_pos, mom_neg), actions, fid_seed, sens_seed = item
             try:
                 surrogate = solve_cvas(mom_pos, mom_neg, divergence)
                 if mode == "projection":
                     result = l1_projection(x0, surrogate)
                 else:
-                    actions = default_action_grids(x0, present_x,
-                                                   kinds=config.action_kinds)
                     result = actionable_recourse(x0, surrogate, actions)
             except CvasError:
                 skipped += 1
@@ -283,11 +339,13 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
             recourses.append(replace(result, blackbox_valid=blackbox_valid))
             fidelities.append(local_fidelity(model, surrogate, x0, r_fid,
                                              n=config.fid_n, seed=fid_seed))
+            if i not in neighbor_moments:
+                neighbor_moments[i] = _neighbor_moments(
+                    model, present_x, x0, sampler_cfg, config.sens_neighbors,
+                    config.sens_noise_var, sens_seed)
             try:
-                sensitivities.append(sensitivity(
-                    (sampler_cfg, divergence), model, present_x, x0,
-                    n_neighbors=config.sens_neighbors,
-                    noise_var=config.sens_noise_var, seed=sens_seed))
+                sensitivities.append(_max_slope_gap(
+                    surrogate.w, neighbor_moments[i], divergence))
             except CvasError:
                 pass
         if not recourses:

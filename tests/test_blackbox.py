@@ -77,6 +77,20 @@ def test_train_loss_decreases():
     assert model.loss_history[-1] < model.loss_history[0]
 
 
+def test_train_loss_history_per_epoch():
+    # Entry t is the loss after t updates, whatever the epoch budget, and
+    # the last entry is the loss of the returned model.
+    features, labels = generate_synthetic(200, seed=5)
+    short = train_mlp(features, labels, TrainConfig(epochs=5, seed=0))
+    long = train_mlp(features, labels, TrainConfig(epochs=10, seed=0))
+    assert len(short.loss_history) == 6
+    assert short.loss_history == long.loss_history[:6]
+    p = np.clip(short.predict_proba(features), 1e-12, 1.0 - 1e-12)
+    target = (labels + 1.0) / 2.0
+    bce = float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+    assert short.loss_history[-1] == bce
+
+
 def test_architecture_pinned():
     x, labels = _separable_data(n=20)
     model = train_mlp(x, labels, TrainConfig(epochs=1, seed=0))

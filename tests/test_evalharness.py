@@ -26,7 +26,8 @@ from cvas import (
     train_mlp,
     validity_metrics,
 )
-from cvas.errors import DegenerateSample, EmptyInput
+from cvas import evalharness
+from cvas.errors import DegenerateSample, DimensionMismatch, EmptyInput
 from cvas.evalharness import CSV_HEADER
 from cvas.recourse import RecourseResult
 
@@ -298,18 +299,88 @@ def test_sweep_robustification_raises_current_validity(radius_report):
 
 
 def test_sweep_bit_reproducible(sweep_fixture, tmp_path):
+    # The second sweep reuses a current model trained with config.train,
+    # which must be the model sweep() would have trained itself.
     present, shifted, unfavorable = sweep_fixture
     config = EvalConfig(seed=5, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=150, seed=0), n_models=3,
                         fid_n=400, sens_neighbors=2)
+    trained = train_mlp(present[0], present[1], config.train)
     paths = []
-    for tag in ("one", "two"):
+    for tag, model in (("one", None), ("two", trained)):
         report = sweep(present, shifted, unfavorable[:2], "fisher-rao",
-                       [0.0, 1.0], "projection", config)
+                       [0.0, 1.0], "projection", config, model=model)
         path = tmp_path / f"{tag}.csv"
         report.to_csv(path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+SENS_CONFIG = EvalConfig(seed=3, sampler=SamplerConfig(n_p=200),
+                         train=TrainConfig(epochs=150, seed=0), n_models=2,
+                         fid_n=100, sens_neighbors=2)
+
+
+@pytest.fixture(scope="module")
+def counted_sweeps(sweep_fixture):
+    """grid length -> (report, calls of evalharness.synthesize) for a
+    4-instance sweep over 3 radii and over 1."""
+    present, shifted, unfavorable = sweep_fixture
+    results = {}
+    for grid in ([0.0, 1.0, 10.0], [1.0]):
+        calls = []
+        real = evalharness.synthesize
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalharness, "synthesize", counted)
+            report = sweep(present, shifted, unfavorable[:4], "fisher-rao",
+                           grid, "projection", SENS_CONFIG)
+        results[len(grid)] = (report, len(calls))
+    return results
+
+
+def test_sweep_samples_each_neighbor_once(counted_sweeps):
+    # One boundary sample per instance and one per sensitivity neighbor,
+    # however many radii the grid has.
+    for report, calls in counted_sweeps.values():
+        assert all(row.n_skipped == 0 for row in report.rows)
+        assert calls == 4 * (1 + SENS_CONFIG.sens_neighbors)
+
+
+def test_sweep_sensitivity_matches_public_sensitivity(sweep_fixture,
+                                                      counted_sweeps):
+    present, _, unfavorable = sweep_fixture
+    config = SENS_CONFIG
+    model = train_mlp(present[0], present[1], config.train)
+    seeds = evalharness._derived_seeds(config.seed, 1 + 3 * 4)
+    r_p = 0.05 * evalharness.max_pairwise_distance(present[0],
+                                                   seed=config.seed)
+    report, _ = counted_sweeps[3]
+    for row in report.rows:
+        divergence = Divergence(kind="fisher-rao", rho_neg=row.rho_neg)
+        values = [
+            sensitivity((dataclasses.replace(config.sampler, seed=seeds[1 + 3 * i],
+                                             r_p=r_p), divergence),
+                        model, present[0], x0,
+                        n_neighbors=config.sens_neighbors,
+                        noise_var=config.sens_noise_var,
+                        seed=seeds[1 + 3 * i + 2])
+            for i, x0 in enumerate(unfavorable[:4])
+        ]
+        assert row.sensitivity == float(np.mean(values))
+
+
+def test_sweep_rejects_model_of_other_width(sweep_fixture):
+    present, shifted, unfavorable = sweep_fixture
+    wide = train_mlp(np.hstack([present[0], present[0]]), present[1],
+                     TrainConfig(epochs=1, seed=0))
+    with pytest.raises(DimensionMismatch):
+        sweep(present, shifted, unfavorable[:2], "nominal", [0.0],
+              "projection", EvalConfig(), model=wide)
 
 
 def test_sweep_counts_skipped_instances(sweep_fixture):
