@@ -99,7 +99,8 @@ def _max_slope_gap(base_w, neighbor_moments, divergence):
     """max ||base_w - w(x')||_2 over the neighbors that solve at divergence.
 
     Entries of neighbor_moments that are errors, and neighbors whose
-    solve fails, are skipped; if none is left, the last error is raised.
+    solve fails, are skipped; if none is left, the last error is raised,
+    or EmptyInput when there were no neighbors at all.
     """
     worst = None
     last_error = None
@@ -115,7 +116,7 @@ def _max_slope_gap(base_w, neighbor_moments, divergence):
         gap = float(np.linalg.norm(base_w - other.w))
         worst = gap if worst is None else max(worst, gap)
     if worst is None:
-        raise last_error
+        raise last_error or EmptyInput("no sensitivity neighbors")
     return worst
 
 
@@ -234,6 +235,10 @@ class EvalConfig:
     sens_neighbors: int = 10
     sens_noise_var: float = 0.001
     action_kinds: tuple = None
+
+    def __post_init__(self):
+        if self.sens_neighbors < 1:
+            raise ValueError("sens_neighbors must be >= 1")
 
 
 def _derived_seeds(master, count):

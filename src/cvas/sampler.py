@@ -5,16 +5,28 @@ along segments toward nearby opposite-class prototypes), then draw a
 uniform ball of synthetic points around the boundary point and
 pseudo-label them with the model. The two labeled point clouds are what
 the surrogate's moment estimates are built from.
+
+The boundary search is batched: all k segments are bisected in
+lockstep, so each bisection step is one forward pass over the segments
+still open rather than one single-row pass per segment. The default
+ball radius comes from a maximum pairwise distance taken block by
+block, without building an n x n distance matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, NoOppositeClassPrototypes
+from .errors import (
+    DegenerateSample,
+    EmptyInput,
+    NoOppositeClassPrototypes,
+    NonFiniteInput,
+)
 
 _BISECT_CAP = 60
 _SCAN_POINTS = 100
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -54,15 +66,38 @@ class BoundarySample:
 
 
 def max_pairwise_distance(features, seed=0, guard=2000):
-    """Largest L2 distance between rows, subsampled above `guard` rows."""
+    """Largest L2 distance between rows, subsampled above `guard` rows.
+
+    Squared distances are sq_i + sq_j - 2 x_i.x_j, evaluated over blocks
+    of _BLOCK_ROWS rows against the rows from the block's first one on,
+    which covers every pair of the upper triangle; a running max keeps
+    the memory at one block, and no n x n matrix is built.
+
+    Raises
+    ------
+    EmptyInput
+        If `features` has no rows.
+    NonFiniteInput
+        If any row contains NaN or infinity.
+    """
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
+    if n == 0:
+        raise EmptyInput("max pairwise distance of no rows")
+    if not np.all(np.isfinite(features)):
+        raise NonFiniteInput("features must be finite")
     if n > guard:
         idx = np.random.default_rng(seed).choice(n, size=guard, replace=False)
         features = features[idx]
+        n = guard
     sq = np.einsum("ij,ij->i", features, features)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
-    return float(np.sqrt(max(d2.max(), 0.0)))
+    block_max = []
+    for s in range(0, n, _BLOCK_ROWS):
+        rows = features[s:s + _BLOCK_ROWS]
+        d2 = (sq[s:s + _BLOCK_ROWS, None] + sq[None, s:]
+              - 2.0 * (rows @ features[s:].T))
+        block_max.append(d2.max())
+    return float(np.sqrt(max(np.max(block_max), 0.0)))
 
 
 def resolve_radius(config, features):
@@ -72,62 +107,86 @@ def resolve_radius(config, features):
     return 0.05 * max_pairwise_distance(features, seed=config.seed)
 
 
-def _bisect_to_boundary(model, x0, proto, tol):
-    """Boundary point on [x0, proto], or None if no crossing is found.
+def _bisect_to_boundary(model, x0, prototypes, tol):
+    """Boundary point on each segment [x0, prototypes[i]], or None where
+    no crossing is found.
 
-    Works on f(t) = g(x0 + t*(proto - x0)) - threshold. If the endpoint
-    signs match (the model is not monotone along the segment), scans 100
-    equispaced points for a sign change before giving up.
+    Works on f_i(t) = g(x0 + t*(prototypes[i] - x0)) - threshold and
+    bisects all segments in lockstep: one forward pass evaluates x0 and
+    every segment end, and each bisection step evaluates the midpoints
+    of the segments still open in one pass. Segments whose endpoint
+    signs match (the model is not monotone along them) are first
+    scanned at 100 equispaced points, all in one pass, for a sign
+    change; a segment without one gives None. A segment stops when
+    |f(mid)| <= tol or its bracket is shorter than tol, after at most
+    _BISECT_CAP steps.
     """
-    direction = proto - x0
-    seg_len = float(np.linalg.norm(direction))
-
-    def f(t):
-        return float(model.predict_proba(x0 + t * direction)[0]) - model.threshold
-
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = f(lo), f(hi)
+    directions = prototypes - x0
+    k, d = directions.shape
+    # Row by row, so each length rounds as np.linalg.norm of one vector.
+    seg_len = np.array([np.linalg.norm(direction) for direction in directions])
+    f_ends = model.predict_proba(np.vstack([x0, x0 + directions])) - model.threshold
+    f_lo, f_hi = f_ends[0], f_ends[1:]
     if abs(f_lo) <= tol:
-        return x0.copy()
-    if abs(f_hi) <= tol:
-        return x0 + direction
+        return [x0.copy() for _ in range(k)]
 
-    if (f_lo >= 0.0) == (f_hi >= 0.0):
+    lo, hi = np.zeros(k), np.ones(k)
+    t = np.where(np.abs(f_hi) <= tol, 1.0, np.nan)  # NaN: not found yet
+    active = np.isnan(t)
+    # f(lo) only enters through its sign, which every lo update keeps.
+    lo_positive = np.full(k, f_lo >= 0.0)
+
+    scan = np.flatnonzero(active & ((f_hi >= 0.0) == lo_positive))
+    if scan.size:
         grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-        values = model.predict_proba(x0[None, :] + grid[:, None] * direction[None, :])
+        rows = x0 + grid[None, :, None] * directions[scan, None, :]
+        values = model.predict_proba(rows.reshape(-1, d)).reshape(scan.size, -1)
         signs = values - model.threshold >= 0.0
-        flips = np.nonzero(signs[1:] != signs[:-1])[0]
-        if len(flips) == 0:
-            return None
-        lo, hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
-        f_lo = f(lo)
+        flips = signs[:, 1:] != signs[:, :-1]
+        crossed = flips.any(axis=1)
+        first = np.argmax(flips, axis=1)[crossed]
+        active[scan[~crossed]] = False
+        scan = scan[crossed]
+        lo[scan], hi[scan] = grid[first], grid[first + 1]
+        lo_positive[scan] = signs[crossed, first]
 
     for _ in range(_BISECT_CAP):
-        mid = (lo + hi) / 2.0
-        f_mid = f(mid)
-        if abs(f_mid) <= tol or (hi - lo) * seg_len <= tol:
-            return x0 + mid * direction
-        if (f_mid >= 0.0) == (f_lo >= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return x0 + ((lo + hi) / 2.0) * direction
+        i = np.flatnonzero(active)
+        if i.size == 0:
+            break
+        mid = (lo[i] + hi[i]) / 2.0
+        f_mid = (model.predict_proba(x0 + mid[:, None] * directions[i])
+                 - model.threshold)
+        stop = (np.abs(f_mid) <= tol) | ((hi[i] - lo[i]) * seg_len[i] <= tol)
+        t[i[stop]] = mid[stop]
+        active[i[stop]] = False
+        same = (f_mid >= 0.0) == lo_positive[i]
+        lo[i[same]] = mid[same]
+        hi[i[~same]] = mid[~same]
+    t[active] = (lo[active] + hi[active]) / 2.0
+    return [None if np.isnan(ti) else x0 + ti * direction
+            for ti, direction in zip(t, directions)]
 
 
 def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     """Closest decision-boundary point reachable from x0.
 
     Selects the k L1-nearest dataset rows whose model label differs
-    from x0's, bisects along each segment, and returns the boundary
-    point nearest to x0 in L2.
+    from x0's, bisects along the k segments in lockstep (one k-row
+    forward pass per bisection step, see _bisect_to_boundary), and
+    returns the boundary point nearest to x0 in L2.
 
     Raises
     ------
+    NonFiniteInput
+        If x0 contains NaN or infinity.
     NoOppositeClassPrototypes
         If no opposite-class row exists, or no segment crosses the
         boundary within the scan fallback.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x0)):
+        raise NonFiniteInput("query point must be finite")
     dataset = np.asarray(dataset, dtype=float)
     label0 = int(model.label(x0[None, :])[0])
     labels = model.label(dataset)
@@ -139,11 +198,8 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     order = np.argsort(np.abs(opposite - x0).sum(axis=1), kind="stable")
     prototypes = opposite[order[:k]]
 
-    candidates = []
-    for proto in prototypes:
-        point = _bisect_to_boundary(model, x0, proto, config.line_search_tol)
-        if point is not None:
-            candidates.append(point)
+    candidates = [point for point in _bisect_to_boundary(
+        model, x0, prototypes, config.line_search_tol) if point is not None]
     if not candidates:
         raise NoOppositeClassPrototypes(
             f"none of {k} prototype segments crossed the boundary"

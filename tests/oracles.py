@@ -3,8 +3,10 @@
 Everything here is written from the problem definitions only: divergence
 balls are maximized directly with SLSQP over a Cholesky parameterization,
 the L1 projection is restated as a linear program, actionable recourse is
-enumerated exhaustively, Lambert W is bisected, and gradients come from
-central differences. None of it shares code with the package.
+enumerated exhaustively, Lambert W is bisected, gradients come from
+central differences, and the boundary search bisects one segment at a
+time with one single-row model evaluation per step. None of it shares
+code with the package.
 """
 
 import itertools
@@ -224,6 +226,62 @@ def fd_gradient(model, x, h=1e-5):
         down = model.predict_proba((x - step)[None, :])[0]
         grad[j] = (up - down) / (2.0 * h)
     return grad
+
+
+def bisect_segment_oracle(model, x0, proto, tol, cap=60, scan_points=100):
+    """Boundary point on [x0, proto], one segment and one row at a time.
+
+    Bisects f(t) = g(x0 + t*(proto - x0)) - threshold with one
+    single-row evaluation per step, stopping when |f(mid)| <= tol or the
+    bracket is shorter than tol, after at most `cap` steps. When the
+    endpoint signs match, the first sign change among `scan_points`
+    equispaced points brackets the search; None if there is none.
+    """
+    direction = proto - x0
+    seg_len = float(np.linalg.norm(direction))
+
+    def f(t):
+        point = x0 + t * direction
+        return float(model.predict_proba(point[None, :])[0]) - model.threshold
+
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = f(lo), f(hi)
+    if abs(f_lo) <= tol:
+        return x0.copy()
+    if abs(f_hi) <= tol:
+        return x0 + direction
+    if (f_lo >= 0.0) == (f_hi >= 0.0):
+        grid = np.linspace(0.0, 1.0, scan_points)
+        signs = [f(t) >= 0.0 for t in grid]
+        flips = [j for j in range(scan_points - 1) if signs[j] != signs[j + 1]]
+        if not flips:
+            return None
+        lo, hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
+        f_lo = f(lo)
+    for _ in range(cap):
+        mid = (lo + hi) / 2.0
+        f_mid = f(mid)
+        if abs(f_mid) <= tol or (hi - lo) * seg_len <= tol:
+            return x0 + mid * direction
+        if (f_mid >= 0.0) == (f_lo >= 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return x0 + ((lo + hi) / 2.0) * direction
+
+
+def boundary_point_oracle(x0, dataset, model, k, tol):
+    """Nearest boundary point over the segments to the k L1-nearest
+    opposite-label rows, each bisected by bisect_segment_oracle."""
+    label0 = model.predict_proba(x0[None, :])[0] >= model.threshold
+    opposite = [row for row in dataset
+                if (model.predict_proba(row[None, :])[0] >= model.threshold)
+                != label0]
+    opposite.sort(key=lambda row: float(np.sum(np.abs(row - x0))))
+    points = [bisect_segment_oracle(model, x0, proto, tol)
+              for proto in opposite[:k]]
+    points = [p for p in points if p is not None]
+    return min(points, key=lambda p: float(np.linalg.norm(p - x0)))
 
 
 def ks_statistic(samples, cdf):

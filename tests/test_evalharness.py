@@ -122,6 +122,19 @@ def test_sensitivity_propagates_base_pipeline_failure(linear_pipeline):
         sensitivity(bad, model, data, [-0.8, 0.3])
 
 
+def test_sensitivity_without_neighbors_raises_empty_input(linear_pipeline):
+    config, model, data = linear_pipeline
+    with pytest.raises(EmptyInput):
+        sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=0, seed=2)
+
+
+def test_eval_config_rejects_no_sensitivity_neighbors():
+    with pytest.raises(ValueError):
+        EvalConfig(sens_neighbors=0)
+    with pytest.raises(ValueError):
+        EvalConfig(sens_neighbors=-1)
+
+
 # ---------------------------------------------------------------- validity
 
 

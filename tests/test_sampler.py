@@ -6,21 +6,30 @@ from numpy.testing import assert_allclose
 
 from cvas import (
     DegenerateSample,
+    Divergence,
+    EmptyInput,
     MlpModel,
     NoOppositeClassPrototypes,
+    NonFiniteInput,
     SamplerConfig,
     TrainConfig,
     find_boundary_point,
+    generate_recourse,
     generate_synthetic,
     max_pairwise_distance,
     sample_ball,
     synthesize,
     train_mlp,
 )
-from cvas.sampler import _bisect_to_boundary, resolve_radius
+from cvas.sampler import (
+    _BISECT_CAP,
+    _BLOCK_ROWS,
+    _bisect_to_boundary,
+    resolve_radius,
+)
 
 from helpers import HIDDEN, linear_mlp
-from oracles import ks_statistic
+from oracles import bisect_segment_oracle, boundary_point_oracle, ks_statistic
 
 
 def _abs_model(scale=4.0, big=1e4):
@@ -86,15 +95,107 @@ def test_bisection_scan_fallback():
     # both segment endpoints sit on the positive side of sigma(4(|x|-1));
     # the equispaced scan still finds the crossing near x = -1
     model = _abs_model()
-    point = _bisect_to_boundary(model, np.array([-3.0]), np.array([3.0]), 1e-8)
+    [point] = _bisect_to_boundary(model, np.array([-3.0]), np.array([[3.0]]),
+                                  1e-8)
     assert point is not None
     assert abs(abs(point[0]) - 1.0) <= 1e-6
 
 
 def test_bisection_no_crossing_returns_none():
     model = _abs_model()
-    point = _bisect_to_boundary(model, np.array([-3.0]), np.array([-2.0]), 1e-8)
+    [point] = _bisect_to_boundary(model, np.array([-3.0]), np.array([[-2.0]]),
+                                  1e-8)
     assert point is None
+
+
+class _CountingModel:
+    """Forwards to a model and counts its forward passes."""
+
+    def __init__(self, model):
+        self.model = model
+        self.threshold = model.threshold
+        self.calls = 0
+
+    def predict_proba(self, features):
+        self.calls += 1
+        return self.model.predict_proba(features)
+
+    def label(self, features):
+        return np.where(self.predict_proba(features) >= self.threshold, 1, -1)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    features, labels = generate_synthetic(200, seed=0)
+    return features, train_mlp(features, labels, TrainConfig(epochs=150, seed=0))
+
+
+def test_lockstep_segments_match_per_segment_bisection(trained):
+    # Segments toward rows of either label: crossings, scans and misses.
+    features, model = trained
+    rng = np.random.default_rng(1)
+    for x0 in features[:10]:
+        prototypes = features[rng.choice(len(features), size=12, replace=False)]
+        points = _bisect_to_boundary(model, x0, prototypes, 1e-8)
+        for proto, point in zip(prototypes, points):
+            expected = bisect_segment_oracle(model, x0, proto, 1e-8)
+            if expected is None:
+                assert point is None
+            else:
+                assert np.array_equal(point, expected)
+
+
+def test_lockstep_scan_fallback_matches_per_segment_bisection():
+    # On sigma(4(|x|-1)) from x0 = -3: a direct crossing, two scanned
+    # segments with a crossing inside, and two without one.
+    model = _abs_model()
+    x0 = np.array([-3.0])
+    prototypes = np.array([[0.5], [3.0], [-2.0], [2.5], [-1.5]])
+    points = _bisect_to_boundary(model, x0, prototypes, 1e-8)
+    expected = [bisect_segment_oracle(model, x0, proto, 1e-8)
+                for proto in prototypes]
+    assert [p is None for p in points] == [False, False, True, False, True]
+    for point, reference in zip(points, expected):
+        assert (point is None and reference is None
+                or np.array_equal(point, reference))
+
+
+def test_boundary_point_matches_per_segment_oracle(trained):
+    features, model = trained
+    for x0 in features[:25]:
+        point = find_boundary_point(x0, features, model)
+        assert np.array_equal(point, boundary_point_oracle(x0, features, model,
+                                                           10, 1e-8))
+    abs_model = _abs_model()
+    dataset = np.array([[-0.5], [0.2], [0.9], [-4.0], [2.0]])
+    for x0 in (np.array([-3.0]), np.array([1.7]), np.array([0.1])):
+        point = find_boundary_point(x0, dataset, abs_model)
+        assert np.array_equal(point, boundary_point_oracle(x0, dataset,
+                                                           abs_model, 10, 1e-8))
+
+
+def test_boundary_point_forward_calls_bounded(trained):
+    # Two labelling passes, one pass over x0 and the segment ends, the
+    # scan, then one pass per lockstep bisection step.
+    features, model = trained
+    for x0 in features[:5]:
+        counting = _CountingModel(model)
+        find_boundary_point(x0, features, counting, SamplerConfig(k=10))
+        assert counting.calls <= _BISECT_CAP + 4
+
+
+def test_boundary_point_rejects_non_finite_query(trained):
+    features, model = trained
+    for bad in (np.nan, np.inf):
+        x0 = features[0].copy()
+        x0[1] = bad
+        with pytest.raises(NonFiniteInput):
+            find_boundary_point(x0, features, model)
+        with pytest.raises(NonFiniteInput):
+            synthesize(x0, features, model)
+        with pytest.raises(NonFiniteInput):
+            generate_recourse(model, x0, features, SamplerConfig(),
+                              Divergence(kind="nominal"), "projection")
 
 
 def test_sample_ball_support_and_mean():
@@ -176,6 +277,39 @@ def test_max_pairwise_distance_matches_pair_loop():
         for j in range(i + 1, 50):
             best = max(best, float(np.linalg.norm(rows[i] - rows[j])))
     assert_allclose(max_pairwise_distance(rows), best, rtol=1e-12)
+
+
+def _pair_loop_max(rows):
+    return max((float(np.max(np.linalg.norm(rows[i + 1:] - rows[i], axis=1)))
+                for i in range(len(rows) - 1)), default=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+def test_max_pairwise_distance_blocks_match_pair_loop(n):
+    rows = np.random.default_rng(n).normal(size=(n, 4))
+    assert_allclose(max_pairwise_distance(rows), _pair_loop_max(rows),
+                    rtol=1e-12, atol=1e-12)
+
+
+def test_max_pairwise_distance_above_guard_matches_pair_loop():
+    guard = 2 * _BLOCK_ROWS + 3
+    rows = np.random.default_rng(6).normal(size=(500, 3))
+    subsample = rows[np.random.default_rng(8).choice(500, size=guard,
+                                                     replace=False)]
+    assert_allclose(max_pairwise_distance(rows, seed=8, guard=guard),
+                    _pair_loop_max(subsample), rtol=1e-12)
+
+
+def test_max_pairwise_distance_rejects_bad_rows():
+    rows = np.random.default_rng(2).normal(size=(300, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = rows.copy()
+        broken[250, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            max_pairwise_distance(broken)
+    with pytest.raises(EmptyInput):
+        max_pairwise_distance(np.empty((0, 3)))
 
 
 def test_max_pairwise_distance_guard_subsample():
