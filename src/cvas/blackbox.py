@@ -2,18 +2,30 @@
 
 Architecture is pinned to d -> 20 -> 50 -> 20 -> 1 with ReLU hidden
 units and a sigmoid head. Training is full-batch Adam on binary
-cross-entropy. Everything is seeded and single-threaded so the same
-data and seed reproduce bit-identical weights.
+cross-entropy. Everything is seeded so the same data and seed reproduce
+bit-identical weights, whether a model trains in this process or in a
+training worker (see simulate_future_models).
 """
 
+import contextlib
 import math
+import os
+import pickle
 import struct
+import subprocess
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._io import atomic_write_bytes
-from .errors import CvasError, DimensionMismatch, NonFiniteInput, SingleClassData
+from .errors import (
+    BadLabelValue,
+    CvasError,
+    DimensionMismatch,
+    NonFiniteInput,
+    SingleClassData,
+)
 
 HIDDEN_DIMS = (20, 50, 20)
 
@@ -55,12 +67,18 @@ class MlpModel:
     loss_history: list = field(default=None, repr=False)
 
     def predict_proba(self, features):
-        """Sigmoid outputs for a batch of rows, shape (n,)."""
+        """Sigmoid outputs for a batch of rows, shape (n,).
+
+        Raises DimensionMismatch for rows of the wrong width and
+        NonFiniteInput for rows holding NaN or infinity.
+        """
         features = np.asarray(features, dtype=float)
         if features.shape[-1] != self.layer_dims[0]:
             raise DimensionMismatch(
                 f"model expects {self.layer_dims[0]} features, got {features.shape[-1]}"
             )
+        if not np.isfinite(features).all():
+            raise NonFiniteInput("prediction input must be finite")
         for _, output in _forward(np.atleast_2d(features), self.weights,
                                   self.biases):
             pass
@@ -113,6 +131,22 @@ def _init_parameters(layer_dims, seed):
     return weights, biases
 
 
+def _check_training_data(features, labels):
+    """Float copies of 2-d finite features and finite {-1, +1} labels."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if not np.all(np.isfinite(features)) or not np.all(np.isfinite(labels)):
+        raise NonFiniteInput("features and labels must be finite")
+    if features.ndim != 2:
+        raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")
+    bad = (labels != 1.0) & (labels != -1.0)
+    if bad.any():
+        raise BadLabelValue(
+            f"training labels must be -1 or +1, got {np.unique(labels[bad])[:5]}"
+        )
+    return features, labels
+
+
 def train_mlp(features, labels, config=TrainConfig()):
     """Train the pinned-architecture MLP with full-batch Adam.
 
@@ -135,13 +169,10 @@ def train_mlp(features, labels, config=TrainConfig()):
         If labels contain only one class.
     NonFiniteInput
         If features or labels contain NaN or infinity.
+    BadLabelValue
+        If a label is neither -1 nor +1.
     """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if not np.all(np.isfinite(features)) or not np.all(np.isfinite(labels)):
-        raise NonFiniteInput("features and labels must be finite")
-    if features.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")
+    features, labels = _check_training_data(features, labels)
     classes = np.unique(labels)
     if len(classes) < 2:
         raise SingleClassData(f"training labels contain a single class {classes}")
@@ -268,16 +299,31 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
     trains with seed config.seed + i, so the ensemble is deterministic
     in the master seed. A subsample that lands on a single class is
     redrawn up to 10 times before SingleClassData propagates.
+
+    The subsamples are drawn here; the models train in up to one worker
+    process per usable CPU (never more than n_models), each with one
+    BLAS thread, and come back in index order, bit-identical to
+    training them one after another in this process. With one usable
+    CPU or one model they train in this process. Features and labels
+    are validated before any worker starts.
+
+    Raises
+    ------
+    NonFiniteInput, DimensionMismatch, BadLabelValue
+        As train_mlp, for the full shifted data.
+    SingleClassData
+        If a model's subsample is single-class in 10 draws.
+    CvasError
+        If a training worker exits with a non-zero status.
     """
     if n_models < 1:
         raise ValueError("n_models must be >= 1")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    features = np.asarray(shifted_features, dtype=float)
-    labels = np.asarray(shifted_labels)
+    features, labels = _check_training_data(shifted_features, shifted_labels)
     n = features.shape[0]
     size = math.ceil(fraction * n)
-    models = []
+    jobs = []
     for i in range(n_models):
         seed_i = config.seed + i
         rng = np.random.default_rng(seed_i)
@@ -289,8 +335,71 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
             raise SingleClassData(
                 f"subsample for model {i} was single-class in 10 draws"
             )
-        models.append(train_mlp(features[idx], labels[idx], replace(config, seed=seed_i)))
-    return models
+        jobs.append((idx, replace(config, seed=seed_i)))
+    n_workers = min(_usable_cpus(), n_models)
+    if n_workers == 1:
+        return _train_jobs(features, labels, jobs)
+    return _train_in_workers(features, labels, jobs, n_workers)
+
+
+def _train_jobs(features, labels, jobs):
+    """Train one model per (row indices, config) job, in order."""
+    return [train_mlp(features[idx], labels[idx], config) for idx, config in jobs]
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _train_in_workers(features, labels, jobs, n_workers):
+    """Run _train_jobs over jobs dealt round-robin to n_workers subprocesses.
+
+    Each worker is ``python -m cvas._trainworker``: it gets the data and
+    its share of the jobs pickled on stdin and returns its models
+    pickled on stdout. Subprocesses, unlike multiprocessing, never
+    re-run the caller's __main__. On any exception, KeyboardInterrupt
+    included, every worker is killed and reaped before it propagates.
+    """
+    # This package's own source root goes first on the worker's path (and
+    # is its working directory, which -m puts ahead of PYTHONPATH), so a
+    # source checkout never trains with an installed copy.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    workers = []
+    try:
+        for _ in range(n_workers):
+            workers.append(subprocess.Popen(
+                [sys.executable, "-m", "cvas._trainworker"], stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, env=env, cwd=root))
+        for w, worker in enumerate(workers):
+            try:
+                with worker.stdin:
+                    pickle.dump((features, labels, jobs[w::n_workers]), worker.stdin,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+            except BrokenPipeError:
+                pass  # the worker has exited; its status is checked below
+        models = [None] * len(jobs)
+        for w, worker in enumerate(workers):
+            output = worker.stdout.read()
+            if worker.wait() != 0:
+                raise CvasError(
+                    f"training worker exited with status {worker.returncode}"
+                )
+            models[w::n_workers] = pickle.loads(output)
+        return models
+    finally:
+        for worker in workers:
+            worker.kill()  # a no-op once the worker has been reaped
+            worker.wait()
+            worker.stdout.close()
+            with contextlib.suppress(BrokenPipeError):
+                worker.stdin.close()
 
 
 def save_model(model, path):

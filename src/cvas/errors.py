@@ -23,6 +23,10 @@ class DimensionMismatch(CvasError):
     """Input width does not match what the model was built for."""
 
 
+class BadLabelValue(CvasError):
+    """A label is outside {-1, +1} (training) or {-1, +1} / {0, 1} (CSV)."""
+
+
 # ----------------------------------------------------------------- sampler
 
 class NoOppositeClassPrototypes(CvasError):
@@ -96,10 +100,6 @@ class EmptyInput(CvasError):
 
 class SchemaMismatch(CvasError):
     """CSV columns do not line up with the feature-spec schema."""
-
-
-class BadLabelValue(CvasError):
-    """Label column contains a value outside {-1, +1} / {0, 1}."""
 
 
 class EmptySplit(CvasError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularCovariance, TooFewSamples, ZeroSlope
+from .errors import NonFiniteInput, SingularCovariance, TooFewSamples, ZeroSlope
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ def estimate_moments(features):
     ------
     TooFewSamples
         If fewer than two rows are supplied.
+    NonFiniteInput
+        If a row holds NaN or infinity.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
@@ -58,6 +60,8 @@ def estimate_moments(features):
     m = features.shape[0]
     if m < 2:
         raise TooFewSamples(f"need at least 2 rows to estimate a covariance, got {m}")
+    if not np.isfinite(features).all():
+        raise NonFiniteInput("moment estimation needs finite rows")
     mean = features.mean(axis=0)
     centered = features - mean
     cov = centered.T @ centered / (m - 1)

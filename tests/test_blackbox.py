@@ -1,13 +1,22 @@
 """MLP training, prediction, gradients, synthetic data, future ensembles."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import cvas
 from cvas import (
+    BadLabelValue,
     CvasError,
     DimensionMismatch,
     NonFiniteInput,
@@ -23,6 +32,25 @@ from cvas import (
 
 from helpers import linear_mlp
 from oracles import fd_gradient
+
+USABLE_CPUS = len(os.sched_getaffinity(0))
+
+needs_workers = pytest.mark.skipif(
+    USABLE_CPUS < 2, reason="one usable CPU trains the ensemble in-process")
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every training worker started during the test, in start order."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
 
 
 def _separable_data(n=200, seed=0):
@@ -69,6 +97,19 @@ def test_train_non_finite():
     x = np.array([[0.0, 1.0], [np.nan, 0.0]])
     with pytest.raises(NonFiniteInput):
         train_mlp(x, np.array([1, -1]), TrainConfig(epochs=5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad=st.floats(allow_nan=False).filter(lambda v: v not in (-1.0, 1.0)),
+       position=st.integers(0, 9))
+@example(bad=0.0, position=0)
+@example(bad=2.0, position=9)
+def test_train_rejects_labels_outside_plus_minus_one(bad, position):
+    x = np.random.default_rng(0).normal(size=(10, 2))
+    labels = np.array([1.0, -1.0] * 5)
+    labels[position] = bad
+    with pytest.raises(BadLabelValue if math.isfinite(bad) else NonFiniteInput):
+        train_mlp(x, labels, TrainConfig(epochs=1))
 
 
 def test_train_loss_decreases():
@@ -157,6 +198,21 @@ def test_predict_errors():
         predict(model, np.array([np.nan, 0.0]))
 
 
+@settings(max_examples=30, deadline=None)
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       row=st.integers(0, 4), col=st.integers(0, 2))
+def test_predict_proba_rejects_non_finite_rows(value, row, col):
+    model = linear_mlp(np.array([0.8, -1.3, 0.4]), 0.25)
+    batch = np.random.default_rng(row).normal(size=(5, 3))
+    batch[row, col] = value
+    with pytest.raises(NonFiniteInput):
+        model.predict_proba(batch)
+    with pytest.raises(NonFiniteInput):
+        model.label(batch)
+    with pytest.raises(NonFiniteInput):
+        model.predict_proba(batch[row])
+
+
 def test_synthetic_label_rule():
     features, labels = generate_synthetic(500, seed=1)
     assert features.shape == (500, 2)
@@ -201,20 +257,27 @@ def test_future_models_deterministic():
             assert np.array_equal(wa, wb)
 
 
-def test_future_models_subsample_is_reproducible():
-    # model i trains on the 80-row subsample drawn with seed master+i
+def test_future_models_subsample_is_reproducible(spawned):
+    # model i trains on the 80-row subsample drawn with seed master+i; the
+    # five models are dealt unevenly over min(usable CPUs, 5) workers (3 + 2
+    # on two CPUs) and must equal sequential in-process training bit for bit
     features, labels = generate_synthetic(100, noise_std=1.0, seed=8)
     cfg = TrainConfig(epochs=5, seed=11)
-    models = simulate_future_models(features, labels, n_models=3, fraction=0.8,
+    models = simulate_future_models(features, labels, n_models=5, fraction=0.8,
                                     config=cfg)
+    assert len(spawned) == (min(USABLE_CPUS, 5) if USABLE_CPUS > 1 else 0)
+    assert len(models) == 5
     for i, model in enumerate(models):
         rng = np.random.default_rng(cfg.seed + i)
         idx = rng.choice(100, size=80, replace=False)
         assert len(np.unique(labels[idx])) > 1  # first draw is two-class here
         expected = train_mlp(features[idx], labels[idx],
                              replace(cfg, seed=cfg.seed + i))
-        for wa, wb in zip(model.weights, expected.weights):
+        for wa, wb in zip(model.weights + model.biases,
+                          expected.weights + expected.biases):
             assert np.array_equal(wa, wb)
+        assert model.threshold == expected.threshold
+        assert model.loss_history == expected.loss_history
 
 
 def test_future_models_full_fraction():
@@ -235,6 +298,72 @@ def test_future_models_validation():
         simulate_future_models(features, labels, n_models=0)
     with pytest.raises(ValueError):
         simulate_future_models(features, labels, fraction=1.5)
+
+
+def test_future_models_validate_before_any_worker(spawned):
+    features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+    with pytest.raises(BadLabelValue):
+        simulate_future_models(features, np.where(labels > 0, 2, 0), n_models=2)
+    holed = features.copy()
+    holed[3, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        simulate_future_models(holed, labels, n_models=2)
+    assert spawned == []
+
+
+def test_future_models_never_rerun_the_callers_main(tmp_path):
+    # spawn and forkserver pools re-import the caller's __main__; the
+    # workers must not, so a script with no __main__ guard runs once
+    log = tmp_path / "runs.log"
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent(f"""\
+        from cvas import TrainConfig, generate_synthetic, simulate_future_models
+
+        with open({str(log)!r}, "a") as fh:
+            fh.write("run\\n")
+        features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+        models = simulate_future_models(features, labels, n_models=3,
+                                        config=TrainConfig(epochs=5))
+        assert len(models) == 3
+    """))
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cvas.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    done = subprocess.run([sys.executable, str(script)], env=env, timeout=120)
+    assert done.returncode == 0
+    assert log.read_text() == "run\n"
+
+
+@needs_workers
+def test_future_models_worker_exit_status_raises(tmp_path, monkeypatch, spawned):
+    fake = tmp_path / "python"
+    fake.write_text("#!/bin/sh\nexit 3\n")
+    fake.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(fake))
+    features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+    with pytest.raises(CvasError, match="status 3"):
+        simulate_future_models(features, labels, n_models=2,
+                               config=TrainConfig(epochs=5))
+    assert spawned[0].returncode == 3
+    assert all(worker.returncode is not None for worker in spawned)  # reaped
+
+
+@needs_workers
+def test_future_models_interrupt_kills_and_reaps_workers(monkeypatch, spawned):
+    # the interrupt lands while the second worker starts; the first,
+    # still waiting for its jobs, must be killed and reaped
+    recording_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        if spawned:
+            raise KeyboardInterrupt
+        return recording_popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+    with pytest.raises(KeyboardInterrupt):
+        simulate_future_models(features, labels, n_models=2,
+                               config=TrainConfig(epochs=5))
+    assert [worker.returncode for worker in spawned] == [-signal.SIGKILL]
 
 
 def test_model_serialization_round_trip(tmp_path):

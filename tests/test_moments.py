@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from cvas import (
     ClassMoments,
+    NonFiniteInput,
     SingularCovariance,
     TooFewSamples,
     ZeroSlope,
@@ -86,6 +87,16 @@ def test_halfspace_distance_zero_iff_inside():
     assert halfspace_distance(mu, cov, w, on_boundary) == 0.0
     assert halfspace_distance(mu, cov, w, on_boundary - 0.5) == 0.0
     assert halfspace_distance(mu, cov, w, on_boundary + 0.5) > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       rows=st.integers(2, 6), row=st.integers(0, 5), col=st.integers(0, 2))
+def test_estimate_moments_rejects_non_finite_rows(value, rows, row, col):
+    sample = np.random.default_rng(rows).normal(size=(rows, 3))
+    sample[row % rows, col] = value
+    with pytest.raises(NonFiniteInput):
+        estimate_moments(sample)
 
 
 @settings(max_examples=50, deadline=None)
