@@ -132,13 +132,19 @@ def _init_parameters(layer_dims, seed):
 
 
 def _check_training_data(features, labels):
-    """Float copies of 2-d finite features and finite {-1, +1} labels."""
+    """Float copies of 2-d finite features and finite {-1, +1} labels,
+    one label per feature row."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isfinite(features)) or not np.all(np.isfinite(labels)):
         raise NonFiniteInput("features and labels must be finite")
     if features.ndim != 2:
         raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")
+    if labels.shape != (features.shape[0],):
+        raise DimensionMismatch(
+            f"labels must have shape ({features.shape[0]},) to match the "
+            f"feature rows, got {labels.shape}"
+        )
     bad = (labels != 1.0) & (labels != -1.0)
     if bad.any():
         raise BadLabelValue(
@@ -169,6 +175,9 @@ def train_mlp(features, labels, config=TrainConfig()):
         If labels contain only one class.
     NonFiniteInput
         If features or labels contain NaN or infinity.
+    DimensionMismatch
+        If features are not 2-d, or labels are not 1-d with one entry
+        per feature row.
     BadLabelValue
         If a label is neither -1 nor +1.
     """

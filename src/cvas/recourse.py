@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import predict
-from .errors import NoActionableRecourse, NoValidRecourse, ZeroSlope
+from .errors import (
+    DimensionMismatch,
+    NoActionableRecourse,
+    NoValidRecourse,
+    NonFiniteInput,
+    ZeroSlope,
+)
 from .moments import estimate_moments
 from .sampler import synthesize
 from .surrogate import solve_cvas
@@ -45,6 +51,8 @@ class ActionSpec:
             if kind not in ACTION_KINDS:
                 raise ValueError(f"unknown actionability kind {kind!r}")
             grid = np.unique(np.asarray(grid, dtype=float))
+            if not np.all(np.isfinite(grid)):
+                raise ValueError("action grids must be finite")
             if 0.0 not in grid:
                 raise ValueError("every action grid must contain 0")
             if kind == "immutable" and grid.size != 1:
@@ -79,12 +87,29 @@ def default_action_grids(x0, training_features, kinds=None):
 
     Every grid keeps 0; immutable features collapse to {0} and
     non_decreasing features drop negative deltas.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the training rows are not 2-d, or x0 or `kinds` does not have
+        their width.
+    NonFiniteInput
+        If x0 or a training row contains NaN or infinity.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     training_features = np.asarray(training_features, dtype=float)
     d = x0.shape[0]
+    if training_features.ndim != 2 or training_features.shape[1] != d:
+        raise DimensionMismatch(
+            f"x0 has {d} features, training rows have shape "
+            f"{training_features.shape}"
+        )
     if kinds is None:
         kinds = ["free"] * d
+    if len(kinds) != d:
+        raise DimensionMismatch(f"{len(kinds)} action kinds for {d} features")
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(training_features))):
+        raise NonFiniteInput("x0 and training rows must be finite")
     quantiles = np.percentile(training_features, np.arange(10, 100, 10), axis=0)
     grids = []
     for j, kind in enumerate(kinds):

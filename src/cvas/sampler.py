@@ -8,9 +8,18 @@ the surrogate's moment estimates are built from.
 
 The boundary search is batched: all k segments are bisected in
 lockstep, so each bisection step is one forward pass over the segments
-still open rather than one single-row pass per segment. The default
-ball radius comes from a maximum pairwise distance taken block by
-block, without building an n x n distance matrix.
+still open rather than one single-row pass per segment.
+
+The default ball radius comes from the maximum pairwise distance of
+the full blocked scan (64-row blocks, no n x n matrix), but only the
+pairs that can hold it are evaluated. The triangle inequality through
+the centroid, |x_i - x_j| <= r_i + r_j, and a lower bound from the
+farthest row's farthest row rule out every pair outside a band of the
+rows sorted by r_i. The band's best candidates, within twice a margin
+that covers the rounding of sq_i + sq_j - 2 x_i.x_j (it scales with
+the largest squared norm, not with the distance), are then evaluated
+again from the full scan's own block products, so the result equals
+the full scan bit for bit. See max_pairwise_distance.
 """
 
 from dataclasses import dataclass
@@ -19,6 +28,8 @@ import numpy as np
 
 from .errors import (
     DegenerateSample,
+    DimensionMismatch,
+    DomainError,
     EmptyInput,
     NoOppositeClassPrototypes,
     NonFiniteInput,
@@ -27,6 +38,7 @@ from .errors import (
 _BISECT_CAP = 60
 _SCAN_POINTS = 100
 _BLOCK_ROWS = 64
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -47,8 +59,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.r_p is not None and self.r_p <= 0.0:
-            raise ValueError("r_p must be positive")
+        if self.r_p is not None and not 0.0 < self.r_p < np.inf:
+            raise ValueError("r_p must be positive and finite")
         if self.n_p < 2:
             raise ValueError("n_p must be >= 2")
         if self.line_search_tol <= 0.0:
@@ -68,19 +80,51 @@ class BoundarySample:
 def max_pairwise_distance(features, seed=0, guard=2000):
     """Largest L2 distance between rows, subsampled above `guard` rows.
 
-    Squared distances are sq_i + sq_j - 2 x_i.x_j, evaluated over blocks
-    of _BLOCK_ROWS rows against the rows from the block's first one on,
-    which covers every pair of the upper triangle; a running max keeps
-    the memory at one block, and no n x n matrix is built.
+    The value is that of the full blocked scan: squared distances
+    sq_i + sq_j - 2 x_i.x_j, with x_i.x_j taken from the block product
+    features[s:s+64] @ features[s:].T, maximized over every block s
+    (every pair of the upper triangle, plus the diagonal and both
+    orientations of the pairs inside a block). Only the pairs that can
+    hold that maximum are evaluated, though:
+
+    - Margin. Any evaluation of sq_i + sq_j - 2 x_i.x_j, in any block
+      layout and summation order, is within (4d + 6) eps max_i sq_i of
+      the exact squared distance, to first order: the rounding scales
+      with the squared norms, not with the distance. margin =
+      16 (d + 2) eps max_i sq_i is more than twice that, so two
+      evaluations of one pair differ by less than margin.
+    - Bound. With r_i the distance of row i to the centroid, the
+      triangle inequality gives |x_i - x_j| <= r_i + r_j. The squared
+      distance L from the farthest row from the centroid to the row
+      farthest from it bounds the maximum from below, so the pair that
+      holds the full scan's maximum has (r_i + r_j)^2 >= L - 1.5 margin.
+      Only that band is scanned, in blocks of at most 64 rows over the
+      rows sorted by r_i, largest first; each block stops at the row
+      where r_j falls below the bound.
+    - Equality. The pair that holds the full scan's maximum comes
+      within 2 margin of the band's best value. Every band pair that
+      close is evaluated again exactly as the full scan evaluates it,
+      from the product of its own block in the original row order, and
+      the largest of those values is the full scan's maximum, bit for
+      bit.
+
+    When the band holds over half of the pairs (points near a sphere
+    around their centroid, one-hot rows) or when the rows lie within a
+    few margins of each other, the full scan runs instead. Memory stays
+    at one block either way.
 
     Raises
     ------
+    DimensionMismatch
+        If `features` is not 2-d.
     EmptyInput
         If `features` has no rows.
     NonFiniteInput
         If any row contains NaN or infinity.
     """
     features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")
     n = features.shape[0]
     if n == 0:
         raise EmptyInput("max pairwise distance of no rows")
@@ -91,13 +135,88 @@ def max_pairwise_distance(features, seed=0, guard=2000):
         features = features[idx]
         n = guard
     sq = np.einsum("ij,ij->i", features, features)
-    block_max = []
-    for s in range(0, n, _BLOCK_ROWS):
-        rows = features[s:s + _BLOCK_ROWS]
-        d2 = (sq[s:s + _BLOCK_ROWS, None] + sq[None, s:]
-              - 2.0 * (rows @ features[s:].T))
-        block_max.append(d2.max())
-    return float(np.sqrt(max(np.max(block_max), 0.0)))
+    pairs = _candidate_pairs(features, sq)
+    if pairs is None:
+        best = np.max([_block_max(features, sq, s) for s in range(0, n, _BLOCK_ROWS)])
+    else:
+        best = _blocked_values(features, sq, *pairs).max()
+    return float(np.sqrt(max(best, 0.0)))
+
+
+def _squared_distances(left, sq_left, right, sq_right):
+    """sq_i + sq_j - 2.0 * (left @ right.T), bit for bit, computed in
+    place from two temporaries instead of four."""
+    product = left @ right.T
+    product *= 2.0
+    d2 = sq_left[:, None] + sq_right[None, :]
+    d2 -= product
+    return d2
+
+
+def _block_max(features, sq, s):
+    """Largest squared distance of block s of the full blocked scan."""
+    end = s + _BLOCK_ROWS
+    return _squared_distances(features[s:end], sq[s:end], features[s:], sq[s:]).max()
+
+
+def _candidate_pairs(features, sq):
+    """Pairs (first <= second) that may hold the full scan's maximum, or
+    None where the full scan is as cheap or the band bound is void.
+    See max_pairwise_distance for the bound and the margin."""
+    n, d = features.shape
+    top = sq.max()
+    if not np.isfinite(4.0 * top):
+        return None
+    margin = 16.0 * (d + 2) * _EPS * top
+    centred = features - features.mean(axis=0)
+    radius = np.sqrt(np.einsum("ij,ij->i", centred, centred))
+    order = np.argsort(radius)[::-1]
+    radius = radius[order]
+    far = order[0]
+    lower = (sq + sq[far] - 2.0 * (features @ features[far])).max()
+    if not lower > 3.0 * margin:
+        return None
+    # The slack covers the rounding of the radii, their sum and the root.
+    reach = np.sqrt(lower - 1.5 * margin) * (1.0 - 4.0 * (d + 4) * _EPS)
+    # Sorted row i pairs only with the sorted rows before stops[i].
+    stops = np.searchsorted(-radius, radius - reach, side="right")
+    if 4 * np.maximum(stops - np.arange(n), 0).sum() > n * (n + 1):
+        return None
+
+    rows, sq_rows = features[order], sq[order]
+    best, found = -np.inf, []
+    t = 0
+    while t < n and stops[t] > t:
+        stop = stops[t]
+        # A block keeps the rows whose band reaches halfway to `stop`;
+        # the later rows' bands end sooner, and computing them out to
+        # `stop` made the scan 2.5 times slower on 2080x22 tabular rows.
+        half = np.searchsorted(-stops, -(t + stop) / 2.0, side="right")
+        end = min(t + _BLOCK_ROWS, stop, half)
+        d2 = _squared_distances(rows[t:end], sq_rows[t:end],
+                                rows[t:stop], sq_rows[t:stop])
+        best = max(best, d2.max())
+        i, j = np.nonzero(d2 >= best - 2.0 * margin)
+        found.append((d2[i, j], order[t + i], order[t + j]))
+        t = end
+    values, i, j = (np.concatenate(parts) for parts in zip(*found))
+    near = values >= best - 2.0 * margin
+    return np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
+
+
+def _blocked_values(features, sq, first, second):
+    """The full scan's squared distance of each pair first <= second,
+    from the product of the block holding row `first`, in both
+    orientations where both rows lie in that block."""
+    starts = first // _BLOCK_ROWS * _BLOCK_ROWS
+    values = []
+    for s in np.unique(starts):
+        i, j = first[starts == s], second[starts == s]
+        inside = j < s + _BLOCK_ROWS
+        i, j = np.concatenate([i, j[inside]]), np.concatenate([j, i[inside]])
+        product = features[s:s + _BLOCK_ROWS] @ features[s:].T
+        values.append(sq[i] + sq[j] - 2.0 * product[i - s, j - s])
+    return np.concatenate(values)
 
 
 def resolve_radius(config, features):
@@ -211,7 +330,15 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
 
 def sample_ball(center, radius, n, seed):
     """n points uniform on the L2 ball: normalized Gaussian direction
-    scaled by U^(1/d) * radius."""
+    scaled by U^(1/d) * radius.
+
+    Raises
+    ------
+    DomainError
+        If `radius` is negative, NaN or infinite.
+    """
+    if not 0.0 <= radius < np.inf:
+        raise DomainError(f"ball radius must be finite and >= 0, got {radius}")
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
     rng = np.random.default_rng(seed)

@@ -4,9 +4,10 @@ Everything here is written from the problem definitions only: divergence
 balls are maximized directly with SLSQP over a Cholesky parameterization,
 the L1 projection is restated as a linear program, actionable recourse is
 enumerated exhaustively, Lambert W is bisected, gradients come from
-central differences, and the boundary search bisects one segment at a
-time with one single-row model evaluation per step. None of it shares
-code with the package.
+central differences, the boundary search bisects one segment at a
+time with one single-row model evaluation per step, and the maximum
+pairwise distance scans every block. None of it shares code with the
+package.
 """
 
 import itertools
@@ -282,6 +283,30 @@ def boundary_point_oracle(x0, dataset, model, k, tol):
               for proto in opposite[:k]]
     points = [p for p in points if p is not None]
     return min(points, key=lambda p: float(np.linalg.norm(p - x0)))
+
+
+def max_pairwise_distance_oracle(features, seed=0, guard=2000, block=64):
+    """Largest row distance by the full blocked scan, every block.
+
+    Squared distances sq_i + sq_j - 2 x_i.x_j over blocks of `block`
+    rows against the rows from the block's first one on, after the same
+    seeded `guard`-row subsample; the scan the pruned implementation
+    must reproduce bit for bit.
+    """
+    features = np.asarray(features, dtype=float)
+    n = features.shape[0]
+    if n > guard:
+        idx = np.random.default_rng(seed).choice(n, size=guard, replace=False)
+        features = features[idx]
+        n = guard
+    sq = np.einsum("ij,ij->i", features, features)
+    block_max = []
+    for s in range(0, n, block):
+        rows = features[s:s + block]
+        d2 = (sq[s:s + block, None] + sq[None, s:]
+              - 2.0 * (rows @ features[s:].T))
+        block_max.append(d2.max())
+    return float(np.sqrt(max(np.max(block_max), 0.0)))
 
 
 def ks_statistic(samples, cdf):

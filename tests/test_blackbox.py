@@ -112,6 +112,32 @@ def test_train_rejects_labels_outside_plus_minus_one(bad, position):
         train_mlp(x, labels, TrainConfig(epochs=1))
 
 
+def _label_shapes_other_than(n):
+    """Label arrays that are not 1-d with n entries."""
+    labels = np.array([1.0, -1.0] * n)
+    return [labels[:n - 1], labels[:n + 1], labels[:n].reshape(n, 1),
+            labels[:n].reshape(1, n), np.array(1.0)]
+
+
+def test_train_rejects_label_count_mismatch():
+    x = np.random.default_rng(0).normal(size=(10, 2))
+    for labels in _label_shapes_other_than(10):
+        with pytest.raises(DimensionMismatch):
+            train_mlp(x, labels, TrainConfig(epochs=1))
+
+
+def test_future_models_reject_label_count_mismatch(spawned):
+    features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+    with pytest.raises(DimensionMismatch):
+        simulate_future_models(features, labels[:50], n_models=2,
+                               config=TrainConfig(epochs=1))
+    for bad in _label_shapes_other_than(60):
+        with pytest.raises(DimensionMismatch):
+            simulate_future_models(features, bad, n_models=2,
+                                   config=TrainConfig(epochs=1))
+    assert spawned == []
+
+
 def test_train_loss_decreases():
     features, labels = generate_synthetic(200, seed=5)
     model = train_mlp(features, labels, TrainConfig(epochs=1000, seed=0))

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvas import (
     ActionSpec,
+    DimensionMismatch,
     Divergence,
     NoActionableRecourse,
     NoValidRecourse,
+    NonFiniteInput,
     SamplerConfig,
     Surrogate,
     TrainConfig,
@@ -162,6 +166,13 @@ def test_action_spec_validation():
         ActionSpec(kinds=("non_decreasing",), grids=(np.array([-1.0, 0.0]),))
 
 
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       kind=st.sampled_from(["free", "non_decreasing"]))
+def test_action_spec_rejects_non_finite_grid(bad, kind):
+    with pytest.raises(ValueError):
+        ActionSpec(kinds=(kind,), grids=(np.array([0.0, 1.0, bad]),))
+
+
 def test_default_action_grids():
     # column marginals 0..100 make the 10..90 percentiles exact decades
     training = np.tile(np.arange(101.0)[:, None], (1, 3))
@@ -173,6 +184,33 @@ def test_default_action_grids():
     assert_allclose(spec.grids[2], [0.0])
     free = default_action_grids(x0, training)
     assert all(kind == "free" for kind in free.kinds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.integers(1, 6).filter(lambda w: w != 3))
+def test_default_action_grids_rejects_other_widths(width):
+    training = np.random.default_rng(0).normal(size=(20, 3))
+    with pytest.raises(DimensionMismatch):
+        default_action_grids(np.zeros(width), training)
+    with pytest.raises(DimensionMismatch):
+        default_action_grids(np.zeros(3), training, kinds=("free",) * width)
+    with pytest.raises(DimensionMismatch):
+        default_action_grids(np.zeros(3), training[:, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       row=st.integers(0, 19), col=st.integers(0, 2),
+       in_x0=st.booleans())
+def test_default_action_grids_rejects_non_finite_input(bad, row, col, in_x0):
+    training = np.random.default_rng(row).normal(size=(20, 3))
+    x0 = np.zeros(3)
+    if in_x0:
+        x0[col] = bad
+    else:
+        training[row, col] = bad
+    with pytest.raises(NonFiniteInput):
+        default_action_grids(x0, training)
 
 
 # ---------------------------------------------------------------- wachter

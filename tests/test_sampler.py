@@ -1,12 +1,18 @@
 """Boundary search, uniform ball sampling, and pseudo-labeling."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvas import (
     DegenerateSample,
+    DimensionMismatch,
     Divergence,
+    DomainError,
     EmptyInput,
     MlpModel,
     NoOppositeClassPrototypes,
@@ -25,11 +31,17 @@ from cvas.sampler import (
     _BISECT_CAP,
     _BLOCK_ROWS,
     _bisect_to_boundary,
+    _candidate_pairs,
     resolve_radius,
 )
 
 from helpers import HIDDEN, linear_mlp
-from oracles import bisect_segment_oracle, boundary_point_oracle, ks_statistic
+from oracles import (
+    bisect_segment_oracle,
+    boundary_point_oracle,
+    ks_statistic,
+    max_pairwise_distance_oracle,
+)
 
 
 def _abs_model(scale=4.0, big=1e4):
@@ -209,6 +221,19 @@ def test_sample_ball_support_and_mean():
     assert np.all(np.abs(points.mean(axis=0) - center) <= 3.0 * sigma_mean)
 
 
+@given(radius=st.one_of(st.floats(max_value=-1e-300),
+                        st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_sample_ball_rejects_bad_radius(radius):
+    with pytest.raises(DomainError):
+        sample_ball(np.zeros(3), radius, 10, seed=0)
+
+
+def test_sample_ball_zero_radius_is_the_center():
+    center = np.array([1.0, -2.0])
+    assert np.array_equal(sample_ball(center, 0.0, 5, seed=0),
+                          np.tile(center, (5, 1)))
+
+
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_sample_ball_radius_distribution(d):
     radius = 1.7
@@ -301,6 +326,105 @@ def test_max_pairwise_distance_above_guard_matches_pair_loop():
                     _pair_loop_max(subsample), rtol=1e-12)
 
 
+def _unit_rows(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _exact_inputs():
+    """(name, rows) cases where pruning must give the full scan's float."""
+    rng = np.random.default_rng(11)
+    normal = rng.normal(size=(400, 5))
+    duplicated = np.repeat(normal[:150], 4, axis=0)[rng.permutation(600)]
+    one_hot = np.eye(8)[rng.integers(0, 8, 900)]
+    mixed = np.hstack([rng.lognormal(0.0, 1.0, (1200, 4)),
+                       rng.integers(0, 2, (1200, 6)).astype(float)])
+    return [
+        ("duplicate rows", duplicated),
+        ("duplicated extremes", np.vstack([normal, normal[:40] * 3.0,
+                                           normal[:40] * 3.0])),
+        ("unit sphere d=3", _unit_rows(rng, 1500, 3)),
+        ("unit sphere d=22", _unit_rows(rng, 700, 22)),
+        ("offset 1e6", rng.normal(size=(1500, 4)) + 1e6),
+        ("offset 1e6 d=1", rng.normal(size=(900, 1)) + 1e6),
+        ("offset 1e6 lognormal", rng.lognormal(0.0, 1.0, (1500, 3)) + 1e6),
+        ("binary", rng.integers(0, 2, (800, 12)).astype(float)),
+        ("one-hot", one_hot),
+        ("lognormal", rng.lognormal(0.0, 1.5, (1200, 6))),
+        ("lognormal and binary", mixed),
+        ("one far row", np.vstack([normal, [[40.0, 0.0, 0.0, 0.0, 0.0]]])),
+    ]
+
+
+@pytest.mark.parametrize("name, rows", _exact_inputs(),
+                         ids=[name for name, _ in _exact_inputs()])
+def test_max_pairwise_distance_equals_full_scan(name, rows):
+    assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_pairwise_distance_offset_line_equals_full_scan(seed):
+    # On a line far from the origin, the rounding of sq_i + sq_j - 2 x_i.x_j
+    # swamps the gaps between the largest distances.
+    rng = np.random.default_rng(seed)
+    for offset in (1e4, 1e6):
+        rows = rng.normal(size=(900, 1)) + offset
+        assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows)
+
+
+def test_max_pairwise_distance_identical_rows_is_zero():
+    rows = np.tile([1.5, -2.25, 3.0, 0.5], (300, 1))
+    assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2000, 2001])
+@pytest.mark.parametrize("d", [1, 7])
+def test_max_pairwise_distance_sizes_equal_full_scan(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    for rows in (rng.normal(size=(n, d)), rng.lognormal(0.0, 1.0, (n, d))):
+        assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows)
+        # From 63 rows on these inputs take the pruned path; one or two
+        # rows always take the full scan.
+        sample = rows if n <= 2000 else rows[
+            np.random.default_rng(0).choice(n, size=2000, replace=False)]
+        pruned = _candidate_pairs(sample, np.einsum("ij,ij->i", sample, sample))
+        assert (pruned is None) == (n <= 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_max_pairwise_distance_above_guard_equals_full_scan(seed):
+    rng = np.random.default_rng(100 + seed)
+    rows = np.hstack([rng.lognormal(0.0, 1.0, (2600, 6)),
+                      rng.normal(size=(2600, 10)),
+                      rng.integers(0, 2, (2600, 6)).astype(float)])
+    for sample_seed in (seed, seed + 1000):
+        assert (max_pairwise_distance(rows, seed=sample_seed)
+                == max_pairwise_distance_oracle(rows, seed=sample_seed))
+    guard = 2 * _BLOCK_ROWS + 3
+    assert (max_pairwise_distance(rows, seed=seed, guard=guard)
+            == max_pairwise_distance_oracle(rows, seed=seed, guard=guard))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), d=st.integers(1, 6),
+       kind=st.sampled_from(["normal", "lognormal", "binary", "sphere"]),
+       offset=st.sampled_from([0.0, 1e3, 1e6]), seed=st.integers(0, 2**32 - 1))
+def test_max_pairwise_distance_random_inputs_equal_full_scan(n, d, kind,
+                                                             offset, seed):
+    rng = np.random.default_rng(seed)
+    rows = {"normal": lambda: rng.normal(size=(n, d)),
+            "lognormal": lambda: rng.lognormal(0.0, 2.0, (n, d)),
+            "binary": lambda: rng.integers(0, 2, (n, d)).astype(float),
+            "sphere": lambda: _unit_rows(rng, n, d)}[kind]() + offset
+    assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows)
+
+
+def test_max_pairwise_distance_rejects_other_shapes():
+    for bad in (np.arange(5.0), np.ones((3, 2, 2)), np.float64(1.0)):
+        with pytest.raises(DimensionMismatch):
+            max_pairwise_distance(bad)
+
+
 def test_max_pairwise_distance_rejects_bad_rows():
     rows = np.random.default_rng(2).normal(size=(300, 3))
     for bad in (np.nan, np.inf, -np.inf):
@@ -331,8 +455,9 @@ def test_resolve_radius():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(k=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(r_p=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SamplerConfig(r_p=bad)
     with pytest.raises(ValueError):
         SamplerConfig(n_p=1)
     with pytest.raises(ValueError):
