@@ -66,12 +66,8 @@ class MlpModel:
     threshold: float = 0.5
     loss_history: list = field(default=None, repr=False)
 
-    def predict_proba(self, features):
-        """Sigmoid outputs for a batch of rows, shape (n,).
-
-        Raises DimensionMismatch for rows of the wrong width and
-        NonFiniteInput for rows holding NaN or infinity.
-        """
+    def _rows(self, features):
+        """features as a 2-d float batch, checked as predict_proba says."""
         features = np.asarray(features, dtype=float)
         if features.shape[-1] != self.layer_dims[0]:
             raise DimensionMismatch(
@@ -79,8 +75,15 @@ class MlpModel:
             )
         if not np.isfinite(features).all():
             raise NonFiniteInput("prediction input must be finite")
-        for _, output in _forward(np.atleast_2d(features), self.weights,
-                                  self.biases):
+        return np.atleast_2d(features)
+
+    def predict_proba(self, features):
+        """Sigmoid outputs for a batch of rows, shape (n,).
+
+        Raises DimensionMismatch for rows of the wrong width and
+        NonFiniteInput for rows holding NaN or infinity.
+        """
+        for _, output in _forward(self._rows(features), self.weights, self.biases):
             pass
         return output[:, 0]
 
@@ -254,27 +257,14 @@ def predict(model, x):
     NonFiniteInput
         If x contains NaN or infinity.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.layer_dims[0]:
-        raise DimensionMismatch(
-            f"model expects {model.layer_dims[0]} features, got {x.shape[0]}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("prediction input must be finite")
-
-    zs, hs = [], [x]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = hs[-1] @ w + b
-        zs.append(z)
-        hs.append(_sigmoid(z) if i == last else np.maximum(z, 0.0))
-    proba = float(hs[-1][0])
+    zs, hs = zip(*_forward(model._rows(np.ravel(x)), model.weights, model.biases))
+    proba = float(hs[-1][0, 0])
     label = 1 if proba >= model.threshold else -1
 
     # Chain rule back to the input; ReLU passes gradient only where z > 0.
     grad = np.array([proba * (1.0 - proba)])
-    for i in range(last, 0, -1):
-        grad = (model.weights[i] @ grad) * (zs[i - 1] > 0.0)
+    for i in range(len(zs) - 1, 0, -1):
+        grad = (model.weights[i] @ grad) * (zs[i - 1][0] > 0.0)
     grad = model.weights[0] @ grad
     return proba, label, grad
 

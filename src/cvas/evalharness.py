@@ -11,26 +11,21 @@ radius, which is the input for cost-validity Pareto plots.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from ._io import atomic_write_text
 from .blackbox import TrainConfig, simulate_future_models, train_mlp
 from .errors import CvasError, DimensionMismatch, EmptyInput
-from .moments import estimate_moments
 from .recourse import (
-    actionable_recourse,
+    _boundary_moments,
+    _recourse_against,
     default_action_grids,
     fit_surrogate,
-    l1_projection,
 )
-from .sampler import SamplerConfig, max_pairwise_distance, sample_ball, synthesize
+from .sampler import SamplerConfig, max_pairwise_distance, sample_ball
 from .surrogate import Divergence, solve_cvas
-
-CSV_HEADER = ("config_id,divergence,rho_pos,rho_neg,mode,mean_cost,"
-              "current_validity,future_validity,local_fidelity,sensitivity,"
-              "n_skipped")
 
 
 def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
@@ -87,9 +82,8 @@ def _neighbor_moments(model, dataset, x0, sampler_config, n_neighbors,
     moments = []
     for neighbor in neighbors:
         try:
-            sample = synthesize(neighbor, dataset, model, sampler_config)
-            moments.append((estimate_moments(sample.positives),
-                            estimate_moments(sample.negatives)))
+            moments.append(_boundary_moments(model, neighbor, dataset,
+                                             sampler_config))
         except CvasError as exc:
             moments.append(exc.with_traceback(None))
     return moments
@@ -163,7 +157,7 @@ def pareto_frontier(points):
 
 @dataclass(frozen=True)
 class EvalRow:
-    """One sweep configuration's metrics, in CSV column order."""
+    """One sweep configuration's metrics; the fields are the report columns."""
 
     config_id: str
     divergence: str
@@ -178,6 +172,9 @@ class EvalRow:
     n_skipped: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(EvalRow))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     rows: tuple
@@ -190,25 +187,11 @@ class EvalReport:
         object.__setattr__(self, "rows", rows)
 
     def to_csv(self, path):
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                r.config_id, r.divergence, repr(r.rho_pos), repr(r.rho_neg),
-                r.mode, repr(r.mean_cost), repr(r.current_validity),
-                repr(r.future_validity), repr(r.local_fidelity),
-                repr(r.sensitivity), str(r.n_skipped),
-            ]))
+        lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in self.rows]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
     def to_json(self, path):
-        records = [{
-            "config_id": r.config_id, "divergence": r.divergence,
-            "rho_pos": r.rho_pos, "rho_neg": r.rho_neg, "mode": r.mode,
-            "mean_cost": r.mean_cost, "current_validity": r.current_validity,
-            "future_validity": r.future_validity,
-            "local_fidelity": r.local_fidelity, "sensitivity": r.sensitivity,
-            "n_skipped": r.n_skipped,
-        } for r in self.rows]
+        records = [asdict(r) for r in self.rows]
         atomic_write_text(path, json.dumps(records, indent=2) + "\n")
 
 
@@ -253,8 +236,10 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     Trains the current model on the present dataset and the future
     ensemble on the shifted one, then for every rho in the grid
     generates a recourse for every instance and aggregates the metrics
-    into one report row. Instances whose sampling or solve fails are
-    skipped and counted in n_skipped. Deterministic per master seed.
+    into one report row. Instances whose sampling, solve or search fails
+    are skipped and counted in n_skipped; a row with no sensitivity
+    reports NaN. Deterministic per master seed. generate_recourse, sweep
+    and sensitivity share one moments step and one recourse step.
 
     The radius enters only through solve_cvas, so the work that does not
     depend on it is done once per instance: the boundary sample and its
@@ -307,9 +292,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     for i, x0 in enumerate(instances):
         sampler_cfg = replace(config.sampler, seed=seeds[1 + 3 * i], r_p=r_p)
         try:
-            sample = synthesize(x0, present_x, model, sampler_cfg)
-            moments = (estimate_moments(sample.positives),
-                       estimate_moments(sample.negatives))
+            moments = _boundary_moments(model, x0, present_x, sampler_cfg)
         except CvasError:
             prepared.append(None)
             continue
@@ -330,18 +313,14 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         for i, item in enumerate(prepared):
             if item is None:
                 continue
-            x0, sampler_cfg, (mom_pos, mom_neg), actions, fid_seed, sens_seed = item
+            x0, sampler_cfg, moments, actions, fid_seed, sens_seed = item
             try:
-                surrogate = solve_cvas(mom_pos, mom_neg, divergence)
-                if mode == "projection":
-                    result = l1_projection(x0, surrogate)
-                else:
-                    result = actionable_recourse(x0, surrogate, actions)
+                surrogate = solve_cvas(*moments, divergence)
+                recourses.append(_recourse_against(model, x0, surrogate, mode,
+                                                   actions))
             except CvasError:
                 skipped += 1
                 continue
-            blackbox_valid = bool(model.label(result.x_r[None, :])[0] == 1)
-            recourses.append(replace(result, blackbox_valid=blackbox_valid))
             fidelities.append(local_fidelity(model, surrogate, x0, r_fid,
                                              n=config.fid_n, seed=fid_seed))
             if i not in neighbor_moments:
@@ -367,7 +346,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
             current_validity=current,
             future_validity=future,
             local_fidelity=float(np.mean(fidelities)),
-            sensitivity=float(np.mean(sensitivities)) if sensitivities else 0.0,
+            sensitivity=float(np.mean(sensitivities)) if sensitivities else math.nan,
             n_skipped=skipped,
         ))
     return EvalReport(rows=tuple(rows))

@@ -5,12 +5,14 @@ surrogate's favorable halfspace, an exact branch-and-bound search over
 discrete per-feature action grids, and the gradient-based Wachter
 baseline that works directly against the black-box model. The
 generate_recourse pipeline ties sampling, moment estimation, the
-surrogate solve, and the chosen search together.
+surrogate solve, and the chosen search together. generate_recourse,
+sweep and sensitivity share one moments step (_boundary_moments) and
+one recourse step (_recourse_against).
 """
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -311,12 +313,28 @@ def wachter_recourse(model, x0, lambda0=0.1, steps=1000, retries=10):
         f"{best_proba:.4f})", result=best)
 
 
+def _boundary_moments(model, x0, dataset, sampler_config):
+    """(positive, negative) class moments of the boundary sample at x0."""
+    sample = synthesize(x0, dataset, model, sampler_config)
+    return estimate_moments(sample.positives), estimate_moments(sample.negatives)
+
+
 def fit_surrogate(model, x0, dataset, sampler_config, divergence):
     """Sampler -> moments -> solve pipeline; returns the surrogate."""
-    sample = synthesize(x0, dataset, model, sampler_config)
-    moments_pos = estimate_moments(sample.positives)
-    moments_neg = estimate_moments(sample.negatives)
-    return solve_cvas(moments_pos, moments_neg, divergence)
+    return solve_cvas(*_boundary_moments(model, x0, dataset, sampler_config),
+                      divergence)
+
+
+def _recourse_against(model, x0, surrogate, mode, actions):
+    """The mode's search against the surrogate, blackbox_valid from the model."""
+    if mode == "projection":
+        result = l1_projection(x0, surrogate)
+    elif mode == "actionable":
+        result = actionable_recourse(x0, surrogate, actions)
+    else:
+        raise ValueError(f"unknown recourse mode {mode!r}")
+    return replace(result,
+                   blackbox_valid=bool(model.label(result.x_r[None, :])[0] == 1))
 
 
 def generate_recourse(model, x0, dataset, sampler_config, divergence, mode,
@@ -330,15 +348,6 @@ def generate_recourse(model, x0, dataset, sampler_config, divergence, mode,
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     surrogate = fit_surrogate(model, x0, dataset, sampler_config, divergence)
-    if mode == "projection":
-        result = l1_projection(x0, surrogate)
-    elif mode == "actionable":
-        if actions is None:
-            actions = default_action_grids(x0, dataset)
-        result = actionable_recourse(x0, surrogate, actions)
-    else:
-        raise ValueError(f"unknown recourse mode {mode!r}")
-    blackbox_valid = bool(model.label(result.x_r[None, :])[0] == 1)
-    return RecourseResult(x_r=result.x_r, cost=result.cost,
-                          surrogate_valid=result.surrogate_valid,
-                          blackbox_valid=blackbox_valid)
+    if mode == "actionable" and actions is None:
+        actions = default_action_grids(x0, dataset)
+    return _recourse_against(model, x0, surrogate, mode, actions)

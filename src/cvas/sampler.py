@@ -115,6 +115,8 @@ def max_pairwise_distance(features, seed=0, guard=2000):
 
     Raises
     ------
+    DomainError
+        If `guard` is below 1.
     DimensionMismatch
         If `features` is not 2-d.
     EmptyInput
@@ -122,6 +124,8 @@ def max_pairwise_distance(features, seed=0, guard=2000):
     NonFiniteInput
         If any row contains NaN or infinity.
     """
+    if guard < 1:
+        raise DomainError(f"guard must be >= 1, got {guard}")
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")

@@ -26,9 +26,8 @@ from cvas import (
     train_mlp,
     validity_metrics,
 )
-from cvas import evalharness
+from cvas import evalharness, recourse
 from cvas.errors import DegenerateSample, DimensionMismatch, EmptyInput
-from cvas.evalharness import CSV_HEADER
 from cvas.recourse import RecourseResult
 
 from helpers import linear_mlp
@@ -223,24 +222,39 @@ def test_report_rejects_duplicate_config_ids():
         EvalReport(rows=(_row("a"), _row("a")))
 
 
+# The report columns as the README documents them.
+README_COLUMNS = ("config_id,divergence,rho_pos,rho_neg,mode,mean_cost,"
+                  "current_validity,future_validity,local_fidelity,sensitivity,"
+                  "n_skipped")
+
+
+def _numpy_row(config_id):
+    # The metrics as numpy computes them, before any float() or int().
+    return _row(config_id, rho_pos=np.float64(0.0), rho_neg=np.float64(2.5),
+                mean_cost=np.float64(1.0) / 3.0, current_validity=np.float64(0.5),
+                future_validity=np.float64(0.1) + 0.2,
+                local_fidelity=np.float64(0.96875),
+                sensitivity=np.float64(2.0) ** -30, n_skipped=np.int64(3))
+
+
 def test_report_csv_round_trip(tmp_path):
     rows = (_row("a", mean_cost=1.0 / 3.0, sensitivity=0.1 + 0.2),
-            _row("b", rho_neg=10.0, n_skipped=3))
+            _row("b", rho_neg=10.0, n_skipped=3), _numpy_row("c"))
     path = tmp_path / "report.csv"
     EvalReport(rows=rows).to_csv(path)
     text = path.read_text()
-    assert text.splitlines()[0] == CSV_HEADER
+    assert text.splitlines()[0] == README_COLUMNS
     with open(path, newline="") as handle:
         records = list(csv.DictReader(handle))
-    assert len(records) == 2
-    # repr() serialization preserves every float bit for bit.
+    assert len(records) == 3
+    # str() serialization preserves every float bit for bit.
     for row, record in zip(rows, records):
         for field in dataclasses.fields(EvalRow):
             want = getattr(row, field.name)
             got = record[field.name]
             if isinstance(want, float):
                 assert float(got) == want
-            elif isinstance(want, int):
+            elif isinstance(want, (int, np.integer)):
                 assert int(got) == want
             else:
                 assert got == want
@@ -251,6 +265,7 @@ def test_report_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
     EvalReport(rows=rows).to_json(path)
     records = json.loads(path.read_text())
+    assert [list(r) for r in records] == [README_COLUMNS.split(",")] * 2
     assert [r["config_id"] for r in records] == ["a", "b"]
     assert records[0]["future_validity"] == rows[0].future_validity
     assert records[1]["n_skipped"] == 0
@@ -336,20 +351,21 @@ SENS_CONFIG = EvalConfig(seed=3, sampler=SamplerConfig(n_p=200),
 
 @pytest.fixture(scope="module")
 def counted_sweeps(sweep_fixture):
-    """grid length -> (report, calls of evalharness.synthesize) for a
-    4-instance sweep over 3 radii and over 1."""
+    """grid length -> (report, calls of recourse.synthesize, the sampler
+    binding of the one moments step) for a 4-instance sweep over 3 radii
+    and over 1."""
     present, shifted, unfavorable = sweep_fixture
     results = {}
     for grid in ([0.0, 1.0, 10.0], [1.0]):
         calls = []
-        real = evalharness.synthesize
+        real = recourse.synthesize
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evalharness, "synthesize", counted)
+            patch.setattr(recourse, "synthesize", counted)
             report = sweep(present, shifted, unfavorable[:4], "fisher-rao",
                            grid, "projection", SENS_CONFIG)
         results[len(grid)] = (report, len(calls))
@@ -408,6 +424,28 @@ def test_sweep_counts_skipped_instances(sweep_fixture):
     row = report.rows[0]
     assert 1 <= row.n_skipped < 6
     assert 0.0 <= row.current_validity <= 1.0
+
+
+def test_sweep_row_without_sensitivity_reports_nan(sweep_fixture, tmp_path,
+                                                    monkeypatch):
+    # When no instance has a sensitivity the metric is undefined; 0.0
+    # would read as a perfectly stable slope.
+    def no_neighbor_solves(*args):
+        raise DegenerateSample("no sensitivity neighbor solved")
+
+    monkeypatch.setattr(evalharness, "_max_slope_gap", no_neighbor_solves)
+    present, shifted, unfavorable = sweep_fixture
+    report = sweep(present, shifted, unfavorable[:2], "fisher-rao", [0.0],
+                   "projection", SENS_CONFIG)
+    (row,) = report.rows
+    assert math.isnan(row.sensitivity)
+    assert row.n_skipped == 0
+    report.to_csv(tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as handle:
+        (record,) = csv.DictReader(handle)
+    assert record["sensitivity"] == "nan"
+    report.to_json(tmp_path / "report.json")
+    assert '"sensitivity": NaN' in (tmp_path / "report.json").read_text()
 
 
 def test_sweep_all_instances_failing_raises(sweep_fixture):

@@ -372,6 +372,17 @@ def test_max_pairwise_distance_offset_line_equals_full_scan(seed):
         assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows)
 
 
+@settings(max_examples=30, deadline=None)
+@given(guard=st.integers(min_value=-5, max_value=0),
+       n=st.integers(min_value=1, max_value=70))
+def test_max_pairwise_distance_rejects_guard_below_one(guard, n):
+    # Every row count is above such a guard, so the check must come
+    # before the subsample is drawn.
+    rows = np.random.default_rng(n).normal(size=(n, 3))
+    with pytest.raises(DomainError):
+        max_pairwise_distance(rows, guard=guard)
+
+
 def test_max_pairwise_distance_identical_rows_is_zero():
     rows = np.tile([1.5, -2.25, 3.0, 0.5], (300, 1))
     assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows) == 0.0

@@ -328,6 +328,77 @@ def test_one_dimensional_solve():
     assert_allclose(sur.b, 1.0 - (1.0 / 1.5) * 0.5, rtol=1e-8)
 
 
+# ------------------------------------------------------- MPM identities
+#
+# Choosing the covariance robustness recovers classical minimax
+# probability machines: fisher-rao and logdet are class-reweighted MPM
+# (the nominal solve on covariances scaled by c(rho)^2), quadratic is MPM
+# on Sigma + sqrt(rho) I, and bures adds an l2 penalty (rho_pos + rho_neg)
+# ||w|| whose slope depends on the radii only through their sum.
+
+MPM_SCALES = {
+    "fisher-rao": math.exp,
+    "logdet": lambda rho: -lambert_oracle(-math.exp(-rho - 1.0)),
+}
+
+
+def _mpm_instances(d, count=20):
+    """count random (moments_pos, moments_neg, rho_pos, rho_neg) at width d."""
+    rng = np.random.default_rng(d)
+    for _ in range(count):
+        mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, d)
+        rho_pos, rho_neg = (float(r) for r in rng.uniform(0.0, 5.0, size=2))
+        yield (ClassMoments(mean=mu_pos, covariance=cov_pos, count=50),
+               ClassMoments(mean=mu_neg, covariance=cov_neg, count=50),
+               rho_pos, rho_neg)
+
+
+def _scaled(moments, covariance):
+    return ClassMoments(mean=moments.mean, covariance=covariance,
+                        count=moments.count)
+
+
+def _assert_same_surrogate(got, want, rtol):
+    assert np.linalg.norm(got.w - want.w) <= rtol * np.linalg.norm(want.w)
+    assert abs(got.b - want.b) <= rtol * (1.0 + abs(want.b))
+    assert abs(got.kappa - want.kappa) <= rtol * want.kappa
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+@pytest.mark.parametrize("kind", sorted(MPM_SCALES))
+def test_reweighted_mpm_identity(kind, d):
+    # The ridge scales with the covariance on one side only; 1e-8 covers it.
+    scale = MPM_SCALES[kind]
+    for pos, neg, rho_pos, rho_neg in _mpm_instances(d):
+        robust = solve_cvas(pos, neg, Divergence(kind, rho_pos, rho_neg))
+        nominal = solve_cvas(_scaled(pos, scale(rho_pos) * pos.covariance),
+                             _scaled(neg, scale(rho_neg) * neg.covariance),
+                             Divergence(kind="nominal"))
+        _assert_same_surrogate(robust, nominal, 1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_quadratic_mpm_identity(d):
+    eye = np.eye(d)
+    for pos, neg, rho_pos, rho_neg in _mpm_instances(d):
+        robust = solve_cvas(pos, neg, Divergence("quadratic", rho_pos, rho_neg))
+        nominal = solve_cvas(
+            _scaled(pos, pos.covariance + math.sqrt(rho_pos) * eye),
+            _scaled(neg, neg.covariance + math.sqrt(rho_neg) * eye),
+            Divergence(kind="nominal"))
+        _assert_same_surrogate(robust, nominal, 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_bures_slope_depends_on_radius_sum(d):
+    for pos, neg, rho_pos, rho_neg in _mpm_instances(d):
+        w = solve_cvas(pos, neg, Divergence("bures", rho_pos, rho_neg)).w
+        total = rho_pos + rho_neg
+        for split in ((total, 0.0), (0.0, total), (total / 2.0, total / 2.0)):
+            other = solve_cvas(pos, neg, Divergence("bures", *split)).w
+            assert np.linalg.norm(other - w) <= 1e-12 * np.linalg.norm(w)
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_worst_case_misclassification_examples():
