@@ -5,6 +5,13 @@ units and a sigmoid head. Training is full-batch Adam on binary
 cross-entropy. Everything is seeded so the same data and seed reproduce
 bit-identical weights, whether a model trains in this process or in a
 training worker (see simulate_future_models).
+
+The kernel allocates little per epoch: the forward pass adds the bias
+and applies ReLU in place on each fresh product, the backward pass
+takes its ReLU mask from the activations (relu(z) > 0 exactly where
+z > 0), so no pre-activation is kept, and training holds parameters,
+gradients and Adam moments in one flat vector each, with per-layer
+views, so one Adam update covers every layer.
 """
 
 import contextlib
@@ -83,7 +90,7 @@ class MlpModel:
         Raises DimensionMismatch for rows of the wrong width and
         NonFiniteInput for rows holding NaN or infinity.
         """
-        for _, output in _forward(self._rows(features), self.weights, self.biases):
+        for output in _forward(self._rows(features), self.weights, self.biases):
             pass
         return output[:, 0]
 
@@ -105,17 +112,21 @@ def _sigmoid(z):
 
 
 def _forward(features, weights, biases):
-    """Yield (pre-activation, activation) for each layer of a 2-d batch.
+    """Yield the activation of each layer of a 2-d batch.
 
-    The last activation is the sigmoid output, shape (n, 1). Yielding
-    lets inference drop each layer as soon as the next one is built.
+    The last activation is the sigmoid output, shape (n, 1). Each layer
+    is one fresh product that takes its bias and ReLU in place; the
+    pre-activations are not kept, since a backward pass can take its
+    mask from the activation. Yielding lets inference drop each layer
+    as soon as the next one is built.
     """
     activation = features
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = activation @ w + b
-        activation = _sigmoid(z) if i == last else np.maximum(z, 0.0)
-        yield z, activation
+        z = activation @ w
+        z += b
+        activation = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
+        yield activation
 
 
 def _bce(proba, target01):
@@ -123,15 +134,38 @@ def _bce(proba, target01):
     return float(-np.mean(target01 * np.log(p) + (1.0 - target01) * np.log(1.0 - p)))
 
 
-def _init_parameters(layer_dims, seed):
-    # He-uniform: U(-limit, limit) with limit = sqrt(6 / fan_in), zero biases.
-    rng = np.random.default_rng(seed)
+def _layer_views(flat, layer_dims):
+    """Per-layer (weights, biases) views into one flat parameter-sized vector.
+
+    Layer i's weight matrix, then its bias vector, in layer order.
+    """
     weights, biases = [], []
+    offset = 0
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        limit = math.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
     return weights, biases
+
+
+def _n_parameters(layer_dims):
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
+def _init_parameters(layer_dims, seed):
+    """One flat parameter vector and its per-layer (weights, biases) views.
+
+    He-uniform: U(-limit, limit) with limit = sqrt(6 / fan_in), zero biases.
+    """
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(_n_parameters(layer_dims))
+    weights, biases = _layer_views(flat, layer_dims)
+    for w in weights:
+        limit = math.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return flat, weights, biases
 
 
 def _check_training_data(features, labels):
@@ -158,6 +192,13 @@ def _check_training_data(features, labels):
 
 def train_mlp(features, labels, config=TrainConfig()):
     """Train the pinned-architecture MLP with full-batch Adam.
+
+    Parameters, gradients and the Adam moments live in one flat vector
+    each, with per-layer views. An epoch runs the in-place forward pass
+    (see _forward), writes each gradient into its view, masks the
+    backward pass with the activations' sign, and applies one Adam
+    update to the whole flat vector. The returned weights and biases
+    are views into the trained parameter vector.
 
     Parameters
     ----------
@@ -191,44 +232,43 @@ def train_mlp(features, labels, config=TrainConfig()):
 
     n, d = features.shape
     layer_dims = (d,) + HIDDEN_DIMS + (1,)
-    weights, biases = _init_parameters(layer_dims, config.seed)
+    params, weights, biases = _init_parameters(layer_dims, config.seed)
     target = ((labels + 1.0) / 2.0).reshape(n, 1)
 
-    params = weights + biases
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    grads = np.empty_like(params)
+    grads_w, grads_b = _layer_views(grads, layer_dims)
+    m_state = np.zeros_like(params)
+    v_state = np.zeros_like(params)
     beta1, beta2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     history = []
 
     for step in range(1, config.epochs + 1):
-        zs, hs = zip(*_forward(features, weights, biases))
-        hs = (features,) + hs
+        hs = (features, *_forward(features, weights, biases))
         proba = hs[-1]
         # The loss after step - 1 updates; the last one is taken below.
         history.append(_bce(proba[:, 0], target[:, 0]))
 
-        # Backward pass. Sigmoid + BCE collapse to (p - y) / n at the head.
+        # Backward pass. Sigmoid + BCE collapse to (p - y) / n at the head;
+        # ReLU passes gradient only where its activation is positive.
         delta = (proba - target) / n
-        grads_w, grads_b = [], []
         for i in range(len(weights) - 1, -1, -1):
-            grads_w.append(hs[i].T @ delta)
-            grads_b.append(delta.sum(axis=0))
+            np.matmul(hs[i].T, delta, out=grads_w[i])
+            np.sum(delta, axis=0, out=grads_b[i])
             if i > 0:
-                delta = (delta @ weights[i].T) * (zs[i - 1] > 0.0)
-        grads = grads_w[::-1] + grads_b[::-1]
-        del zs, hs  # release the activations before the next forward pass
+                delta = delta @ weights[i].T
+                delta *= hs[i] > 0.0
+        del hs  # release the activations before the next forward pass
 
         lr_t = config.learning_rate
         bc1 = 1.0 - beta1**step
         bc2 = 1.0 - beta2**step
-        for p, g, m, v in zip(params, grads, m_state, v_state):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m_state *= beta1
+        m_state += (1.0 - beta1) * grads
+        v_state *= beta2
+        v_state += (1.0 - beta2) * grads * grads
+        params -= lr_t * (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
 
-    for _, output in _forward(features, weights, biases):
+    for output in _forward(features, weights, biases):
         pass
     history.append(_bce(output[:, 0], target[:, 0]))
 
@@ -257,14 +297,15 @@ def predict(model, x):
     NonFiniteInput
         If x contains NaN or infinity.
     """
-    zs, hs = zip(*_forward(model._rows(np.ravel(x)), model.weights, model.biases))
+    hs = tuple(_forward(model._rows(np.ravel(x)), model.weights, model.biases))
     proba = float(hs[-1][0, 0])
     label = 1 if proba >= model.threshold else -1
 
-    # Chain rule back to the input; ReLU passes gradient only where z > 0.
+    # Chain rule back to the input; ReLU passes gradient only where its
+    # activation is positive.
     grad = np.array([proba * (1.0 - proba)])
-    for i in range(len(zs) - 1, 0, -1):
-        grad = (model.weights[i] @ grad) * (zs[i - 1][0] > 0.0)
+    for i in range(len(hs) - 1, 0, -1):
+        grad = (model.weights[i] @ grad) * (hs[i - 1][0] > 0.0)
     grad = model.weights[0] @ grad
     return proba, label, grad
 
@@ -419,27 +460,36 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a model written by save_model; round-trips bit-identically."""
+    """Read a model written by save_model; round-trips bit-identically.
+
+    Raises CvasError, naming the path, for a file that is not a whole
+    model: bad magic, fewer than two layer dims, a zero dim, or a size
+    other than its header declares (truncated, or trailing bytes).
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
         raise CvasError(f"{path} is not a model file (bad magic)")
-    offset = 8
-    (n_dims,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    dims = struct.unpack_from(f"<{n_dims}I", blob, offset)
-    offset += 4 * n_dims
-    (threshold,) = struct.unpack_from("<d", blob, offset)
-    offset += 8
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    if offset != len(blob):
-        raise CvasError(f"{path} has {len(blob) - offset} trailing bytes")
-    return MlpModel(layer_dims=tuple(dims), weights=weights, biases=biases,
+    if len(blob) < 12:
+        raise CvasError(f"{path} is truncated: {len(blob)} bytes, no layer count")
+    (n_dims,) = struct.unpack_from("<I", blob, 8)
+    if n_dims < 2:
+        raise CvasError(f"{path} declares {n_dims} layer dims; a model needs 2 or more")
+    offset = 12 + 4 * n_dims + 8
+    if len(blob) < offset:
+        raise CvasError(f"{path} is truncated: {len(blob)} bytes, "
+                        f"{n_dims} layer dims and a threshold need {offset}")
+    dims = struct.unpack_from(f"<{n_dims}I", blob, 12)
+    if 0 in dims:
+        raise CvasError(f"{path} declares a zero layer dim in {dims}")
+    (threshold,) = struct.unpack_from("<d", blob, offset - 8)
+    size = offset + 8 * _n_parameters(dims)
+    if len(blob) < size:
+        raise CvasError(f"{path} is truncated: {len(blob)} bytes, "
+                        f"layer dims {dims} need {size}")
+    if len(blob) > size:
+        raise CvasError(f"{path} has {len(blob) - size} trailing bytes")
+    params = np.frombuffer(blob, dtype="<f8", offset=offset).astype(float)
+    weights, biases = _layer_views(params, dims)
+    return MlpModel(layer_dims=dims, weights=weights, biases=biases,
                     threshold=threshold)

@@ -191,7 +191,9 @@ class EvalReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
     def to_json(self, path):
-        records = [asdict(r) for r in self.rows]
+        # n_skipped may be a numpy integer, which json cannot encode; numpy
+        # floats need no coercion, as np.float64 subclasses float.
+        records = [dict(asdict(r), n_skipped=int(r.n_skipped)) for r in self.rows]
         atomic_write_text(path, json.dumps(records, indent=2) + "\n")
 
 

@@ -5,9 +5,11 @@ balls are maximized directly with SLSQP over a Cholesky parameterization,
 the L1 projection is restated as a linear program, actionable recourse is
 enumerated exhaustively, Lambert W is bisected, gradients come from
 central differences, the boundary search bisects one segment at a
-time with one single-row model evaluation per step, and the maximum
-pairwise distance scans every block. None of it shares code with the
-package.
+time with one single-row model evaluation per step, the maximum
+pairwise distance scans every block, and the MLP trains, predicts and
+differentiates by the plain loop: a fresh array per operation, kept
+pre-activations for the ReLU masks, and one Adam update per parameter
+array. None of it shares code with the package.
 """
 
 import itertools
@@ -317,3 +319,112 @@ def ks_statistic(samples, cdf):
     upper = np.max(np.arange(1, n + 1) / n - theory)
     lower = np.max(theory - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+# ------------------------------------------------------------------ MLP kernel
+# The straightforward MLP: d -> 20 -> 50 -> 20 -> 1, ReLU hidden units,
+# sigmoid head, full-batch Adam on binary cross-entropy. The arithmetic of
+# every element is the package's, operation for operation, so the trained
+# parameters, the loss history and the predictions must match bit for bit.
+
+MLP_HIDDEN = (20, 50, 20)
+
+
+def _mlp_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
+
+
+def _mlp_forward(features, weights, biases):
+    """Yield (pre-activation, activation) for each layer of a 2-d batch."""
+    activation = features
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activation @ w + b
+        activation = _mlp_sigmoid(z) if i == last else np.maximum(z, 0.0)
+        yield z, activation
+
+
+def _mlp_bce(proba, target01):
+    p = np.clip(proba, 1e-12, 1.0 - 1e-12)
+    return float(-np.mean(target01 * np.log(p) + (1.0 - target01) * np.log(1.0 - p)))
+
+
+def train_mlp_oracle(features, labels, epochs, seed, learning_rate=1e-3,
+                     beta1=0.9, beta2=0.999, eps=1e-8):
+    """(weights, biases, loss_history) of the plain training loop.
+
+    He-uniform initialisation from default_rng(seed), zero biases; the
+    loss history holds the loss before each update and after the last.
+    """
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n, d = features.shape
+    layer_dims = (d,) + MLP_HIDDEN + (1,)
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        limit = math.sqrt(6.0 / fan_in)
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    target = ((labels + 1.0) / 2.0).reshape(n, 1)
+
+    params = weights + biases
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    history = []
+
+    for step in range(1, epochs + 1):
+        zs, hs = zip(*_mlp_forward(features, weights, biases))
+        hs = (features,) + hs
+        proba = hs[-1]
+        history.append(_mlp_bce(proba[:, 0], target[:, 0]))
+
+        delta = (proba - target) / n
+        grads_w, grads_b = [], []
+        for i in range(len(weights) - 1, -1, -1):
+            grads_w.append(hs[i].T @ delta)
+            grads_b.append(delta.sum(axis=0))
+            if i > 0:
+                delta = (delta @ weights[i].T) * (zs[i - 1] > 0.0)
+        grads = grads_w[::-1] + grads_b[::-1]
+
+        bc1 = 1.0 - beta1**step
+        bc2 = 1.0 - beta2**step
+        for p, g, m, v in zip(params, grads, m_state, v_state):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    for _, output in _mlp_forward(features, weights, biases):
+        pass
+    history.append(_mlp_bce(output[:, 0], target[:, 0]))
+    return weights, biases, history
+
+
+def predict_proba_oracle(weights, biases, features):
+    """Sigmoid outputs of the plain forward pass, shape (n,)."""
+    for _, output in _mlp_forward(np.atleast_2d(np.asarray(features, dtype=float)),
+                                  weights, biases):
+        pass
+    return output[:, 0]
+
+
+def predict_oracle(weights, biases, threshold, x):
+    """(probability, label, input gradient) at one point, masking the
+    backward pass with the kept pre-activations."""
+    zs, hs = zip(*_mlp_forward(np.atleast_2d(np.asarray(x, dtype=float)),
+                               weights, biases))
+    proba = float(hs[-1][0, 0])
+    label = 1 if proba >= threshold else -1
+    grad = np.array([proba * (1.0 - proba)])
+    for i in range(len(zs) - 1, 0, -1):
+        grad = (weights[i] @ grad) * (zs[i - 1][0] > 0.0)
+    grad = weights[0] @ grad
+    return proba, label, grad

@@ -1,8 +1,10 @@
 """MLP training, prediction, gradients, synthetic data, future ensembles."""
 
+import hashlib
 import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
@@ -31,7 +33,12 @@ from cvas import (
 )
 
 from helpers import linear_mlp
-from oracles import fd_gradient
+from oracles import (
+    fd_gradient,
+    predict_oracle,
+    predict_proba_oracle,
+    train_mlp_oracle,
+)
 
 USABLE_CPUS = len(os.sched_getaffinity(0))
 
@@ -78,6 +85,64 @@ def test_train_determinism_bit_identical():
         assert np.array_equal(wa, wb)
     for ba, bb in zip(a.biases, b.biases):
         assert np.array_equal(ba, bb)
+
+
+def _digest(weights, biases, history):
+    """sha256 over every parameter byte and the loss history."""
+    h = hashlib.sha256()
+    for a in list(weights) + list(biases):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(np.asarray(history, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _kernel_data(n, d, seed):
+    """n rows in d dimensions with a nonlinear rule; both classes present."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    labels = np.where(x[:, 0] + np.sin(3.0 * x[:, -1]) >= 0.0, 1, -1)
+    labels[:2] = (1, -1)
+    return x, labels
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [2, 63, 800])
+@pytest.mark.parametrize("d", [1, 2, 22])
+def test_train_matches_oracle_bit_for_bit(d, n, seed):
+    # the in-place, flat-Adam kernel must train exactly the plain loop's model
+    x, labels = _kernel_data(n, d, seed)
+    epochs = 40 if n == 800 else 120
+    model = train_mlp(x, labels, TrainConfig(epochs=epochs, seed=seed))
+    expected = train_mlp_oracle(x, labels, epochs, seed)
+    assert len(model.loss_history) == epochs + 1
+    assert _digest(model.weights, model.biases, model.loss_history) == \
+        _digest(*expected)
+
+
+def _probe_points(d, rng):
+    # random rows, the origin, and rows far enough out to saturate the head
+    return np.vstack([rng.normal(scale=2.0, size=(40, d)), np.zeros((1, d)),
+                      rng.normal(scale=1e3, size=(3, d))])
+
+
+@pytest.mark.parametrize("d", [1, 2, 22])
+def test_predict_matches_oracle_bit_for_bit(d):
+    x, labels = _kernel_data(63, d, d)
+    model = train_mlp(x, labels, TrainConfig(epochs=60, seed=d))
+    hand_built = linear_mlp(np.linspace(-1.0, 1.0, min(d, 10)), 0.25)
+    assert model.predict_proba(x).tobytes() == \
+        predict_proba_oracle(model.weights, model.biases, x).tobytes()
+    rng = np.random.default_rng(d)
+    for net in (model, hand_built):
+        points = _probe_points(net.layer_dims[0], rng)
+        assert net.predict_proba(points).tobytes() == \
+            predict_proba_oracle(net.weights, net.biases, points).tobytes()
+        for point in points:
+            proba, label, grad = predict(net, point)
+            want_proba, want_label, want_grad = predict_oracle(
+                net.weights, net.biases, net.threshold, point)
+            assert (proba, label) == (want_proba, want_label)
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_train_seed_changes_weights():
@@ -286,7 +351,8 @@ def test_future_models_deterministic():
 def test_future_models_subsample_is_reproducible(spawned):
     # model i trains on the 80-row subsample drawn with seed master+i; the
     # five models are dealt unevenly over min(usable CPUs, 5) workers (3 + 2
-    # on two CPUs) and must equal sequential in-process training bit for bit
+    # on two CPUs) and must equal sequential in-process training, and the
+    # plain training loop, bit for bit
     features, labels = generate_synthetic(100, noise_std=1.0, seed=8)
     cfg = TrainConfig(epochs=5, seed=11)
     models = simulate_future_models(features, labels, n_models=5, fraction=0.8,
@@ -304,6 +370,9 @@ def test_future_models_subsample_is_reproducible(spawned):
             assert np.array_equal(wa, wb)
         assert model.threshold == expected.threshold
         assert model.loss_history == expected.loss_history
+        assert _digest(model.weights, model.biases, model.loss_history) == \
+            _digest(*train_mlp_oracle(features[idx], labels[idx], cfg.epochs,
+                                      cfg.seed + i))
 
 
 def test_future_models_full_fraction():
@@ -410,4 +479,60 @@ def test_load_model_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
     with pytest.raises(CvasError):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A saved 3-epoch 2-d model: its path and its bytes."""
+    x, labels = _separable_data(n=40)
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(train_mlp(x, labels, TrainConfig(epochs=3, seed=1)), path)
+    return path, path.read_bytes()
+
+
+# 8 magic + 4 layer count + 5 * 4 dims + 8 threshold + 8 * 2151 parameters
+MODEL_BYTES = 17248
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(0, MODEL_BYTES - 1))
+@example(cut=10)  # inside the layer count
+@example(cut=20)  # inside the dims
+@example(cut=60)  # inside the first weight matrix
+@example(cut=MODEL_BYTES - 3)  # inside the last bias
+def test_load_model_rejects_truncated_files(model_file, cut):
+    # every proper prefix is a CvasError naming the path, never
+    # struct.error or numpy's ValueError
+    path, blob = model_file
+    assert len(blob) == MODEL_BYTES
+    cut_path = path.with_name("cut.bin")
+    cut_path.write_bytes(blob[:cut])
+    with pytest.raises(CvasError, match="cut.bin"):
+        load_model(cut_path)
+
+
+def test_load_model_rejects_trailing_bytes(model_file):
+    path, blob = model_file
+    long_path = path.with_name("long.bin")
+    long_path.write_bytes(blob + b"\0")
+    with pytest.raises(CvasError, match="long.bin has 1 trailing bytes"):
+        load_model(long_path)
+
+
+@pytest.mark.parametrize("dims", [(), (2,), (2, 0, 1)])
+def test_load_model_rejects_degenerate_layer_dims(tmp_path, dims):
+    # each file holds exactly the parameters its header declares
+    header = b"CVASMLP1" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+    n_params = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+    path = tmp_path / "degenerate.bin"
+    path.write_bytes(header + struct.pack("<d", 0.5) + b"\0" * 8 * n_params)
+    with pytest.raises(CvasError, match="degenerate.bin"):
+        load_model(path)
+
+
+def test_load_model_rejects_an_oversized_layer_count(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"CVASMLP1" + struct.pack("<I", 2**32 - 1) + b"\0" * 64)
+    with pytest.raises(CvasError, match="truncated"):
         load_model(path)

@@ -449,3 +449,15 @@ def test_data_error_exits_two(tmp_path, capsys):
               "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     assert "label" in capsys.readouterr().err
+
+
+def test_truncated_model_exits_two(workspace, tmp_path, capsys):
+    blob = (workspace / "model.bin").read_bytes()
+    for cut in (10, 20, 60, len(blob) - 3):
+        model = tmp_path / f"cut{cut}.bin"
+        model.write_bytes(blob[:cut])
+        rc = run(["recourse", "--data", str(workspace / "d1.csv"),
+                  "--spec", str(workspace / "cols.txt"), "--model", str(model),
+                  "--instances", "3", "--out", str(tmp_path / "rec.csv")])
+        assert rc == 2
+        assert f"cut{cut}.bin" in capsys.readouterr().err

@@ -261,14 +261,18 @@ def test_report_csv_round_trip(tmp_path):
 
 
 def test_report_json_round_trip(tmp_path):
-    rows = (_row("a"), _row("b"))
+    rows = (_row("a"), _row("b"), _numpy_row("c"))
     path = tmp_path / "report.json"
     EvalReport(rows=rows).to_json(path)
     records = json.loads(path.read_text())
-    assert [list(r) for r in records] == [README_COLUMNS.split(",")] * 2
-    assert [r["config_id"] for r in records] == ["a", "b"]
+    assert [list(r) for r in records] == [README_COLUMNS.split(",")] * 3
+    assert [r["config_id"] for r in records] == ["a", "b", "c"]
     assert records[0]["future_validity"] == rows[0].future_validity
     assert records[1]["n_skipped"] == 0
+    # numpy metrics come back as the same numbers, bit for bit
+    for field in dataclasses.fields(EvalRow):
+        assert records[2][field.name] == getattr(rows[2], field.name)
+    assert records[2]["n_skipped"] == 3
 
 
 # ------------------------------------------------------------------- sweep
