@@ -38,6 +38,9 @@ HIDDEN_DIMS = (20, 50, 20)
 
 _MAGIC = b"CVASMLP1"
 
+# Adam's moment decays and denominator guard, the reference values.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -46,9 +49,6 @@ class TrainConfig:
     epochs: int = 1000
     learning_rate: float = 1e-3
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -239,7 +239,7 @@ def train_mlp(features, labels, config=TrainConfig()):
     grads_w, grads_b = _layer_views(grads, layer_dims)
     m_state = np.zeros_like(params)
     v_state = np.zeros_like(params)
-    beta1, beta2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    beta1, beta2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
     history = []
 
     for step in range(1, config.epochs + 1):
@@ -449,7 +449,13 @@ def save_model(model, path):
     layer dims, that many uint32 dims, float64 threshold, then for each
     layer the row-major float64 weight matrix followed by the bias
     vector. The write is atomic (temp file + rename).
+
+    Raises NonFiniteInput, writing nothing, for a NaN or infinite
+    threshold, weight or bias.
     """
+    if not all(np.isfinite(a).all() for a in (model.threshold, *model.weights,
+                                              *model.biases)):
+        raise NonFiniteInput(f"not writing {path}: non-finite model parameters")
     parts = [_MAGIC, struct.pack("<I", len(model.layer_dims))]
     parts.append(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
     parts.append(struct.pack("<d", model.threshold))
@@ -463,8 +469,9 @@ def load_model(path):
     """Read a model written by save_model; round-trips bit-identically.
 
     Raises CvasError, naming the path, for a file that is not a whole
-    model: bad magic, fewer than two layer dims, a zero dim, or a size
-    other than its header declares (truncated, or trailing bytes).
+    model: bad magic, fewer than two layer dims, a zero dim, a size
+    other than its header declares (truncated, or trailing bytes), or a
+    non-finite threshold, weight or bias.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -490,6 +497,8 @@ def load_model(path):
     if len(blob) > size:
         raise CvasError(f"{path} has {len(blob) - size} trailing bytes")
     params = np.frombuffer(blob, dtype="<f8", offset=offset).astype(float)
+    if not (math.isfinite(threshold) and np.isfinite(params).all()):
+        raise CvasError(f"{path} holds a non-finite threshold, weight or bias")
     weights, biases = _layer_views(params, dims)
     return MlpModel(layer_dims=dims, weights=weights, biases=biases,
                     threshold=threshold)

@@ -33,13 +33,11 @@ from .errors import (
     SchemaMismatch,
 )
 from .evalharness import EvalConfig, sweep
-from .recourse import default_action_grids, generate_recourse
+from .recourse import ACTION_KINDS, default_action_grids, generate_recourse
 from .sampler import SamplerConfig
-from .surrogate import Divergence
+from .surrogate import Divergence, DivergenceKind
 
 FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
-ACTIONABILITIES = ("free", "immutable", "non_decreasing")
-DIVERGENCE_NAMES = ("nominal", "quadratic", "bures", "fisher-rao", "logdet")
 RECOURSE_HEADER = ("instance_id,mode,divergence,rho_neg,cost,"
                    "surrogate_valid,blackbox_valid")
 
@@ -78,10 +76,10 @@ class FeatureSpec:
         for c in self.columns:
             if c.kind not in FEATURE_KINDS:
                 raise SchemaMismatch(f"unknown column kind {c.kind!r}")
-            if c.kind != "label" and c.actionability not in ACTIONABILITIES:
+            if c.kind != "label" and c.actionability not in ACTION_KINDS:
                 raise SchemaMismatch(
                     f"column {c.name!r} needs an actionability in "
-                    f"{ACTIONABILITIES}")
+                    f"{ACTION_KINDS}")
 
     @property
     def label_column(self):
@@ -312,23 +310,30 @@ class _Opt:
 _COMMON = (
     _Opt("seed", int, 0, help="master random seed"),
 )
-_EVAL_SHARED = (
-    _Opt("data", str, required=True, help="present-distribution CSV"),
-    _Opt("shifted", str, required=True, help="shifted-distribution CSV"),
+_DATA = (
+    _Opt("data", str, required=True, help="dataset CSV"),
     _Opt("spec", str, required=True, help="feature-spec file"),
-    _Opt("out", str, required=True, help="report path (.csv or .json)"),
-    _Opt("divergence", str, "nominal", choices=DIVERGENCE_NAMES,
+    _Opt("split", float, 0.8, help="train fraction"),
+)
+_TRAIN = (
+    _Opt("epochs", int, 1000, help="training epochs"),
+    _Opt("lr", float, 1e-3, help="learning rate"),
+)
+_FIT = (
+    _Opt("divergence", str, "nominal",
+         choices=tuple(kind.value for kind in DivergenceKind),
          help="covariance divergence"),
     _Opt("rho_pos", float, 0.0, help="positive-class radius"),
     _Opt("mode", str, "projection", choices=("projection", "actionable"),
          help="recourse mode"),
-    _Opt("split", float, 0.8, help="train fraction"),
-    _Opt("epochs", int, 1000, help="training epochs"),
-    _Opt("lr", float, 1e-3, help="learning rate"),
-    _Opt("n_models", int, 100, help="future-model ensemble size"),
-    _Opt("max_instances", int, 25, help="cap on evaluated test instances"),
     _Opt("k", int, 10, help="opposite-class prototypes to scan"),
     _Opt("n_p", int, 1000, help="boundary ball sample count"),
+)
+_EVAL = _COMMON + _DATA + _TRAIN + _FIT + (
+    _Opt("shifted", str, required=True, help="shifted-distribution CSV"),
+    _Opt("out", str, required=True, help="report path (.csv or .json)"),
+    _Opt("n_models", int, 100, help="future-model ensemble size"),
+    _Opt("max_instances", int, 25, help="cap on evaluated test instances"),
 )
 _OPTS = {
     "gen-synthetic": _COMMON + (
@@ -337,35 +342,21 @@ _OPTS = {
         _Opt("out", str, required=True, help="output CSV path"),
         _Opt("spec_out", str, None, help="also write a matching feature spec"),
     ),
-    "train": _COMMON + (
-        _Opt("data", str, required=True, help="training CSV"),
-        _Opt("spec", str, required=True, help="feature-spec file"),
+    "train": _COMMON + _DATA + _TRAIN + (
         _Opt("out", str, required=True, help="model output path"),
-        _Opt("epochs", int, 1000, help="training epochs"),
-        _Opt("lr", float, 1e-3, help="learning rate"),
-        _Opt("split", float, 0.8, help="train fraction"),
     ),
-    "recourse": _COMMON + (
-        _Opt("data", str, required=True, help="dataset CSV"),
-        _Opt("spec", str, required=True, help="feature-spec file"),
+    "recourse": _COMMON + _DATA + _FIT + (
         _Opt("model", str, required=True, help="trained model file"),
         _Opt("instances", _parse_instances, required=True,
              help="comma-separated row ids"),
-        _Opt("divergence", str, "nominal", choices=DIVERGENCE_NAMES,
-             help="covariance divergence"),
-        _Opt("rho_pos", float, 0.0, help="positive-class radius"),
         _Opt("rho_neg", float, 0.0, help="negative-class radius"),
-        _Opt("mode", str, "projection",
-             choices=("projection", "actionable"), help="recourse mode"),
         _Opt("out", str, required=True, help="output CSV path"),
-        _Opt("split", float, 0.8, help="train fraction"),
-        _Opt("k", int, 10, help="opposite-class prototypes to scan"),
-        _Opt("n_p", int, 1000, help="boundary ball sample count"),
     ),
-    "evaluate": _COMMON + _EVAL_SHARED + (
-        _Opt("rho_neg", float, 0.0, help="negative-class radius"),
+    "evaluate": _EVAL + (
+        _Opt("rho_neg", lambda text: (float(text),), (0.0,),
+             help="negative-class radius"),
     ),
-    "sweep": _COMMON + _EVAL_SHARED + (
+    "sweep": _EVAL + (
         _Opt("rho_neg", _parse_range, (0.0,),
              help="radius grid start:stop:step"),
     ),
@@ -491,7 +482,7 @@ def _cmd_recourse(ns):
     atomic_write_text(ns.out, "\n".join(lines) + "\n")
 
 
-def _run_eval(ns, rho_grid):
+def _cmd_sweep(ns):
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
     shifted = encode_csv(dataset.encoder, ns.shifted)
@@ -512,26 +503,18 @@ def _run_eval(ns, rho_grid):
                         train=train_config, n_models=ns.n_models,
                         action_kinds=dataset.action_kinds)
     report = sweep((train_features, train_labels), shifted, instances,
-                   ns.divergence, rho_grid, ns.mode, config, model=model)
+                   ns.divergence, ns.rho_neg, ns.mode, config, model=model)
     if str(ns.out).endswith(".json"):
         report.to_json(ns.out)
     else:
         report.to_csv(ns.out)
 
 
-def _cmd_evaluate(ns):
-    _run_eval(ns, [ns.rho_neg])
-
-
-def _cmd_sweep(ns):
-    _run_eval(ns, list(ns.rho_neg))
-
-
 _HANDLERS = {
     "gen-synthetic": _cmd_gen_synthetic,
     "train": _cmd_train,
     "recourse": _cmd_recourse,
-    "evaluate": _cmd_evaluate,
+    "evaluate": _cmd_sweep,
     "sweep": _cmd_sweep,
 }
 

@@ -24,8 +24,11 @@ from .recourse import (
     default_action_grids,
     fit_surrogate,
 )
-from .sampler import SamplerConfig, max_pairwise_distance, sample_ball
+from .sampler import SamplerConfig, max_pairwise_distance, resolve_radius, sample_ball
 from .surrogate import Divergence, solve_cvas
+
+_SENS_NOISE_VAR = 0.001  # variance of sensitivity()'s query perturbations
+_FID_RADIUS_SHARE = 0.1  # sweep()'s fidelity radius per max pairwise distance
 
 
 def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
@@ -34,17 +37,19 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
     Draws n points uniformly from the L2 ball of radius r_fid around
     x0 and compares hard labels. `model` is anything with a
     label(matrix) -> {-1,+1} method, so a Surrogate can play the model
-    role too.
+    role too. Raises ValueError for r_fid <= 0 or n < 1.
     """
     if r_fid <= 0.0:
         raise ValueError("r_fid must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     points = sample_ball(x0, r_fid, n, seed)
     return float(np.mean(model.label(points) == surrogate.label(points)))
 
 
 def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
-                noise_var=0.001, seed=0):
+                noise_var=_SENS_NOISE_VAR, seed=0):
     """Largest slope change under Gaussian perturbation of the query.
 
     pipeline_config is a (SamplerConfig, Divergence) pair describing the
@@ -204,9 +209,9 @@ class EvalConfig:
     The current model trains with `train` verbatim; the ensemble and the
     per-instance sampler/fidelity/sensitivity streams take seeds derived
     from the master `seed`, so two sweeps with equal configs are
-    bit-identical. r_fid = None resolves to 10% of the max pairwise
-    distance of the present dataset (r_p inside `sampler` resolves to 5%
-    as usual).
+    bit-identical. The ensemble trains on 80% subsamples, the fidelity
+    ball's radius is 10% of the present data's max pairwise distance,
+    and sensitivity uses sensitivity()'s default noise variance.
     """
 
     seed: int = 0
@@ -214,14 +219,13 @@ class EvalConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     n_models: int = 100
-    fraction: float = 0.8
-    r_fid: float = None
     fid_n: int = 1000
     sens_neighbors: int = 10
-    sens_noise_var: float = 0.001
     action_kinds: tuple = None
 
     def __post_init__(self):
+        if self.fid_n < 1:
+            raise ValueError("fid_n must be >= 1")
         if self.sens_neighbors < 1:
             raise ValueError("sens_neighbors must be >= 1")
 
@@ -235,21 +239,18 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
           mode, config=EvalConfig(), model=None):
     """Full evaluation over a grid of negative-class radii.
 
-    Trains the current model on the present dataset and the future
-    ensemble on the shifted one, then for every rho in the grid
-    generates a recourse for every instance and aggregates the metrics
-    into one report row. Instances whose sampling, solve or search fails
-    are skipped and counted in n_skipped; a row with no sensitivity
-    reports NaN. Deterministic per master seed. generate_recourse, sweep
-    and sensitivity share one moments step and one recourse step.
+    Checks the grid, the mode and the widths before any training, then
+    trains the current model on the present dataset and the future
+    ensemble on the shifted one. Each instance then gets a recourse at
+    every radius, and each radius's metrics make one report row, equal
+    to that of a one-radius sweep. An instance whose sampling, solve or
+    search fails is counted in the row's n_skipped; a row with no
+    sensitivity reports NaN. Deterministic per master seed.
 
-    The radius enters only through solve_cvas, so the work that does not
-    depend on it is done once per instance: the boundary sample and its
-    moments, the default action grids (actionable mode), and, the first
-    time the instance reaches the sensitivity step, the moments of its
-    sensitivity neighbors. Each radius then runs the instance's solve,
-    its recourse search, its local fidelity and one solve per
-    sensitivity neighbor.
+    The radius enters only through solve_cvas, so each instance's
+    boundary moments, its default action grids (actionable mode) and,
+    at its first radius that reaches the sensitivity step, its
+    sensitivity neighbors' moments are computed once.
 
     model, if given, is the current model already trained with
     config.train on dataset_present (for instance to select the
@@ -259,81 +260,70 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     if instances.size == 0:
         raise EmptyInput("no instances to sweep over")
-    rho_grid = [float(r) for r in rho_grid]
-    if not rho_grid:
+    divergences = [Divergence(kind=divergence_kind, rho_pos=config.rho_pos,
+                              rho_neg=float(rho)) for rho in rho_grid]
+    if not divergences:
         raise EmptyInput("empty rho grid")
     if mode not in ("projection", "actionable"):
         raise ValueError(f"unknown recourse mode {mode!r}")
-
     present_x, present_y = dataset_present
-    shifted_x, shifted_y = dataset_shifted
     present_x = np.asarray(present_x, dtype=float)
+    width = present_x.shape[-1]
+    if instances.ndim != 2 or instances.shape[1] != width:
+        raise DimensionMismatch(f"instances of shape {instances.shape} for "
+                                f"present data of {width} features")
+    if model is not None and model.layer_dims[0] != width:
+        raise DimensionMismatch(f"model expects {model.layer_dims[0]} features, "
+                                f"the present dataset has {width}")
+
     n_instances = instances.shape[0]
     seeds = _derived_seeds(config.seed, 1 + 3 * n_instances)
-
     # The current model trains with config.train verbatim, so a caller's
     # own training on the present data gives the same model to pass in.
     if model is None:
         model = train_mlp(present_x, present_y, config.train)
-    elif model.layer_dims[0] != present_x.shape[1]:
-        raise DimensionMismatch(
-            f"model expects {model.layer_dims[0]} features, the present "
-            f"dataset has {present_x.shape[1]}")
-    ensemble = simulate_future_models(shifted_x, shifted_y,
-                                      n_models=config.n_models,
-                                      fraction=config.fraction,
+    ensemble = simulate_future_models(*dataset_shifted, n_models=config.n_models,
                                       config=replace(config.train, seed=seeds[0]))
+    r_p = resolve_radius(replace(config.sampler, seed=config.seed), present_x)
+    r_fid = _FID_RADIUS_SHARE * max_pairwise_distance(present_x, seed=config.seed)
 
-    r_p, r_fid = config.sampler.r_p, config.r_fid
-    if r_p is None or r_fid is None:
-        spread = max_pairwise_distance(present_x, seed=config.seed)
-        r_p = 0.05 * spread if r_p is None else r_p
-        r_fid = 0.1 * spread if r_fid is None else r_fid
-
-    prepared = []
+    # Per radius: the recourses, fidelities and sensitivities, in instance order.
+    results = [([], [], []) for _ in divergences]
     for i, x0 in enumerate(instances):
         sampler_cfg = replace(config.sampler, seed=seeds[1 + 3 * i], r_p=r_p)
         try:
             moments = _boundary_moments(model, x0, present_x, sampler_cfg)
         except CvasError:
-            prepared.append(None)
             continue
         actions = None
         if mode == "actionable":
             actions = default_action_grids(x0, present_x,
                                            kinds=config.action_kinds)
-        prepared.append((x0, sampler_cfg, moments, actions,
-                         seeds[1 + 3 * i + 1], seeds[1 + 3 * i + 2]))
-    neighbor_moments = {}  # instance index -> _neighbor_moments(), filled lazily
-
-    rows = []
-    for rho in rho_grid:
-        divergence = Divergence(kind=divergence_kind, rho_pos=config.rho_pos,
-                                rho_neg=rho)
-        recourses, fidelities, sensitivities = [], [], []
-        skipped = sum(1 for p in prepared if p is None)
-        for i, item in enumerate(prepared):
-            if item is None:
-                continue
-            x0, sampler_cfg, moments, actions, fid_seed, sens_seed = item
+        neighbors = None
+        for divergence, (recourses, fidelities, sensitivities) in zip(
+                divergences, results):
             try:
                 surrogate = solve_cvas(*moments, divergence)
                 recourses.append(_recourse_against(model, x0, surrogate, mode,
                                                    actions))
             except CvasError:
-                skipped += 1
                 continue
             fidelities.append(local_fidelity(model, surrogate, x0, r_fid,
-                                             n=config.fid_n, seed=fid_seed))
-            if i not in neighbor_moments:
-                neighbor_moments[i] = _neighbor_moments(
+                                             n=config.fid_n, seed=seeds[2 + 3 * i]))
+            if neighbors is None:
+                neighbors = _neighbor_moments(
                     model, present_x, x0, sampler_cfg, config.sens_neighbors,
-                    config.sens_noise_var, sens_seed)
+                    _SENS_NOISE_VAR, seeds[3 + 3 * i])
             try:
-                sensitivities.append(_max_slope_gap(
-                    surrogate.w, neighbor_moments[i], divergence))
+                sensitivities.append(_max_slope_gap(surrogate.w, neighbors,
+                                                    divergence))
             except CvasError:
                 pass
+
+    rows = []
+    for divergence, (recourses, fidelities, sensitivities) in zip(divergences,
+                                                                   results):
+        rho = divergence.rho_neg
         if not recourses:
             raise EmptyInput(f"every instance failed at rho_neg = {rho}")
         current, future, mean_cost = validity_metrics(recourses, model, ensemble)
@@ -349,6 +339,6 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
             future_validity=future,
             local_fidelity=float(np.mean(fidelities)),
             sensitivity=float(np.mean(sensitivities)) if sensitivities else math.nan,
-            n_skipped=skipped,
+            n_skipped=n_instances - len(recourses),
         ))
     return EvalReport(rows=tuple(rows))

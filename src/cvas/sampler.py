@@ -36,6 +36,7 @@ from .errors import (
 )
 
 _BISECT_CAP = 60
+_LINE_SEARCH_TOL = 1e-8
 _SCAN_POINTS = 100
 _BLOCK_ROWS = 64
 _EPS = np.finfo(float).eps
@@ -45,15 +46,16 @@ _EPS = np.finfo(float).eps
 class SamplerConfig:
     """Knobs for boundary search and ball sampling.
 
-    r_p = None means "5% of the maximum pairwise distance in the
-    dataset", resolved per call; the max is exact for n <= 2000 and
+    Bisects toward k prototypes to within 1e-8 of the boundary, then
+    draws n_p points with `seed` from the ball of radius r_p. r_p = None
+    means "5% of the maximum pairwise distance in the dataset", resolved
+    per call by resolve_radius; the max is exact for n <= 2000 and
     computed on a seeded 2000-row subsample above that.
     """
 
     k: int = 10
     r_p: float = None
     n_p: int = 1000
-    line_search_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +65,6 @@ class SamplerConfig:
             raise ValueError("r_p must be positive and finite")
         if self.n_p < 2:
             raise ValueError("n_p must be >= 2")
-        if self.line_search_tol <= 0.0:
-            raise ValueError("line_search_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     prototypes = opposite[order[:k]]
 
     candidates = [point for point in _bisect_to_boundary(
-        model, x0, prototypes, config.line_search_tol) if point is not None]
+        model, x0, prototypes, _LINE_SEARCH_TOL) if point is not None]
     if not candidates:
         raise NoOppositeClassPrototypes(
             f"none of {k} prototype segments crossed the boundary"

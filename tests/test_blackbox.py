@@ -536,3 +536,33 @@ def test_load_model_rejects_an_oversized_layer_count(tmp_path):
     path.write_bytes(b"CVASMLP1" + struct.pack("<I", 2**32 - 1) + b"\0" * 64)
     with pytest.raises(CvasError, match="truncated"):
         load_model(path)
+
+
+# threshold offset, then the offsets of a first-layer weight and of the
+# last bias, in a saved 2-d model
+_THRESHOLD_AT = 8 + 4 + 5 * 4
+
+
+@pytest.mark.parametrize("at", [_THRESHOLD_AT, _THRESHOLD_AT + 8,
+                                MODEL_BYTES - 8])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_model_rejects_non_finite_values(model_file, at, value):
+    path, blob = model_file
+    bad_path = path.with_name("non_finite.bin")
+    bad_path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+    with pytest.raises(CvasError, match="non_finite.bin"):
+        load_model(bad_path)
+
+
+@pytest.mark.parametrize("part", ["threshold", "weights", "biases"])
+def test_save_model_refuses_non_finite_values(tmp_path, part):
+    x, labels = _separable_data(n=40)
+    model = train_mlp(x, labels, TrainConfig(epochs=3, seed=1))
+    if part == "threshold":
+        model.threshold = math.nan
+    else:
+        getattr(model, part)[0][0] = math.inf
+    path = tmp_path / "model.bin"
+    with pytest.raises(NonFiniteInput, match="model.bin"):
+        save_model(model, path)
+    assert not path.exists()

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -461,3 +463,25 @@ def test_truncated_model_exits_two(workspace, tmp_path, capsys):
                   "--instances", "3", "--out", str(tmp_path / "rec.csv")])
         assert rc == 2
         assert f"cut{cut}.bin" in capsys.readouterr().err
+
+
+def test_non_finite_model_exits_two(workspace, tmp_path, capsys):
+    blob = (workspace / "model.bin").read_bytes()
+    at = 8 + 4 + 5 * 4  # the threshold
+    model = tmp_path / "nan_threshold.bin"
+    model.write_bytes(blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:])
+    rc = run(["recourse", "--data", str(workspace / "d1.csv"),
+              "--spec", str(workspace / "cols.txt"), "--model", str(model),
+              "--instances", "3", "--out", str(tmp_path / "rec.csv")])
+    assert rc == 2
+    assert "nan_threshold.bin" in capsys.readouterr().err
+
+
+def test_evaluate_takes_one_radius(workspace, tmp_path, capsys):
+    rc = run(["evaluate", "--data", str(workspace / "d1.csv"),
+              "--shifted", str(workspace / "d2.csv"),
+              "--spec", str(workspace / "cols.txt"),
+              "--out", str(tmp_path / "r.csv"), "--divergence", "logdet",
+              "--rho-neg", "0:10:1"])
+    assert rc == 1
+    assert "--rho-neg" in capsys.readouterr().err

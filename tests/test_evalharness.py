@@ -27,7 +27,13 @@ from cvas import (
     validity_metrics,
 )
 from cvas import evalharness, recourse
-from cvas.errors import DegenerateSample, DimensionMismatch, EmptyInput
+from cvas.errors import (
+    DegenerateSample,
+    DimensionMismatch,
+    DomainError,
+    EmptyInput,
+    NegativeRadius,
+)
 from cvas.recourse import RecourseResult
 
 from helpers import linear_mlp
@@ -68,6 +74,17 @@ def test_fidelity_rejects_nonpositive_radius():
     for r in (0.0, -1.0):
         with pytest.raises(ValueError):
             local_fidelity(sur, sur, [0.0], r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(-5, 0))
+def test_fidelity_rejects_empty_sample(n):
+    # n < 1 points would average nothing: NaN and a RuntimeWarning
+    sur = halfspace([1.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="n must be"):
+        local_fidelity(sur, sur, [0.0, 0.0], 1.0, n=n)
+    with pytest.raises(ValueError, match="fid_n"):
+        EvalConfig(fid_n=n)
 
 
 def test_fidelity_deterministic_per_seed():
@@ -400,11 +417,48 @@ def test_sweep_sensitivity_matches_public_sensitivity(sweep_fixture,
                                              r_p=r_p), divergence),
                         model, present[0], x0,
                         n_neighbors=config.sens_neighbors,
-                        noise_var=config.sens_noise_var,
                         seed=seeds[1 + 3 * i + 2])
             for i, x0 in enumerate(unfavorable[:4])
         ]
         assert row.sensitivity == float(np.mean(values))
+
+
+def test_sweep_row_depends_only_on_its_radius(sweep_fixture, counted_sweeps,
+                                             tmp_path):
+    # The 3-radius sweep writes, for each radius, the CSV row of a sweep
+    # over that radius alone.
+    present, shifted, unfavorable = sweep_fixture
+    model = train_mlp(present[0], present[1], SENS_CONFIG.train)
+    report, _ = counted_sweeps[3]
+    report.to_csv(tmp_path / "grid.csv")
+    header, *rows = (tmp_path / "grid.csv").read_text().splitlines()
+    for rho, row in zip([0.0, 1.0, 10.0], rows):
+        alone = sweep(present, shifted, unfavorable[:4], "fisher-rao", [rho],
+                      "projection", SENS_CONFIG, model=model)
+        alone.to_csv(tmp_path / "alone.csv")
+        assert (tmp_path / "alone.csv").read_text().splitlines() == [header, row]
+
+
+@pytest.mark.parametrize("kind, grid, instances, error", [
+    ("walk", [0.0], None, ValueError),
+    ("nominal", [0.0, 1.0], None, ValueError),
+    ("fisher-rao", [1.0, -1.0], None, NegativeRadius),
+    ("fisher-rao", [math.nan], None, DomainError),
+    ("fisher-rao", [1.0], np.zeros((2, 3)), DimensionMismatch),
+    ("fisher-rao", [1.0], np.zeros(5), DimensionMismatch),
+])
+def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
+                                             grid, instances, error):
+    def no_training(*args, **kwargs):
+        raise AssertionError("sweep trained a model before checking its inputs")
+
+    monkeypatch.setattr(evalharness, "train_mlp", no_training)
+    monkeypatch.setattr(evalharness, "simulate_future_models", no_training)
+    present, shifted, unfavorable = sweep_fixture
+    if instances is None:
+        instances = unfavorable[:2]
+    with pytest.raises(error):
+        sweep(present, shifted, instances, kind, grid, "projection", SENS_CONFIG)
 
 
 def test_sweep_rejects_model_of_other_width(sweep_fixture):

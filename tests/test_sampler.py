@@ -471,5 +471,3 @@ def test_sampler_config_validation():
             SamplerConfig(r_p=bad)
     with pytest.raises(ValueError):
         SamplerConfig(n_p=1)
-    with pytest.raises(ValueError):
-        SamplerConfig(line_search_tol=0.0)
