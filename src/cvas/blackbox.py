@@ -4,14 +4,8 @@ Architecture is pinned to d -> 20 -> 50 -> 20 -> 1 with ReLU hidden
 units and a sigmoid head. Training is full-batch Adam on binary
 cross-entropy. Everything is seeded so the same data and seed reproduce
 bit-identical weights, whether a model trains in this process or in a
-training worker (see simulate_future_models).
-
-The kernel allocates little per epoch: the forward pass adds the bias
-and applies ReLU in place on each fresh product, the backward pass
-takes its ReLU mask from the activations (relu(z) > 0 exactly where
-z > 0), so no pre-activation is kept, and training holds parameters,
-gradients and Adam moments in one flat vector each, with per-layer
-views, so one Adam update covers every layer.
+training worker (see simulate_future_models). train_mlp describes the
+allocation-light kernel.
 """
 
 import contextlib
@@ -32,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteInput,
     SingleClassData,
+    finite_array,
 )
 
 HIDDEN_DIMS = (20, 50, 20)
@@ -53,8 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -64,7 +59,10 @@ class MlpModel:
     weights[i] has shape (layer_dims[i], layer_dims[i+1]); biases[i] has
     shape (layer_dims[i+1],). The decision threshold applies to the
     sigmoid output: label +1 iff probability >= threshold.
-    loss_history is training metadata and is not serialized.
+    loss_history is training metadata and is not serialized. Building
+    one raises NonFiniteInput for a non-finite threshold, and
+    DimensionMismatch for shapes other than layer_dims gives or an
+    output layer wider than one unit.
     """
 
     layer_dims: tuple
@@ -73,16 +71,19 @@ class MlpModel:
     threshold: float = 0.5
     loss_history: list = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise NonFiniteInput(f"threshold must be finite, got {self.threshold}")
+        dims = tuple(self.layer_dims)
+        shapes = [np.shape(a) for a in (*self.weights, *self.biases)]
+        if len(dims) < 2 or dims[-1] != 1 or shapes != (
+                [*zip(dims[:-1], dims[1:])] + [(fan_out,) for fan_out in dims[1:]]):
+            raise DimensionMismatch(f"shapes {shapes} disagree with layer_dims {dims}")
+
     def _rows(self, features):
         """features as a 2-d float batch, checked as predict_proba says."""
-        features = np.asarray(features, dtype=float)
-        if features.shape[-1] != self.layer_dims[0]:
-            raise DimensionMismatch(
-                f"model expects {self.layer_dims[0]} features, got {features.shape[-1]}"
-            )
-        if not np.isfinite(features).all():
-            raise NonFiniteInput("prediction input must be finite")
-        return np.atleast_2d(features)
+        return finite_array(np.atleast_2d(features), "prediction input",
+                            shape=(None, self.layer_dims[0]))
 
     def predict_proba(self, features):
         """Sigmoid outputs for a batch of rows, shape (n,).
@@ -171,17 +172,8 @@ def _init_parameters(layer_dims, seed):
 def _check_training_data(features, labels):
     """Float copies of 2-d finite features and finite {-1, +1} labels,
     one label per feature row."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if not np.all(np.isfinite(features)) or not np.all(np.isfinite(labels)):
-        raise NonFiniteInput("features and labels must be finite")
-    if features.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")
-    if labels.shape != (features.shape[0],):
-        raise DimensionMismatch(
-            f"labels must have shape ({features.shape[0]},) to match the "
-            f"feature rows, got {labels.shape}"
-        )
+    features = finite_array(features, "training features", shape=(None, None))
+    labels = finite_array(labels, "training labels", shape=features.shape[:1])
     bad = (labels != 1.0) & (labels != -1.0)
     if bad.any():
         raise BadLabelValue(
@@ -320,8 +312,8 @@ def generate_synthetic(n, noise_std=0.0, seed=0):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be nonnegative")
+    if not noise_std >= 0.0:
+        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     features = rng.uniform(low=[-2.0, -2.0], high=[4.0, 7.0], size=(n, 2))
     eps = rng.normal(0.0, noise_std, size=n) if noise_std > 0.0 else np.zeros(n)

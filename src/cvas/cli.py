@@ -420,14 +420,6 @@ def _resolve(args, opts, config_values):
     return resolved
 
 
-def _make_divergence(ns):
-    try:
-        return Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
-                          rho_neg=ns.rho_neg)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
-
 def _format_bool(value):
     return "" if value is None else str(bool(value)).lower()
 
@@ -458,7 +450,8 @@ def _cmd_recourse(ns):
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
     model = load_model(ns.model)
-    divergence = _make_divergence(ns)
+    divergence = Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
+                            rho_neg=ns.rho_neg)
     train_features = dataset.features[dataset.train_idx]
     sampler_config = SamplerConfig(k=ns.k, n_p=ns.n_p, seed=ns.seed)
     lines = [RECOURSE_HEADER]

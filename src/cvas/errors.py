@@ -4,6 +4,8 @@ Every error raised on a contract violation derives from CvasError so
 callers (and the CLI) can distinguish library failures from bugs.
 """
 
+import numpy as np
+
 
 class CvasError(Exception):
     """Base class for all library errors."""
@@ -104,3 +106,29 @@ class SchemaMismatch(CvasError):
 
 class EmptySplit(CvasError):
     """Train/test split produced an empty side."""
+
+
+# ------------------------------------------------------------ input checks
+
+def finite_array(x, what, shape=None, nonzero=False, nonempty=False, frozen=False):
+    """x as a float array, checked once for every entry point (internal).
+
+    Raises, in this order: DimensionMismatch unless x has `shape` (None
+    matches any length), EmptyInput if `nonempty` and x is empty,
+    NonFiniteInput for a NaN or infinite entry, ZeroSlope if `nonzero`
+    and x is all 0. frozen=True returns a read-only copy, for value types.
+    """
+    x = np.array(x, dtype=float) if frozen else np.asarray(x, dtype=float)
+    if shape is not None and (x.ndim != len(shape) or any(
+            want is not None and want != got for want, got in zip(shape, x.shape))):
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected {shape} "
+                                "(None: any length)")
+    if nonempty and x.size == 0:
+        raise EmptyInput(f"{what} is empty")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} must be finite")
+    if nonzero and not x.any():
+        raise ZeroSlope(f"{what} is the zero vector")
+    if frozen:
+        x.flags.writeable = False
+    return x

@@ -17,8 +17,9 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .blackbox import TrainConfig, simulate_future_models, train_mlp
-from .errors import CvasError, DimensionMismatch, EmptyInput
+from .errors import CvasError, DimensionMismatch, EmptyInput, finite_array
 from .recourse import (
+    ACTION_KINDS,
     _boundary_moments,
     _recourse_against,
     default_action_grids,
@@ -43,8 +44,7 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
         raise ValueError("r_fid must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    points = sample_ball(x0, r_fid, n, seed)
+    points = sample_ball(np.ravel(x0), r_fid, n, seed)
     return float(np.mean(model.label(points) == surrogate.label(points)))
 
 
@@ -58,12 +58,7 @@ def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
     seed so the only varying input is the query point, and returns
     max ||w(x0) - w(x')||_2 over the neighbors (normalized slopes).
     Neighbors whose pipeline fails are skipped; at least one must
-    succeed.
-
-    Only the final solve depends on the divergence: the neighbors'
-    boundary samples and moments do not. sweep() therefore computes the
-    neighbor moments once per instance and repeats only the solves for
-    each radius; this function does both halves for one divergence.
+    succeed. sweep() reuses the neighbors' moments across radii.
     """
     sampler_config, divergence = pipeline_config
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -144,6 +139,7 @@ def pareto_frontier(points):
     at least one strict. Exact duplicates keep their first occurrence.
     """
     points = [(float(c), float(v)) for c, v in points]
+    finite_array(points, "pareto points")
     order = sorted(range(len(points)),
                    key=lambda i: (points[i][0], -points[i][1], i))
     frontier = []
@@ -212,6 +208,7 @@ class EvalConfig:
     bit-identical. The ensemble trains on 80% subsamples, the fidelity
     ball's radius is 10% of the present data's max pairwise distance,
     and sensitivity uses sensitivity()'s default noise variance.
+    action_kinds, if given, holds one of ACTION_KINDS per feature.
     """
 
     seed: int = 0
@@ -224,10 +221,14 @@ class EvalConfig:
     action_kinds: tuple = None
 
     def __post_init__(self):
+        if self.n_models < 1:
+            raise ValueError("n_models must be >= 1")
         if self.fid_n < 1:
             raise ValueError("fid_n must be >= 1")
         if self.sens_neighbors < 1:
             raise ValueError("sens_neighbors must be >= 1")
+        if not set(self.action_kinds or ()) <= set(ACTION_KINDS):
+            raise ValueError(f"action_kinds must be drawn from {ACTION_KINDS}")
 
 
 def _derived_seeds(master, count):
@@ -275,6 +276,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     if model is not None and model.layer_dims[0] != width:
         raise DimensionMismatch(f"model expects {model.layer_dims[0]} features, "
                                 f"the present dataset has {width}")
+    kinds = config.action_kinds
+    if mode == "actionable" and kinds is not None and len(kinds) != width:
+        raise DimensionMismatch(f"{len(kinds)} action kinds for {width} features")
 
     n_instances = instances.shape[0]
     seeds = _derived_seeds(config.seed, 1 + 3 * n_instances)
@@ -297,8 +301,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
             continue
         actions = None
         if mode == "actionable":
-            actions = default_action_grids(x0, present_x,
-                                           kinds=config.action_kinds)
+            actions = default_action_grids(x0, present_x, kinds=kinds)
         neighbors = None
         for divergence, (recourses, fidelities, sensitivities) in zip(
                 divergences, results):

@@ -11,15 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, SingularCovariance, TooFewSamples, ZeroSlope
+from .errors import DimensionMismatch, SingularCovariance, TooFewSamples, finite_array
 
 
 @dataclass(frozen=True)
 class ClassMoments:
     """Empirical mean, covariance, and row count of one class.
 
-    The covariance is symmetrized on construction so downstream
-    factorizations never see floating-point asymmetry.
+    The mean is a finite vector, the covariance a finite square matrix
+    of its width, symmetrized so downstream factorizations never see
+    floating-point asymmetry; both are kept as read-only copies.
     """
 
     mean: np.ndarray
@@ -27,9 +28,10 @@ class ClassMoments:
     count: int
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        mean = finite_array(self.mean, "class mean", shape=(None,), frozen=True)
+        cov = finite_array(self.covariance, "class covariance", shape=mean.shape * 2)
         cov = (cov + cov.T) / 2.0
+        cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -52,19 +54,17 @@ def estimate_moments(features):
     TooFewSamples
         If fewer than two rows are supplied.
     NonFiniteInput
-        If a row holds NaN or infinity.
+        If a row holds NaN or infinity, or the covariance overflows.
     """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        features = np.atleast_2d(features)
+    features = np.atleast_2d(np.asarray(features, dtype=float))
     m = features.shape[0]
     if m < 2:
         raise TooFewSamples(f"need at least 2 rows to estimate a covariance, got {m}")
-    if not np.isfinite(features).all():
-        raise NonFiniteInput("moment estimation needs finite rows")
-    mean = features.mean(axis=0)
-    centered = features - mean
-    cov = centered.T @ centered / (m - 1)
+    # A non-finite row gives a non-finite mean, which ClassMoments rejects.
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = features.mean(axis=0)
+        centered = features - mean
+        cov = centered.T @ centered / (m - 1)
     return ClassMoments(mean=mean, covariance=cov, count=m)
 
 
@@ -106,17 +106,18 @@ def halfspace_distance(mean, covariance, w, b):
         If w is identically zero.
     SingularCovariance
         If the ridged covariance has no Cholesky factorization.
+    DimensionMismatch, NonFiniteInput
+        If an input is not finite or not of the width of w.
     """
-    mean = np.asarray(mean, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not np.any(w):
-        raise ZeroSlope("halfspace normal is the zero vector")
-    cov = ridge(covariance)
+    w = finite_array(np.ravel(w), "halfspace normal", nonzero=True)
+    mean = finite_array(mean, "mean", shape=w.shape)
+    cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
+    b = float(finite_array(b, "halfspace offset", shape=()))
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("covariance not positive definite after ridge") from exc
-    margin = float(w @ mean) - float(b)
+    margin = float(w @ mean) - b
     if margin >= 0.0:
         return 0.0
     return abs(margin) / float(np.sqrt(w @ cov @ w))
@@ -128,7 +129,9 @@ def condition_number(covariance):
     Returns +inf when the smallest eigenvalue is nonpositive before
     ridging, signalling that the estimate itself is degenerate.
     """
-    cov = np.asarray(covariance, dtype=float)
+    cov = finite_array(covariance, "covariance", shape=(None, None), nonempty=True)
+    if cov.shape[0] != cov.shape[1]:
+        raise DimensionMismatch(f"covariance of shape {cov.shape} is not square")
     cov = (cov + cov.T) / 2.0
     eigenvalues = np.linalg.eigvalsh(cov)
     if eigenvalues[0] <= 0.0:

@@ -21,8 +21,7 @@ from .errors import (
     DimensionMismatch,
     NoActionableRecourse,
     NoValidRecourse,
-    NonFiniteInput,
-    ZeroSlope,
+    finite_array,
 )
 from .moments import estimate_moments
 from .sampler import synthesize
@@ -95,23 +94,20 @@ def default_action_grids(x0, training_features, kinds=None):
     DimensionMismatch
         If the training rows are not 2-d, or x0 or `kinds` does not have
         their width.
+    EmptyInput
+        If there are no training rows.
     NonFiniteInput
         If x0 or a training row contains NaN or infinity.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    training_features = np.asarray(training_features, dtype=float)
+    x0 = np.ravel(x0)
     d = x0.shape[0]
-    if training_features.ndim != 2 or training_features.shape[1] != d:
-        raise DimensionMismatch(
-            f"x0 has {d} features, training rows have shape "
-            f"{training_features.shape}"
-        )
     if kinds is None:
         kinds = ["free"] * d
     if len(kinds) != d:
         raise DimensionMismatch(f"{len(kinds)} action kinds for {d} features")
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(training_features))):
-        raise NonFiniteInput("x0 and training rows must be finite")
+    training_features = finite_array(training_features, "training rows",
+                                     shape=(None, d), nonempty=True)
+    x0 = finite_array(x0, "x0")
     quantiles = np.percentile(training_features, np.arange(10, 100, 10), axis=0)
     grids = []
     for j, kind in enumerate(kinds):
@@ -131,12 +127,10 @@ def l1_projection(x0, surrogate):
     A feasible x0 maps to itself. Otherwise the whole correction goes
     into the single coordinate with the largest |w_j| (lowest index on
     ties), the closed-form minimizer of the L1 projection onto a
-    halfspace.
+    halfspace. x0 must be a finite vector of the surrogate's width.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    w, b = surrogate.w, surrogate.b
-    if not np.any(w):
-        raise ZeroSlope("surrogate slope is zero")
+    w, b = finite_array(surrogate.w, "surrogate slope", nonzero=True), surrogate.b
+    x0 = finite_array(np.ravel(x0), "x0", shape=w.shape)
     deficit = b - float(w @ x0)
     if deficit <= 0.0:
         return RecourseResult(x_r=x0.copy(), cost=0.0, surrogate_valid=True)
@@ -205,13 +199,13 @@ def actionable_recourse(x0, surrogate, actions):
     ------
     NoActionableRecourse
         If no grid combination reaches the constraint.
+    DimensionMismatch
+        If x0, the surrogate and `actions` differ in width.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    w, b = surrogate.w, surrogate.b
-    if not np.any(w):
-        raise ZeroSlope("surrogate slope is zero")
+    w, b = finite_array(surrogate.w, "surrogate slope", nonzero=True), surrogate.b
+    x0 = finite_array(np.ravel(x0), "x0", shape=w.shape)
     if len(actions.grids) != x0.shape[0]:
-        raise ValueError("ActionSpec length does not match x0")
+        raise DimensionMismatch(f"{len(actions.grids)} grids for {len(x0)} features")
 
     deficit = b - float(w @ x0)
     if deficit <= 0.0:

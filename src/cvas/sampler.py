@@ -10,16 +10,9 @@ The boundary search is batched: all k segments are bisected in
 lockstep, so each bisection step is one forward pass over the segments
 still open rather than one single-row pass per segment.
 
-The default ball radius comes from the maximum pairwise distance of
-the full blocked scan (64-row blocks, no n x n matrix), but only the
-pairs that can hold it are evaluated. The triangle inequality through
-the centroid, |x_i - x_j| <= r_i + r_j, and a lower bound from the
-farthest row's farthest row rule out every pair outside a band of the
-rows sorted by r_i. The band's best candidates, within twice a margin
-that covers the rounding of sq_i + sq_j - 2 x_i.x_j (it scales with
-the largest squared norm, not with the distance), are then evaluated
-again from the full scan's own block products, so the result equals
-the full scan bit for bit. See max_pairwise_distance.
+The default ball radius comes from the exact maximum pairwise
+distance, found without evaluating the pairs the triangle inequality
+rules out; see max_pairwise_distance.
 """
 
 from dataclasses import dataclass
@@ -28,11 +21,9 @@ import numpy as np
 
 from .errors import (
     DegenerateSample,
-    DimensionMismatch,
     DomainError,
-    EmptyInput,
     NoOppositeClassPrototypes,
-    NonFiniteInput,
+    finite_array,
 )
 
 _BISECT_CAP = 60
@@ -126,14 +117,8 @@ def max_pairwise_distance(features, seed=0, guard=2000):
     """
     if guard < 1:
         raise DomainError(f"guard must be >= 1, got {guard}")
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-d, got shape {features.shape}")
+    features = finite_array(features, "features", shape=(None, None), nonempty=True)
     n = features.shape[0]
-    if n == 0:
-        raise EmptyInput("max pairwise distance of no rows")
-    if not np.all(np.isfinite(features)):
-        raise NonFiniteInput("features must be finite")
     if n > guard:
         idx = np.random.default_rng(seed).choice(n, size=guard, replace=False)
         features = features[idx]
@@ -307,9 +292,7 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
         If no opposite-class row exists, or no segment crosses the
         boundary within the scan fallback.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x0)):
-        raise NonFiniteInput("query point must be finite")
+    x0 = finite_array(np.ravel(x0), "query point")
     dataset = np.asarray(dataset, dtype=float)
     label0 = int(model.label(x0[None, :])[0])
     labels = model.label(dataset)
@@ -340,10 +323,12 @@ def sample_ball(center, radius, n, seed):
     ------
     DomainError
         If `radius` is negative, NaN or infinite.
+    DimensionMismatch, EmptyInput, NonFiniteInput
+        If `center` is not a vector, is empty, or is not finite.
     """
     if not 0.0 <= radius < np.inf:
         raise DomainError(f"ball radius must be finite and >= 0, got {radius}")
-    center = np.asarray(center, dtype=float)
+    center = finite_array(center, "ball centre", shape=(None,), nonempty=True)
     d = center.shape[0]
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n, d))

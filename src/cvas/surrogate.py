@@ -27,12 +27,14 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .errors import (
+    DimensionMismatch,
     DomainError,
     IdenticalMeans,
     NegativeRadius,
+    NonFiniteInput,
     SingularCovariance,
     SolverDidNotConverge,
-    ZeroSlope,
+    finite_array,
 )
 from .moments import halfspace_distance, ridge
 
@@ -84,7 +86,7 @@ class Surrogate:
 
     objective is sum of tau_y at the optimum (None for hand-built
     surrogates); kappa is 1/objective, with 0.0 denoting the
-    infinite-radius asymptotic limit.
+    infinite-radius asymptotic limit. w is kept as a read-only copy.
     """
 
     w: np.ndarray
@@ -94,13 +96,15 @@ class Surrogate:
     objective: float = None
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).reshape(-1)
-        if not np.any(w):
-            raise ZeroSlope("surrogate slope is the zero vector")
+        w = finite_array(np.ravel(self.w), "surrogate slope", nonzero=True,
+                         frozen=True)
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
+        if not math.isfinite(self.kappa) or (self.objective is not None
+                                             and math.isnan(self.objective)):
+            raise NonFiniteInput("kappa must be finite and objective not NaN")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", float(finite_array(self.b, "offset", shape=())))
 
     def decision_values(self, features):
         features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -155,8 +159,7 @@ def lambert_w_minus1(x):
     return min(w, -1.0)
 
 
-def _terms(kind, rho, covariance):
-    # tau = sum of weight * sqrt(w^T M w) over these (weight, M) pairs.
+def _check_radius(kind, rho):
     if rho < 0.0:
         raise NegativeRadius(f"rho must be nonnegative, got {rho}")
     if not math.isfinite(rho):
@@ -164,16 +167,21 @@ def _terms(kind, rho, covariance):
             f"rho must be finite, got {rho}; "
             "use asymptotic_surrogate for infinite radii"
         )
+    if kind is DivergenceKind.FISHER_RAO and rho > _FR_RHO_CAP:
+        raise DomainError(
+            f"fisher-rao radius {rho} exceeds the overflow cap {_FR_RHO_CAP}; "
+            "use asymptotic_surrogate for larger radii"
+        )
+
+
+def _terms(kind, rho, covariance):
+    # tau = sum of weight * sqrt(w^T M w) over these (weight, M) pairs.
+    _check_radius(kind, rho)
     if kind is DivergenceKind.QUADRATIC:
         return [(1.0, covariance + math.sqrt(rho) * np.eye(len(covariance)))]
     if kind is DivergenceKind.BURES:
         return [(1.0, covariance), (rho, np.eye(len(covariance)))]
     if kind is DivergenceKind.FISHER_RAO:
-        if rho > _FR_RHO_CAP:
-            raise DomainError(
-                f"fisher-rao radius {rho} exceeds the overflow cap {_FR_RHO_CAP}; "
-                "use asymptotic_surrogate for larger radii"
-            )
         return [(math.exp(rho / 2.0), covariance)]
     if kind is DivergenceKind.LOGDET:
         # sqrt(-W_-1(-exp(-rho-1))); equals 1 at rho = 0.
@@ -187,6 +195,8 @@ def _derivatives(terms, w):
     for c, m in terms:
         mw = m @ w
         s = math.sqrt(float(w @ mw))
+        if not math.isfinite(c * s + c / s):  # a finite radius past float range
+            raise DomainError(f"tau overflows at weight {c:.3g}; use the asymptote")
         value += c * s
         grad = grad + (c / s) * mw
         hess = hess + (c / s) * (m - np.outer(mw, mw) / (s * s))
@@ -202,13 +212,14 @@ def tau(kind, rho, covariance, w):
     logdet -> sqrt(-W_-1(-exp(-rho-1))) * q.
 
     The covariance is used as given; ridge upstream if it may be
-    singular. Radii must be finite; NaN or +inf raise DomainError.
+    singular. Radii must be finite; NaN or +inf raise DomainError, as
+    does a radius so large that tau or its derivatives overflow.
     """
-    terms = _terms(DivergenceKind(kind), rho, np.asarray(covariance, dtype=float))
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if not np.any(w):
-        raise ZeroSlope("tau requires a nonzero slope")
-    return _derivatives(terms, w)[0]
+    kind = DivergenceKind(kind)
+    _check_radius(kind, rho)
+    w = finite_array(np.ravel(w), "tau slope", nonzero=True)
+    cov = finite_array(covariance, "covariance", shape=w.shape * 2)
+    return _derivatives(_terms(kind, rho, cov), w)[0]
 
 
 def _reduced_basis(direction):
@@ -228,6 +239,16 @@ def _backtrack(reduced, z, step, grad_norm):
         t *= 0.5
     raise SolverDidNotConverge(
         f"line search stalled at reduced gradient norm {grad_norm:.3e}")
+
+
+def _mean_gap(moments_pos, moments_neg):
+    """a = mu_pos - mu_neg, the direction the slope is normalized along."""
+    if moments_pos.mean.shape != moments_neg.mean.shape:
+        raise DimensionMismatch("the two classes have different widths")
+    a = moments_pos.mean - moments_neg.mean
+    if not np.any(a):
+        raise IdenticalMeans("class means are identical; no normalized slope exists")
+    return a
 
 
 def solve_cvas(moments_pos, moments_neg, divergence):
@@ -254,17 +275,15 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     DomainError
         If a radius is not finite, or a fisher-rao radius exceeds 700;
         use asymptotic_surrogate for the infinite-radius limit.
+    DimensionMismatch
+        If the two classes have different widths.
     IdenticalMeans
         If the class means coincide.
     SolverDidNotConverge
         If the line search stalls or the gradient test still fails
         after 100 Newton iterations.
     """
-    mu_pos, mu_neg = moments_pos.mean, moments_neg.mean
-    a = mu_pos - mu_neg
-    if not np.any(a):
-        raise IdenticalMeans("class means are identical; no normalized slope exists")
-
+    a = _mean_gap(moments_pos, moments_neg)
     kind = divergence.kind
     terms_pos = _terms(kind, divergence.rho_pos, ridge(moments_pos.covariance))
     terms_neg = _terms(kind, divergence.rho_neg, ridge(moments_neg.covariance))
@@ -292,7 +311,7 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     tau_neg = _derivatives(terms_neg, w)[0]
     objective = tau_pos + tau_neg
     kappa = 1.0 / objective
-    b = float(w @ mu_pos) - kappa * tau_pos
+    b = float(w @ moments_pos.mean) - kappa * tau_pos
     return Surrogate(w=w, b=b, kappa=kappa, divergence=divergence,
                      objective=objective)
 
@@ -319,11 +338,9 @@ def worst_case_misclassification(surrogate, mean, covariance, gaussian=False):
     1/(1 + nu^2); gaussian=True gives 1 - Phi(nu) for Gaussian classes.
     """
     w, b = surrogate.w, surrogate.b
-    if not np.any(w):
-        raise ZeroSlope("surrogate slope is zero")
-    cov = ridge(covariance)
-    nu = abs(float(w @ np.asarray(mean, dtype=float)) - b) / math.sqrt(
-        float(w @ cov @ w))
+    mean = finite_array(mean, "class mean", shape=w.shape)
+    cov = ridge(finite_array(covariance, "class covariance", shape=w.shape * 2))
+    nu = abs(float(w @ mean) - b) / math.sqrt(float(w @ cov @ w))
     if gaussian:
         return 0.5 * math.erfc(nu / math.sqrt(2.0))
     return 1.0 / (1.0 + nu * nu)
@@ -343,10 +360,7 @@ def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
     family = AsymptoticFamily(family)
     if inflated_class not in (1, -1):
         raise ValueError("inflated_class must be +1 or -1")
-    mu_pos, mu_neg = moments_pos.mean, moments_neg.mean
-    a = mu_pos - mu_neg
-    if not np.any(a):
-        raise IdenticalMeans("class means are identical")
+    a = _mean_gap(moments_pos, moments_neg)
 
     if family is AsymptoticFamily.QUADRATIC_OR_BURES:
         w = a / float(a @ a)
@@ -361,7 +375,7 @@ def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
         w = solved / float(a @ solved)
         kind = DivergenceKind.FISHER_RAO
 
-    mu_inflated = mu_pos if inflated_class == 1 else mu_neg
+    mu_inflated = (moments_pos if inflated_class == 1 else moments_neg).mean
     b = float(w @ mu_inflated) - inflated_class
     rho_pos = math.inf if inflated_class == 1 else 0.0
     rho_neg = math.inf if inflated_class == -1 else 0.0
@@ -377,14 +391,9 @@ def fr_worst_case_covariance(covariance, rho, w):
     v = S^(1/2) w: the matrix at Fisher-Rao distance rho from S that
     maximizes w^T S' w, scaling it by exactly e^rho.
     """
-    if rho < 0.0:
-        raise NegativeRadius(f"rho must be nonnegative, got {rho}")
-    if rho > _FR_RHO_CAP:
-        raise DomainError(f"rho {rho} exceeds the overflow cap {_FR_RHO_CAP}")
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if not np.any(w):
-        raise ZeroSlope("w must be nonzero")
-    cov = ridge(covariance)
+    _check_radius(DivergenceKind.FISHER_RAO, rho)
+    w = finite_array(np.ravel(w), "slope", nonzero=True)
+    cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
     cov = (cov + cov.T) / 2.0
     eigenvalues, vectors = np.linalg.eigh(cov)
     if eigenvalues[0] <= 0.0:
@@ -404,20 +413,21 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     the minimizer moves along Sigma w. When the ball reaches the
     hyperplane the objective is 0 and w^T mu* = b; otherwise mu* sits
     on the ball boundary facing the hyperplane and the objective is
-    (|b - w^T mean_hat| - nu*sqrt(w^T Sigma w))^2.
+    (|b - w^T mean_hat| - nu*sqrt(w^T Sigma w))^2. A NaN nu raises
+    DomainError; nu = +inf reaches every hyperplane.
 
     Returns
     -------
     (mu_star, objective)
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if not np.any(w):
-        raise ZeroSlope("w must be nonzero")
+    w = finite_array(np.ravel(w), "slope", nonzero=True)
     if nu < 0.0:
         raise NegativeRadius(f"nu must be nonnegative, got {nu}")
-    mean_hat = np.asarray(mean_hat, dtype=float).reshape(-1)
-    cov = ridge(covariance)
-    shortfall = float(b) - float(w @ mean_hat)
+    if math.isnan(nu):
+        raise DomainError("nu must not be NaN")
+    mean_hat = finite_array(np.ravel(mean_hat), "mean_hat", shape=w.shape)
+    cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
+    shortfall = float(finite_array(b, "offset", shape=())) - float(w @ mean_hat)
     quad = float(w @ cov @ w)
     scale = math.sqrt(quad)
     if abs(shortfall) <= nu * scale:
@@ -428,32 +438,21 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     return mu_star, objective
 
 
-def surrogate_to_dict(surrogate):
-    """JSON-ready record {w, b, kappa, divergence, rho_pos, rho_neg}."""
-    return {
-        "w": [float(v) for v in surrogate.w],
-        "b": surrogate.b,
-        "kappa": surrogate.kappa,
-        "divergence": surrogate.divergence.kind.value,
-        "rho_pos": surrogate.divergence.rho_pos,
-        "rho_neg": surrogate.divergence.rho_neg,
-    }
-
-
-def surrogate_from_dict(record):
-    divergence = Divergence(kind=record["divergence"],
-                            rho_pos=record["rho_pos"], rho_neg=record["rho_neg"])
-    return Surrogate(w=np.asarray(record["w"], dtype=float), b=record["b"],
-                     kappa=record["kappa"], divergence=divergence)
-
-
 def save_surrogate(surrogate, path):
-    """Atomic JSON write of surrogate_to_dict (infinities serialized in
-    Python's extended JSON form)."""
-    text = json.dumps(surrogate_to_dict(surrogate), indent=2)
-    atomic_write_text(path, text + "\n")
+    """Atomic JSON write of {w, b, kappa, divergence, rho_pos, rho_neg}
+    (infinities serialized in Python's extended JSON form)."""
+    divergence = surrogate.divergence
+    record = {"w": [float(v) for v in surrogate.w], "b": surrogate.b,
+              "kappa": surrogate.kappa, "divergence": divergence.kind.value,
+              "rho_pos": divergence.rho_pos, "rho_neg": divergence.rho_neg}
+    atomic_write_text(path, json.dumps(record, indent=2) + "\n")
 
 
 def load_surrogate(path):
+    """Read a surrogate written by save_surrogate; Surrogate checks it."""
     with open(path) as fh:
-        return surrogate_from_dict(json.load(fh))
+        record = json.load(fh)
+    divergence = Divergence(kind=record["divergence"], rho_pos=record["rho_pos"],
+                            rho_neg=record["rho_neg"])
+    return Surrogate(w=record["w"], b=record["b"], kappa=record["kappa"],
+                     divergence=divergence)

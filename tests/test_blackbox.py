@@ -237,6 +237,28 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_mlp_model_rejects_non_finite_threshold(threshold):
+    model = linear_mlp(np.array([1.0, -1.0]), 0.0)
+    with pytest.raises(NonFiniteInput):
+        cvas.MlpModel(layer_dims=model.layer_dims, weights=model.weights,
+                      biases=model.biases, threshold=threshold)
+
+
+def test_mlp_model_rejects_shapes_other_than_its_layer_dims():
+    model = linear_mlp(np.array([1.0, -1.0]), 0.0)
+    dims, weights, biases = model.layer_dims, model.weights, model.biases
+    for bad_dims, bad_weights, bad_biases in [
+            ((3,) + dims[1:], weights, biases),  # input width
+            (dims[:-1] + (2,), weights, biases),  # two output units
+            (dims, weights[:-1], biases),  # a layer missing
+            (dims, weights, biases[:-1] + [np.zeros(2)]),  # a bias too wide
+            (dims, [w.T for w in weights], biases)]:  # transposed weights
+        with pytest.raises(DimensionMismatch):
+            cvas.MlpModel(layer_dims=bad_dims, weights=bad_weights,
+                          biases=bad_biases)
+
+
 def test_linear_embedding_exact():
     alpha = np.array([0.8, -1.3, 0.4])
     model = linear_mlp(alpha, 0.25)

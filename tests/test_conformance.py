@@ -1,0 +1,413 @@
+"""One table of bad inputs against every public callable.
+
+Each case calls a callable of cvas.__all__ with NaN, +inf, -inf, the
+wrong width, an empty input or a negative radius. It must raise a
+CvasError subclass, raise the ValueError that a config (or a function
+that documents one) raises for an out-of-domain setting, or return a
+result whose every number is finite. Run with ``-W error::RuntimeWarning``
+so that a path where numpy only warns about a NaN fails as well.
+"""
+
+import dataclasses
+import enum
+import math
+import struct
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cvas
+from cvas import (
+    ActionSpec,
+    AsymptoticFamily,
+    ClassMoments,
+    CvasError,
+    DimensionMismatch,
+    Divergence,
+    DivergenceKind,
+    EvalConfig,
+    EvalReport,
+    EvalRow,
+    MlpModel,
+    NonFiniteInput,
+    RecourseResult,
+    SamplerConfig,
+    Surrogate,
+    TrainConfig,
+    actionable_recourse,
+    asymptotic_surrogate,
+    condition_number,
+    coverage_validity,
+    default_action_grids,
+    estimate_moments,
+    find_boundary_point,
+    fit_surrogate,
+    fr_worst_case_covariance,
+    generate_recourse,
+    generate_synthetic,
+    halfspace_distance,
+    l1_projection,
+    lambert_w_minus1,
+    load_model,
+    load_surrogate,
+    local_fidelity,
+    max_pairwise_distance,
+    optimal_mean,
+    pareto_frontier,
+    predict,
+    sample_ball,
+    save_model,
+    save_surrogate,
+    sensitivity,
+    simulate_future_models,
+    solve_cvas,
+    sweep,
+    synthesize,
+    tau,
+    train_mlp,
+    validity_metrics,
+    wachter_recourse,
+    worst_case_misclassification,
+)
+
+from helpers import linear_mlp
+
+nan, inf = math.nan, math.inf
+
+# Plain result records: the library fills them, and they hold what they
+# are given (EvalRow reports a missing sensitivity as NaN). The values
+# in them are checked where they are computed.
+RECORDS = {"BoundarySample", "EvalRow", "RecourseResult"}
+
+# Valid inputs of width 2; each case spoils one of them.
+MODEL = linear_mlp([1.0, -1.0], 0.0)
+X = np.random.default_rng(0).normal(size=(40, 2))
+Y = MODEL.label(X)
+X0 = X[Y == -1][0]
+EYE = np.eye(2)
+POS = ClassMoments(mean=[1.0, 0.0], covariance=EYE, count=10)
+NEG = ClassMoments(mean=[-1.0, 0.0], covariance=EYE, count=10)
+NEG_WIDE = ClassMoments(mean=[-1.0, 0.0, 0.0], covariance=np.eye(3), count=10)
+NOMINAL = Divergence(kind="nominal")
+FR = Divergence(kind="fisher-rao", rho_neg=1.0)
+SUR = Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0, divergence=NOMINAL)
+SAMPLER = SamplerConfig(n_p=50)
+ACTIONS = default_action_grids(X0, X)
+SWEEP_CONFIG = EvalConfig(sampler=SamplerConfig(n_p=20), train=TrainConfig(epochs=2),
+                          n_models=1, fid_n=10, sens_neighbors=1)
+
+VECTORS = [("nan", [nan, 0.5]), ("inf", [inf, 0.5]), ("-inf", [-inf, 0.5]),
+           ("wide", [0.5, 0.5, 0.5]), ("empty", [])]
+MATRICES = [("nan", [[nan, 0.0], [0.0, 1.0]]), ("inf", [[inf, 0.0], [0.0, 1.0]]),
+            ("-inf", [[1.0, 0.0], [0.0, -inf]]), ("wide", np.eye(3)),
+            ("empty", np.zeros((0, 0)))]
+RADII = [("nan", nan), ("inf", inf), ("-inf", -inf), ("negative", -1.0)]
+
+
+def _rows(bad):
+    rows = X.copy()
+    rows[3, 1] = bad
+    return rows
+
+
+ROWS = [("nan", _rows(nan)), ("inf", _rows(inf)), ("-inf", _rows(-inf)),
+        ("wide", np.hstack([X, X[:, :1]])), ("empty", np.zeros((0, 2)))]
+
+
+def _sneak(value, **fields):
+    """value with fields set past its construction-time checks."""
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
+
+
+def _nan_threshold_file():
+    save_model(MODEL, "model.bin")
+    blob = open("model.bin", "rb").read()
+    at = 8 + 4 + 4 * len(MODEL.layer_dims)
+    with open("bad.bin", "wb") as fh:
+        fh.write(blob[:at] + struct.pack("<d", nan) + blob[at + 8:])
+    return load_model("bad.bin")
+
+
+def _surrogate_round_trip(**fields):
+    save_surrogate(_sneak(Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0,
+                                    divergence=NOMINAL), **fields), "s.json")
+    return load_surrogate("s.json")
+
+
+# A case is (target, label, call, allowed, must_raise): call() raises one
+# of `allowed`, or, unless must_raise, returns a finite result.
+CONFIG = (CvasError, ValueError)
+
+
+def _each(target, arg, family, call, allowed=CvasError):
+    """One case per bad value of a family, passed as argument `arg`."""
+    return [(target, f"{arg}={label}", partial(call, value), allowed, False)
+            for label, value in family]
+
+
+def _one(target, label, call, allowed=CvasError):
+    return [(target, label, call, allowed, False)]
+
+
+def _raises(target, label, call, error):
+    """A case that must raise `error`: the value it used to accept or
+    return passed the finite-result rule, or raised another class."""
+    return [(target, label, call, error, True)]
+
+
+CASES = [
+    # value types and configs
+    *_each("ClassMoments", "mean", VECTORS,
+           lambda v: ClassMoments(mean=v, covariance=EYE, count=3)),
+    *_each("ClassMoments", "covariance", MATRICES,
+           lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m, count=3)),
+    *_each("Surrogate", "w", VECTORS,
+           lambda v: Surrogate(w=v, b=0.0, kappa=1.0, divergence=NOMINAL)),
+    *_each("Surrogate", "b", RADII,
+           lambda r: Surrogate(w=[1.0, 0.0], b=r, kappa=1.0, divergence=NOMINAL)),
+    *_each("Surrogate", "kappa", RADII,
+           lambda r: Surrogate(w=[1.0, 0.0], b=0.0, kappa=r, divergence=NOMINAL),
+           allowed=CONFIG),
+    # +inf is a valid radius here: asymptotic_surrogate records the
+    # inflated radius that way.
+    *_each("Divergence", "rho_neg", [c for c in RADII if c[0] != "inf"],
+           lambda r: Divergence(kind="bures", rho_neg=r)),
+    *_one("DivergenceKind", "nan", lambda: DivergenceKind(nan), allowed=CONFIG),
+    *_one("AsymptoticFamily", "nan", lambda: AsymptoticFamily(nan), allowed=CONFIG),
+    *_each("TrainConfig", "learning_rate", RADII,
+           lambda r: TrainConfig(learning_rate=r), allowed=CONFIG),
+    *_each("SamplerConfig", "r_p", RADII, lambda r: SamplerConfig(r_p=r),
+           allowed=CONFIG),
+    *_raises("EvalConfig", "n_models=0", lambda: EvalConfig(n_models=0), ValueError),
+    *_raises("EvalConfig", "action_kinds=unknown",
+             lambda: EvalConfig(action_kinds=("free", "teleport")), ValueError),
+    *_one("EvalReport", "duplicate-rows",
+          lambda: EvalReport(rows=[EvalRow("a", "nominal", 0.0, 0.0, "projection",
+                                           0.0, 1.0, 1.0, 1.0, 0.0, 0)] * 2),
+          allowed=CONFIG),
+    *_each("ActionSpec", "grid", RADII,
+           lambda r: ActionSpec(kinds=("free",), grids=([0.0, r],)), allowed=CONFIG),
+    *_each("MlpModel", "threshold", RADII[:3],
+           lambda r: MlpModel(layer_dims=MODEL.layer_dims, weights=MODEL.weights,
+                              biases=MODEL.biases, threshold=r)),
+    *_raises("MlpModel", "layer_dims=wide",
+             lambda: MlpModel(layer_dims=(3,) + MODEL.layer_dims[1:],
+                              weights=MODEL.weights, biases=MODEL.biases),
+             DimensionMismatch),
+    *_raises("MlpModel", "weights=empty",
+             lambda: MlpModel(layer_dims=MODEL.layer_dims, weights=[], biases=[]),
+             DimensionMismatch),
+    # blackbox
+    *_each("train_mlp", "features", ROWS,
+           lambda rows: train_mlp(rows, Y, TrainConfig(epochs=2))),
+    *_one("train_mlp", "labels-wide", lambda: train_mlp(X, np.append(Y, 1))),
+    *_each("simulate_future_models", "features", ROWS,
+           lambda rows: simulate_future_models(rows, Y, n_models=2,
+                                               config=TrainConfig(epochs=2))),
+    *_each("predict", "x", VECTORS, lambda v: predict(MODEL, v)),
+    *_each("generate_synthetic", "noise_std", RADII,
+           lambda r: generate_synthetic(10, noise_std=r), allowed=CONFIG),
+    *_raises("generate_synthetic", "noise_std=nan-raises",
+             lambda: generate_synthetic(10, noise_std=nan), ValueError),
+    *_one("save_model", "nan-threshold",
+          lambda: save_model(_sneak(linear_mlp([1.0, -1.0], 0.0), threshold=nan),
+                             "model.bin")),
+    *_one("load_model", "nan-threshold", _nan_threshold_file),
+    # moments
+    *_each("estimate_moments", "features", ROWS, estimate_moments),
+    *_each("halfspace_distance", "mean", VECTORS,
+           lambda v: halfspace_distance(v, EYE, [1.0, 0.0], 0.0)),
+    *_each("halfspace_distance", "covariance", MATRICES,
+           lambda m: halfspace_distance([0.0, 0.0], m, [1.0, 0.0], 0.0)),
+    *_each("halfspace_distance", "w", VECTORS,
+           lambda v: halfspace_distance([0.0, 0.0], EYE, v, 0.0)),
+    *_each("halfspace_distance", "b", RADII,
+           lambda r: halfspace_distance([0.0, 0.0], EYE, [1.0, 0.0], r)),
+    *_each("condition_number", "covariance", MATRICES, condition_number),
+    # sampler
+    *_each("find_boundary_point", "x0", VECTORS,
+           lambda v: find_boundary_point(v, X, MODEL, SAMPLER)),
+    *_each("find_boundary_point", "dataset", ROWS,
+           lambda rows: find_boundary_point(X0, rows, MODEL, SAMPLER)),
+    *_each("max_pairwise_distance", "features", ROWS, max_pairwise_distance),
+    *_one("max_pairwise_distance", "guard=negative",
+          lambda: max_pairwise_distance(X, guard=-1)),
+    *_each("sample_ball", "center", VECTORS, lambda v: sample_ball(v, 1.0, 5, 0)),
+    *_each("sample_ball", "radius", RADII,
+           lambda r: sample_ball([0.0, 0.0], r, 5, 0)),
+    *_each("synthesize", "x0", VECTORS, lambda v: synthesize(v, X, MODEL, SAMPLER)),
+    # surrogate
+    *_each("tau", "rho", RADII, lambda r: tau("bures", r, EYE, [1.0, 0.0])),
+    *_each("tau", "covariance", MATRICES,
+           lambda m: tau("bures", 1.0, m, [1.0, 0.0])),
+    *_each("tau", "w", VECTORS, lambda v: tau("bures", 1.0, EYE, v)),
+    *_each("lambert_w_minus1", "x", RADII, lambert_w_minus1),
+    *_one("solve_cvas", "wide", lambda: solve_cvas(POS, NEG_WIDE, FR)),
+    *_one("solve_cvas", "identical", lambda: solve_cvas(POS, POS, FR)),
+    *_raises("solve_cvas", "mean=nan",
+             lambda: solve_cvas(ClassMoments(mean=[nan, 0.0], covariance=EYE, count=3),
+                                NEG, FR), NonFiniteInput),
+    *_one("solve_cvas", "rho_neg=inf",
+          lambda: solve_cvas(POS, NEG, Divergence(kind="logdet", rho_neg=inf))),
+    *_one("asymptotic_surrogate", "wide",
+          lambda: asymptotic_surrogate(POS, NEG_WIDE, "fisher-rao-or-logdet", 1)),
+    *_one("asymptotic_surrogate", "identical",
+          lambda: asymptotic_surrogate(POS, POS, "quadratic-or-bures", -1)),
+    *_one("coverage_validity", "wide", lambda: coverage_validity(SUR, POS, NEG_WIDE)),
+    *_raises("coverage_validity", "mean=nan",
+             lambda: coverage_validity(SUR, POS, ClassMoments(
+                 mean=[nan, 0.0], covariance=EYE, count=3)), NonFiniteInput),
+    *_each("worst_case_misclassification", "mean", VECTORS,
+           lambda v: worst_case_misclassification(SUR, v, EYE)),
+    *_each("worst_case_misclassification", "covariance", MATRICES,
+           lambda m: worst_case_misclassification(SUR, [0.0, 0.0], m)),
+    *_each("fr_worst_case_covariance", "rho", RADII,
+           lambda r: fr_worst_case_covariance(EYE, r, [1.0, 0.0])),
+    *_each("fr_worst_case_covariance", "covariance", MATRICES,
+           lambda m: fr_worst_case_covariance(m, 1.0, [1.0, 0.0])),
+    *_each("fr_worst_case_covariance", "w", VECTORS,
+           lambda v: fr_worst_case_covariance(EYE, 1.0, v)),
+    *_each("optimal_mean", "nu", RADII,
+           lambda r: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], EYE, r)),
+    *_each("optimal_mean", "b", RADII,
+           lambda r: optimal_mean([1.0, 0.0], r, [0.0, 0.0], EYE, 1.0)),
+    *_each("optimal_mean", "w", VECTORS,
+           lambda v: optimal_mean(v, 3.0, [0.0, 0.0], EYE, 1.0)),
+    *_each("optimal_mean", "mean_hat", VECTORS,
+           lambda v: optimal_mean([1.0, 0.0], 3.0, v, EYE, 1.0)),
+    *_each("optimal_mean", "covariance", MATRICES,
+           lambda m: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], m, 1.0)),
+    *_one("save_surrogate", "b=nan", lambda: _surrogate_round_trip(b=nan)),
+    *_one("load_surrogate", "w=nan",
+          lambda: _surrogate_round_trip(w=np.array([nan, 1.0]))),
+    # recourse
+    *_each("l1_projection", "x0", VECTORS, lambda v: l1_projection(v, SUR)),
+    *_each("actionable_recourse", "x0", VECTORS,
+           lambda v: actionable_recourse(v, SUR, ACTIONS)),
+    *_each("default_action_grids", "x0", VECTORS, lambda v: default_action_grids(v, X)),
+    *_each("default_action_grids", "training_features", ROWS,
+           lambda rows: default_action_grids(X0, rows)),
+    *_each("wachter_recourse", "x0", VECTORS, lambda v: wachter_recourse(MODEL, v)),
+    *_each("wachter_recourse", "lambda0", RADII[:1],
+           lambda r: wachter_recourse(MODEL, X0, lambda0=r, steps=3, retries=0)),
+    *_each("fit_surrogate", "x0", VECTORS,
+           lambda v: fit_surrogate(MODEL, v, X, SAMPLER, FR)),
+    *_each("generate_recourse", "x0", VECTORS,
+           lambda v: generate_recourse(MODEL, v, X, SAMPLER, FR, "projection")),
+    # evalharness
+    *_each("local_fidelity", "x0", VECTORS,
+           lambda v: local_fidelity(MODEL, SUR, v, 0.5)),
+    *_each("local_fidelity", "r_fid", RADII,
+           lambda r: local_fidelity(MODEL, SUR, X0, r), allowed=CONFIG),
+    *_each("sensitivity", "x0", VECTORS,
+           lambda v: sensitivity((SAMPLER, FR), MODEL, X, v, n_neighbors=1)),
+    *_each("validity_metrics", "x_r", VECTORS,
+           lambda v: validity_metrics([RecourseResult(x_r=v, cost=0.0,
+                                                      surrogate_valid=True)],
+                                      MODEL, [MODEL])),
+    *_one("validity_metrics", "empty", lambda: validity_metrics([], MODEL, [MODEL])),
+    *_each("pareto_frontier", "cost", RADII,
+           lambda r: pareto_frontier([(r, 0.5), (1.0, 0.2)])),
+    *_one("pareto_frontier", "empty", lambda: pareto_frontier([])),
+    *_each("sweep", "rho_grid", RADII,
+           lambda r: sweep((X, Y), (X, Y), X0[None, :], "fisher-rao", [r],
+                           "projection", SWEEP_CONFIG)),
+    *_each("sweep", "instances", VECTORS,
+           lambda v: sweep((X, Y), (X, Y), [v], "fisher-rao", [1.0], "projection",
+                           SWEEP_CONFIG)),
+    *_one("sweep", "action_kinds=wide",
+          lambda: sweep((X, Y), (X, Y), X0[None, :], "fisher-rao", [1.0], "actionable",
+                        dataclasses.replace(SWEEP_CONFIG, action_kinds=("free",) * 3))),
+    *_one("sweep", "rho_pos=nan",
+          lambda: sweep((X, Y), (X, Y), X0[None, :], "fisher-rao", [1.0], "projection",
+                        dataclasses.replace(SWEEP_CONFIG, rho_pos=nan))),
+]
+
+
+def _finite(value):
+    """Every number inside value (arrays, sequences, dataclasses) is finite."""
+    if value is None or isinstance(value, (str, enum.Enum)):
+        return True
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return all(_finite(item) for item in value)
+    array = np.asarray(value)
+    return array.dtype.kind not in "fc" or bool(np.isfinite(array).all())
+
+
+def _conforms(call, allowed, must_raise=False):
+    try:
+        result = call()
+    except allowed:
+        return
+    assert not must_raise, f"returned {result!r} instead of raising {allowed}"
+    assert _finite(result), f"returned a non-finite result: {result!r}"
+
+
+def test_table_covers_every_public_callable():
+    public = {name for name in cvas.__all__
+              if callable(getattr(cvas, name))
+              and not (isinstance(getattr(cvas, name), type)
+                       and issubclass(getattr(cvas, name), BaseException))}
+    assert {target for target, *_ in CASES} == public - RECORDS
+
+
+@pytest.mark.parametrize("target, label, call, allowed, must_raise", CASES,
+                         ids=[f"{target}-{label}" for target, label, *_ in CASES])
+def test_bad_input_raises_or_returns_finite(target, label, call, allowed, must_raise,
+                                            tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _conforms(call, allowed, must_raise)
+
+
+def test_value_arrays_are_read_only():
+    w, mean, cov = np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.eye(2)
+    surrogate = Surrogate(w=w, b=0.0, kappa=1.0, divergence=NOMINAL)
+    moments = ClassMoments(mean=mean, covariance=cov, count=3)
+    for array in (surrogate.w, moments.mean, moments.covariance):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = nan
+    # The caller's arrays stay writable, and writing them leaves the
+    # value types as they were built.
+    for array in (w, mean, cov):
+        array[0] = 7.0
+    assert surrogate.w[0] == 1.0 and moments.mean[0] == 1.0
+    assert moments.covariance[0, 0] == 1.0
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rho=FLOATS, kind=st.sampled_from(["quadratic", "bures", "fisher-rao", "logdet"]))
+def test_radius_conforms(rho, kind):
+    _conforms(lambda: tau(kind, rho, EYE, [1.0, -1.0]), CvasError)
+    _conforms(lambda: solve_cvas(POS, NEG, Divergence(kind=kind, rho_neg=rho)),
+              CvasError)
+    _conforms(lambda: sample_ball([0.0, 0.0], rho, 3, 0), CvasError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(learning_rate=FLOATS)
+def test_learning_rate_conforms(learning_rate):
+    _conforms(lambda: TrainConfig(epochs=2, learning_rate=learning_rate),
+              (CvasError, ValueError))
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise_std=FLOATS)
+def test_noise_std_conforms(noise_std):
+    _conforms(lambda: generate_synthetic(20, noise_std=noise_std),
+              (CvasError, ValueError))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nu=FLOATS)
+def test_nu_conforms(nu):
+    _conforms(lambda: optimal_mean([1.0, -1.0], 2.0, [0.0, 0.0], EYE, nu), CvasError)

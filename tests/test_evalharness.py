@@ -439,16 +439,28 @@ def test_sweep_row_depends_only_on_its_radius(sweep_fixture, counted_sweeps,
         assert (tmp_path / "alone.csv").read_text().splitlines() == [header, row]
 
 
-@pytest.mark.parametrize("kind, grid, instances, error", [
-    ("walk", [0.0], None, ValueError),
-    ("nominal", [0.0, 1.0], None, ValueError),
-    ("fisher-rao", [1.0, -1.0], None, NegativeRadius),
-    ("fisher-rao", [math.nan], None, DomainError),
-    ("fisher-rao", [1.0], np.zeros((2, 3)), DimensionMismatch),
-    ("fisher-rao", [1.0], np.zeros(5), DimensionMismatch),
+# The ids are the ones pytest generated when the table had its first
+# four columns only, so each case keeps its name.
+@pytest.mark.parametrize("kind, grid, instances, error, mode, changes", [
+    pytest.param("walk", [0.0], None, ValueError, "projection", {},
+                 id="walk-grid0-None-ValueError"),
+    pytest.param("nominal", [0.0, 1.0], None, ValueError, "projection", {},
+                 id="nominal-grid1-None-ValueError"),
+    pytest.param("fisher-rao", [1.0, -1.0], None, NegativeRadius, "projection", {},
+                 id="fisher-rao-grid2-None-NegativeRadius"),
+    pytest.param("fisher-rao", [math.nan], None, DomainError, "projection", {},
+                 id="fisher-rao-grid3-None-DomainError"),
+    pytest.param("fisher-rao", [1.0], np.zeros((2, 3)), DimensionMismatch,
+                 "projection", {}, id="fisher-rao-grid4-instances4-DimensionMismatch"),
+    pytest.param("fisher-rao", [1.0], np.zeros(5), DimensionMismatch, "projection", {},
+                 id="fisher-rao-grid5-instances5-DimensionMismatch"),
+    pytest.param("fisher-rao", [1.0], None, DimensionMismatch, "actionable",
+                 {"action_kinds": ("free",)}, id="action-kinds-of-other-width"),
+    pytest.param("fisher-rao", [1.0], None, ValueError, "projection",
+                 {"n_models": 0}, id="no-future-models"),
 ])
 def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
-                                             grid, instances, error):
+                                             grid, instances, error, mode, changes):
     def no_training(*args, **kwargs):
         raise AssertionError("sweep trained a model before checking its inputs")
 
@@ -458,7 +470,8 @@ def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
     if instances is None:
         instances = unfavorable[:2]
     with pytest.raises(error):
-        sweep(present, shifted, instances, kind, grid, "projection", SENS_CONFIG)
+        sweep(present, shifted, instances, kind, grid, mode,
+              dataclasses.replace(SENS_CONFIG, **changes))
 
 
 def test_sweep_rejects_model_of_other_width(sweep_fixture):

@@ -89,6 +89,30 @@ def test_projection_zero_slope():
         l1_projection(np.zeros(2), sur)
 
 
+@pytest.mark.parametrize("x0, error", [
+    ([0.0, 0.0, 0.0], DimensionMismatch),
+    ([0.0], DimensionMismatch),
+    ([math.nan, 0.0], NonFiniteInput),
+    ([0.0, -math.inf], NonFiniteInput),
+])
+@pytest.mark.parametrize("search", ["projection", "actionable"])
+def test_searches_check_x0(search, x0, error):
+    sur = lin_sur([1.0, -1.0], 1.0)
+    with pytest.raises(error):
+        if search == "projection":
+            l1_projection(x0, sur)
+        else:
+            spec = ActionSpec(kinds=("free",) * len(x0),
+                              grids=(np.array([0.0, 1.0]),) * len(x0))
+            actionable_recourse(x0, sur, spec)
+
+
+def test_actionable_rejects_spec_of_other_width():
+    spec = ActionSpec(kinds=("free",), grids=(np.array([0.0, 1.0]),))
+    with pytest.raises(DimensionMismatch):
+        actionable_recourse(np.zeros(2), lin_sur([1.0, -1.0], 1.0), spec)
+
+
 # ---------------------------------------------------------------- actionable
 
 def test_actionable_feasible_point():
