@@ -32,7 +32,7 @@ class BadLabelValue(CvasError):
 # ----------------------------------------------------------------- sampler
 
 class NoOppositeClassPrototypes(CvasError):
-    """No usable dataset point with the opposite predicted label."""
+    """No dataset row has the opposite predicted label from the query point."""
 
 
 class DegenerateSample(CvasError):

@@ -120,16 +120,19 @@ def validity_metrics(recourses, current_model, future_models):
     Current validity is the fraction of recourse points the current
     model labels +1; future validity averages that fraction over the
     ensemble; mean cost averages the L1 costs.
+
+    Raises EmptyInput for no recourses or no models, and NonFiniteInput
+    for a recourse point or cost holding NaN or infinity.
     """
     if not recourses:
         raise EmptyInput("no recourses to evaluate")
     if not future_models:
         raise EmptyInput("future-model ensemble is empty")
+    costs = finite_array([r.cost for r in recourses], "recourse cost")
     points = np.vstack([r.x_r for r in recourses])
     current = float(np.mean(current_model.label(points) == 1))
     future = float(np.mean([np.mean(m.label(points) == 1) for m in future_models]))
-    mean_cost = float(np.mean([r.cost for r in recourses]))
-    return current, future, mean_cost
+    return current, future, float(np.mean(costs))
 
 
 def pareto_frontier(points):
@@ -144,14 +147,12 @@ def pareto_frontier(points):
                    key=lambda i: (points[i][0], -points[i][1], i))
     frontier = []
     best_validity = -math.inf
-    seen_exact = set()
     for i in order:
-        cost, validity = points[i]
-        if (cost, validity) in seen_exact:
-            continue
+        # A duplicate comes right after its first occurrence, which left
+        # best_validity at their shared validity, so it is not kept.
+        validity = points[i][1]
         if validity > best_validity:
             frontier.append(points[i])
-            seen_exact.add((cost, validity))
             best_validity = validity
     return frontier
 

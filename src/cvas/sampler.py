@@ -6,9 +6,11 @@ uniform ball of synthetic points around the boundary point and
 pseudo-label them with the model. The two labeled point clouds are what
 the surrogate's moment estimates are built from.
 
-The boundary search is batched: all k segments are bisected in
-lockstep, so each bisection step is one forward pass over the segments
-still open rather than one single-row pass per segment.
+The boundary search evaluates x0 and the dataset once. Those values
+pick the prototypes and are the segment ends the bisection starts
+from, so every segment crosses the boundary. All k segments are then
+bisected in lockstep: each bisection step is one forward pass over the
+segments still open rather than one single-row pass per segment.
 
 The default ball radius comes from the exact maximum pairwise
 distance, found without evaluating the pairs the triangle inequality
@@ -28,7 +30,6 @@ from .errors import (
 
 _BISECT_CAP = 60
 _LINE_SEARCH_TOL = 1e-8
-_SCAN_POINTS = 100
 _BLOCK_ROWS = 64
 _EPS = np.finfo(float).eps
 
@@ -215,49 +216,28 @@ def resolve_radius(config, features):
     return 0.05 * max_pairwise_distance(features, seed=config.seed)
 
 
-def _bisect_to_boundary(model, x0, prototypes, tol):
-    """Boundary point on each segment [x0, prototypes[i]], or None where
-    no crossing is found.
+def _bisect_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
+    """Boundary point on each segment [x0, prototypes[i]], shape (k, d).
 
-    Works on f_i(t) = g(x0 + t*(prototypes[i] - x0)) - threshold and
-    bisects all segments in lockstep: one forward pass evaluates x0 and
-    every segment end, and each bisection step evaluates the midpoints
-    of the segments still open in one pass. Segments whose endpoint
-    signs match (the model is not monotone along them) are first
-    scanned at 100 equispaced points, all in one pass, for a sign
-    change; a segment without one gives None. A segment stops when
-    |f(mid)| <= tol or its bracket is shorter than tol, after at most
-    _BISECT_CAP steps.
+    Works on f_i(t) = g(x0 + t*(prototypes[i] - x0)) - threshold, with
+    f_lo = f(0) and f_hi[i] = f_i(1) as the caller computed them; their
+    signs must differ (f >= 0 is the positive side), so every segment
+    crosses the boundary. All segments are bisected in lockstep: each
+    step evaluates the midpoints of the segments still open in one
+    forward pass. A segment stops when |f(mid)| <= tol or its bracket is
+    shorter than tol, after at most _BISECT_CAP steps.
     """
     directions = prototypes - x0
-    k, d = directions.shape
+    k = directions.shape[0]
+    if abs(f_lo) <= tol:
+        return np.tile(x0, (k, 1))
     # Row by row, so each length rounds as np.linalg.norm of one vector.
     seg_len = np.array([np.linalg.norm(direction) for direction in directions])
-    f_ends = model.predict_proba(np.vstack([x0, x0 + directions])) - model.threshold
-    f_lo, f_hi = f_ends[0], f_ends[1:]
-    if abs(f_lo) <= tol:
-        return [x0.copy() for _ in range(k)]
-
     lo, hi = np.zeros(k), np.ones(k)
     t = np.where(np.abs(f_hi) <= tol, 1.0, np.nan)  # NaN: not found yet
     active = np.isnan(t)
-    # f(lo) only enters through its sign, which every lo update keeps.
-    lo_positive = np.full(k, f_lo >= 0.0)
-
-    scan = np.flatnonzero(active & ((f_hi >= 0.0) == lo_positive))
-    if scan.size:
-        grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-        rows = x0 + grid[None, :, None] * directions[scan, None, :]
-        values = model.predict_proba(rows.reshape(-1, d)).reshape(scan.size, -1)
-        signs = values - model.threshold >= 0.0
-        flips = signs[:, 1:] != signs[:, :-1]
-        crossed = flips.any(axis=1)
-        first = np.argmax(flips, axis=1)[crossed]
-        active[scan[~crossed]] = False
-        scan = scan[crossed]
-        lo[scan], hi[scan] = grid[first], grid[first + 1]
-        lo_positive[scan] = signs[crossed, first]
-
+    # f(lo) keeps the sign of f(0) through every lo update.
+    lo_positive = f_lo >= 0.0
     for _ in range(_BISECT_CAP):
         i = np.flatnonzero(active)
         if i.size == 0:
@@ -268,20 +248,20 @@ def _bisect_to_boundary(model, x0, prototypes, tol):
         stop = (np.abs(f_mid) <= tol) | ((hi[i] - lo[i]) * seg_len[i] <= tol)
         t[i[stop]] = mid[stop]
         active[i[stop]] = False
-        same = (f_mid >= 0.0) == lo_positive[i]
+        same = (f_mid >= 0.0) == lo_positive
         lo[i[same]] = mid[same]
         hi[i[~same]] = mid[~same]
     t[active] = (lo[active] + hi[active]) / 2.0
-    return [None if np.isnan(ti) else x0 + ti * direction
-            for ti, direction in zip(t, directions)]
+    return x0 + t[:, None] * directions
 
 
 def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     """Closest decision-boundary point reachable from x0.
 
-    Selects the k L1-nearest dataset rows whose model label differs
-    from x0's, bisects along the k segments in lockstep (one k-row
-    forward pass per bisection step, see _bisect_to_boundary), and
+    Evaluates x0 and the dataset once, selects the k L1-nearest rows on
+    the other side of the threshold from x0, bisects along the k
+    segments in lockstep with those values as the segment ends (one
+    k-row forward pass per bisection step, see _bisect_to_boundary), and
     returns the boundary point nearest to x0 in L2.
 
     Raises
@@ -289,28 +269,20 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     NonFiniteInput
         If x0 contains NaN or infinity.
     NoOppositeClassPrototypes
-        If no opposite-class row exists, or no segment crosses the
-        boundary within the scan fallback.
+        If no dataset row has the opposite label from x0.
     """
     x0 = finite_array(np.ravel(x0), "query point")
     dataset = np.asarray(dataset, dtype=float)
-    label0 = int(model.label(x0[None, :])[0])
-    labels = model.label(dataset)
-    opposite = dataset[labels != label0]
-    if opposite.shape[0] == 0:
+    f0 = model.predict_proba(x0[None, :])[0] - model.threshold
+    f = model.predict_proba(dataset) - model.threshold
+    opposite = np.flatnonzero((f >= 0.0) != (f0 >= 0.0))
+    if opposite.size == 0:
         raise NoOppositeClassPrototypes("dataset has no row with the opposite label")
 
-    k = min(config.k, opposite.shape[0])
-    order = np.argsort(np.abs(opposite - x0).sum(axis=1), kind="stable")
-    prototypes = opposite[order[:k]]
-
-    candidates = [point for point in _bisect_to_boundary(
-        model, x0, prototypes, _LINE_SEARCH_TOL) if point is not None]
-    if not candidates:
-        raise NoOppositeClassPrototypes(
-            f"none of {k} prototype segments crossed the boundary"
-        )
-    candidates = np.asarray(candidates)
+    distances = np.abs(dataset[opposite] - x0).sum(axis=1)
+    near = opposite[np.argsort(distances, kind="stable")[:config.k]]
+    candidates = _bisect_to_boundary(model, x0, dataset[near], f0, f[near],
+                                     _LINE_SEARCH_TOL)
     best = np.argmin(np.linalg.norm(candidates - x0, axis=1))
     return candidates[best]
 

@@ -107,7 +107,13 @@ class Surrogate:
         object.__setattr__(self, "b", float(finite_array(self.b, "offset", shape=())))
 
     def decision_values(self, features):
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        """w^T x - b for a batch of rows, shape (n,).
+
+        Raises DimensionMismatch for rows of the wrong width and
+        NonFiniteInput for rows holding NaN or infinity.
+        """
+        features = finite_array(np.atleast_2d(features), "surrogate input",
+                                shape=(None, self.w.size))
         return features @ self.w - self.b
 
     def label(self, features):

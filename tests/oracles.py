@@ -231,14 +231,13 @@ def fd_gradient(model, x, h=1e-5):
     return grad
 
 
-def bisect_segment_oracle(model, x0, proto, tol, cap=60, scan_points=100):
+def bisect_segment_oracle(model, x0, proto, tol, cap=60):
     """Boundary point on [x0, proto], one segment and one row at a time.
 
     Bisects f(t) = g(x0 + t*(proto - x0)) - threshold with one
     single-row evaluation per step, stopping when |f(mid)| <= tol or the
-    bracket is shorter than tol, after at most `cap` steps. When the
-    endpoint signs match, the first sign change among `scan_points`
-    equispaced points brackets the search; None if there is none.
+    bracket is shorter than tol, after at most `cap` steps. The endpoint
+    signs must differ: proto is on the other side of the threshold.
     """
     direction = proto - x0
     seg_len = float(np.linalg.norm(direction))
@@ -253,14 +252,7 @@ def bisect_segment_oracle(model, x0, proto, tol, cap=60, scan_points=100):
         return x0.copy()
     if abs(f_hi) <= tol:
         return x0 + direction
-    if (f_lo >= 0.0) == (f_hi >= 0.0):
-        grid = np.linspace(0.0, 1.0, scan_points)
-        signs = [f(t) >= 0.0 for t in grid]
-        flips = [j for j in range(scan_points - 1) if signs[j] != signs[j + 1]]
-        if not flips:
-            return None
-        lo, hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
-        f_lo = f(lo)
+    assert (f_lo >= 0.0) != (f_hi >= 0.0), "segment ends on the same side"
     for _ in range(cap):
         mid = (lo + hi) / 2.0
         f_mid = f(mid)
@@ -283,7 +275,6 @@ def boundary_point_oracle(x0, dataset, model, k, tol):
     opposite.sort(key=lambda row: float(np.sum(np.abs(row - x0))))
     points = [bisect_segment_oracle(model, x0, proto, tol)
               for proto in opposite[:k]]
-    points = [p for p in points if p is not None]
     return min(points, key=lambda p: float(np.linalg.norm(p - x0)))
 
 

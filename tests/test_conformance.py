@@ -144,9 +144,9 @@ def _surrogate_round_trip(**fields):
 CONFIG = (CvasError, ValueError)
 
 
-def _each(target, arg, family, call, allowed=CvasError):
+def _each(target, arg, family, call, allowed=CvasError, must_raise=False):
     """One case per bad value of a family, passed as argument `arg`."""
-    return [(target, f"{arg}={label}", partial(call, value), allowed, False)
+    return [(target, f"{arg}={label}", partial(call, value), allowed, must_raise)
             for label, value in family]
 
 
@@ -160,6 +160,16 @@ def _raises(target, label, call, error):
     return [(target, label, call, error, True)]
 
 
+def _surrogate_rows(method):
+    """SUR.method on one bad row. A NaN row used to get the label -1,
+    and a wrong width raised numpy's ValueError."""
+    def call(row):
+        return getattr(SUR, method)([row])
+    return (_each("Surrogate", method, VECTORS[:3], call, NonFiniteInput, must_raise=True)
+            + _each("Surrogate", method, VECTORS[3:], call, DimensionMismatch,
+                    must_raise=True))
+
+
 CASES = [
     # value types and configs
     *_each("ClassMoments", "mean", VECTORS,
@@ -170,6 +180,8 @@ CASES = [
            lambda v: Surrogate(w=v, b=0.0, kappa=1.0, divergence=NOMINAL)),
     *_each("Surrogate", "b", RADII,
            lambda r: Surrogate(w=[1.0, 0.0], b=r, kappa=1.0, divergence=NOMINAL)),
+    *_surrogate_rows("decision_values"),
+    *_surrogate_rows("label"),
     *_each("Surrogate", "kappa", RADII,
            lambda r: Surrogate(w=[1.0, 0.0], b=0.0, kappa=r, divergence=NOMINAL),
            allowed=CONFIG),
@@ -310,6 +322,10 @@ CASES = [
            lambda v: validity_metrics([RecourseResult(x_r=v, cost=0.0,
                                                       surrogate_valid=True)],
                                       MODEL, [MODEL])),
+    *_each("validity_metrics", "cost", RADII[:3],
+           lambda c: validity_metrics([RecourseResult(x_r=X0, cost=c, surrogate_valid=True)],
+                                      MODEL, [MODEL]),
+           allowed=NonFiniteInput, must_raise=True),
     *_one("validity_metrics", "empty", lambda: validity_metrics([], MODEL, [MODEL])),
     *_each("pareto_frontier", "cost", RADII,
            lambda r: pareto_frontier([(r, 0.5), (1.0, 0.2)])),

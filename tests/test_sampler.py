@@ -44,22 +44,27 @@ from oracles import (
 )
 
 
-def _abs_model(scale=4.0, big=1e4):
-    # sigma(scale * (|x| - 1)): non-monotone in x, boundary at |x| = 1
+def _abs_model(scale=4.0, big=1e4, fold=0.0):
+    # sigma(scale * (||x| - fold| - 1)): non-monotone in x. With fold = 0
+    # the boundary is |x| = 1; with fold = 2 it is |x| in {1, 3}, so a
+    # segment from x = -4 to 1 < x < 3 crosses it three times.
     dims = (1,) + HIDDEN + (1,)
     w0 = np.zeros((1, HIDDEN[0]))
     w0[0, 0], w0[0, 1] = 1.0, -1.0
     w1 = np.zeros((HIDDEN[0], HIDDEN[1]))
-    w1[0, 0] = w1[1, 0] = scale
+    w1[0, 0] = w1[1, 0] = 1.0
+    w1[0, 1] = w1[1, 1] = -1.0
     b1 = np.zeros(HIDDEN[1])
-    b1[0] = big
+    b1[0], b1[1] = -fold, fold
     w2 = np.zeros((HIDDEN[1], HIDDEN[2]))
-    w2[0, 0] = 1.0
+    w2[0, 0] = w2[1, 0] = scale
+    b2 = np.zeros(HIDDEN[2])
+    b2[0] = big
     w3 = np.zeros((HIDDEN[2], 1))
     w3[0, 0] = 1.0
     b3 = np.array([-big - scale])
     return MlpModel(layer_dims=dims, weights=[w0, w1, w2, w3],
-                    biases=[np.zeros(HIDDEN[0]), b1, np.zeros(HIDDEN[2]), b3])
+                    biases=[np.zeros(HIDDEN[0]), b1, b2, b3])
 
 
 def test_boundary_point_known_crossing():
@@ -103,23 +108,6 @@ def test_boundary_point_no_opposite_class():
         find_boundary_point(np.zeros(1), dataset, model)
 
 
-def test_bisection_scan_fallback():
-    # both segment endpoints sit on the positive side of sigma(4(|x|-1));
-    # the equispaced scan still finds the crossing near x = -1
-    model = _abs_model()
-    [point] = _bisect_to_boundary(model, np.array([-3.0]), np.array([[3.0]]),
-                                  1e-8)
-    assert point is not None
-    assert abs(abs(point[0]) - 1.0) <= 1e-6
-
-
-def test_bisection_no_crossing_returns_none():
-    model = _abs_model()
-    [point] = _bisect_to_boundary(model, np.array([-3.0]), np.array([[-2.0]]),
-                                  1e-8)
-    assert point is None
-
-
 class _CountingModel:
     """Forwards to a model and counts its forward passes."""
 
@@ -132,9 +120,6 @@ class _CountingModel:
         self.calls += 1
         return self.model.predict_proba(features)
 
-    def label(self, features):
-        return np.where(self.predict_proba(features) >= self.threshold, 1, -1)
-
 
 @pytest.fixture(scope="module")
 def trained():
@@ -142,34 +127,43 @@ def trained():
     return features, train_mlp(features, labels, TrainConfig(epochs=150, seed=0))
 
 
+def _f(model, rows):
+    return model.predict_proba(rows) - model.threshold
+
+
+def _assert_lockstep_matches_oracle(model, x0, prototypes):
+    points = _bisect_to_boundary(model, x0, prototypes, _f(model, x0[None, :])[0],
+                                 _f(model, prototypes), 1e-8)
+    assert points.shape == prototypes.shape
+    for proto, point in zip(prototypes, points):
+        assert np.array_equal(point, bisect_segment_oracle(model, x0, proto, 1e-8))
+
+
 def test_lockstep_segments_match_per_segment_bisection(trained):
-    # Segments toward rows of either label: crossings, scans and misses.
+    # Segments toward random rows on the other side of the threshold.
     features, model = trained
     rng = np.random.default_rng(1)
     for x0 in features[:10]:
-        prototypes = features[rng.choice(len(features), size=12, replace=False)]
-        points = _bisect_to_boundary(model, x0, prototypes, 1e-8)
-        for proto, point in zip(prototypes, points):
-            expected = bisect_segment_oracle(model, x0, proto, 1e-8)
-            if expected is None:
-                assert point is None
-            else:
-                assert np.array_equal(point, expected)
+        opposite = features[(_f(model, features) >= 0.0)
+                            != (_f(model, x0[None, :])[0] >= 0.0)]
+        for k in (1, 3, 10):
+            prototypes = opposite[rng.choice(len(opposite), size=k, replace=False)]
+            _assert_lockstep_matches_oracle(model, x0, prototypes)
 
 
-def test_lockstep_scan_fallback_matches_per_segment_bisection():
-    # On sigma(4(|x|-1)) from x0 = -3: a direct crossing, two scanned
-    # segments with a crossing inside, and two without one.
-    model = _abs_model()
-    x0 = np.array([-3.0])
-    prototypes = np.array([[0.5], [3.0], [-2.0], [2.5], [-1.5]])
-    points = _bisect_to_boundary(model, x0, prototypes, 1e-8)
-    expected = [bisect_segment_oracle(model, x0, proto, 1e-8)
-                for proto in prototypes]
-    assert [p is None for p in points] == [False, False, True, False, True]
-    for point, reference in zip(points, expected):
-        assert (point is None and reference is None
-                or np.array_equal(point, reference))
+def test_lockstep_non_monotone_segments_match_per_segment_bisection():
+    # On sigma(4(|x|-1)) from x0 = -3 the model falls and rises along
+    # the segments that pass 0, and the last prototype lies within tol
+    # of the boundary; on sigma(4(||x|-2|-1)) from x0 = -4 the segments
+    # that end in 1 < x < 3 cross the boundary three times.
+    rng = np.random.default_rng(2)
+    for model, x0, prototypes in (
+            (_abs_model(), -3.0, np.append(rng.uniform(-1.0, 1.0, size=9), 1.0 - 1e-10)),
+            (_abs_model(fold=2.0), -4.0,
+             rng.choice([-1.0, 1.0], size=10) * rng.uniform(1.0, 3.0, size=10))):
+        for k in (1, 3, 10):
+            _assert_lockstep_matches_oracle(model, np.array([x0]),
+                                            prototypes[:k, None])
 
 
 def test_boundary_point_matches_per_segment_oracle(trained):
@@ -187,13 +181,31 @@ def test_boundary_point_matches_per_segment_oracle(trained):
 
 
 def test_boundary_point_forward_calls_bounded(trained):
-    # Two labelling passes, one pass over x0 and the segment ends, the
-    # scan, then one pass per lockstep bisection step.
+    # One pass over x0, one over the dataset, then one pass per
+    # lockstep bisection step.
     features, model = trained
     for x0 in features[:5]:
         counting = _CountingModel(model)
         find_boundary_point(x0, features, counting, SamplerConfig(k=10))
-        assert counting.calls <= _BISECT_CAP + 4
+        assert counting.calls <= _BISECT_CAP + 2
+
+
+def test_boundary_point_one_pass_per_lockstep_step(trained):
+    # The lockstep bisection takes as many steps as the slowest segment
+    # takes alone, so the passes are x0, the dataset, and those steps.
+    features, model = trained
+    for x0 in features[:5]:
+        counting = _CountingModel(model)
+        find_boundary_point(x0, features, counting, SamplerConfig(k=10))
+        opposite = features[(_f(model, features) >= 0.0)
+                            != (_f(model, x0[None, :])[0] >= 0.0)]
+        order = np.argsort(np.abs(opposite - x0).sum(axis=1), kind="stable")
+        steps = []
+        for proto in opposite[order[:10]]:
+            alone = _CountingModel(model)
+            bisect_segment_oracle(alone, x0, proto, 1e-8)
+            steps.append(alone.calls - 2)  # less its two endpoint calls
+        assert counting.calls == 2 + max(steps)
 
 
 def test_boundary_point_rejects_non_finite_query(trained):
