@@ -33,7 +33,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .evalharness import EvalConfig, sweep
-from .recourse import ACTION_KINDS, default_action_grids, generate_recourse
+from .recourse import ACTION_KINDS, MODES, default_action_grids, generate_recourse
 from .sampler import SamplerConfig
 from .surrogate import Divergence, DivergenceKind
 
@@ -277,6 +277,13 @@ def _parse_instances(text):
     return ids
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
 def _parse_range(text):
     """`start:stop:step` inclusive of both ends when step divides the span."""
     parts = str(text).split(":")
@@ -324,7 +331,7 @@ _FIT = (
          choices=tuple(kind.value for kind in DivergenceKind),
          help="covariance divergence"),
     _Opt("rho_pos", float, 0.0, help="positive-class radius"),
-    _Opt("mode", str, "projection", choices=("projection", "actionable"),
+    _Opt("mode", str, "projection", choices=MODES,
          help="recourse mode"),
     _Opt("k", int, 10, help="opposite-class prototypes to scan"),
     _Opt("n_p", int, 1000, help="boundary ball sample count"),
@@ -333,7 +340,8 @@ _EVAL = _COMMON + _DATA + _TRAIN + _FIT + (
     _Opt("shifted", str, required=True, help="shifted-distribution CSV"),
     _Opt("out", str, required=True, help="report path (.csv or .json)"),
     _Opt("n_models", int, 100, help="future-model ensemble size"),
-    _Opt("max_instances", int, 25, help="cap on evaluated test instances"),
+    _Opt("max_instances", _positive_int, 25,
+         help="cap on evaluated test instances"),
 )
 _OPTS = {
     "gen-synthetic": _COMMON + (

@@ -20,6 +20,7 @@ from .blackbox import TrainConfig, simulate_future_models, train_mlp
 from .errors import CvasError, DimensionMismatch, EmptyInput, finite_array
 from .recourse import (
     ACTION_KINDS,
+    MODES,
     _boundary_moments,
     _recourse_against,
     default_action_grids,
@@ -96,22 +97,20 @@ def _max_slope_gap(base_w, neighbor_moments, divergence):
     solve fails, are skipped; if none is left, the last error is raised,
     or EmptyInput when there were no neighbors at all.
     """
-    worst = None
-    last_error = None
+    gaps = []
+    error = EmptyInput("no sensitivity neighbors")
     for item in neighbor_moments:
         if isinstance(item, CvasError):
-            last_error = item
+            error = item
             continue
         try:
-            other = solve_cvas(item[0], item[1], divergence)
+            gaps.append(float(np.linalg.norm(
+                base_w - solve_cvas(*item, divergence).w)))
         except CvasError as exc:
-            last_error = exc
-            continue
-        gap = float(np.linalg.norm(base_w - other.w))
-        worst = gap if worst is None else max(worst, gap)
-    if worst is None:
-        raise last_error or EmptyInput("no sensitivity neighbors")
-    return worst
+            error = exc
+    if not gaps:
+        raise error
+    return max(gaps)
 
 
 def validity_metrics(recourses, current_model, future_models):
@@ -241,7 +240,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
           mode, config=EvalConfig(), model=None):
     """Full evaluation over a grid of negative-class radii.
 
-    Checks the grid, the mode and the widths before any training, then
+    Checks its arguments (see Raises) before any training, then
     trains the current model on the present dataset and the future
     ensemble on the shifted one. Each instance then gets a recourse at
     every radius, and each radius's metrics make one report row, equal
@@ -250,30 +249,45 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     sensitivity reports NaN. Deterministic per master seed.
 
     The radius enters only through solve_cvas, so each instance's
-    boundary moments, its default action grids (actionable mode) and,
-    at its first radius that reaches the sensitivity step, its
-    sensitivity neighbors' moments are computed once.
+    boundary moments, its default action grids (actionable mode) and
+    its sensitivity neighbors' moments are computed once.
 
     model, if given, is the current model already trained with
     config.train on dataset_present (for instance to select the
     unfavorably classified instances); sweep() then uses it instead of
     training the same model again.
+
+    Raises
+    ------
+    EmptyInput
+        If the grid or the instances are empty; after training, if every
+        instance fails at some radius.
+    ValueError
+        If `mode` is not one of MODES, or two radii print as one report
+        id (config_id formats rho_neg with :g).
+    DimensionMismatch
+        If the instances are not rows of the present data's width, or
+        the model or config.action_kinds has another width.
+    NonFiniteInput
+        If an instance holds NaN or infinity.
+    NegativeRadius, DomainError
+        If a radius is negative or NaN.
     """
-    instances = np.atleast_2d(np.asarray(instances, dtype=float))
-    if instances.size == 0:
-        raise EmptyInput("no instances to sweep over")
     divergences = [Divergence(kind=divergence_kind, rho_pos=config.rho_pos,
                               rho_neg=float(rho)) for rho in rho_grid]
     if not divergences:
         raise EmptyInput("empty rho grid")
-    if mode not in ("projection", "actionable"):
+    if mode not in MODES:
         raise ValueError(f"unknown recourse mode {mode!r}")
+    config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
+                  for d in divergences]
+    if len(set(config_ids)) != len(config_ids):
+        raise ValueError(f"radii that print alike repeat a report id: {config_ids}")
     present_x, present_y = dataset_present
     present_x = np.asarray(present_x, dtype=float)
     width = present_x.shape[-1]
-    if instances.ndim != 2 or instances.shape[1] != width:
-        raise DimensionMismatch(f"instances of shape {instances.shape} for "
-                                f"present data of {width} features")
+    instances = finite_array(np.atleast_2d(instances), "instances",
+                             shape=(None, width), nonempty=True)
     if model is not None and model.layer_dims[0] != width:
         raise DimensionMismatch(f"model expects {model.layer_dims[0]} features, "
                                 f"the present dataset has {width}")
@@ -303,7 +317,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         actions = None
         if mode == "actionable":
             actions = default_action_grids(x0, present_x, kinds=kinds)
-        neighbors = None
+        neighbors = _neighbor_moments(model, present_x, x0, sampler_cfg,
+                                      config.sens_neighbors, _SENS_NOISE_VAR,
+                                      seeds[3 + 3 * i])
         for divergence, (recourses, fidelities, sensitivities) in zip(
                 divergences, results):
             try:
@@ -314,10 +330,6 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
                 continue
             fidelities.append(local_fidelity(model, surrogate, x0, r_fid,
                                              n=config.fid_n, seed=seeds[2 + 3 * i]))
-            if neighbors is None:
-                neighbors = _neighbor_moments(
-                    model, present_x, x0, sampler_cfg, config.sens_neighbors,
-                    _SENS_NOISE_VAR, seeds[3 + 3 * i])
             try:
                 sensitivities.append(_max_slope_gap(surrogate.w, neighbors,
                                                     divergence))
@@ -325,16 +337,15 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
                 pass
 
     rows = []
-    for divergence, (recourses, fidelities, sensitivities) in zip(divergences,
-                                                                   results):
+    for config_id, divergence, (recourses, fidelities, sensitivities) in zip(
+            config_ids, divergences, results):
         rho = divergence.rho_neg
         if not recourses:
             raise EmptyInput(f"every instance failed at rho_neg = {rho}")
         current, future, mean_cost = validity_metrics(recourses, model, ensemble)
-        kind_value = divergence.kind.value
         rows.append(EvalRow(
-            config_id=f"{kind_value}_rpos{config.rho_pos:g}_rneg{rho:g}_{mode}",
-            divergence=kind_value,
+            config_id=config_id,
+            divergence=divergence.kind.value,
             rho_pos=float(config.rho_pos),
             rho_neg=rho,
             mode=mode,

@@ -19,6 +19,7 @@ import numpy as np
 from .blackbox import predict
 from .errors import (
     DimensionMismatch,
+    DomainError,
     NoActionableRecourse,
     NoValidRecourse,
     finite_array,
@@ -28,6 +29,7 @@ from .sampler import synthesize
 from .surrogate import solve_cvas
 
 ACTION_KINDS = ("free", "immutable", "non_decreasing")
+MODES = ("projection", "actionable")
 
 _WACHTER_STEP = 0.01
 
@@ -121,6 +123,38 @@ def default_action_grids(x0, training_features, kinds=None):
     return ActionSpec(kinds=tuple(kinds), grids=tuple(grids))
 
 
+def _search_start(x0, surrogate):
+    """(w, b, x0, b - w^T x0) of a search, checked.
+
+    Finite inputs can still overflow: DomainError unless the deficit
+    b - w^T x0 is finite.
+    """
+    w, b = finite_array(surrogate.w, "surrogate slope", nonzero=True), surrogate.b
+    x0 = finite_array(np.ravel(x0), "x0", shape=w.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deficit = b - float(w @ x0)
+    if not math.isfinite(deficit):
+        raise DomainError(f"the deficit b - w^T x0 overflows to {deficit}")
+    return w, b, x0, deficit
+
+
+def _search_result(x0, moves, w, b):
+    """x0 moved by the (index, delta) pairs, with its L1 cost and validity.
+
+    DomainError unless the cost is finite; as x0 is finite, so is then
+    the point.
+    """
+    x_r = x0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, delta in moves:
+            x_r[index] += delta
+        cost = float(np.abs(x_r - x0).sum())
+        valid = float(w @ x_r) - b >= -1e-9
+    if not math.isfinite(cost):
+        raise DomainError(f"the recourse point overflows: its L1 cost is {cost}")
+    return RecourseResult(x_r=x_r, cost=cost, surrogate_valid=valid)
+
+
 def l1_projection(x0, surrogate):
     """Exact L1-minimal point satisfying w^T x >= b.
 
@@ -128,18 +162,23 @@ def l1_projection(x0, surrogate):
     into the single coordinate with the largest |w_j| (lowest index on
     ties), the closed-form minimizer of the L1 projection onto a
     halfspace. x0 must be a finite vector of the surrogate's width.
+
+    Raises
+    ------
+    DimensionMismatch, NonFiniteInput
+        If x0 is not a finite vector of the surrogate's width.
+    ZeroSlope
+        If the surrogate's slope is the zero vector.
+    DomainError
+        If b - w^T x0 or the recourse point overflows float64.
     """
-    w, b = finite_array(surrogate.w, "surrogate slope", nonzero=True), surrogate.b
-    x0 = finite_array(np.ravel(x0), "x0", shape=w.shape)
-    deficit = b - float(w @ x0)
+    w, b, x0, deficit = _search_start(x0, surrogate)
     if deficit <= 0.0:
         return RecourseResult(x_r=x0.copy(), cost=0.0, surrogate_valid=True)
     j = int(np.argmax(np.abs(w)))
-    x_r = x0.copy()
-    x_r[j] += deficit / w[j]
-    cost = float(np.abs(x_r - x0).sum())
-    valid = float(w @ x_r) - b >= -1e-9
-    return RecourseResult(x_r=x_r, cost=cost, surrogate_valid=valid)
+    with np.errstate(over="ignore"):
+        step = deficit / w[j]
+    return _search_result(x0, ((j, step),), w, b)
 
 
 def _branch_features(w, actions):
@@ -201,13 +240,14 @@ def actionable_recourse(x0, surrogate, actions):
         If no grid combination reaches the constraint.
     DimensionMismatch
         If x0, the surrogate and `actions` differ in width.
+    NonFiniteInput, ZeroSlope
+        If x0 is not finite, or the surrogate's slope is the zero vector.
+    DomainError
+        If b - w^T x0 or the recourse point overflows float64.
     """
-    w, b = finite_array(surrogate.w, "surrogate slope", nonzero=True), surrogate.b
-    x0 = finite_array(np.ravel(x0), "x0", shape=w.shape)
+    w, b, x0, deficit = _search_start(x0, surrogate)
     if len(actions.grids) != x0.shape[0]:
         raise DimensionMismatch(f"{len(actions.grids)} grids for {len(x0)} features")
-
-    deficit = b - float(w @ x0)
     if deficit <= 0.0:
         return RecourseResult(x_r=x0.copy(), cost=0.0, surrogate_valid=True)
 
@@ -222,21 +262,16 @@ def actionable_recourse(x0, surrogate, actions):
     # deficit, cost so far, chosen (index, delta) pairs).
     counter = 0
     heap = [(root_bound, counter, 0, deficit, 0.0, ())]
-    best_cost = math.inf
-    best_choice = None
     while heap:
-        bound, _, pos, remaining, cost, chosen = heapq.heappop(heap)
-        if bound >= best_cost:
-            break
+        _, _, pos, remaining, cost, chosen = heapq.heappop(heap)
         if remaining <= 0.0:
-            best_cost, best_choice = cost, chosen
             break
         if pos == len(features):
             continue
         feature = features[pos]
         # Skipping this feature costs nothing.
         skip_bound = cost + _relaxation_bound(features, pos + 1, remaining)
-        if skip_bound < best_cost:
+        if skip_bound < math.inf:
             counter += 1
             heapq.heappush(heap, (skip_bound, counter, pos + 1, remaining, cost,
                                   chosen))
@@ -246,22 +281,16 @@ def actionable_recourse(x0, surrogate, actions):
             new_remaining = remaining - gain
             child_bound = new_cost + _relaxation_bound(
                 features, pos + 1, max(new_remaining, 0.0))
-            if child_bound < best_cost:
+            if child_bound < math.inf:
                 counter += 1
                 heapq.heappush(heap, (child_bound, counter, pos + 1, new_remaining,
                                       new_cost,
                                       chosen + ((feature["index"], float(delta)),)))
-
-    if best_choice is None:
+    else:
         raise NoActionableRecourse(
             f"no grid combination covers the deficit {deficit:.6g}"
         )
-    x_r = x0.copy()
-    for index, delta in best_choice:
-        x_r[index] += delta
-    cost = float(np.abs(x_r - x0).sum())
-    valid = float(w @ x_r) - b >= -1e-9
-    return RecourseResult(x_r=x_r, cost=cost, surrogate_valid=valid)
+    return _search_result(x0, chosen, w, b)
 
 
 def wachter_recourse(model, x0, lambda0=0.1, steps=1000, retries=10):
@@ -323,10 +352,8 @@ def _recourse_against(model, x0, surrogate, mode, actions):
     """The mode's search against the surrogate, blackbox_valid from the model."""
     if mode == "projection":
         result = l1_projection(x0, surrogate)
-    elif mode == "actionable":
-        result = actionable_recourse(x0, surrogate, actions)
     else:
-        raise ValueError(f"unknown recourse mode {mode!r}")
+        result = actionable_recourse(x0, surrogate, actions)
     return replace(result,
                    blackbox_valid=bool(model.label(result.x_r[None, :])[0] == 1))
 
@@ -339,7 +366,16 @@ def generate_recourse(model, x0, dataset, sampler_config, divergence, mode,
     actionable_recourse (with default percentile grids built from the
     dataset when no ActionSpec is supplied). blackbox_valid is filled by
     querying the model at the recourse point.
+
+    Raises
+    ------
+    ValueError
+        If `mode` is not one of MODES, before any sampling.
+    CvasError
+        The subclass the sampler, moments, solve or search raised.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown recourse mode {mode!r}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     surrogate = fit_surrogate(model, x0, dataset, sampler_config, divergence)
     if mode == "actionable" and actions is None:

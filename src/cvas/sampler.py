@@ -108,7 +108,9 @@ def max_pairwise_distance(features, seed=0, guard=2000):
     Raises
     ------
     DomainError
-        If `guard` is below 1.
+        If `guard` is below 1, or if 4 max_i ||x_i||^2 over the scanned
+        rows overflows float64. Below that bound no squared distance in
+        the scan can overflow, as |x_i.x_j| <= max_i ||x_i||^2.
     DimensionMismatch
         If `features` is not 2-d.
     EmptyInput
@@ -124,7 +126,11 @@ def max_pairwise_distance(features, seed=0, guard=2000):
         idx = np.random.default_rng(seed).choice(n, size=guard, replace=False)
         features = features[idx]
         n = guard
-    sq = np.einsum("ij,ij->i", features, features)
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->i", features, features)
+        overflows = not np.isfinite(4.0 * sq.max())
+    if overflows:
+        raise DomainError("rows too large: their squared distances overflow float64")
     pairs = _candidate_pairs(features, sq)
     if pairs is None:
         best = np.max([_block_max(features, sq, s) for s in range(0, n, _BLOCK_ROWS)])
@@ -155,8 +161,6 @@ def _candidate_pairs(features, sq):
     See max_pairwise_distance for the bound and the margin."""
     n, d = features.shape
     top = sq.max()
-    if not np.isfinite(4.0 * top):
-        return None
     margin = 16.0 * (d + 2) * _EPS * top
     centred = features - features.mean(axis=0)
     radius = np.sqrt(np.einsum("ij,ij->i", centred, centred))

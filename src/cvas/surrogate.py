@@ -27,6 +27,7 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .errors import (
+    CvasError,
     DimensionMismatch,
     DomainError,
     IdenticalMeans,
@@ -455,10 +456,26 @@ def save_surrogate(surrogate, path):
 
 
 def load_surrogate(path):
-    """Read a surrogate written by save_surrogate; Surrogate checks it."""
-    with open(path) as fh:
-        record = json.load(fh)
-    divergence = Divergence(kind=record["divergence"], rho_pos=record["rho_pos"],
-                            rho_neg=record["rho_neg"])
-    return Surrogate(w=record["w"], b=record["b"], kappa=record["kappa"],
-                     divergence=divergence)
+    """Read a surrogate written by save_surrogate; Surrogate checks it.
+
+    Raises
+    ------
+    CvasError
+        Naming the path, for a file that is not a whole surrogate
+        record: malformed JSON, a missing key, or a field of the wrong
+        type or outside its domain (an unknown divergence, a negative
+        kappa).
+    NonFiniteInput, ZeroSlope, DimensionMismatch, NegativeRadius, DomainError
+        As Divergence and Surrogate raise them for the values read.
+    OSError
+        If the file cannot be read.
+    """
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+        divergence = Divergence(kind=record["divergence"], rho_pos=record["rho_pos"],
+                                rho_neg=record["rho_neg"])
+        return Surrogate(w=record["w"], b=record["b"], kappa=record["kappa"],
+                         divergence=divergence)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CvasError(f"{path} is not a surrogate record: {exc!r}") from exc

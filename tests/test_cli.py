@@ -415,6 +415,17 @@ def test_invalid_option_value_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_instances_below_one_exits_one(tmp_path, capsys, value):
+    # The data files do not exist: the option is rejected before any read.
+    rc = run(["sweep", "--data", str(tmp_path / "nope.csv"),
+              "--shifted", str(tmp_path / "nope.csv"),
+              "--spec", str(tmp_path / "nope.txt"),
+              "--out", str(tmp_path / "r.csv"), "--max-instances", value])
+    assert rc == 1
+    assert "--max-instances" in capsys.readouterr().err
+
+
 def test_nominal_with_radius_exits_one(workspace, tmp_path, capsys):
     rc = run(["evaluate", "--data", str(workspace / "d1.csv"),
               "--shifted", str(workspace / "d2.csv"),

@@ -28,6 +28,7 @@ from cvas import (
     DimensionMismatch,
     Divergence,
     DivergenceKind,
+    DomainError,
     EvalConfig,
     EvalReport,
     EvalRow,
@@ -96,6 +97,12 @@ FR = Divergence(kind="fisher-rao", rho_neg=1.0)
 SUR = Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0, divergence=NOMINAL)
 SAMPLER = SamplerConfig(n_p=50)
 ACTIONS = default_action_grids(X0, X)
+# Finite inputs whose squared norms, deficit or recourse point overflow.
+HUGE_ROWS = np.random.default_rng(0).normal(size=(50, 3)) * 1e154
+HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
+TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
+FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
+FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
 SWEEP_CONFIG = EvalConfig(sampler=SamplerConfig(n_p=20), train=TrainConfig(epochs=2),
                           n_models=1, fid_n=10, sens_neighbors=1)
 
@@ -247,6 +254,8 @@ CASES = [
     *_each("find_boundary_point", "dataset", ROWS,
            lambda rows: find_boundary_point(X0, rows, MODEL, SAMPLER)),
     *_each("max_pairwise_distance", "features", ROWS, max_pairwise_distance),
+    *_raises("max_pairwise_distance", "features=1e154",
+             lambda: max_pairwise_distance(HUGE_ROWS), DomainError),
     *_one("max_pairwise_distance", "guard=negative",
           lambda: max_pairwise_distance(X, guard=-1)),
     *_each("sample_ball", "center", VECTORS, lambda v: sample_ball(v, 1.0, 5, 0)),
@@ -299,8 +308,16 @@ CASES = [
           lambda: _surrogate_round_trip(w=np.array([nan, 1.0]))),
     # recourse
     *_each("l1_projection", "x0", VECTORS, lambda v: l1_projection(v, SUR)),
+    *_raises("l1_projection", "deficit-overflow",
+             lambda: l1_projection([-1e200, -1e200], HUGE), DomainError),
+    *_raises("l1_projection", "point-overflow",
+             lambda: l1_projection([0.0, 0.0], TINY), DomainError),
     *_each("actionable_recourse", "x0", VECTORS,
            lambda v: actionable_recourse(v, SUR, ACTIONS)),
+    *_raises("actionable_recourse", "deficit-overflow",
+             lambda: actionable_recourse([-1e200, -1e200], HUGE, ACTIONS), DomainError),
+    *_raises("actionable_recourse", "point-overflow",
+             lambda: actionable_recourse([1e308, 0.0], FAR, FAR_ACTIONS), DomainError),
     *_each("default_action_grids", "x0", VECTORS, lambda v: default_action_grids(v, X)),
     *_each("default_action_grids", "training_features", ROWS,
            lambda rows: default_action_grids(X0, rows)),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvas import (
+    ClassMoments,
     Divergence,
     EvalConfig,
     EvalReport,
@@ -22,6 +23,7 @@ from cvas import (
     local_fidelity,
     pareto_frontier,
     sensitivity,
+    solve_cvas,
     sweep,
     train_mlp,
     validity_metrics,
@@ -32,7 +34,9 @@ from cvas.errors import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
+    IdenticalMeans,
     NegativeRadius,
+    NonFiniteInput,
 )
 from cvas.recourse import RecourseResult
 
@@ -142,6 +146,41 @@ def test_sensitivity_without_neighbors_raises_empty_input(linear_pipeline):
     config, model, data = linear_pipeline
     with pytest.raises(EmptyInput):
         sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=0, seed=2)
+
+
+def test_neighbor_moments_store_failures_without_traceback(linear_pipeline):
+    # n_p = 2 leaves a class of the ball with fewer than two points.
+    (_, _), model, data = linear_pipeline
+    failing = SamplerConfig(n_p=2, seed=3)
+    entries = evalharness._neighbor_moments(model, data, np.array([-0.8, 0.3]),
+                                            failing, 3, 0.001, 2)
+    assert len(entries) == 3
+    for entry in entries:
+        assert isinstance(entry, DegenerateSample)
+        assert entry.__traceback__ is None
+
+
+def test_max_slope_gap_skips_failed_neighbors():
+    def moments(mean):
+        return ClassMoments(mean=mean, covariance=np.eye(2), count=10)
+
+    nominal = Divergence(kind="nominal")
+    pos = moments([1.0, 0.0])
+    base_w = solve_cvas(pos, moments([-1.0, 0.0]), nominal).w
+    good = [(pos, moments([-1.0, y])) for y in (0.5, 2.0, -1.0)]
+    gaps = [float(np.linalg.norm(base_w - solve_cvas(*m, nominal).w)) for m in good]
+    assert len(set(gaps)) == 3
+    stored, identical = DegenerateSample("stored"), (pos, pos)
+    mixed = [stored, good[0], identical, good[1], stored, good[2], identical]
+    assert evalharness._max_slope_gap(base_w, mixed, nominal) == max(gaps)
+    # With no neighbor that solves, the last failure in order is raised.
+    with pytest.raises(IdenticalMeans):
+        evalharness._max_slope_gap(base_w, [stored, identical], nominal)
+    with pytest.raises(DegenerateSample) as raised:
+        evalharness._max_slope_gap(base_w, [identical, stored], nominal)
+    assert raised.value is stored
+    with pytest.raises(EmptyInput):
+        evalharness._max_slope_gap(base_w, [], nominal)
 
 
 def test_eval_config_rejects_no_sensitivity_neighbors():
@@ -439,6 +478,31 @@ def test_sweep_row_depends_only_on_its_radius(sweep_fixture, counted_sweeps,
         assert (tmp_path / "alone.csv").read_text().splitlines() == [header, row]
 
 
+def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
+    moves = []
+    real = evalharness._recourse_against
+
+    def recorded(model, x0, surrogate, mode, actions):
+        result = real(model, x0, surrogate, mode, actions)
+        moves.append(result.x_r - x0)
+        return result
+
+    monkeypatch.setattr(evalharness, "_recourse_against", recorded)
+    present, shifted, unfavorable = sweep_fixture
+    config = dataclasses.replace(SENS_CONFIG, action_kinds=("immutable", "free"))
+    report = sweep(present, shifted, unfavorable[:4], "fisher-rao", [0.0, 1.0],
+                   "actionable", config)
+    assert [row.config_id for row in report.rows] == [
+        "fisher-rao_rpos0_rneg0_actionable", "fisher-rao_rpos0_rneg1_actionable"]
+    for row in report.rows:
+        assert row.mode == "actionable"
+        assert all(math.isfinite(value) for value in dataclasses.astuple(row)
+                   if not isinstance(value, str))
+    assert len(moves) == 8
+    assert all(move[0] == 0.0 for move in moves)
+    assert any(move[1] != 0.0 for move in moves)
+
+
 # The ids are the ones pytest generated when the table had its first
 # four columns only, so each case keeps its name.
 @pytest.mark.parametrize("kind, grid, instances, error, mode, changes", [
@@ -458,6 +522,14 @@ def test_sweep_row_depends_only_on_its_radius(sweep_fixture, counted_sweeps,
                  {"action_kinds": ("free",)}, id="action-kinds-of-other-width"),
     pytest.param("fisher-rao", [1.0], None, ValueError, "projection",
                  {"n_models": 0}, id="no-future-models"),
+    pytest.param("fisher-rao", [1.0], [[0.5, 0.5], [math.nan, 0.5], [0.1, 0.2]],
+                 NonFiniteInput, "projection", {}, id="nan-instance-row"),
+    pytest.param("fisher-rao", [1.0], [], DimensionMismatch, "projection", {},
+                 id="instances-empty-list"),
+    pytest.param("fisher-rao", [1.0, 1.0], None, ValueError, "projection", {},
+                 id="repeated-radius"),
+    pytest.param("fisher-rao", [1.0, 1.0000001], None, ValueError, "projection", {},
+                 id="radii-with-one-report-id"),
 ])
 def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
                                              grid, instances, error, mode, changes):

@@ -28,6 +28,7 @@ from cvas import (
     train_mlp,
     wachter_recourse,
 )
+from cvas import recourse
 
 from helpers import linear_mlp
 from oracles import exhaustive_actionable_cost, lp_projection_cost
@@ -177,6 +178,17 @@ def test_actionable_infeasible():
         actionable_recourse(np.zeros(2), lin_sur([1.0, 1.0], 1.0), spec)
 
 
+def test_actionable_overflowing_cost_exhausts_the_search():
+    # Each move costs 1e308 and covers 1e8 of the 1.5e8 deficit. The
+    # relaxation bound is finite, but the two moves together cost inf,
+    # so no node that takes both is pushed and the heap runs dry.
+    spec = ActionSpec(kinds=("free", "free"),
+                      grids=(np.array([0.0, 1e308]), np.array([0.0, 1e308])))
+    with np.errstate(over="ignore"), pytest.raises(NoActionableRecourse,
+                                                   match="no grid combination"):
+        actionable_recourse(np.zeros(2), lin_sur([1e-300, 1e-300], 1.5e8), spec)
+
+
 def test_action_spec_validation():
     with pytest.raises(ValueError):
         ActionSpec(kinds=("free",), grids=())
@@ -314,7 +326,11 @@ def test_generate_recourse_robust_costs_more(synthetic_model):
     assert robust.cost >= plain.cost
 
 
-def test_generate_recourse_unknown_mode(synthetic_model):
+def test_generate_recourse_unknown_mode(synthetic_model, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("generate_recourse sampled before checking its mode")
+
+    monkeypatch.setattr(recourse, "fit_surrogate", no_fit)
     features, labels, model = synthetic_model
     x0 = features[model.label(features) == -1][0]
     with pytest.raises(ValueError):

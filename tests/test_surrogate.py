@@ -1,5 +1,6 @@
 """Robust surrogate solves, tau closed forms, asymptotics, certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from numpy.testing import assert_allclose
 
 from cvas import (
     ClassMoments,
+    CvasError,
     Divergence,
     DomainError,
     IdenticalMeans,
     NegativeRadius,
+    NonFiniteInput,
     Surrogate,
     ZeroSlope,
     asymptotic_surrogate,
@@ -618,3 +621,45 @@ def test_surrogate_serialization_asymptotic(tmp_path):
     assert loaded.kappa == 0.0
     assert loaded.divergence.rho_neg == math.inf
     assert np.array_equal(loaded.w, sur.w)
+
+
+def _truncated(text):
+    return text[:len(text) // 2]
+
+
+def _edited(**changes):
+    def edit(text):
+        record = json.loads(text)
+        for key, value in changes.items():
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        return json.dumps(record)
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_truncated, CvasError),
+    (lambda text: "[1, 2]", CvasError),
+    (_edited(kappa=None), CvasError),
+    (_edited(kappa="x"), CvasError),
+    (_edited(kappa=-1), CvasError),
+    (_edited(w="abc"), CvasError),
+    (_edited(divergence="foo"), CvasError),
+    # The checks of Divergence and Surrogate keep their own classes.
+    (_edited(rho_neg=-1.0), NegativeRadius),
+    (_edited(w=[0.0, 0.0]), ZeroSlope),
+    (_edited(b=math.inf), NonFiniteInput),
+], ids=["truncated", "not-an-object", "no-kappa", "kappa-string", "kappa-negative",
+        "w-string", "unknown-divergence", "negative-radius", "zero-slope", "b-inf"])
+def test_load_surrogate_rejects_malformed_files(tmp_path, edit, error):
+    path = tmp_path / "surrogate.json"
+    save_surrogate(Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0,
+                             divergence=Divergence(kind="bures", rho_neg=1.0)), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(error) as raised:
+        load_surrogate(path)
+    if error is CvasError:
+        assert type(raised.value) is CvasError
+        assert "surrogate.json" in str(raised.value)
