@@ -284,14 +284,25 @@ def _positive_int(text):
     return value
 
 
+def _radius(text):
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError("a radius must be finite and >= 0")
+    return value
+
+
 def _parse_range(text):
-    """`start:stop:step` inclusive of both ends when step divides the span."""
+    """`start:stop:step` inclusive of both ends when step divides the span.
+
+    start, stop and step must each be finite and >= 0, so that every
+    value is a radius.
+    """
     parts = str(text).split(":")
     if len(parts) == 1:
-        return (float(parts[0]),)
+        return (_radius(parts[0]),)
     if len(parts) != 3:
         raise ValueError("expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_radius(p) for p in parts)
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     span = (stop - start) / step
@@ -330,7 +341,7 @@ _FIT = (
     _Opt("divergence", str, "nominal",
          choices=tuple(kind.value for kind in DivergenceKind),
          help="covariance divergence"),
-    _Opt("rho_pos", float, 0.0, help="positive-class radius"),
+    _Opt("rho_pos", _radius, 0.0, help="positive-class radius"),
     _Opt("mode", str, "projection", choices=MODES,
          help="recourse mode"),
     _Opt("k", int, 10, help="opposite-class prototypes to scan"),
@@ -357,11 +368,11 @@ _OPTS = {
         _Opt("model", str, required=True, help="trained model file"),
         _Opt("instances", _parse_instances, required=True,
              help="comma-separated row ids"),
-        _Opt("rho_neg", float, 0.0, help="negative-class radius"),
+        _Opt("rho_neg", _radius, 0.0, help="negative-class radius"),
         _Opt("out", str, required=True, help="output CSV path"),
     ),
     "evaluate": _EVAL + (
-        _Opt("rho_neg", lambda text: (float(text),), (0.0,),
+        _Opt("rho_neg", lambda text: (_radius(text),), (0.0,),
              help="negative-class radius"),
     ),
     "sweep": _EVAL + (
@@ -457,6 +468,11 @@ def _cmd_train(ns):
 def _cmd_recourse(ns):
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
+    n_rows = dataset.features.shape[0]
+    for instance_id in ns.instances:
+        if instance_id >= n_rows:
+            raise _UsageError(f"instance id {instance_id} out of range "
+                              f"(dataset has {n_rows} rows)")
     model = load_model(ns.model)
     divergence = Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
                             rho_neg=ns.rho_neg)
@@ -464,9 +480,6 @@ def _cmd_recourse(ns):
     sampler_config = SamplerConfig(k=ns.k, n_p=ns.n_p, seed=ns.seed)
     lines = [RECOURSE_HEADER]
     for instance_id in ns.instances:
-        if instance_id >= dataset.features.shape[0]:
-            raise _UsageError(f"instance id {instance_id} out of range "
-                              f"(dataset has {dataset.features.shape[0]} rows)")
         x0 = dataset.features[instance_id]
         actions = None
         if ns.mode == "actionable":

@@ -27,7 +27,7 @@ from .recourse import (
     fit_surrogate,
 )
 from .sampler import SamplerConfig, max_pairwise_distance, resolve_radius, sample_ball
-from .surrogate import Divergence, solve_cvas
+from .surrogate import Divergence, _check_radius, solve_cvas
 
 _SENS_NOISE_VAR = 0.001  # variance of sensitivity()'s query perturbations
 _FID_RADIUS_SHARE = 0.1  # sweep()'s fidelity radius per max pairwise distance
@@ -271,12 +271,16 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     NonFiniteInput
         If an instance holds NaN or infinity.
     NegativeRadius, DomainError
-        If a radius is negative or NaN.
+        If a radius is outside the solver's domain: negative, NaN,
+        infinite, or above the fisher-rao overflow cap.
     """
     divergences = [Divergence(kind=divergence_kind, rho_pos=config.rho_pos,
                               rho_neg=float(rho)) for rho in rho_grid]
     if not divergences:
         raise EmptyInput("empty rho grid")
+    for divergence in divergences:
+        _check_radius(divergence.kind, divergence.rho_pos)
+        _check_radius(divergence.kind, divergence.rho_neg)
     if mode not in MODES:
         raise ValueError(f"unknown recourse mode {mode!r}")
     config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"

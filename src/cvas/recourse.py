@@ -182,57 +182,53 @@ def l1_projection(x0, surrogate):
 
 
 def _branch_features(w, actions):
-    """Candidate moves per feature, ordered for branch-and-bound.
+    """(index, rate |w_j|, helpful deltas) per feature, best rate first.
 
-    Keeps only deltas with positive gain w_j * delta (a move that does
-    not push toward the constraint can always be replaced by 0 at no
-    extra cost). Features are sorted by decreasing best gain/cost ratio.
+    Under L1 cost every move on feature j buys |w_j| of margin per unit
+    of cost. A delta helps when it is non-zero and has w_j's sign,
+    tested by sign so that no product is formed; a move that does not
+    help can be replaced by 0 at no extra cost. The sort is stable:
+    equal rates keep index order.
     """
     features = []
-    for j, grid in enumerate(actions.grids):
-        gains = w[j] * grid
-        keep = gains > 0.0
-        if not np.any(keep):
-            continue
-        deltas = grid[keep]
-        gains = gains[keep]
-        costs = np.abs(deltas)
-        ratio = float((gains / costs).max())
-        features.append({
-            "index": j,
-            "deltas": deltas,
-            "gains": gains,
-            "costs": costs,
-            "ratio": ratio,
-            "max_gain": float(gains.max()),
-        })
-    features.sort(key=lambda f: -f["ratio"])
+    for j, (w_j, grid) in enumerate(zip(w.tolist(), actions.grids)):
+        deltas = [d for d in grid.tolist() if d and w_j and (d > 0.0) == (w_j > 0.0)]
+        if deltas:
+            features.append((j, abs(w_j), deltas))
+    features.sort(key=lambda feature: -feature[1])
     return features
 
 
 def _relaxation_bound(features, start, deficit):
-    """Cost lower bound: fill the deficit fractionally at best ratios."""
+    """Cost lower bound: fill the deficit at the best rates from `start`
+    on, in steps of each feature's largest |delta|; inf if they cannot.
+
+    A feature's helpful deltas share a sign and keep the grid's order,
+    so the largest |delta| is at one end.
+    """
+    if deficit <= 0.0:
+        return 0.0
     bound = 0.0
-    remaining = deficit
-    for f in features[start:]:
-        if remaining <= 0.0:
-            break
-        if f["max_gain"] >= remaining:
-            return bound + remaining / f["ratio"]
-        bound += f["max_gain"] / f["ratio"]
-        remaining -= f["max_gain"]
-    if remaining > 0.0:
-        return math.inf
-    return bound
+    for _, rate, deltas in features[start:]:
+        step = max(abs(deltas[0]), abs(deltas[-1]))
+        if rate * step >= deficit:
+            return bound + deficit / rate
+        bound += step
+        deficit -= rate * step
+    return math.inf
 
 
 def actionable_recourse(x0, surrogate, actions):
     """Exact minimum-L1 recourse over discrete per-feature action grids.
 
-    Best-first branch-and-bound: nodes ordered by cost-so-far plus an
-    LP-relaxation bound (fractional completion at the best remaining
-    gain/cost ratios), which is admissible, so the first goal popped at
-    the top of the heap is optimal.
+    Best-first branch-and-bound over the features in decreasing rate
+    |w_j| (the margin a unit of L1 cost buys on feature j; equal rates
+    keep index order). Each node branches on skipping its feature, then
+    on its helpful deltas in grid order, and the heap orders nodes by
+    cost so far plus the fractional fill of the remaining deficit at
+    the best remaining rates, then by push order. That bound is
+    admissible, so the first goal popped is optimal, and ties go to
+    the first pushed.
 
     Raises
     ------
@@ -252,45 +248,25 @@ def actionable_recourse(x0, surrogate, actions):
         return RecourseResult(x_r=x0.copy(), cost=0.0, surrogate_valid=True)
 
     features = _branch_features(w, actions)
-    root_bound = _relaxation_bound(features, 0, deficit)
-    if math.isinf(root_bound):
-        raise NoActionableRecourse(
-            f"action grids cannot cover the deficit {deficit:.6g}"
-        )
-
-    # Heap entries: (bound, tiebreak counter, feature position, remaining
-    # deficit, cost so far, chosen (index, delta) pairs).
-    counter = 0
-    heap = [(root_bound, counter, 0, deficit, 0.0, ())]
-    while heap:
+    # Heap entries: (bound, push order, feature position, remaining
+    # deficit, cost so far, chosen (index, delta) pairs). Every pop that
+    # is not a goal pushes its skip child, so the heap never empties; an
+    # infinite top bound means no node left can reach the constraint.
+    heap = [(_relaxation_bound(features, 0, deficit), 0, 0, deficit, 0.0, ())]
+    pushes = 0
+    while heap[0][0] < math.inf:
         _, _, pos, remaining, cost, chosen = heapq.heappop(heap)
         if remaining <= 0.0:
-            break
-        if pos == len(features):
-            continue
-        feature = features[pos]
-        # Skipping this feature costs nothing.
-        skip_bound = cost + _relaxation_bound(features, pos + 1, remaining)
-        if skip_bound < math.inf:
-            counter += 1
-            heapq.heappush(heap, (skip_bound, counter, pos + 1, remaining, cost,
-                                  chosen))
-        for delta, gain, move_cost in zip(feature["deltas"], feature["gains"],
-                                          feature["costs"]):
-            new_cost = cost + move_cost
-            new_remaining = remaining - gain
-            child_bound = new_cost + _relaxation_bound(
-                features, pos + 1, max(new_remaining, 0.0))
-            if child_bound < math.inf:
-                counter += 1
-                heapq.heappush(heap, (child_bound, counter, pos + 1, new_remaining,
-                                      new_cost,
-                                      chosen + ((feature["index"], float(delta)),)))
-    else:
-        raise NoActionableRecourse(
-            f"no grid combination covers the deficit {deficit:.6g}"
-        )
-    return _search_result(x0, chosen, w, b)
+            return _search_result(x0, chosen, w, b)
+        index, rate, deltas = features[pos]
+        for delta in [0.0] + deltas:  # 0.0 skips the feature
+            left, spent = remaining - rate * abs(delta), cost + abs(delta)
+            pushes += 1
+            heapq.heappush(heap, (
+                spent + _relaxation_bound(features, pos + 1, left),
+                pushes, pos + 1, left, spent,
+                chosen + ((index, delta),) if delta else chosen))
+    raise NoActionableRecourse(f"no grid combination covers the deficit {deficit:.6g}")
 
 
 def wachter_recourse(model, x0, lambda0=0.1, steps=1000, retries=10):

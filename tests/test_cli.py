@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvas import generate_synthetic, load_model
+from cvas import cli, generate_synthetic, load_model, recourse
 from cvas.cli import (
     _OPTS,
     _parse_instances,
@@ -196,7 +196,8 @@ def test_parse_range_non_dividing_step_stops_short():
     assert _parse_range("0:1:0.3") == pytest.approx((0.0, 0.3, 0.6, 0.9))
 
 
-@pytest.mark.parametrize("text", ["1:2", "0:10:0", "0:10:-1", "5:1:1"])
+@pytest.mark.parametrize("text", ["1:2", "0:10:0", "0:10:-1", "5:1:1", "nan", "-1",
+                                  "inf", "-1:1:1", "0:nan:1", "0:inf:1"])
 def test_parse_range_rejects_bad_input(text):
     with pytest.raises(ValueError):
         _parse_range(text)
@@ -325,15 +326,27 @@ def test_recourse_actionable_mode(workspace, tmp_path):
     assert float(record["cost"]) >= 0.0
 
 
-def test_recourse_rejects_out_of_range_instance(workspace, tmp_path, capsys):
+
+
+def test_recourse_rejects_out_of_range_instance(workspace, tmp_path,
+                                                monkeypatch, capsys):
+    # Every id is checked before the model is loaded or any surrogate fitted.
+    def no_call(*args, **kwargs):
+        raise AssertionError("recourse went on past an out-of-range id")
+
+    monkeypatch.setattr(cli, "load_model", no_call)
+    monkeypatch.setattr(cli, "generate_recourse", no_call)
+    monkeypatch.setattr(recourse, "generate_recourse", no_call)
+    out = tmp_path / "rec.csv"
     rc = run(["recourse", "--data", str(workspace / "d1.csv"),
               "--spec", str(workspace / "cols.txt"),
               "--model", str(workspace / "model.bin"),
-              "--instances", "500", "--out", str(tmp_path / "rec.csv")])
+              "--instances", "0,1,2,9999", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "9999" in err
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_sweep_command_json_report(workspace, tmp_path):
@@ -424,6 +437,44 @@ def test_max_instances_below_one_exits_one(tmp_path, capsys, value):
               "--out", str(tmp_path / "r.csv"), "--max-instances", value])
     assert rc == 1
     assert "--max-instances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("sweep", "--rho-neg", "nan"),
+    ("sweep", "--rho-neg", "-1"),
+    ("sweep", "--rho-neg", "inf"),
+    ("sweep", "--rho-neg", "0:inf:1"),
+    ("sweep", "--rho-neg", "-1:1:1"),
+    ("sweep", "--rho-pos", "nan"),
+    ("evaluate", "--rho-neg", "-1"),
+    ("recourse", "--rho-neg", "-1"),
+    ("recourse", "--rho-pos", "inf"),
+])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_bad_radius_exits_one_before_any_read(tmp_path, monkeypatch, capsys,
+                                              command, option, value,
+                                              from_config):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a bad radius got past option parsing")
+
+    monkeypatch.setattr(cli, "load_dataset", no_call)
+    monkeypatch.setattr(cli, "train_mlp", no_call)
+    # The data files do not exist: reading one would exit 2, not 1.
+    missing = str(tmp_path / "nope")
+    argv = [command, "--data", missing, "--spec", missing,
+            "--out", str(tmp_path / "r.csv")]
+    if command == "recourse":
+        argv += ["--model", missing, "--instances", "0"]
+    else:
+        argv += ["--shifted", missing, "--divergence", "logdet"]
+    if from_config:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option[2:].replace('-', '_')} = {value}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv.append(f"{option}={value}")  # argparse would take "-1:1:1" for a flag
+    assert run(argv) == 1
+    assert option in capsys.readouterr().err
 
 
 def test_nominal_with_radius_exits_one(workspace, tmp_path, capsys):

@@ -530,6 +530,12 @@ def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
                  id="repeated-radius"),
     pytest.param("fisher-rao", [1.0, 1.0000001], None, ValueError, "projection", {},
                  id="radii-with-one-report-id"),
+    pytest.param("fisher-rao", [0.0, 1000.0], None, DomainError, "projection", {},
+                 id="fisher-rao-radius-above-the-cap"),
+    pytest.param("fisher-rao", [1.0], None, DomainError, "projection",
+                 {"rho_pos": 701.0}, id="fisher-rao-rho-pos-above-the-cap"),
+    pytest.param("logdet", [1.0, math.inf], None, DomainError, "projection", {},
+                 id="infinite-radius"),
 ])
 def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
                                              grid, instances, error, mode, changes):

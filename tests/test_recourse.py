@@ -1,6 +1,8 @@
 """Recourse generation: projection, actionable search, Wachter baseline."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,12 +183,79 @@ def test_actionable_infeasible():
 def test_actionable_overflowing_cost_exhausts_the_search():
     # Each move costs 1e308 and covers 1e8 of the 1.5e8 deficit. The
     # relaxation bound is finite, but the two moves together cost inf,
-    # so no node that takes both is pushed and the heap runs dry.
+    # so the node that takes both has an infinite bound and the search
+    # gives up when that node tops the heap.
     spec = ActionSpec(kinds=("free", "free"),
                       grids=(np.array([0.0, 1e308]), np.array([0.0, 1e308])))
-    with np.errstate(over="ignore"), pytest.raises(NoActionableRecourse,
-                                                   match="no grid combination"):
+    with pytest.raises(NoActionableRecourse, match="no grid combination"):
         actionable_recourse(np.zeros(2), lin_sur([1e-300, 1e-300], 1.5e8), spec)
+
+
+def test_actionable_overflowing_gain_does_not_warn():
+    # w_0 * delta overflows to inf: the move covers any deficit. The
+    # search forms no such product when it picks helpful deltas.
+    spec = ActionSpec(kinds=("free", "immutable"),
+                      grids=(np.array([0.0, 1e200]), np.array([0.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = actionable_recourse(np.zeros(2), lin_sur([1e200, 1.0], 1.0), spec)
+    assert np.array_equal(result.x_r, [1e200, 0.0])
+    assert result.cost == 1e200
+
+
+def test_actionable_equal_rates_keep_index_order():
+    # Both features buy 0.1 of margin per unit of cost, and either
+    # delta 2 covers the deficit at cost 2: the lower index wins, though
+    # 0.1 * 3 / 3 rounds one ulp above 0.1 on feature 1's grid.
+    spec = ActionSpec(kinds=("free", "free"),
+                      grids=(np.array([0.0, 2.0]), np.array([0.0, 2.0, 3.0])))
+    result = actionable_recourse(np.zeros(2), lin_sur([0.1, 0.1], 0.2), spec)
+    assert np.array_equal(result.x_r, [2.0, 0.0])
+    assert result.cost == 2.0
+
+
+_ONE_HOT_GRIDS = ([0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0, 1.0], [0.0])
+_TIE_TABLE_SHA256 = "29a92e0f68f7f50e5611e6730b4f9fd1f4fd325a40a4f7bb0b3a08547c91025a"
+
+
+def _tie_heavy_outcomes():
+    """x_r and cost bytes, or b"none", of 300 seeded searches built for ties.
+
+    |w_j| comes from {0, 0.5, 1, 2}, so rates repeat and some features
+    have none; grids are small integer sets or +-1 one-hot-style sets;
+    x0 and the deficit are integers or halves. Every product is exact,
+    so the answers follow from the tie order alone.
+    """
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for case in range(300):
+        d = int(rng.integers(2, 7))
+        w = rng.choice([-2.0, -1.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0, 2.0], size=d)
+        if not w.any():
+            w[0] = 1.0
+        if case % 2:
+            grids = [np.append(rng.integers(-3, 4, size=4), 0).astype(float)
+                     for _ in range(d)]
+        else:
+            grids = [np.array(_ONE_HOT_GRIDS[k]) for k in rng.integers(0, 4, size=d)]
+        x0 = rng.integers(-2, 3, size=d).astype(float)
+        b = float(w @ x0) + float(rng.choice([-1.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
+        spec = ActionSpec(kinds=("free",) * d, grids=tuple(grids))
+        try:
+            result = actionable_recourse(x0, lin_sur(w, b), spec)
+        except NoActionableRecourse:
+            outcomes.append(b"none")
+            continue
+        outcomes.append(result.x_r.tobytes() + np.float64(result.cost).tobytes())
+    return outcomes
+
+
+def test_actionable_tie_order_is_pinned():
+    # The digest pins which of several equal-cost points each search
+    # returns, so any change of tie order changes it.
+    outcomes = _tie_heavy_outcomes()
+    assert 100 <= sum(o != b"none" for o in outcomes) < 300
+    assert hashlib.sha256(b"".join(outcomes)).hexdigest() == _TIE_TABLE_SHA256
 
 
 def test_action_spec_validation():
