@@ -4,16 +4,18 @@ Subcommands: gen-synthetic, train, recourse, evaluate, sweep. Datasets
 are CSV files described by a feature-spec file (one `name,kind,
 actionability` line per column); categorical columns are one-hot
 expanded and continuous columns z-scored with training-split
-statistics. Every option can also come from a flat `key = value` config
-file, with precedence flag > config file > built-in default. Exit
-codes: 0 success, 1 usage error, 2 data/model error.
+statistics. One argparse parser reads every option; a `--config` file's
+`key = value` lines become `--key=value` flags ahead of the command
+line's own, so the last value wins: flag > config file > default. Every
+command checks its options, radii included, before it reads data or
+trains. Exit codes: 0 success, 1 usage error, 2 data/model error.
 """
 
 import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .evalharness import EvalConfig, sweep
 from .recourse import ACTION_KINDS, MODES, default_action_grids, generate_recourse
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, resolve_radius
 from .surrogate import Divergence, DivergenceKind
 
 FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
@@ -315,128 +317,115 @@ def _parse_range(text):
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class _Opt:
-    name: str
-    convert: object
-    default: object = None
-    required: bool = False
-    choices: tuple = None
-    help: str = ""
+def _opt(name, convert=str, **kwargs):
+    """Option --name (dashes for underscores) as (name, add_argument
+    keywords); convert's ValueError text is kept in argparse's message."""
+    def checked(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}")
+    return name, dict(type=checked, **kwargs)
 
 
 _COMMON = (
-    _Opt("seed", int, 0, help="master random seed"),
+    _opt("seed", int, default=0, help="master random seed"),
 )
 _DATA = (
-    _Opt("data", str, required=True, help="dataset CSV"),
-    _Opt("spec", str, required=True, help="feature-spec file"),
-    _Opt("split", float, 0.8, help="train fraction"),
+    _opt("data", required=True, help="dataset CSV"),
+    _opt("spec", required=True, help="feature-spec file"),
+    _opt("split", float, default=0.8, help="train fraction"),
 )
 _TRAIN = (
-    _Opt("epochs", int, 1000, help="training epochs"),
-    _Opt("lr", float, 1e-3, help="learning rate"),
+    _opt("epochs", int, default=1000, help="training epochs"),
+    _opt("lr", float, default=1e-3, help="learning rate"),
 )
 _FIT = (
-    _Opt("divergence", str, "nominal",
+    _opt("divergence", default="nominal",
          choices=tuple(kind.value for kind in DivergenceKind),
          help="covariance divergence"),
-    _Opt("rho_pos", _radius, 0.0, help="positive-class radius"),
-    _Opt("mode", str, "projection", choices=MODES,
-         help="recourse mode"),
-    _Opt("k", int, 10, help="opposite-class prototypes to scan"),
-    _Opt("n_p", int, 1000, help="boundary ball sample count"),
+    _opt("rho_pos", _radius, default=0.0, help="positive-class radius"),
+    _opt("mode", default="projection", choices=MODES, help="recourse mode"),
+    _opt("k", int, default=10, help="opposite-class prototypes to scan"),
+    _opt("n_p", int, default=1000, help="boundary ball sample count"),
 )
 _EVAL = _COMMON + _DATA + _TRAIN + _FIT + (
-    _Opt("shifted", str, required=True, help="shifted-distribution CSV"),
-    _Opt("out", str, required=True, help="report path (.csv or .json)"),
-    _Opt("n_models", int, 100, help="future-model ensemble size"),
-    _Opt("max_instances", _positive_int, 25,
+    _opt("shifted", required=True, help="shifted-distribution CSV"),
+    _opt("out", required=True, help="report path (.csv or .json)"),
+    _opt("n_models", int, default=100, help="future-model ensemble size"),
+    _opt("max_instances", _positive_int, default=25,
          help="cap on evaluated test instances"),
 )
 _OPTS = {
     "gen-synthetic": _COMMON + (
-        _Opt("n", int, required=True, help="number of rows"),
-        _Opt("noise", float, 0.0, help="label noise std"),
-        _Opt("out", str, required=True, help="output CSV path"),
-        _Opt("spec_out", str, None, help="also write a matching feature spec"),
+        _opt("n", int, required=True, help="number of rows"),
+        _opt("noise", float, default=0.0, help="label noise std"),
+        _opt("out", required=True, help="output CSV path"),
+        _opt("spec_out", help="also write a matching feature spec"),
     ),
     "train": _COMMON + _DATA + _TRAIN + (
-        _Opt("out", str, required=True, help="model output path"),
+        _opt("out", required=True, help="model output path"),
     ),
     "recourse": _COMMON + _DATA + _FIT + (
-        _Opt("model", str, required=True, help="trained model file"),
-        _Opt("instances", _parse_instances, required=True,
+        _opt("model", required=True, help="trained model file"),
+        _opt("instances", _parse_instances, required=True,
              help="comma-separated row ids"),
-        _Opt("rho_neg", _radius, 0.0, help="negative-class radius"),
-        _Opt("out", str, required=True, help="output CSV path"),
+        _opt("rho_neg", _radius, default=0.0, help="negative-class radius"),
+        _opt("out", required=True, help="output CSV path"),
     ),
     "evaluate": _EVAL + (
-        _Opt("rho_neg", lambda text: (_radius(text),), (0.0,),
+        _opt("rho_neg", lambda text: (_radius(text),), default=(0.0,),
              help="negative-class radius"),
     ),
     "sweep": _EVAL + (
-        _Opt("rho_neg", _parse_range, (0.0,),
+        _opt("rho_neg", _parse_range, default=(0.0,),
              help="radius grid start:stop:step"),
     ),
 }
 
 
 def _build_parser():
-    parser = _Parser(prog="cvas", description=__doc__.splitlines()[0])
-    subparsers = parser.add_subparsers(dest="command")
+    parser = _Parser(prog="cvas", description=__doc__.splitlines()[0],
+                     allow_abbrev=False)
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for command, opts in _OPTS.items():
-        sub = subparsers.add_parser(command)
-        sub.add_argument("--config", default=None,
-                         help="flat key = value config file")
-        for opt in opts:
-            sub.add_argument("--" + opt.name.replace("_", "-"),
-                             dest=opt.name, default=None, help=opt.help)
+        sub = subparsers.add_parser(command, allow_abbrev=False)
+        sub.add_argument("--config", help="flat key = value config file")
+        for name, kwargs in opts:
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
     return parser
 
 
-def _read_config_file(path):
+def _config_flags(path):
+    """A config file's `key = value` lines as `--key=value` flags."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}")
-    values = {}
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
+        key = key.strip().replace("_", "-")
         if not sep:
             raise _UsageError(f"{path}:{lineno}: expected `key = value`")
-        values[key.strip()] = value.strip()
-    return values
+        if key == "config":
+            raise _UsageError(f"{path}:{lineno}: a config file cannot set --config")
+        flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
-def _resolve(args, opts, config_values):
-    known = {o.name for o in opts}
-    unknown = sorted(set(config_values) - known)
-    if unknown:
-        raise _UsageError(f"unknown config key {unknown[0]!r}")
-    resolved = argparse.Namespace()
-    for opt in opts:
-        flag = "--" + opt.name.replace("_", "-")
-        raw = getattr(args, opt.name)
-        if raw is None:
-            raw = config_values.get(opt.name)
-        if raw is None:
-            if opt.required:
-                raise _UsageError(f"missing required option {flag}")
-            setattr(resolved, opt.name, opt.default)
-            continue
-        try:
-            value = opt.convert(raw)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"invalid value {raw!r} for {flag}: {exc}")
-        if opt.choices is not None and value not in opt.choices:
-            raise _UsageError(f"{flag} must be one of {', '.join(opt.choices)}")
-        setattr(resolved, opt.name, value)
-    return resolved
+def _parse(argv):
+    """argv with its --config file's flags placed right after the
+    subcommand, where argv's own flags override them."""
+    finder = _Parser(add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
+    flags = [] if path is None else _config_flags(path)
+    return _build_parser().parse_args([*argv[:1], *flags, *argv[1:]])
 
 
 def _format_bool(value):
@@ -466,6 +455,8 @@ def _cmd_train(ns):
 
 
 def _cmd_recourse(ns):
+    divergence = Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
+                            rho_neg=ns.rho_neg)
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
     n_rows = dataset.features.shape[0]
@@ -474,10 +465,11 @@ def _cmd_recourse(ns):
             raise _UsageError(f"instance id {instance_id} out of range "
                               f"(dataset has {n_rows} rows)")
     model = load_model(ns.model)
-    divergence = Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
-                            rho_neg=ns.rho_neg)
     train_features = dataset.features[dataset.train_idx]
     sampler_config = SamplerConfig(k=ns.k, n_p=ns.n_p, seed=ns.seed)
+    # One ball radius for every instance.
+    sampler_config = replace(sampler_config,
+                             r_p=resolve_radius(sampler_config, train_features))
     lines = [RECOURSE_HEADER]
     for instance_id in ns.instances:
         x0 = dataset.features[instance_id]
@@ -497,6 +489,8 @@ def _cmd_recourse(ns):
 
 
 def _cmd_sweep(ns):
+    for rho in ns.rho_neg:  # each radius is checked before any read
+        Divergence(kind=ns.divergence, rho_pos=ns.rho_pos, rho_neg=rho)
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
     shifted = encode_csv(dataset.encoder, ns.shifted)
@@ -535,16 +529,9 @@ _HANDLERS = {
 
 def run(argv):
     """Parse argv, dispatch, and map errors to exit codes."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("a subcommand is required "
-                              f"(one of: {', '.join(_OPTS)})")
-        config_values = ({} if args.config is None
-                         else _read_config_file(args.config))
-        resolved = _resolve(args, _OPTS[args.command], config_values)
-        _HANDLERS[args.command](resolved)
+        args = _parse(argv)
+        _HANDLERS[args.subcommand](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

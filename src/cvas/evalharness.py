@@ -27,7 +27,7 @@ from .recourse import (
     fit_surrogate,
 )
 from .sampler import SamplerConfig, max_pairwise_distance, resolve_radius, sample_ball
-from .surrogate import Divergence, _check_radius, solve_cvas
+from .surrogate import Divergence, solve_cvas
 
 _SENS_NOISE_VAR = 0.001  # variance of sensitivity()'s query perturbations
 _FID_RADIUS_SHARE = 0.1  # sweep()'s fidelity radius per max pairwise distance
@@ -62,6 +62,9 @@ def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
     succeed. sweep() reuses the neighbors' moments across radii.
     """
     sampler_config, divergence = pipeline_config
+    # The base fit and every neighbor sample balls of one radius.
+    sampler_config = replace(sampler_config,
+                             r_p=resolve_radius(sampler_config, dataset))
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     base = fit_surrogate(model, x0, dataset, sampler_config, divergence)
     neighbors = _neighbor_moments(model, dataset, x0, sampler_config,
@@ -279,8 +282,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     if not divergences:
         raise EmptyInput("empty rho grid")
     for divergence in divergences:
-        _check_radius(divergence.kind, divergence.rho_pos)
-        _check_radius(divergence.kind, divergence.rho_neg)
+        divergence.check_finite()
     if mode not in MODES:
         raise ValueError(f"unknown recourse mode {mode!r}")
     config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
@@ -307,8 +309,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         model = train_mlp(present_x, present_y, config.train)
     ensemble = simulate_future_models(*dataset_shifted, n_models=config.n_models,
                                       config=replace(config.train, seed=seeds[0]))
-    r_p = resolve_radius(replace(config.sampler, seed=config.seed), present_x)
-    r_fid = _FID_RADIUS_SHARE * max_pairwise_distance(present_x, seed=config.seed)
+    max_distance = max_pairwise_distance(present_x, seed=config.seed)
+    r_p = resolve_radius(config.sampler, present_x, max_distance)
+    r_fid = _FID_RADIUS_SHARE * max_distance
 
     # Per radius: the recourses, fidelities and sensitivities, in instance order.
     results = [([], [], []) for _ in divergences]

@@ -213,11 +213,18 @@ def _blocked_values(features, sq, first, second):
     return np.concatenate(values)
 
 
-def resolve_radius(config, features):
-    """The configured ball radius, or the 5%-of-max-distance default."""
+def resolve_radius(config, features, max_distance=None):
+    """The configured ball radius, or 5% of max_distance, which is
+    max_pairwise_distance(features, seed=config.seed) unless given.
+    DegenerateSample for a default of 0: such a ball has one label."""
     if config.r_p is not None:
         return config.r_p
-    return 0.05 * max_pairwise_distance(features, seed=config.seed)
+    if max_distance is None:
+        max_distance = max_pairwise_distance(features, seed=config.seed)
+    radius = 0.05 * max_distance
+    if radius == 0.0:
+        raise DegenerateSample("the rows are one point: the default ball radius is 0")
+    return radius
 
 
 def _bisect_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
@@ -237,9 +244,8 @@ def _bisect_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
         return np.tile(x0, (k, 1))
     # Row by row, so each length rounds as np.linalg.norm of one vector.
     seg_len = np.array([np.linalg.norm(direction) for direction in directions])
-    lo, hi = np.zeros(k), np.ones(k)
-    t = np.where(np.abs(f_hi) <= tol, 1.0, np.nan)  # NaN: not found yet
-    active = np.isnan(t)
+    lo, hi, t = np.zeros(k), np.ones(k), np.ones(k)
+    active = np.abs(f_hi) > tol
     # f(lo) keeps the sign of f(0) through every lo update.
     lo_positive = f_lo >= 0.0
     for _ in range(_BISECT_CAP):

@@ -62,7 +62,8 @@ class AsymptoticFamily(str, Enum):
 
 @dataclass(frozen=True)
 class Divergence:
-    """Divergence kind plus per-class radii (rho_pos, rho_neg)."""
+    """Divergence kind plus per-class radii (rho_pos, rho_neg): each one
+    solve_cvas accepts, or +inf as asymptotic_surrogate records it."""
 
     kind: DivergenceKind
     rho_pos: float = 0.0
@@ -70,15 +71,16 @@ class Divergence:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DivergenceKind(self.kind))
-        if math.isnan(self.rho_pos) or math.isnan(self.rho_neg):
-            raise DomainError(
-                f"radii must not be NaN, got ({self.rho_pos}, {self.rho_neg})")
-        if self.rho_pos < 0.0 or self.rho_neg < 0.0:
-            raise NegativeRadius(
-                f"radii must be nonnegative, got ({self.rho_pos}, {self.rho_neg})"
-            )
+        for rho in (self.rho_pos, self.rho_neg):
+            if rho != math.inf:
+                _check_radius(self.kind, rho)
         if self.kind is DivergenceKind.NOMINAL and (self.rho_pos or self.rho_neg):
             raise ValueError("nominal divergence requires both radii equal to 0")
+
+    def check_finite(self):
+        """DomainError unless solve_cvas takes both radii (neither is +inf)."""
+        for rho in (self.rho_pos, self.rho_neg):
+            _check_radius(self.kind, rho)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvas import cli, generate_synthetic, load_model, recourse
+from cvas import (
+    Divergence,
+    SamplerConfig,
+    cli,
+    generate_synthetic,
+    load_model,
+    recourse,
+    sampler,
+)
 from cvas.cli import (
-    _OPTS,
     _parse_instances,
     _parse_range,
-    _resolve,
     encode_csv,
     load_dataset,
     parse_feature_spec,
@@ -211,27 +217,28 @@ def test_parse_instances():
         _parse_instances("3,x")
 
 
-_GEN_OPTS = _OPTS["gen-synthetic"]
-
-
 @settings(max_examples=40, deadline=None)
 @given(flag=st.one_of(st.none(), st.integers(0, 99)),
-       config=st.one_of(st.none(), st.integers(100, 199)))
-def test_config_precedence_property(flag, config):
-    """flag > config file > built-in default, for every combination."""
-    import argparse
-
-    args = argparse.Namespace(n="5", noise=None, out="o.csv", spec_out=None,
-                              seed=None if flag is None else str(flag))
-    config_values = {} if config is None else {"seed": str(config)}
-    resolved = _resolve(args, _GEN_OPTS, config_values)
+       config=st.one_of(st.none(), st.integers(100, 199)),
+       spelling=st.sampled_from(["n_p", "n-p"]))
+def test_config_precedence_property(tmp_path_factory, flag, config, spelling):
+    """flag > config file > built-in default, for every combination, with
+    the config file read through the parser."""
+    path = tmp_path_factory.mktemp("precedence") / "run.cfg"
+    path.write_text("out = o.csv\n" + ("" if config is None
+                                        else f"seed = {config}\n"
+                                        f"{spelling} = {config}\n"))
+    argv = ["sweep", "--data", "d.csv", "--shifted", "s.csv", "--spec", "c.txt",
+            "--config", str(path)]
     if flag is not None:
-        assert resolved.seed == flag
-    elif config is not None:
-        assert resolved.seed == config
-    else:
-        assert resolved.seed == 0
-    assert resolved.noise == 0.0
+        argv += ["--seed", str(flag), "--n-p", str(flag)]
+    args = cli._parse(argv)
+    expected = flag if flag is not None else config
+    assert args.seed == (0 if expected is None else expected)
+    assert args.n_p == (1000 if expected is None else expected)
+    assert args.out == "o.csv"
+    assert args.rho_neg == (0.0,)
+    assert args.divergence == "nominal"
 
 
 # ------------------------------------------------------------- subcommands
@@ -324,6 +331,40 @@ def test_recourse_actionable_mode(workspace, tmp_path):
     record = next(csv.DictReader(open(out, newline="")))
     assert record["mode"] == "actionable"
     assert float(record["cost"]) >= 0.0
+
+
+def test_recourse_scans_the_pairs_once(workspace, tmp_path, monkeypatch):
+    # The default ball radius depends only on the training rows and the
+    # seed: one pair scan serves every instance, with the costs that a
+    # scan per instance gives.
+    calls = []
+    real = sampler.max_pairwise_distance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "max_pairwise_distance", counted)
+    out = tmp_path / "rec.csv"
+    ids = (3, 4, 15)
+    assert run(["recourse", "--data", str(workspace / "d1.csv"),
+                "--spec", str(workspace / "cols.txt"),
+                "--model", str(workspace / "model.bin"),
+                "--instances", ",".join(map(str, ids)), "--n-p", "200",
+                "--k", "5", "--seed", "3", "--divergence", "fisher-rao",
+                "--rho-neg", "2.0", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    dataset = load_dataset(str(workspace / "d1.csv"), str(workspace / "cols.txt"),
+                           seed=3)
+    model = load_model(str(workspace / "model.bin"))
+    train = dataset.features[dataset.train_idx]
+    expected = [repr(recourse.generate_recourse(
+        model, dataset.features[i], train, SamplerConfig(k=5, n_p=200, seed=3),
+        Divergence(kind="fisher-rao", rho_neg=2.0), "projection").cost)
+        for i in ids]
+    assert len(calls) == 1 + len(ids)
+    with open(out, newline="") as handle:
+        assert [r["cost"] for r in csv.DictReader(handle)] == expected
 
 
 
@@ -475,6 +516,86 @@ def test_bad_radius_exits_one_before_any_read(tmp_path, monkeypatch, capsys,
         argv.append(f"{option}={value}")  # argparse would take "-1:1:1" for a flag
     assert run(argv) == 1
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, divergence, value, code, message", [
+    ("sweep", "fisher-rao", "0:1000:1000", 2, "overflow cap"),
+    ("evaluate", "fisher-rao", "1000", 2, "overflow cap"),
+    ("recourse", "fisher-rao", "1000", 2, "overflow cap"),
+    ("sweep", "nominal", "0:1:1", 1, "nominal"),
+    ("evaluate", "nominal", "1", 1, "nominal"),
+    ("recourse", "nominal", "1", 1, "nominal"),
+])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
+                                               command, divergence, value, code,
+                                               message, from_config):
+    # A radius the solver rejects is reported as such (exit 2 for the
+    # fisher-rao cap, 1 for nominal with a radius), never as the data
+    # error that reading or training on it would give.
+    def no_call(*args, **kwargs):
+        raise AssertionError("a radius outside the solver's domain got past "
+                             "the option checks")
+
+    for name in ("load_dataset", "load_model", "train_mlp"):
+        monkeypatch.setattr(cli, name, no_call)
+    missing = str(tmp_path / "nope")
+    argv = [command, "--data", missing, "--spec", missing,
+            "--out", str(tmp_path / "r.csv")]
+    if command == "recourse":
+        argv += ["--model", missing, "--instances", "0,1,2"]
+    else:
+        argv += ["--shifted", missing]
+    options = {"divergence": divergence, "rho_neg": value}
+    if from_config:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{k.replace('_', '-')}={v}" for k, v in options.items()]
+    assert run(argv) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_without_value_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["gen-synthetic", "--n", "5", "--out", str(out), "--config"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+@pytest.mark.parametrize("key", ["see", "spec_o", "no"])
+def test_abbreviated_option_exits_one(tmp_path, capsys, key, from_config):
+    # An abbreviation would silently set the option it is a prefix of
+    # (--seed, --spec-out, --noise or --n).
+    out = tmp_path / "x.csv"
+    argv = ["gen-synthetic", "--n", "5", "--out", str(out)]
+    if from_config:
+        config = tmp_path / "gen.cfg"
+        config.write_text(f"{key} = 3\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{key.replace('_', '-')}", "3"]
+    assert run(argv) == 1
+    assert key.replace("_", "-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_cannot_name_a_config_file(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text(f"n = 5\nout = {tmp_path / 'x.csv'}\nconfig = other.cfg\n")
+    assert run(["gen-synthetic", "--config", str(config)]) == 1
+    assert "gen.cfg:3" in capsys.readouterr().err
+
+
+def test_config_value_is_checked_even_when_a_flag_overrides_it(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text("n = many\n")
+    assert run(["gen-synthetic", "--config", str(config), "--n", "5",
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert "'many'" in capsys.readouterr().err
 
 
 def test_nominal_with_radius_exits_one(workspace, tmp_path, capsys):

@@ -28,7 +28,7 @@ from cvas import (
     train_mlp,
     validity_metrics,
 )
-from cvas import evalharness, recourse
+from cvas import evalharness, recourse, sampler
 from cvas.errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -133,6 +133,35 @@ def test_sensitivity_linear_model_is_small(linear_pipeline):
     value = sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=4,
                         seed=2)
     assert value < 0.5
+
+
+def _count_pair_scans(monkeypatch):
+    """Calls of max_pairwise_distance, through either of its bindings."""
+    calls = []
+    real = sampler.max_pairwise_distance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "max_pairwise_distance", counted)
+    monkeypatch.setattr(evalharness, "max_pairwise_distance", counted)
+    return calls
+
+
+def test_sensitivity_scans_the_pairs_once(linear_pipeline, monkeypatch):
+    # The base fit and the neighbors share one ball radius, resolved
+    # once, as every fit resolved it alone before.
+    (sampler_config, divergence), model, data = linear_pipeline
+    r_p = 0.05 * sampler.max_pairwise_distance(data, seed=sampler_config.seed)
+    calls = _count_pair_scans(monkeypatch)
+    value = sensitivity((sampler_config, divergence), model, data, [-0.8, 0.3],
+                        n_neighbors=4, seed=2)
+    assert len(calls) == 1
+    given = sensitivity((dataclasses.replace(sampler_config, r_p=r_p), divergence),
+                        model, data, [-0.8, 0.3], n_neighbors=4, seed=2)
+    assert len(calls) == 1
+    assert value == given
 
 
 def test_sensitivity_propagates_base_pipeline_failure(linear_pipeline):
@@ -438,6 +467,18 @@ def test_sweep_samples_each_neighbor_once(counted_sweeps):
     for report, calls in counted_sweeps.values():
         assert all(row.n_skipped == 0 for row in report.rows)
         assert calls == 4 * (1 + SENS_CONFIG.sens_neighbors)
+
+
+def test_sweep_scans_the_pairs_once(sweep_fixture, monkeypatch):
+    # One scan gives both the ball radius and the fidelity radius.
+    present, shifted, unfavorable = sweep_fixture
+    calls = _count_pair_scans(monkeypatch)
+    config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=200),
+                        train=TrainConfig(epochs=20, seed=0), n_models=1,
+                        fid_n=50, sens_neighbors=1)
+    sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0], "projection",
+          config)
+    assert len(calls) == 1
 
 
 def test_sweep_sensitivity_matches_public_sensitivity(sweep_fixture,

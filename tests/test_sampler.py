@@ -473,6 +473,14 @@ def test_resolve_radius():
     rows = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert resolve_radius(SamplerConfig(), rows) == 0.25  # 5% of 5
     assert resolve_radius(SamplerConfig(r_p=0.7), rows) == 0.7
+    assert resolve_radius(SamplerConfig(), rows, max_distance=8.0) == 0.4
+
+
+def test_resolve_radius_rejects_one_point():
+    # A ball of radius 0 cannot hold both labels: synthesize would raise
+    # DegenerateSample after the ball, resolve_radius raises it first.
+    with pytest.raises(DegenerateSample):
+        resolve_radius(SamplerConfig(), np.ones((5, 3)))
 
 
 def test_sampler_config_validation():

@@ -158,6 +158,24 @@ def test_divergence_validation():
     assert Divergence(kind="bures", rho_neg=math.inf).rho_neg == math.inf
 
 
+def test_divergence_rejects_fisher_rao_radius_above_the_cap():
+    # A finite radius above 700 would overflow exp(rho / 2) in the solve;
+    # the divergence rejects it when built. +inf stays, as the asymptote's.
+    for radii in ({"rho_neg": 700.5}, {"rho_pos": 701.0}, {"rho_neg": 1e300}):
+        with pytest.raises(DomainError, match="overflow cap"):
+            Divergence(kind="fisher-rao", **radii)
+    assert Divergence(kind="fisher-rao", rho_neg=700.0).rho_neg == 700.0
+    assert Divergence(kind="fisher-rao", rho_pos=math.inf).rho_pos == math.inf
+    assert Divergence(kind="logdet", rho_neg=701.0).rho_neg == 701.0
+
+
+def test_divergence_check_finite():
+    Divergence(kind="fisher-rao", rho_pos=1.0, rho_neg=700.0).check_finite()
+    for radii in ({"rho_neg": math.inf}, {"rho_pos": math.inf}):
+        with pytest.raises(DomainError, match="asymptotic_surrogate"):
+            Divergence(kind="bures", **radii).check_finite()
+
+
 # ---------------------------------------------------------------- solve
 
 def test_nominal_counterexample():
