@@ -385,15 +385,20 @@ _OPTS = {
 
 
 def _build_parser():
+    """The cvas parser and the actions of its required options."""
     parser = _Parser(prog="cvas", description=__doc__.splitlines()[0],
                      allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    required = []
     for command, opts in _OPTS.items():
         sub = subparsers.add_parser(command, allow_abbrev=False)
         sub.add_argument("--config", help="flat key = value config file")
         for name, kwargs in opts:
-            sub.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
-    return parser
+            action = sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                                      **kwargs)
+            if action.required:
+                required.append(action)
+    return parser, required
 
 
 def _config_flags(path):
@@ -425,7 +430,17 @@ def _parse(argv):
     finder.add_argument("--config")
     path = finder.parse_known_args(argv[1:])[0].config
     flags = [] if path is None else _config_flags(path)
-    return _build_parser().parse_args([*argv[:1], *flags, *argv[1:]])
+    args = [*argv[:1], *flags, *argv[1:]]
+    parser, required = _build_parser()
+    # argparse reports missing options before unrecognized ones, so a
+    # misspelt option (--conf for --config) would hide behind the options
+    # it failed to supply; a first pass with none required names it.
+    for action in required:
+        action.required = False
+    parser.parse_args(args)
+    for action in required:
+        action.required = True
+    return parser.parse_args(args)
 
 
 def _format_bool(value):

@@ -41,12 +41,18 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
     label(matrix) -> {-1,+1} method, so a Surrogate can play the model
     role too. Raises ValueError for r_fid <= 0 or n < 1.
     """
+    points, labels = _labelled_ball(model, x0, r_fid, n, seed)
+    return float(np.mean(labels == surrogate.label(points)))
+
+
+def _labelled_ball(model, x0, r_fid, n, seed):
+    """local_fidelity's evaluation ball and the model's labels on it."""
     if r_fid <= 0.0:
         raise ValueError("r_fid must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     points = sample_ball(np.ravel(x0), r_fid, n, seed)
-    return float(np.mean(model.label(points) == surrogate.label(points)))
+    return points, model.label(points)
 
 
 def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
@@ -252,8 +258,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     sensitivity reports NaN. Deterministic per master seed.
 
     The radius enters only through solve_cvas, so each instance's
-    boundary moments, its default action grids (actionable mode) and
-    its sensitivity neighbors' moments are computed once.
+    boundary moments, its default action grids (actionable mode), its
+    sensitivity neighbors' moments and the model's labels on its
+    local_fidelity ball are computed once.
 
     model, if given, is the current model already trained with
     config.train on dataset_present (for instance to select the
@@ -327,6 +334,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         neighbors = _neighbor_moments(model, present_x, x0, sampler_cfg,
                                       config.sens_neighbors, _SENS_NOISE_VAR,
                                       seeds[3 + 3 * i])
+        # local_fidelity's ball and model labels, the same at every radius.
+        ball, ball_labels = _labelled_ball(model, x0, r_fid, config.fid_n,
+                                           seeds[2 + 3 * i])
         for divergence, (recourses, fidelities, sensitivities) in zip(
                 divergences, results):
             try:
@@ -335,8 +345,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
                                                    actions))
             except CvasError:
                 continue
-            fidelities.append(local_fidelity(model, surrogate, x0, r_fid,
-                                             n=config.fid_n, seed=seeds[2 + 3 * i]))
+            fidelities.append(float(np.mean(ball_labels == surrogate.label(ball))))
             try:
                 sensitivities.append(_max_slope_gap(surrogate.w, neighbors,
                                                     divergence))

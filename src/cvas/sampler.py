@@ -1,16 +1,17 @@
 """Local boundary sampler.
 
-Given an input x0, walk to the model's decision boundary (bisection
-along segments toward nearby opposite-class prototypes), then draw a
-uniform ball of synthetic points around the boundary point and
-pseudo-label them with the model. The two labeled point clouds are what
-the surrogate's moment estimates are built from.
+Given an input x0, walk to the model's decision boundary (a bracketed
+secant search, ITP, along segments toward nearby opposite-class
+prototypes), then draw a uniform ball of synthetic points around the
+boundary point and pseudo-label them with the model. The two labeled
+point clouds are what the surrogate's moment estimates are built from.
 
-The boundary search evaluates x0 and the dataset once. Those values
-pick the prototypes and are the segment ends the bisection starts
-from, so every segment crosses the boundary. All k segments are then
-bisected in lockstep: each bisection step is one forward pass over the
-segments still open rather than one single-row pass per segment.
+The boundary search evaluates x0 once and the dataset's rows nearest to
+x0 in L1, in growing chunks, until k rows of the other label are found.
+Those values pick the prototypes and are the segment ends the search
+starts from, so every segment crosses the boundary. All k segments then
+step in lockstep: each step is one forward pass over the segments still
+open rather than one single-row pass per segment.
 
 The default ball radius comes from the exact maximum pairwise
 distance, found without evaluating the pairs the triangle inequality
@@ -38,7 +39,7 @@ _EPS = np.finfo(float).eps
 class SamplerConfig:
     """Knobs for boundary search and ball sampling.
 
-    Bisects toward k prototypes to within 1e-8 of the boundary, then
+    Searches toward k prototypes to within 1e-8 of the boundary, then
     draws n_p points with `seed` from the ball of radius r_p. r_p = None
     means "5% of the maximum pairwise distance in the dataset", resolved
     per call by resolve_radius; the max is exact for n <= 2000 and
@@ -227,16 +228,24 @@ def resolve_radius(config, features, max_distance=None):
     return radius
 
 
-def _bisect_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
+def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
     """Boundary point on each segment [x0, prototypes[i]], shape (k, d).
 
     Works on f_i(t) = g(x0 + t*(prototypes[i] - x0)) - threshold, with
     f_lo = f(0) and f_hi[i] = f_i(1) as the caller computed them; their
     signs must differ (f >= 0 is the positive side), so every segment
-    crosses the boundary. All segments are bisected in lockstep: each
-    step evaluates the midpoints of the segments still open in one
-    forward pass. A segment stops when |f(mid)| <= tol or its bracket is
-    shorter than tol, after at most _BISECT_CAP steps.
+    crosses the boundary. Each segment keeps a bracket [a, b] of t, a on
+    x0's side, and steps by ITP (Oliveira and Takahashi, ACM TOMS 47(1),
+    2020): the regula falsi point of the bracket, pushed toward its
+    midpoint by 0.2 (b - a)^2 and kept within the distance of the
+    midpoint that still lets the bracket reach tol / length in one step
+    more than bisection would take (n0 = 1). A segment therefore takes
+    at most ceil(log2(length / tol)) + 1 steps, what bisection took,
+    and far fewer where f is smooth. All segments step in lockstep: each
+    step evaluates the new points of the segments still open in one
+    forward pass. A segment stops at a point with |f| <= tol, or at the
+    midpoint of a bracket no longer than tol, or after _BISECT_CAP
+    steps at its bracket's midpoint.
     """
     directions = prototypes - x0
     k = directions.shape[0]
@@ -244,55 +253,78 @@ def _bisect_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
         return np.tile(x0, (k, 1))
     # Row by row, so each length rounds as np.linalg.norm of one vector.
     seg_len = np.array([np.linalg.norm(direction) for direction in directions])
-    lo, hi, t = np.zeros(k), np.ones(k), np.ones(k)
-    active = np.abs(f_hi) > tol
-    # f(lo) keeps the sign of f(0) through every lo update.
-    lo_positive = f_lo >= 0.0
-    for _ in range(_BISECT_CAP):
-        i = np.flatnonzero(active)
+    a, b = np.zeros(k), np.ones(k)
+    f_a, f_b = np.full(k, f_lo), np.array(f_hi, dtype=float)
+    # tol / (2 length) * 2^n_max: after `step` steps the point may lie
+    # budget / 2^step - (b - a) / 2 from the midpoint.
+    halvings = np.ceil(np.log2(np.maximum(seg_len / tol, 1.0)))
+    budget = tol / (2.0 * seg_len) * 2.0 ** (halvings + 1)
+    found = np.abs(f_b) <= tol
+    t = np.ones(k)
+    # f(a) keeps the sign of f(0) through every update of a.
+    a_positive = f_lo >= 0.0
+    for step in range(_BISECT_CAP):
+        i = np.flatnonzero(~found & ((b - a) * seg_len > tol))
         if i.size == 0:
             break
-        mid = (lo[i] + hi[i]) / 2.0
-        f_mid = (model.predict_proba(x0 + mid[:, None] * directions[i])
-                 - model.threshold)
-        stop = (np.abs(f_mid) <= tol) | ((hi[i] - lo[i]) * seg_len[i] <= tol)
-        t[i[stop]] = mid[stop]
-        active[i[stop]] = False
-        same = (f_mid >= 0.0) == lo_positive
-        lo[i[same]] = mid[same]
-        hi[i[~same]] = mid[~same]
-    t[active] = (lo[active] + hi[active]) / 2.0
+        width, mid = b[i] - a[i], (a[i] + b[i]) / 2.0
+        falsi = (b[i] * f_a[i] - a[i] * f_b[i]) / (f_a[i] - f_b[i])
+        toward_mid = np.sign(mid - falsi)
+        push = 0.2 * width ** 2
+        x = np.where(push <= np.abs(mid - falsi), falsi + toward_mid * push, mid)
+        reach = budget[i] / 2.0 ** step - width / 2.0
+        x = np.where(np.abs(x - mid) <= reach, x, mid - toward_mid * reach)
+        f_x = model.predict_proba(x0 + x[:, None] * directions[i]) - model.threshold
+        found[i] = np.abs(f_x) <= tol
+        t[i] = x
+        on_a = (f_x >= 0.0) == a_positive
+        a[i[on_a]], f_a[i[on_a]] = x[on_a], f_x[on_a]
+        b[i[~on_a]], f_b[i[~on_a]] = x[~on_a], f_x[~on_a]
+    t = np.where(found, t, (a + b) / 2.0)
     return x0 + t[:, None] * directions
 
 
 def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     """Closest decision-boundary point reachable from x0.
 
-    Evaluates x0 and the dataset once, selects the k L1-nearest rows on
-    the other side of the threshold from x0, bisects along the k
-    segments in lockstep with those values as the segment ends (one
-    k-row forward pass per bisection step, see _bisect_to_boundary), and
-    returns the boundary point nearest to x0 in L2.
+    Selects the k L1-nearest rows on the other side of the threshold
+    from x0, steps along the k segments in lockstep with the rows'
+    values as the segment ends (one k-row forward pass per step, see
+    _bracket_to_boundary), and returns the boundary point nearest to x0
+    in L2. Only the nearest rows are evaluated: the rows are sorted by
+    L1 distance (ties in row order) and labelled in that order, in
+    chunks of 4k, 8k, 16k, ... rows, until k opposite rows are found.
 
     Raises
     ------
     NonFiniteInput
-        If x0 contains NaN or infinity.
+        If x0 or any dataset row contains NaN or infinity.
+    DimensionMismatch, EmptyInput
+        If the dataset is not 2-d with x0's width, or has no rows.
     NoOppositeClassPrototypes
         If no dataset row has the opposite label from x0.
     """
     x0 = finite_array(np.ravel(x0), "query point")
-    dataset = np.asarray(dataset, dtype=float)
+    dataset = finite_array(dataset, "dataset", shape=(None, len(x0)), nonempty=True)
     f0 = model.predict_proba(x0[None, :])[0] - model.threshold
-    f = model.predict_proba(dataset) - model.threshold
-    opposite = np.flatnonzero((f >= 0.0) != (f0 >= 0.0))
-    if opposite.size == 0:
+    order = np.argsort(np.abs(dataset - x0).sum(axis=1), kind="stable")
+    near, f_near = [], []
+    n_opposite, start, size = 0, 0, 4 * config.k
+    while n_opposite < config.k and start < order.size:
+        rows = order[start:start + size]
+        f = model.predict_proba(dataset[rows]) - model.threshold
+        opposite = (f >= 0.0) != (f0 >= 0.0)
+        near.append(rows[opposite])
+        f_near.append(f[opposite])
+        n_opposite += np.count_nonzero(opposite)
+        start, size = start + size, 2 * size
+    if n_opposite == 0:
         raise NoOppositeClassPrototypes("dataset has no row with the opposite label")
 
-    distances = np.abs(dataset[opposite] - x0).sum(axis=1)
-    near = opposite[np.argsort(distances, kind="stable")[:config.k]]
-    candidates = _bisect_to_boundary(model, x0, dataset[near], f0, f[near],
-                                     _LINE_SEARCH_TOL)
+    near = np.concatenate(near)[:config.k]
+    candidates = _bracket_to_boundary(model, x0, dataset[near], f0,
+                                      np.concatenate(f_near)[:config.k],
+                                      _LINE_SEARCH_TOL)
     best = np.argmin(np.linalg.norm(candidates - x0, axis=1))
     return candidates[best]
 

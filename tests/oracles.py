@@ -4,8 +4,9 @@ Everything here is written from the problem definitions only: divergence
 balls are maximized directly with SLSQP over a Cholesky parameterization,
 the L1 projection is restated as a linear program, actionable recourse is
 enumerated exhaustively, Lambert W is bisected, gradients come from
-central differences, the boundary search bisects one segment at a
-time with one single-row model evaluation per step, the maximum
+central differences, the boundary search labels every row and steps
+by ITP on one segment at a time with one single-row model evaluation
+per step, the maximum
 pairwise distance scans every block, and the MLP trains, predicts and
 differentiates by the plain loop: a fresh array per operation, kept
 pre-activations for the ReLU masks, and one Adam update per parameter
@@ -231,50 +232,70 @@ def fd_gradient(model, x, h=1e-5):
     return grad
 
 
-def bisect_segment_oracle(model, x0, proto, tol, cap=60):
-    """Boundary point on [x0, proto], one segment and one row at a time.
+def itp_segment_oracle(model, x0, proto, tol, cap=60):
+    """Boundary point on [x0, proto] by ITP, one segment and one row at a
+    time, with the number of steps it took.
 
-    Bisects f(t) = g(x0 + t*(proto - x0)) - threshold with one
-    single-row evaluation per step, stopping when |f(mid)| <= tol or the
-    bracket is shorter than tol, after at most `cap` steps. The endpoint
-    signs must differ: proto is on the other side of the threshold.
+    The ITP method (Oliveira and Takahashi, ACM TOMS 47(1), 2020) on
+    f(t) = g(x0 + t*(proto - x0)) - threshold over [a, b] = [0, 1], with
+    kappa1 = 0.2, kappa2 = 2, n0 = 1 and eps = tol / (2 |proto - x0|),
+    so that b - a <= 2 eps is a bracket no longer than tol. Each step
+    evaluates one single-row point; it stops at a point with
+    |f| <= tol, or returns the bracket's midpoint once b - a <= 2 eps or
+    after `cap` steps. The endpoint signs must differ.
     """
     direction = proto - x0
-    seg_len = float(np.linalg.norm(direction))
+    length = float(np.linalg.norm(direction))
 
     def f(t):
         point = x0 + t * direction
         return float(model.predict_proba(point[None, :])[0]) - model.threshold
 
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = f(lo), f(hi)
-    if abs(f_lo) <= tol:
-        return x0.copy()
-    if abs(f_hi) <= tol:
-        return x0 + direction
-    assert (f_lo >= 0.0) != (f_hi >= 0.0), "segment ends on the same side"
-    for _ in range(cap):
-        mid = (lo + hi) / 2.0
-        f_mid = f(mid)
-        if abs(f_mid) <= tol or (hi - lo) * seg_len <= tol:
-            return x0 + mid * direction
-        if (f_mid >= 0.0) == (f_lo >= 0.0):
-            lo, f_lo = mid, f_mid
+    a, b = 0.0, 1.0
+    f_a, f_b = f(a), f(b)
+    if abs(f_a) <= tol:
+        return x0.copy(), 0
+    if abs(f_b) <= tol:
+        return x0 + direction, 0
+    assert (f_a >= 0.0) != (f_b >= 0.0), "segment ends on the same side"
+    eps = tol / (2.0 * length)
+    n_max = max(math.ceil(math.log2((b - a) / (2.0 * eps))), 0) + 1
+    for j in range(cap):
+        if b - a <= 2.0 * eps:
+            return x0 + ((a + b) / 2.0) * direction, j
+        mid = (a + b) / 2.0
+        r = eps * 2.0 ** (n_max - j) - (b - a) / 2.0
+        delta = 0.2 * (b - a) ** 2
+        x_f = (b * f_a - a * f_b) / (f_a - f_b)
+        sigma = 0.0 if x_f == mid else math.copysign(1.0, mid - x_f)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        y = f(x)
+        if abs(y) <= tol:
+            return x0 + x * direction, j + 1
+        if (y >= 0.0) == (f_a >= 0.0):
+            a, f_a = x, y
         else:
-            hi = mid
-    return x0 + ((lo + hi) / 2.0) * direction
+            b, f_b = x, y
+    return x0 + ((a + b) / 2.0) * direction, cap
+
+
+def prototypes_oracle(x0, dataset, model, k):
+    """Indices of the k L1-nearest rows whose label differs from x0's,
+    ties in row order, every row labelled by a single-row pass."""
+    label0 = model.predict_proba(x0[None, :])[0] >= model.threshold
+    opposite = [i for i, row in enumerate(dataset)
+                if (model.predict_proba(row[None, :])[0] >= model.threshold)
+                != label0]
+    opposite.sort(key=lambda i: (float(np.sum(np.abs(dataset[i] - x0))), i))
+    return opposite[:k]
 
 
 def boundary_point_oracle(x0, dataset, model, k, tol):
-    """Nearest boundary point over the segments to the k L1-nearest
-    opposite-label rows, each bisected by bisect_segment_oracle."""
-    label0 = model.predict_proba(x0[None, :])[0] >= model.threshold
-    opposite = [row for row in dataset
-                if (model.predict_proba(row[None, :])[0] >= model.threshold)
-                != label0]
-    opposite.sort(key=lambda row: float(np.sum(np.abs(row - x0))))
-    points = [bisect_segment_oracle(model, x0, proto, tol)
-              for proto in opposite[:k]]
+    """Nearest boundary point over the segments to prototypes_oracle's
+    rows, each found by itp_segment_oracle."""
+    points = [itp_segment_oracle(model, x0, dataset[i], tol)[0]
+              for i in prototypes_oracle(x0, dataset, model, k)]
     return min(points, key=lambda p: float(np.linalg.norm(p - x0)))
 
 

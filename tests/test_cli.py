@@ -462,6 +462,35 @@ def test_missing_required_option_exits_one(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_unrecognized_option_is_named_before_missing_ones(tmp_path, capsys):
+    # A misspelt --config leaves every required option unset; the error
+    # names the misspelling, not the options it would have supplied.
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 5\n")
+    assert run(["sweep", "--conf", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --conf" in err
+    assert "required" not in err
+
+
+def test_unreadable_config_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["gen-synthetic", "--n", "5", "--out", str(out),
+                "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_line_without_equals_exits_one(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text("n = 5\n# comment\nseed 3\n")
+    out = tmp_path / "x.csv"
+    assert run(["gen-synthetic", "--out", str(out), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:3: expected `key = value`" in err
+    assert not out.exists()
+
+
 def test_invalid_option_value_exits_one(tmp_path, capsys):
     rc = run(["gen-synthetic", "--n", "oops", "--out",
               str(tmp_path / "x.csv")])

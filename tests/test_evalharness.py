@@ -503,6 +503,49 @@ def test_sweep_sensitivity_matches_public_sensitivity(sweep_fixture,
         assert row.sensitivity == float(np.mean(values))
 
 
+def test_sweep_fidelity_matches_public_local_fidelity(sweep_fixture,
+                                                     counted_sweeps):
+    # sweep labels each instance's fidelity ball once and scores every
+    # radius's surrogate on it; the values are local_fidelity's.
+    present, _, unfavorable = sweep_fixture
+    config = SENS_CONFIG
+    model = train_mlp(present[0], present[1], config.train)
+    seeds = evalharness._derived_seeds(config.seed, 1 + 3 * 4)
+    max_distance = evalharness.max_pairwise_distance(present[0], seed=config.seed)
+    r_p, r_fid = 0.05 * max_distance, evalharness._FID_RADIUS_SHARE * max_distance
+    report, _ = counted_sweeps[3]
+    for row in report.rows:
+        divergence = Divergence(kind="fisher-rao", rho_neg=row.rho_neg)
+        values = []
+        for i, x0 in enumerate(unfavorable[:4]):
+            sampler_config = dataclasses.replace(config.sampler,
+                                                 seed=seeds[1 + 3 * i], r_p=r_p)
+            surrogate = recourse.fit_surrogate(model, x0, present[0],
+                                               sampler_config, divergence)
+            values.append(local_fidelity(model, surrogate, x0, r_fid,
+                                         n=config.fid_n, seed=seeds[2 + 3 * i]))
+        assert row.local_fidelity == float(np.mean(values))
+
+
+def test_sweep_draws_each_fidelity_ball_once(sweep_fixture, monkeypatch):
+    present, shifted, unfavorable = sweep_fixture
+    draws = []
+    real = evalharness.sample_ball
+
+    def counted(*args, **kwargs):
+        draws.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "sample_ball", counted)
+    config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=200),
+                        train=TrainConfig(epochs=20, seed=0), n_models=1,
+                        fid_n=50, sens_neighbors=1)
+    report = sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0, 2.0],
+                   "projection", config)
+    assert all(row.n_skipped == 0 for row in report.rows)
+    assert len(draws) == 2
+
+
 def test_sweep_row_depends_only_on_its_radius(sweep_fixture, counted_sweeps,
                                              tmp_path):
     # The 3-radius sweep writes, for each radius, the CSV row of a sweep

@@ -30,17 +30,19 @@ from cvas import (
 from cvas.sampler import (
     _BISECT_CAP,
     _BLOCK_ROWS,
-    _bisect_to_boundary,
+    _LINE_SEARCH_TOL,
+    _bracket_to_boundary,
     _candidate_pairs,
     resolve_radius,
 )
 
 from helpers import HIDDEN, linear_mlp
 from oracles import (
-    bisect_segment_oracle,
     boundary_point_oracle,
+    itp_segment_oracle,
     ks_statistic,
     max_pairwise_distance_oracle,
+    prototypes_oracle,
 )
 
 
@@ -109,15 +111,19 @@ def test_boundary_point_no_opposite_class():
 
 
 class _CountingModel:
-    """Forwards to a model and counts its forward passes."""
+    """Forwards to a model and records the rows of each forward pass."""
 
     def __init__(self, model):
         self.model = model
         self.threshold = model.threshold
-        self.calls = 0
+        self.batches = []
+
+    @property
+    def calls(self):
+        return len(self.batches)
 
     def predict_proba(self, features):
-        self.calls += 1
+        self.batches.append(len(features))
         return self.model.predict_proba(features)
 
 
@@ -131,15 +137,16 @@ def _f(model, rows):
     return model.predict_proba(rows) - model.threshold
 
 
-def _assert_lockstep_matches_oracle(model, x0, prototypes):
-    points = _bisect_to_boundary(model, x0, prototypes, _f(model, x0[None, :])[0],
-                                 _f(model, prototypes), 1e-8)
+def _lockstep(model, x0, prototypes):
+    """_bracket_to_boundary's points and its number of forward passes."""
+    counting = _CountingModel(model)
+    points = _bracket_to_boundary(counting, x0, prototypes, _f(model, x0[None, :])[0],
+                                  _f(model, prototypes), _LINE_SEARCH_TOL)
     assert points.shape == prototypes.shape
-    for proto, point in zip(prototypes, points):
-        assert np.array_equal(point, bisect_segment_oracle(model, x0, proto, 1e-8))
+    return points, counting.calls
 
 
-def test_lockstep_segments_match_per_segment_bisection(trained):
+def _trained_segments(trained):
     # Segments toward random rows on the other side of the threshold.
     features, model = trained
     rng = np.random.default_rng(1)
@@ -147,11 +154,10 @@ def test_lockstep_segments_match_per_segment_bisection(trained):
         opposite = features[(_f(model, features) >= 0.0)
                             != (_f(model, x0[None, :])[0] >= 0.0)]
         for k in (1, 3, 10):
-            prototypes = opposite[rng.choice(len(opposite), size=k, replace=False)]
-            _assert_lockstep_matches_oracle(model, x0, prototypes)
+            yield model, x0, opposite[rng.choice(len(opposite), size=k, replace=False)]
 
 
-def test_lockstep_non_monotone_segments_match_per_segment_bisection():
+def _non_monotone_segments():
     # On sigma(4(|x|-1)) from x0 = -3 the model falls and rises along
     # the segments that pass 0, and the last prototype lies within tol
     # of the boundary; on sigma(4(||x|-2|-1)) from x0 = -4 the segments
@@ -162,50 +168,116 @@ def test_lockstep_non_monotone_segments_match_per_segment_bisection():
             (_abs_model(fold=2.0), -4.0,
              rng.choice([-1.0, 1.0], size=10) * rng.uniform(1.0, 3.0, size=10))):
         for k in (1, 3, 10):
-            _assert_lockstep_matches_oracle(model, np.array([x0]),
-                                            prototypes[:k, None])
+            yield model, np.array([x0]), prototypes[:k, None]
 
 
-def test_boundary_point_matches_per_segment_oracle(trained):
+def _ends_on_crossing(model, x0, proto, point, tol):
+    # |f| <= tol by a single-row pass, or the sign of f changes within
+    # tol of the point along the segment: a final bracket of length tol.
+    if abs(_f(model, point[None, :])[0]) <= tol:
+        return True
+    step = tol * (proto - x0) / np.linalg.norm(proto - x0)
+    return (_f(model, (point - step)[None, :])[0] >= 0.0) != (
+        _f(model, (point + step)[None, :])[0] >= 0.0)
+
+
+def test_lockstep_points_end_on_a_crossing(trained):
+    # Monotone and non-monotone segments alike; and no segment takes more
+    # steps than bisection would, ceil(log2(length / tol)) + 1.
+    tol = _LINE_SEARCH_TOL
+    for model, x0, prototypes in (*_trained_segments(trained), *_non_monotone_segments()):
+        points, calls = _lockstep(model, x0, prototypes)
+        for proto, point in zip(prototypes, points):
+            assert _ends_on_crossing(model, x0, proto, point, tol)
+        lengths = np.linalg.norm(prototypes - x0, axis=1)
+        assert calls <= max(math.ceil(math.log2(max(n / tol, 1.0))) + 1 for n in lengths)
+
+
+def test_lockstep_segments_match_per_segment_oracle(trained):
+    # Batch composition moves a row's output in its last bits, so the
+    # lockstep and the single-row oracle agree to the tolerance, not bit
+    # for bit, where the segment crosses the boundary once.
+    tol = _LINE_SEARCH_TOL
+    # sigma(4(|x|-1)) from x0 = -3 crosses the boundary only at x = -1.
+    once = [case for case in _non_monotone_segments() if case[1][0] == -3.0]
+    for model, x0, prototypes in (*_trained_segments(trained), *once):
+        points, _ = _lockstep(model, x0, prototypes)
+        for proto, point in zip(prototypes, points):
+            expected, _ = itp_segment_oracle(model, x0, proto, tol)
+            assert np.linalg.norm(point - expected) <= 2.0 * tol
+
+
+def test_boundary_point_matches_per_segment_oracle(trained, monkeypatch):
+    # The prototypes are the oracle's, though only the nearest rows are
+    # labelled, and the point is the oracle's to the tolerance.
+    seen = []
+
+    def recording(model, x0, prototypes, *args):
+        seen.append(prototypes)
+        return _bracket_to_boundary(model, x0, prototypes, *args)
+
+    monkeypatch.setattr("cvas.sampler._bracket_to_boundary", recording)
     features, model = trained
-    for x0 in features[:25]:
-        point = find_boundary_point(x0, features, model)
-        assert np.array_equal(point, boundary_point_oracle(x0, features, model,
-                                                           10, 1e-8))
-    abs_model = _abs_model()
-    dataset = np.array([[-0.5], [0.2], [0.9], [-4.0], [2.0]])
-    for x0 in (np.array([-3.0]), np.array([1.7]), np.array([0.1])):
-        point = find_boundary_point(x0, dataset, abs_model)
-        assert np.array_equal(point, boundary_point_oracle(x0, dataset,
-                                                           abs_model, 10, 1e-8))
+    abs_dataset = np.array([[-0.5], [0.2], [0.9], [-4.0], [2.0]])
+    cases = [(x0, features, model) for x0 in features[:25]]
+    cases += [(np.array([x0]), abs_dataset, _abs_model()) for x0 in (-3.0, 1.7, 0.1)]
+    for x0, dataset, case_model in cases:
+        point = find_boundary_point(x0, dataset, case_model)
+        expected = prototypes_oracle(x0, dataset, case_model, 10)
+        assert np.array_equal(seen.pop(), dataset[expected])
+        assert np.linalg.norm(point - boundary_point_oracle(
+            x0, dataset, case_model, 10, _LINE_SEARCH_TOL)) <= 2.0 * _LINE_SEARCH_TOL
 
 
 def test_boundary_point_forward_calls_bounded(trained):
-    # One pass over x0, one over the dataset, then one pass per
-    # lockstep bisection step.
+    # One pass over x0, at most ceil(log2(n / 4k)) + 1 chunks of the
+    # nearest rows, then at most _BISECT_CAP lockstep steps.
     features, model = trained
-    for x0 in features[:5]:
-        counting = _CountingModel(model)
-        find_boundary_point(x0, features, counting, SamplerConfig(k=10))
-        assert counting.calls <= _BISECT_CAP + 2
+    for k in (1, 10, 60):
+        chunks = max(math.ceil(math.log2(len(features) / (4 * k))), 0) + 1
+        for x0 in features[:5]:
+            counting = _CountingModel(model)
+            find_boundary_point(x0, features, counting, SamplerConfig(k=k))
+            assert counting.calls <= 1 + chunks + _BISECT_CAP
 
 
-def test_boundary_point_one_pass_per_lockstep_step(trained):
-    # The lockstep bisection takes as many steps as the slowest segment
-    # takes alone, so the passes are x0, the dataset, and those steps.
+def test_boundary_point_labels_only_the_nearest_rows(trained):
+    # After x0 come chunks of 4k, 8k, ... rows in L1 order, up to the
+    # one that holds the k-th opposite row, then the k-row steps.
     features, model = trained
-    for x0 in features[:5]:
+    order = np.argsort(np.abs(features[:, None, :] - features[:25]).sum(axis=2),
+                       axis=0, kind="stable")
+    for q, x0 in enumerate(features[:25]):
+        last = prototypes_oracle(x0, features, model, 10)[-1]
+        rank = int(np.flatnonzero(order[:, q] == last)[0])
+        chunks, covered = [], 0
+        while covered <= rank:
+            chunks.append(min(40 * 2 ** len(chunks), len(features) - covered))
+            covered += chunks[-1]
         counting = _CountingModel(model)
         find_boundary_point(x0, features, counting, SamplerConfig(k=10))
-        opposite = features[(_f(model, features) >= 0.0)
-                            != (_f(model, x0[None, :])[0] >= 0.0)]
-        order = np.argsort(np.abs(opposite - x0).sum(axis=1), kind="stable")
-        steps = []
-        for proto in opposite[order[:10]]:
-            alone = _CountingModel(model)
-            bisect_segment_oracle(alone, x0, proto, 1e-8)
-            steps.append(alone.calls - 2)  # less its two endpoint calls
-        assert counting.calls == 2 + max(steps)
+        assert counting.batches[:1 + len(chunks)] == [1] + chunks
+        assert max(counting.batches[1 + len(chunks):]) <= 10
+
+
+def test_boundary_point_mean_passes_on_fixture(trained):
+    # Bisection takes about 29 passes a boundary here; the ITP steps
+    # about 12.
+    features, model = trained
+    counting = _CountingModel(model)
+    for x0 in features[:25]:
+        find_boundary_point(x0, features, counting)
+    assert counting.calls / 25 < 14
+
+
+def test_boundary_point_checks_rows_it_never_evaluates(trained):
+    # A NaN in a row far from x0 is never labelled, and still rejected.
+    features, model = trained
+    far = np.vstack([features, [1e3, np.nan]])
+    counting = _CountingModel(model)
+    with pytest.raises(NonFiniteInput):
+        find_boundary_point(features[0], far, counting)
+    assert counting.calls == 0
 
 
 def test_boundary_point_rejects_non_finite_query(trained):
