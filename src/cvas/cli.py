@@ -7,8 +7,9 @@ expanded and continuous columns z-scored with training-split
 statistics. One argparse parser reads every option; a `--config` file's
 `key = value` lines become `--key=value` flags ahead of the command
 line's own, so the last value wins: flag > config file > default. Every
-command checks its options, radii included, before it reads data or
-trains. Exit codes: 0 success, 1 usage error, 2 data/model error.
+command checks every option, radii and report ids included, before it
+reads data or trains. Exit codes: 0 success, 1 usage error, 2 data/model
+error.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .errors import (
     EmptySplit,
     SchemaMismatch,
 )
-from .evalharness import EvalConfig, sweep
+from .evalharness import EvalConfig, _check_grid, sweep
 from .recourse import ACTION_KINDS, MODES, default_action_grids, generate_recourse
 from .sampler import SamplerConfig, resolve_radius
 from .surrogate import Divergence, DivergenceKind
@@ -461,9 +462,9 @@ def _cmd_gen_synthetic(ns):
 
 
 def _cmd_train(ns):
+    config = TrainConfig(epochs=ns.epochs, learning_rate=ns.lr, seed=ns.seed)
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
-    config = TrainConfig(epochs=ns.epochs, learning_rate=ns.lr, seed=ns.seed)
     model = train_mlp(dataset.features[dataset.train_idx],
                       dataset.labels[dataset.train_idx], config)
     save_model(model, ns.out)
@@ -472,6 +473,7 @@ def _cmd_train(ns):
 def _cmd_recourse(ns):
     divergence = Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
                             rho_neg=ns.rho_neg)
+    sampler_config = SamplerConfig(k=ns.k, n_p=ns.n_p, seed=ns.seed)
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
     n_rows = dataset.features.shape[0]
@@ -481,7 +483,6 @@ def _cmd_recourse(ns):
                               f"(dataset has {n_rows} rows)")
     model = load_model(ns.model)
     train_features = dataset.features[dataset.train_idx]
-    sampler_config = SamplerConfig(k=ns.k, n_p=ns.n_p, seed=ns.seed)
     # One ball radius for every instance.
     sampler_config = replace(sampler_config,
                              r_p=resolve_radius(sampler_config, train_features))
@@ -504,27 +505,26 @@ def _cmd_recourse(ns):
 
 
 def _cmd_sweep(ns):
-    for rho in ns.rho_neg:  # each radius is checked before any read
-        Divergence(kind=ns.divergence, rho_pos=ns.rho_pos, rho_neg=rho)
+    config = EvalConfig(seed=ns.seed, rho_pos=ns.rho_pos,
+                        sampler=SamplerConfig(k=ns.k, n_p=ns.n_p),
+                        train=TrainConfig(epochs=ns.epochs, learning_rate=ns.lr,
+                                          seed=ns.seed),
+                        n_models=ns.n_models)
+    _check_grid(ns.divergence, ns.rho_pos, ns.rho_neg, ns.mode)
     dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
                            seed=ns.seed)
+    config = replace(config, action_kinds=dataset.action_kinds)
     shifted = encode_csv(dataset.encoder, ns.shifted)
-    train_config = TrainConfig(epochs=ns.epochs, learning_rate=ns.lr,
-                               seed=ns.seed)
     train_features = dataset.features[dataset.train_idx]
     train_labels = dataset.labels[dataset.train_idx]
     # The current model: it selects the instances here, and sweep() uses
     # it instead of training it again.
-    model = train_mlp(train_features, train_labels, train_config)
+    model = train_mlp(train_features, train_labels, config.train)
     test_features = dataset.features[dataset.test_idx]
     unfavorable = test_features[model.label(test_features) == -1]
     if unfavorable.shape[0] == 0:
         raise EmptyInput("no unfavorably classified test instances")
     instances = unfavorable[:ns.max_instances]
-    config = EvalConfig(seed=ns.seed, rho_pos=ns.rho_pos,
-                        sampler=SamplerConfig(k=ns.k, n_p=ns.n_p),
-                        train=train_config, n_models=ns.n_models,
-                        action_kinds=dataset.action_kinds)
     report = sweep((train_features, train_labels), shifted, instances,
                    ns.divergence, ns.rho_neg, ns.mode, config, model=model)
     if str(ns.out).endswith(".json"):

@@ -29,6 +29,7 @@ from .recourse import (
 from .sampler import SamplerConfig, max_pairwise_distance, resolve_radius, sample_ball
 from .surrogate import Divergence, solve_cvas
 
+_SENS_NEIGHBORS = 10  # perturbed queries per sensitivity value
 _SENS_NOISE_VAR = 0.001  # variance of sensitivity()'s query perturbations
 _FID_RADIUS_SHARE = 0.1  # sweep()'s fidelity radius per max pairwise distance
 
@@ -55,14 +56,13 @@ def _labelled_ball(model, x0, r_fid, n, seed):
     return points, model.label(points)
 
 
-def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
-                noise_var=_SENS_NOISE_VAR, seed=0):
+def sensitivity(pipeline_config, model, dataset, x0, seed=0):
     """Largest slope change under Gaussian perturbation of the query.
 
     pipeline_config is a (SamplerConfig, Divergence) pair describing the
-    full fitting pipeline. Fits the surrogate at x0 and at n_neighbors
-    draws from N(x0, noise_var * I), all with the same frozen sampler
-    seed so the only varying input is the query point, and returns
+    full fitting pipeline. Fits the surrogate at x0 and at 10 draws
+    from N(x0, 0.001 * I), all with the same frozen sampler seed so the
+    only varying input is the query point, and returns
     max ||w(x0) - w(x')||_2 over the neighbors (normalized slopes).
     Neighbors whose pipeline fails are skipped; at least one must
     succeed. sweep() reuses the neighbors' moments across radii.
@@ -73,22 +73,20 @@ def sensitivity(pipeline_config, model, dataset, x0, n_neighbors=10,
                              r_p=resolve_radius(sampler_config, dataset))
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     base = fit_surrogate(model, x0, dataset, sampler_config, divergence)
-    neighbors = _neighbor_moments(model, dataset, x0, sampler_config,
-                                  n_neighbors, noise_var, seed)
+    neighbors = _neighbor_moments(model, dataset, x0, sampler_config, seed)
     return _max_slope_gap(base.w, neighbors, divergence)
 
 
-def _neighbor_moments(model, dataset, x0, sampler_config, n_neighbors,
-                      noise_var, seed):
-    """(mom_pos, mom_neg) at each of n_neighbors draws from N(x0, noise_var * I).
+def _neighbor_moments(model, dataset, x0, sampler_config, seed):
+    """(mom_pos, mom_neg) at each of sensitivity()'s draws around x0.
 
     A neighbor whose sampling fails contributes the CvasError it raised
     instead, stripped of its traceback, whose frames would keep the
     neighbor's ball sample alive for as long as the list is kept.
     """
     rng = np.random.default_rng(seed)
-    neighbors = x0 + rng.normal(0.0, math.sqrt(noise_var),
-                                size=(n_neighbors, x0.shape[0]))
+    neighbors = x0 + rng.normal(0.0, math.sqrt(_SENS_NOISE_VAR),
+                                size=(_SENS_NEIGHBORS, x0.shape[0]))
     moments = []
     for neighbor in neighbors:
         try:
@@ -214,10 +212,12 @@ class EvalConfig:
     The current model trains with `train` verbatim; the ensemble and the
     per-instance sampler/fidelity/sensitivity streams take seeds derived
     from the master `seed`, so two sweeps with equal configs are
-    bit-identical. The ensemble trains on 80% subsamples, the fidelity
-    ball's radius is 10% of the present data's max pairwise distance,
-    and sensitivity uses sensitivity()'s default noise variance.
-    action_kinds, if given, holds one of ACTION_KINDS per feature.
+    bit-identical. sweep() replaces `sampler.seed` with each instance's
+    derived seed, so setting `sampler.seed` has no effect. The ensemble
+    trains on 80% subsamples, the fidelity ball's radius is 10% of the
+    present data's max pairwise distance, and sensitivity perturbs each
+    instance 10 times, as sensitivity() does. action_kinds, if given,
+    holds one of ACTION_KINDS per feature.
     """
 
     seed: int = 0
@@ -226,7 +226,6 @@ class EvalConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     n_models: int = 100
     fid_n: int = 1000
-    sens_neighbors: int = 10
     action_kinds: tuple = None
 
     def __post_init__(self):
@@ -234,8 +233,6 @@ class EvalConfig:
             raise ValueError("n_models must be >= 1")
         if self.fid_n < 1:
             raise ValueError("fid_n must be >= 1")
-        if self.sens_neighbors < 1:
-            raise ValueError("sens_neighbors must be >= 1")
         if not set(self.action_kinds or ()) <= set(ACTION_KINDS):
             raise ValueError(f"action_kinds must be drawn from {ACTION_KINDS}")
 
@@ -243,6 +240,24 @@ class EvalConfig:
 def _derived_seeds(master, count):
     state = np.random.SeedSequence(master).generate_state(count, dtype=np.uint32)
     return [int(s) for s in state]
+
+
+def _check_grid(divergence_kind, rho_pos, rho_grid, mode):
+    """sweep()'s divergence and report id per radius, or the error that
+    sweep() raises for them (see its Raises)."""
+    divergences = [Divergence(kind=divergence_kind, rho_pos=rho_pos,
+                              rho_neg=float(rho)) for rho in rho_grid]
+    if not divergences:
+        raise EmptyInput("empty rho grid")
+    for divergence in divergences:
+        divergence.check_finite()
+    if mode not in MODES:
+        raise ValueError(f"unknown recourse mode {mode!r}")
+    config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
+                  for d in divergences]
+    if len(set(config_ids)) != len(config_ids):
+        raise ValueError(f"radii that print alike repeat a report id: {config_ids}")
+    return divergences, config_ids
 
 
 def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid,
@@ -282,20 +297,10 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         If an instance holds NaN or infinity.
     NegativeRadius, DomainError
         If a radius is outside the solver's domain: negative, NaN,
-        infinite, or above the fisher-rao overflow cap.
+        infinite, or above the fisher-rao and logdet cap of 700.
     """
-    divergences = [Divergence(kind=divergence_kind, rho_pos=config.rho_pos,
-                              rho_neg=float(rho)) for rho in rho_grid]
-    if not divergences:
-        raise EmptyInput("empty rho grid")
-    for divergence in divergences:
-        divergence.check_finite()
-    if mode not in MODES:
-        raise ValueError(f"unknown recourse mode {mode!r}")
-    config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
-                  for d in divergences]
-    if len(set(config_ids)) != len(config_ids):
-        raise ValueError(f"radii that print alike repeat a report id: {config_ids}")
+    divergences, config_ids = _check_grid(divergence_kind, config.rho_pos,
+                                          rho_grid, mode)
     present_x, present_y = dataset_present
     present_x = np.asarray(present_x, dtype=float)
     width = present_x.shape[-1]
@@ -332,7 +337,6 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         if mode == "actionable":
             actions = default_action_grids(x0, present_x, kinds=kinds)
         neighbors = _neighbor_moments(model, present_x, x0, sampler_cfg,
-                                      config.sens_neighbors, _SENS_NOISE_VAR,
                                       seeds[3 + 3 * i])
         # local_fidelity's ball and model labels, the same at every radius.
         ball, ball_labels = _labelled_ball(model, x0, r_fid, config.fid_n,

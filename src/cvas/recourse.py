@@ -32,6 +32,9 @@ ACTION_KINDS = ("free", "immutable", "non_decreasing")
 MODES = ("projection", "actionable")
 
 _WACHTER_STEP = 0.01
+_WACHTER_LAMBDA0 = 0.1
+_WACHTER_STEPS = 1000
+_WACHTER_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -269,13 +272,13 @@ def actionable_recourse(x0, surrogate, actions):
     raise NoActionableRecourse(f"no grid combination covers the deficit {deficit:.6g}")
 
 
-def wachter_recourse(model, x0, lambda0=0.1, steps=1000, retries=10):
+def wachter_recourse(model, x0):
     """Gradient-based recourse against the raw black-box.
 
-    Minimizes (g(x) - threshold)^2 + lambda * ||x - x0||_1 by fixed-step
-    gradient descent (step 0.01, L1 subgradient 0 at kinks). If the
-    final point is still unfavorable, lambda is halved and the descent
-    restarts from x0, up to `retries` times.
+    Minimizes (g(x) - threshold)^2 + lambda * ||x - x0||_1 by 1000 steps
+    of fixed-step gradient descent (step 0.01, L1 subgradient 0 at
+    kinks), from lambda = 0.1. If the final point is still unfavorable,
+    lambda is halved and the descent restarts from x0, up to 10 times.
 
     Raises
     ------
@@ -291,10 +294,10 @@ def wachter_recourse(model, x0, lambda0=0.1, steps=1000, retries=10):
 
     best = None
     best_proba = -math.inf
-    lam = lambda0
-    for _ in range(retries + 1):
+    lam = _WACHTER_LAMBDA0
+    for _ in range(_WACHTER_RETRIES + 1):
         x = x0.copy()
-        for _ in range(steps):
+        for _ in range(_WACHTER_STEPS):
             proba, _, grad = predict(model, x)
             direction = 2.0 * (proba - model.threshold) * grad
             direction = direction + lam * np.sign(x - x0)
@@ -308,8 +311,8 @@ def wachter_recourse(model, x0, lambda0=0.1, steps=1000, retries=10):
             best, best_proba = result, proba
         lam /= 2.0
     raise NoValidRecourse(
-        f"no valid recourse after {retries + 1} attempts (best probability "
-        f"{best_proba:.4f})", result=best)
+        f"no valid recourse after {_WACHTER_RETRIES + 1} attempts "
+        f"(best probability {best_proba:.4f})", result=best)
 
 
 def _boundary_moments(model, x0, dataset, sampler_config):

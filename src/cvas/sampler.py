@@ -32,6 +32,7 @@ from .errors import (
 _BISECT_CAP = 60
 _LINE_SEARCH_TOL = 1e-8
 _BLOCK_ROWS = 64
+_GUARD = 2000  # max_pairwise_distance subsamples to this many rows
 _EPS = np.finfo(float).eps
 
 
@@ -70,8 +71,8 @@ class BoundarySample:
     radius: float
 
 
-def max_pairwise_distance(features, seed=0, guard=2000):
-    """Largest L2 distance between rows, subsampled above `guard` rows.
+def max_pairwise_distance(features, seed=0):
+    """Largest L2 distance between rows, of 2000 drawn with `seed` if more.
 
     The value is that of the full blocked scan: squared distances
     sq_i + sq_j - 2 x_i.x_j, with x_i.x_j taken from the block product
@@ -109,9 +110,9 @@ def max_pairwise_distance(features, seed=0, guard=2000):
     Raises
     ------
     DomainError
-        If `guard` is below 1, or if 4 max_i ||x_i||^2 over the scanned
-        rows overflows float64. Below that bound no squared distance in
-        the scan can overflow, as |x_i.x_j| <= max_i ||x_i||^2.
+        If 4 max_i ||x_i||^2 over the scanned rows overflows float64.
+        Below that bound no squared distance in the scan can overflow,
+        as |x_i.x_j| <= max_i ||x_i||^2.
     DimensionMismatch
         If `features` is not 2-d.
     EmptyInput
@@ -119,14 +120,12 @@ def max_pairwise_distance(features, seed=0, guard=2000):
     NonFiniteInput
         If any row contains NaN or infinity.
     """
-    if guard < 1:
-        raise DomainError(f"guard must be >= 1, got {guard}")
     features = finite_array(features, "features", shape=(None, None), nonempty=True)
     n = features.shape[0]
-    if n > guard:
-        idx = np.random.default_rng(seed).choice(n, size=guard, replace=False)
+    if n > _GUARD:
+        idx = np.random.default_rng(seed).choice(n, size=_GUARD, replace=False)
         features = features[idx]
-        n = guard
+        n = _GUARD
     with np.errstate(over="ignore"):
         sq = np.einsum("ij,ij->i", features, features)
         overflows = not np.isfinite(4.0 * sq.max())

@@ -42,7 +42,9 @@ from .moments import halfspace_distance, ridge
 _GRAD_TOL = 1e-9
 _MAX_NEWTON = 100
 _MAX_HALVINGS = 60
-_FR_RHO_CAP = 700.0
+# The largest fisher-rao or logdet radius: exp(rho) overflows from 709.8
+# on, and exp(-rho - 1) is subnormal from 707.4 on and 0 from 745 on.
+_RHO_CAP = 700.0
 
 
 class DivergenceKind(str, Enum):
@@ -176,9 +178,9 @@ def _check_radius(kind, rho):
             f"rho must be finite, got {rho}; "
             "use asymptotic_surrogate for infinite radii"
         )
-    if kind is DivergenceKind.FISHER_RAO and rho > _FR_RHO_CAP:
+    if kind in (DivergenceKind.FISHER_RAO, DivergenceKind.LOGDET) and rho > _RHO_CAP:
         raise DomainError(
-            f"fisher-rao radius {rho} exceeds the overflow cap {_FR_RHO_CAP}; "
+            f"{kind.value} radius {rho} exceeds the overflow cap {_RHO_CAP}; "
             "use asymptotic_surrogate for larger radii"
         )
 
@@ -222,7 +224,8 @@ def tau(kind, rho, covariance, w):
 
     The covariance is used as given; ridge upstream if it may be
     singular. Radii must be finite; NaN or +inf raise DomainError, as
-    does a radius so large that tau or its derivatives overflow.
+    do a fisher-rao or logdet radius above 700 and a radius so large
+    that tau or its derivatives overflow.
     """
     kind = DivergenceKind(kind)
     _check_radius(kind, rho)
@@ -282,8 +285,9 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     Raises
     ------
     DomainError
-        If a radius is not finite, or a fisher-rao radius exceeds 700;
-        use asymptotic_surrogate for the infinite-radius limit.
+        If a radius is not finite, or a fisher-rao or logdet radius
+        exceeds 700; use asymptotic_surrogate for the infinite-radius
+        limit.
     DimensionMismatch
         If the two classes have different widths.
     IdenticalMeans

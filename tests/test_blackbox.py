@@ -428,6 +428,16 @@ def test_future_models_validate_before_any_worker(spawned):
     assert spawned == []
 
 
+def test_future_models_single_class_subsamples_raise_before_any_worker(spawned):
+    # fraction 0.1 of 10 rows draws one row, one class, in every draw.
+    features = np.random.default_rng(0).normal(size=(10, 2))
+    labels = np.where(np.arange(10) == 0, 1, -1)
+    with pytest.raises(SingleClassData, match="model 0 was single-class in 10"):
+        simulate_future_models(features, labels, n_models=2, fraction=0.1,
+                               config=TrainConfig(epochs=2))
+    assert spawned == []
+
+
 def test_future_models_never_rerun_the_callers_main(tmp_path):
     # spawn and forkserver pools re-import the caller's __main__; the
     # workers must not, so a script with no __main__ guard runs once

@@ -20,6 +20,7 @@ from cvas import (
     recourse,
     sampler,
 )
+from cvas._io import atomic_write_bytes
 from cvas.cli import (
     _parse_instances,
     _parse_range,
@@ -246,6 +247,16 @@ def test_config_precedence_property(tmp_path_factory, flag, config, spelling):
 
 def no_tmp_leftovers(directory):
     return not [f for f in os.listdir(directory) if f.startswith(".tmp-")]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    # A file cannot be renamed over a directory.
+    target = tmp_path / "report.csv"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_bytes(str(target), b"rows\n")
+    assert no_tmp_leftovers(tmp_path)
+    assert target.is_dir() and not os.listdir(target)
 
 
 @pytest.fixture(scope="module")
@@ -547,24 +558,12 @@ def test_bad_radius_exits_one_before_any_read(tmp_path, monkeypatch, capsys,
     assert option in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, divergence, value, code, message", [
-    ("sweep", "fisher-rao", "0:1000:1000", 2, "overflow cap"),
-    ("evaluate", "fisher-rao", "1000", 2, "overflow cap"),
-    ("recourse", "fisher-rao", "1000", 2, "overflow cap"),
-    ("sweep", "nominal", "0:1:1", 1, "nominal"),
-    ("evaluate", "nominal", "1", 1, "nominal"),
-    ("recourse", "nominal", "1", 1, "nominal"),
-])
-@pytest.mark.parametrize("from_config", [False, True])
-def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
-                                               command, divergence, value, code,
-                                               message, from_config):
-    # A radius the solver rejects is reported as such (exit 2 for the
-    # fisher-rao cap, 1 for nominal with a radius), never as the data
-    # error that reading or training on it would give.
+def _run_before_any_read(tmp_path, monkeypatch, command, options, from_config):
+    """run() on missing files with the options given as flags or as
+    config keys, where loading, reading a model or training raises."""
     def no_call(*args, **kwargs):
-        raise AssertionError("a radius outside the solver's domain got past "
-                             "the option checks")
+        raise AssertionError("an option the configs or the solver reject got "
+                             "past the option checks")
 
     for name in ("load_dataset", "load_model", "train_mlp"):
         monkeypatch.setattr(cli, name, no_call)
@@ -573,16 +572,62 @@ def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
             "--out", str(tmp_path / "r.csv")]
     if command == "recourse":
         argv += ["--model", missing, "--instances", "0,1,2"]
-    else:
+    elif command != "train":
         argv += ["--shifted", missing]
-    options = {"divergence": divergence, "rho_neg": value}
     if from_config:
         config = tmp_path / "run.cfg"
         config.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
         argv += ["--config", str(config)]
     else:
         argv += [f"--{k.replace('_', '-')}={v}" for k, v in options.items()]
-    assert run(argv) == code
+    return run(argv)
+
+
+@pytest.mark.parametrize("command, divergence, value, code, message", [
+    ("sweep", "fisher-rao", "0:1000:1000", 2, "overflow cap"),
+    ("evaluate", "fisher-rao", "1000", 2, "overflow cap"),
+    ("recourse", "fisher-rao", "1000", 2, "overflow cap"),
+    ("sweep", "nominal", "0:1:1", 1, "nominal"),
+    ("evaluate", "nominal", "1", 1, "nominal"),
+    ("recourse", "nominal", "1", 1, "nominal"),
+    ("sweep", "logdet", "0:800:800", 2, "logdet radius 800.0 exceeds the overflow cap"),
+    ("evaluate", "logdet", "701", 2, "logdet radius 701.0 exceeds the overflow cap"),
+    ("recourse", "logdet", "800", 2, "logdet radius 800.0 exceeds the overflow cap"),
+])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
+                                               command, divergence, value, code,
+                                               message, from_config):
+    # A radius the solver rejects is reported as such (exit 2 for the
+    # fisher-rao and logdet cap, 1 for nominal with a radius), never as
+    # the data error that reading or training on it would give.
+    options = {"divergence": divergence, "rho_neg": value}
+    assert _run_before_any_read(tmp_path, monkeypatch, command, options,
+                                from_config) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command, options, message", [
+    ("sweep", {"k": 0}, "k must be"),
+    ("sweep", {"n_p": 1}, "n_p must be"),
+    ("sweep", {"n_models": 0}, "n_models must be"),
+    ("sweep", {"epochs": 0}, "epochs must be"),
+    ("sweep", {"lr": -1}, "learning_rate must be"),
+    ("evaluate", {"k": 0}, "k must be"),
+    ("train", {"epochs": 0}, "epochs must be"),
+    ("train", {"lr": -1}, "learning_rate must be"),
+    ("recourse", {"k": 0}, "k must be"),
+    ("recourse", {"n_p": 1}, "n_p must be"),
+    # 1 and 1.0000001 both print as 1 in the report id.
+    ("sweep", {"divergence": "logdet", "rho_neg": "1:1.0000001:0.0000001"},
+     "repeat a report id"),
+])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_settings_checked_before_any_read(tmp_path, monkeypatch, capsys, command,
+                                          options, message, from_config):
+    assert _run_before_any_read(tmp_path, monkeypatch, command, options,
+                                from_config) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 

@@ -104,7 +104,7 @@ TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
 FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
 FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
 SWEEP_CONFIG = EvalConfig(sampler=SamplerConfig(n_p=20), train=TrainConfig(epochs=2),
-                          n_models=1, fid_n=10, sens_neighbors=1)
+                          n_models=1, fid_n=10)
 
 VECTORS = [("nan", [nan, 0.5]), ("inf", [inf, 0.5]), ("-inf", [-inf, 0.5]),
            ("wide", [0.5, 0.5, 0.5]), ("empty", [])]
@@ -256,8 +256,6 @@ CASES = [
     *_each("max_pairwise_distance", "features", ROWS, max_pairwise_distance),
     *_raises("max_pairwise_distance", "features=1e154",
              lambda: max_pairwise_distance(HUGE_ROWS), DomainError),
-    *_one("max_pairwise_distance", "guard=negative",
-          lambda: max_pairwise_distance(X, guard=-1)),
     *_each("sample_ball", "center", VECTORS, lambda v: sample_ball(v, 1.0, 5, 0)),
     *_each("sample_ball", "radius", RADII,
            lambda r: sample_ball([0.0, 0.0], r, 5, 0)),
@@ -322,8 +320,6 @@ CASES = [
     *_each("default_action_grids", "training_features", ROWS,
            lambda rows: default_action_grids(X0, rows)),
     *_each("wachter_recourse", "x0", VECTORS, lambda v: wachter_recourse(MODEL, v)),
-    *_each("wachter_recourse", "lambda0", RADII[:1],
-           lambda r: wachter_recourse(MODEL, X0, lambda0=r, steps=3, retries=0)),
     *_each("fit_surrogate", "x0", VECTORS,
            lambda v: fit_surrogate(MODEL, v, X, SAMPLER, FR)),
     *_each("generate_recourse", "x0", VECTORS,
@@ -334,7 +330,7 @@ CASES = [
     *_each("local_fidelity", "r_fid", RADII,
            lambda r: local_fidelity(MODEL, SUR, X0, r), allowed=CONFIG),
     *_each("sensitivity", "x0", VECTORS,
-           lambda v: sensitivity((SAMPLER, FR), MODEL, X, v, n_neighbors=1)),
+           lambda v: sensitivity((SAMPLER, FR), MODEL, X, v)),
     *_each("validity_metrics", "x_r", VECTORS,
            lambda v: validity_metrics([RecourseResult(x_r=v, cost=0.0,
                                                       surrogate_valid=True)],

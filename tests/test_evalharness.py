@@ -111,17 +111,11 @@ def linear_pipeline():
     return config, model, data
 
 
-def test_sensitivity_zero_noise_is_exactly_zero(linear_pipeline):
-    config, model, data = linear_pipeline
-    value = sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=3,
-                        noise_var=0.0, seed=2)
-    assert value == 0.0
-
-
 def test_sensitivity_single_neighbor_nonnegative(linear_pipeline):
+    # Named when the neighbour count was a parameter; sensitivity() now
+    # always perturbs the query 10 times.
     config, model, data = linear_pipeline
-    value = sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=1,
-                        seed=2)
+    value = sensitivity(config, model, data, [-0.8, 0.3], seed=2)
     assert value >= 0.0
     assert math.isfinite(value)
 
@@ -130,8 +124,7 @@ def test_sensitivity_linear_model_is_small(linear_pipeline):
     # A linear boundary gives the same normalized slope from any nearby
     # query; measured ~5e-15 here, asserted against the coarse 0.5 bound.
     config, model, data = linear_pipeline
-    value = sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=4,
-                        seed=2)
+    value = sensitivity(config, model, data, [-0.8, 0.3], seed=2)
     assert value < 0.5
 
 
@@ -156,10 +149,10 @@ def test_sensitivity_scans_the_pairs_once(linear_pipeline, monkeypatch):
     r_p = 0.05 * sampler.max_pairwise_distance(data, seed=sampler_config.seed)
     calls = _count_pair_scans(monkeypatch)
     value = sensitivity((sampler_config, divergence), model, data, [-0.8, 0.3],
-                        n_neighbors=4, seed=2)
+                        seed=2)
     assert len(calls) == 1
     given = sensitivity((dataclasses.replace(sampler_config, r_p=r_p), divergence),
-                        model, data, [-0.8, 0.3], n_neighbors=4, seed=2)
+                        model, data, [-0.8, 0.3], seed=2)
     assert len(calls) == 1
     assert value == given
 
@@ -171,19 +164,13 @@ def test_sensitivity_propagates_base_pipeline_failure(linear_pipeline):
         sensitivity(bad, model, data, [-0.8, 0.3])
 
 
-def test_sensitivity_without_neighbors_raises_empty_input(linear_pipeline):
-    config, model, data = linear_pipeline
-    with pytest.raises(EmptyInput):
-        sensitivity(config, model, data, [-0.8, 0.3], n_neighbors=0, seed=2)
-
-
 def test_neighbor_moments_store_failures_without_traceback(linear_pipeline):
     # n_p = 2 leaves a class of the ball with fewer than two points.
     (_, _), model, data = linear_pipeline
     failing = SamplerConfig(n_p=2, seed=3)
     entries = evalharness._neighbor_moments(model, data, np.array([-0.8, 0.3]),
-                                            failing, 3, 0.001, 2)
-    assert len(entries) == 3
+                                            failing, 2)
+    assert len(entries) == evalharness._SENS_NEIGHBORS
     for entry in entries:
         assert isinstance(entry, DegenerateSample)
         assert entry.__traceback__ is None
@@ -210,13 +197,6 @@ def test_max_slope_gap_skips_failed_neighbors():
     assert raised.value is stored
     with pytest.raises(EmptyInput):
         evalharness._max_slope_gap(base_w, [], nominal)
-
-
-def test_eval_config_rejects_no_sensitivity_neighbors():
-    with pytest.raises(ValueError):
-        EvalConfig(sens_neighbors=0)
-    with pytest.raises(ValueError):
-        EvalConfig(sens_neighbors=-1)
 
 
 # ---------------------------------------------------------------- validity
@@ -377,7 +357,7 @@ def radius_report(sweep_fixture):
     present, shifted, unfavorable = sweep_fixture
     config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=500),
                         train=TrainConfig(epochs=300, seed=0), n_models=5,
-                        fid_n=500, sens_neighbors=2)
+                        fid_n=500)
     return sweep(present, shifted, unfavorable[:8], "fisher-rao",
                  [0.0, 10.0], "projection", config)
 
@@ -421,7 +401,7 @@ def test_sweep_bit_reproducible(sweep_fixture, tmp_path):
     present, shifted, unfavorable = sweep_fixture
     config = EvalConfig(seed=5, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=150, seed=0), n_models=3,
-                        fid_n=400, sens_neighbors=2)
+                        fid_n=400)
     trained = train_mlp(present[0], present[1], config.train)
     paths = []
     for tag, model in (("one", None), ("two", trained)):
@@ -435,7 +415,7 @@ def test_sweep_bit_reproducible(sweep_fixture, tmp_path):
 
 SENS_CONFIG = EvalConfig(seed=3, sampler=SamplerConfig(n_p=200),
                          train=TrainConfig(epochs=150, seed=0), n_models=2,
-                         fid_n=100, sens_neighbors=2)
+                         fid_n=100)
 
 
 @pytest.fixture(scope="module")
@@ -466,7 +446,7 @@ def test_sweep_samples_each_neighbor_once(counted_sweeps):
     # however many radii the grid has.
     for report, calls in counted_sweeps.values():
         assert all(row.n_skipped == 0 for row in report.rows)
-        assert calls == 4 * (1 + SENS_CONFIG.sens_neighbors)
+        assert calls == 4 * (1 + evalharness._SENS_NEIGHBORS)
 
 
 def test_sweep_scans_the_pairs_once(sweep_fixture, monkeypatch):
@@ -475,7 +455,7 @@ def test_sweep_scans_the_pairs_once(sweep_fixture, monkeypatch):
     calls = _count_pair_scans(monkeypatch)
     config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=20, seed=0), n_models=1,
-                        fid_n=50, sens_neighbors=1)
+                        fid_n=50)
     sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0], "projection",
           config)
     assert len(calls) == 1
@@ -495,9 +475,7 @@ def test_sweep_sensitivity_matches_public_sensitivity(sweep_fixture,
         values = [
             sensitivity((dataclasses.replace(config.sampler, seed=seeds[1 + 3 * i],
                                              r_p=r_p), divergence),
-                        model, present[0], x0,
-                        n_neighbors=config.sens_neighbors,
-                        seed=seeds[1 + 3 * i + 2])
+                        model, present[0], x0, seed=seeds[1 + 3 * i + 2])
             for i, x0 in enumerate(unfavorable[:4])
         ]
         assert row.sensitivity == float(np.mean(values))
@@ -539,7 +517,7 @@ def test_sweep_draws_each_fidelity_ball_once(sweep_fixture, monkeypatch):
     monkeypatch.setattr(evalharness, "sample_ball", counted)
     config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=20, seed=0), n_models=1,
-                        fid_n=50, sens_neighbors=1)
+                        fid_n=50)
     report = sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0, 2.0],
                    "projection", config)
     assert all(row.n_skipped == 0 for row in report.rows)
@@ -651,7 +629,7 @@ def test_sweep_counts_skipped_instances(sweep_fixture):
     present, shifted, unfavorable = sweep_fixture
     config = EvalConfig(seed=5, sampler=SamplerConfig(n_p=5),
                         train=TrainConfig(epochs=150, seed=0), n_models=2,
-                        fid_n=100, sens_neighbors=1)
+                        fid_n=100)
     report = sweep(present, shifted, unfavorable[:6], "nominal", [0.0],
                    "projection", config)
     row = report.rows[0]

@@ -341,9 +341,11 @@ def test_wachter_crosses_known_boundary():
 
 
 def test_wachter_failure_carries_best_attempt():
-    model = linear_mlp(np.array([2.0, 0.0]), -20.0)  # boundary at x1 = 10
-    with pytest.raises(NoValidRecourse) as excinfo:
-        wachter_recourse(model, np.zeros(2), lambda0=1e6, steps=50, retries=0)
+    # The boundary is at x1 = 10; from x1 = 0 the sigmoid's gradient is
+    # about 4e-9, so no attempt gets there.
+    model = linear_mlp(np.array([2.0, 0.0]), -20.0)
+    with pytest.raises(NoValidRecourse, match="after 11 attempts") as excinfo:
+        wachter_recourse(model, np.zeros(2))
     best = excinfo.value.result
     assert best is not None
     assert best.blackbox_valid is False

@@ -30,6 +30,7 @@ from cvas import (
 from cvas.sampler import (
     _BISECT_CAP,
     _BLOCK_ROWS,
+    _GUARD,
     _LINE_SEARCH_TOL,
     _bracket_to_boundary,
     _candidate_pairs,
@@ -402,11 +403,10 @@ def test_max_pairwise_distance_blocks_match_pair_loop(n):
 
 
 def test_max_pairwise_distance_above_guard_matches_pair_loop():
-    guard = 2 * _BLOCK_ROWS + 3
-    rows = np.random.default_rng(6).normal(size=(500, 3))
-    subsample = rows[np.random.default_rng(8).choice(500, size=guard,
+    rows = np.random.default_rng(6).normal(size=(_GUARD + 100, 3))
+    subsample = rows[np.random.default_rng(8).choice(_GUARD + 100, size=_GUARD,
                                                      replace=False)]
-    assert_allclose(max_pairwise_distance(rows, seed=8, guard=guard),
+    assert_allclose(max_pairwise_distance(rows, seed=8),
                     _pair_loop_max(subsample), rtol=1e-12)
 
 
@@ -456,17 +456,6 @@ def test_max_pairwise_distance_offset_line_equals_full_scan(seed):
         assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows)
 
 
-@settings(max_examples=30, deadline=None)
-@given(guard=st.integers(min_value=-5, max_value=0),
-       n=st.integers(min_value=1, max_value=70))
-def test_max_pairwise_distance_rejects_guard_below_one(guard, n):
-    # Every row count is above such a guard, so the check must come
-    # before the subsample is drawn.
-    rows = np.random.default_rng(n).normal(size=(n, 3))
-    with pytest.raises(DomainError):
-        max_pairwise_distance(rows, guard=guard)
-
-
 def test_max_pairwise_distance_identical_rows_is_zero():
     rows = np.tile([1.5, -2.25, 3.0, 0.5], (300, 1))
     assert max_pairwise_distance(rows) == max_pairwise_distance_oracle(rows) == 0.0
@@ -495,9 +484,6 @@ def test_max_pairwise_distance_above_guard_equals_full_scan(seed):
     for sample_seed in (seed, seed + 1000):
         assert (max_pairwise_distance(rows, seed=sample_seed)
                 == max_pairwise_distance_oracle(rows, seed=sample_seed))
-    guard = 2 * _BLOCK_ROWS + 3
-    assert (max_pairwise_distance(rows, seed=seed, guard=guard)
-            == max_pairwise_distance_oracle(rows, seed=seed, guard=guard))
 
 
 @settings(max_examples=60, deadline=None)
@@ -537,7 +523,7 @@ def test_max_pairwise_distance_guard_subsample():
     a = max_pairwise_distance(rows, seed=7)
     b = max_pairwise_distance(rows, seed=7)
     assert a == b
-    exact = max_pairwise_distance(rows, guard=3000)
+    exact = max_pairwise_distance_oracle(rows, guard=3000)
     assert a <= exact + 1e-12
 
 

@@ -15,6 +15,7 @@ from cvas import (
     IdenticalMeans,
     NegativeRadius,
     NonFiniteInput,
+    SolverDidNotConverge,
     Surrogate,
     ZeroSlope,
     asymptotic_surrogate,
@@ -28,6 +29,7 @@ from cvas import (
     tau,
     worst_case_misclassification,
 )
+from cvas import surrogate
 from cvas.moments import ridge
 from cvas.surrogate import _reduced_basis
 
@@ -166,7 +168,20 @@ def test_divergence_rejects_fisher_rao_radius_above_the_cap():
             Divergence(kind="fisher-rao", **radii)
     assert Divergence(kind="fisher-rao", rho_neg=700.0).rho_neg == 700.0
     assert Divergence(kind="fisher-rao", rho_pos=math.inf).rho_pos == math.inf
-    assert Divergence(kind="logdet", rho_neg=701.0).rho_neg == 701.0
+    assert Divergence(kind="bures", rho_neg=701.0).rho_neg == 701.0
+
+
+def test_divergence_rejects_logdet_radius_above_the_cap():
+    # exp(-rho - 1) underflows to 0 from rho = 745 on, where every solve
+    # failed in lambert_w_minus1; the cap is fisher-rao's 700.
+    pos, neg = counter_moments()
+    assert solve_cvas(pos, neg, Divergence(kind="logdet", rho_neg=700.0)).kappa > 0.0
+    for rho in (701.0, 800.0):
+        for radii in ({"rho_neg": rho}, {"rho_pos": rho}):
+            with pytest.raises(DomainError, match="logdet radius .* overflow cap"):
+                Divergence(kind="logdet", **radii)
+        with pytest.raises(DomainError, match="overflow cap"):
+            tau("logdet", rho, np.eye(2), [1.0, 0.0])
 
 
 def test_divergence_check_finite():
@@ -258,6 +273,20 @@ def test_solve_stationary_bures_fixed():
     pos, neg = random_moments(np.random.default_rng(4), 5)
     _assert_stationary(pos, neg, Divergence(kind="bures", rho_pos=1.82,
                                             rho_neg=7.47))
+
+
+@pytest.mark.parametrize("cap, value, message", [
+    ("_MAX_HALVINGS", 0, "line search stalled"),
+    ("_MAX_NEWTON", 1, "after 1 Newton iterations"),
+])
+def test_solve_raises_when_it_does_not_converge(monkeypatch, cap, value, message):
+    # Without halvings the line search accepts no step; after one Newton
+    # step the loop ends without a passed gradient test.
+    pos, neg = random_moments(np.random.default_rng(4), 5)
+    divergence = Divergence(kind="bures", rho_pos=1.82, rho_neg=7.47)
+    monkeypatch.setattr(surrogate, cap, value)
+    with pytest.raises(SolverDidNotConverge, match=message):
+        solve_cvas(pos, neg, divergence)
 
 
 def test_solve_normalization_and_equalization():
