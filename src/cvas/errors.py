@@ -68,10 +68,10 @@ class IdenticalMeans(CvasError):
 
 
 class SolverDidNotConverge(CvasError):
-    """Damped Newton slope solver missed the gradient tolerance.
+    """Fixed-point slope solver missed its stop test.
 
-    Raised when the gradient-norm line search stalls or 100 Newton
-    iterations pass without ||g|| <= 1e-9 * (1 + |F|).
+    Raised only when 1000 steps pass without an iterate w meeting
+    ||P grad F(w)|| * ||w|| <= 1e-9 * F(w); nothing else raises it.
     """
 
 

@@ -39,9 +39,8 @@ from .errors import (
 )
 from .moments import halfspace_distance, ridge
 
-_GRAD_TOL = 1e-9
-_MAX_NEWTON = 100
-_MAX_HALVINGS = 60
+_STOP_TOL = 1e-9
+_MAX_STEPS = 1000
 # The largest fisher-rao or logdet radius: exp(rho) overflows from 709.8
 # on, and exp(-rho - 1) is subnormal from 707.4 on and 0 from 745 on.
 _RHO_CAP = 700.0
@@ -200,18 +199,29 @@ def _terms(kind, rho, covariance):
     return [(1.0, covariance)]
 
 
-def _derivatives(terms, w):
-    # Value, gradient and Hessian of sum c * sqrt(w^T M w).
-    value, grad, hess = 0.0, 0.0, 0.0
+def _positive(value, name):
+    # A quadratic form the solve takes the root of or divides by.
+    if value < 0.0:
+        raise SingularCovariance(
+            f"{name} = {value:.3g} < 0: a covariance is not positive semidefinite")
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} = {value:.3g} is outside float range")
+    return value
+
+
+def _evaluate(terms, w):
+    # tau = sum of c * s over the (c, M) terms, s = sqrt(w^T M w), and
+    # the weights c / s, which make grad tau = (sum of (c / s) M) w.
+    value, weights = 0.0, []
     for c, m in terms:
-        mw = m @ w
-        s = math.sqrt(float(w @ mw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = float(w @ (m @ w))
+        s = math.sqrt(_positive(q, "w^T Sigma w"))
         if not math.isfinite(c * s + c / s):  # a finite radius past float range
             raise DomainError(f"tau overflows at weight {c:.3g}; use the asymptote")
         value += c * s
-        grad = grad + (c / s) * mw
-        hess = hess + (c / s) * (m - np.outer(mw, mw) / (s * s))
-    return value, grad, hess
+        weights.append(c / s)
+    return value, weights
 
 
 def tau(kind, rho, covariance, w):
@@ -224,57 +234,47 @@ def tau(kind, rho, covariance, w):
 
     The covariance is used as given; ridge upstream if it may be
     singular. Radii must be finite; NaN or +inf raise DomainError, as
-    do a fisher-rao or logdet radius above 700 and a radius so large
-    that tau or its derivatives overflow.
+    do a fisher-rao or logdet radius above 700, a radius so large that
+    tau or its derivatives overflow, and a w^T S w that overflows or
+    underflows to 0. A negative w^T S w raises SingularCovariance.
     """
     kind = DivergenceKind(kind)
     _check_radius(kind, rho)
     w = finite_array(np.ravel(w), "tau slope", nonzero=True)
     cov = finite_array(covariance, "covariance", shape=w.shape * 2)
-    return _derivatives(_terms(kind, rho, cov), w)[0]
-
-
-def _reduced_basis(direction):
-    # Orthonormal basis of the hyperplane {z : direction^T z = 0}.
-    d = direction.shape[0]
-    q, _ = np.linalg.qr(direction.reshape(d, 1), mode="complete")
-    return q[:, 1:]
-
-
-def _backtrack(reduced, z, step, grad_norm):
-    # Halve t from 1 until ||g(z + t step)|| <= (1 - 1e-4 t) ||g(z)||.
-    t = 1.0
-    for _ in range(_MAX_HALVINGS):
-        trial = reduced(z + t * step)
-        if float(np.linalg.norm(trial[3])) <= (1.0 - 1e-4 * t) * grad_norm:
-            return trial
-        t *= 0.5
-    raise SolverDidNotConverge(
-        f"line search stalled at reduced gradient norm {grad_norm:.3e}")
+    return _evaluate(_terms(kind, rho, cov), w)[0]
 
 
 def _mean_gap(moments_pos, moments_neg):
-    """a = mu_pos - mu_neg, the direction the slope is normalized along."""
+    """a = mu_pos - mu_neg, the slope's normalization direction, and a^T a."""
     if moments_pos.mean.shape != moments_neg.mean.shape:
         raise DimensionMismatch("the two classes have different widths")
     a = moments_pos.mean - moments_neg.mean
     if not np.any(a):
         raise IdenticalMeans("class means are identical; no normalized slope exists")
-    return a
+    with np.errstate(over="ignore"):
+        return a, _positive(float(a @ a), "a^T a")
 
 
 def solve_cvas(moments_pos, moments_neg, divergence):
     """Solve the robust surrogate problem for one divergence setting.
 
-    Eliminates the normalization w^T a = 1 (a = mu_pos - mu_neg) through
-    w = w0 + N z with w0 = a/||a||^2 and N an orthonormal null-space
-    basis, then runs damped Newton on the reduced convex objective until
-    ||g|| <= 1e-9 * (1 + |F|). The line search halves the step until the
-    reduced gradient norm falls by the factor (1 - 1e-4 t): the reduced
-    Hessian is positive definite, so the Newton direction always
-    decreases ||g||, and the analytic gradient stays accurate after
-    differences in F have rounded away. With d = 1 there are no free
-    directions and w0 is the answer.
+    F(w) is a sum of terms c_t * s_t(w) with s_t = sqrt(w^T M_t w), so
+    the solve is a minimax probability machine's fixed-point iteration
+    (Lanckriet et al., JMLR 2002). From w0 = a/||a||^2, with
+    a = mu_pos - mu_neg, each step forms M = sum of (c_t / s_t) M_t at
+    the current w and moves to
+
+        w <- M^{-1} a / (a^T M^{-1} a),
+
+    one symmetric positive-definite solve. F cannot increase: by
+    sqrt(q) <= (q / s + s) / 2, the quadratic (w'^T M w' + F(w)) / 2
+    lies above F and touches it at w, and the step minimizes it over
+    w'^T a = 1. The gradient of F is M w, so the stop test reuses M: it
+    accepts w once ||P M w|| * ||w|| <= 1e-9 * F, with P the projection
+    onto {z : a^T z = 0}. The test is scale-free because w^T grad F = F.
+    Every iterate is tested, w0 and the last one included; with d = 1,
+    w0 passes at once.
 
     Returns
     -------
@@ -286,42 +286,45 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     ------
     DomainError
         If a radius is not finite, or a fisher-rao or logdet radius
-        exceeds 700; use asymptotic_surrogate for the infinite-radius
-        limit.
+        exceeds 700 (use asymptotic_surrogate for the infinite-radius
+        limit), or if a^T a, w^T Sigma w or tau leaves float range.
     DimensionMismatch
         If the two classes have different widths.
     IdenticalMeans
         If the class means coincide.
+    SingularCovariance
+        If a class covariance is not positive semidefinite.
     SolverDidNotConverge
-        If the line search stalls or the gradient test still fails
-        after 100 Newton iterations.
+        If the stop test still fails after 1000 steps.
     """
-    a = _mean_gap(moments_pos, moments_neg)
+    a, a_sq = _mean_gap(moments_pos, moments_neg)
     kind = divergence.kind
     terms_pos = _terms(kind, divergence.rho_pos, ridge(moments_pos.covariance))
     terms_neg = _terms(kind, divergence.rho_neg, ridge(moments_neg.covariance))
-    w0 = a / float(a @ a)
-    basis = _reduced_basis(a)
+    terms = terms_pos + terms_neg
+    w = a / a_sq
+    for steps in range(_MAX_STEPS + 1):
+        f, weights = _evaluate(terms, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_bar = sum(weight * m for weight, (_, m) in zip(weights, terms))
+            grad = m_bar @ w
+            projected = grad - (float(a @ grad) / a_sq) * a
+            residual = float(np.linalg.norm(projected) * np.linalg.norm(w))
+            if residual <= _STOP_TOL * f:
+                break
+            if steps == _MAX_STEPS:
+                raise SolverDidNotConverge(
+                    f"||P grad F|| * ||w|| / F = {residual / f:.3e} above "
+                    f"{_STOP_TOL} after {_MAX_STEPS} steps")
+            try:
+                solved = np.linalg.solve(m_bar, a)
+            except np.linalg.LinAlgError as exc:
+                raise SingularCovariance(
+                    "the weighted class covariance is singular") from exc
+            w = solved / _positive(float(a @ solved), "a^T M^-1 a")
 
-    def reduced(z):
-        w = w0 + basis @ z
-        f, grad, hess = _derivatives(terms_pos + terms_neg, w)
-        return z, w, f, basis.T @ grad, basis.T @ hess @ basis
-
-    z, w, f, g, h = reduced(np.zeros(a.shape[0] - 1))
-    for _ in range(_MAX_NEWTON):
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= _GRAD_TOL * (1.0 + abs(f)):
-            break
-        z, w, f, g, h = _backtrack(reduced, z, np.linalg.solve(h, -g), grad_norm)
-    else:
-        raise SolverDidNotConverge(
-            f"reduced gradient norm {grad_norm:.3e} above tolerance "
-            f"after {_MAX_NEWTON} Newton iterations"
-        )
-
-    tau_pos = _derivatives(terms_pos, w)[0]
-    tau_neg = _derivatives(terms_neg, w)[0]
+    tau_pos = _evaluate(terms_pos, w)[0]
+    tau_neg = _evaluate(terms_neg, w)[0]
     objective = tau_pos + tau_neg
     kappa = 1.0 / objective
     b = float(w @ moments_pos.mean) - kappa * tau_pos
@@ -373,10 +376,10 @@ def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
     family = AsymptoticFamily(family)
     if inflated_class not in (1, -1):
         raise ValueError("inflated_class must be +1 or -1")
-    a = _mean_gap(moments_pos, moments_neg)
+    a, a_sq = _mean_gap(moments_pos, moments_neg)
 
     if family is AsymptoticFamily.QUADRATIC_OR_BURES:
-        w = a / float(a @ a)
+        w = a / a_sq
         kind = DivergenceKind.BURES
     else:
         cov = ridge((moments_pos if inflated_class == 1 else moments_neg).covariance)

@@ -36,6 +36,7 @@ from cvas import (
     NonFiniteInput,
     RecourseResult,
     SamplerConfig,
+    SingularCovariance,
     Surrogate,
     TrainConfig,
     actionable_recourse,
@@ -99,6 +100,19 @@ SAMPLER = SamplerConfig(n_p=50)
 ACTIONS = default_action_grids(X0, X)
 # Finite inputs whose squared norms, deficit or recourse point overflow.
 HUGE_ROWS = np.random.default_rng(0).normal(size=(50, 3)) * 1e154
+# Class moments whose a^T a (FAR_POS) or w0^T Sigma w0 (WIDE_*) overflows,
+# and an indefinite covariance.
+FAR_POS = ClassMoments(mean=[1e162, 0.0], covariance=EYE, count=10)
+ORIGIN = ClassMoments(mean=[0.0, 0.0], covariance=EYE, count=10)
+WIDE_POS = ClassMoments(mean=[1e-100, 0.0], covariance=1e200 * EYE, count=10)
+WIDE_NEG = ClassMoments(mean=[0.0, 0.0], covariance=1e200 * EYE, count=10)
+INDEFINITE = np.diag([-1.0, 1.0])
+# Indefinite with trace 0, so the ridge rounds away; at w0 = a/6 the
+# weighted sum of the two covariances is exactly singular.
+SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -8e20]),
+                         count=10)
+SPLIT_NEG = ClassMoments(mean=[0.0, 0.0, 0.0], covariance=np.diag([-2e20, 1e20, 1e20]),
+                         count=10)
 HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
 TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
 FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
@@ -265,12 +279,26 @@ CASES = [
     *_each("tau", "covariance", MATRICES,
            lambda m: tau("bures", 1.0, m, [1.0, 0.0])),
     *_each("tau", "w", VECTORS, lambda v: tau("bures", 1.0, EYE, v)),
+    *_raises("tau", "covariance=1e200",
+             lambda: tau("nominal", 0.0, 1e200 * EYE, [1e100, 0.0]), DomainError),
+    *_raises("tau", "covariance=indefinite",
+             lambda: tau("nominal", 0.0, INDEFINITE, [1.0, 0.0]), SingularCovariance),
     *_each("lambert_w_minus1", "x", RADII, lambert_w_minus1),
     *_one("solve_cvas", "wide", lambda: solve_cvas(POS, NEG_WIDE, FR)),
     *_one("solve_cvas", "identical", lambda: solve_cvas(POS, POS, FR)),
     *_raises("solve_cvas", "mean=nan",
              lambda: solve_cvas(ClassMoments(mean=[nan, 0.0], covariance=EYE, count=3),
                                 NEG, FR), NonFiniteInput),
+    *_raises("solve_cvas", "mean=1e162",
+             lambda: solve_cvas(FAR_POS, ORIGIN, NOMINAL), DomainError),
+    *_raises("solve_cvas", "covariance=1e200",
+             lambda: solve_cvas(WIDE_POS, WIDE_NEG, NOMINAL), DomainError),
+    *_raises("solve_cvas", "covariance=indefinite",
+             lambda: solve_cvas(POS, ClassMoments(mean=[-1.0, 0.0], covariance=INDEFINITE,
+                                                  count=10), NOMINAL),
+             SingularCovariance),
+    *_raises("solve_cvas", "covariance=singular-sum",
+             lambda: solve_cvas(SPLIT_POS, SPLIT_NEG, NOMINAL), SingularCovariance),
     *_one("solve_cvas", "rho_neg=inf",
           lambda: solve_cvas(POS, NEG, Divergence(kind="logdet", rho_neg=inf))),
     *_one("asymptotic_surrogate", "wide",
@@ -387,6 +415,7 @@ def test_table_covers_every_public_callable():
     assert {target for target, *_ in CASES} == public - RECORDS
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target, label, call, allowed, must_raise", CASES,
                          ids=[f"{target}-{label}" for target, label, *_ in CASES])
 def test_bad_input_raises_or_returns_finite(target, label, call, allowed, must_raise,

@@ -15,6 +15,7 @@ from cvas import (
     IdenticalMeans,
     NegativeRadius,
     NonFiniteInput,
+    SingularCovariance,
     SolverDidNotConverge,
     Surrogate,
     ZeroSlope,
@@ -31,7 +32,6 @@ from cvas import (
 )
 from cvas import surrogate
 from cvas.moments import ridge
-from cvas.surrogate import _reduced_basis
 
 from helpers import random_instance, random_pd
 from oracles import (
@@ -52,6 +52,11 @@ def counter_moments():
     neg = ClassMoments(mean=np.array([0.0, 0.0]), covariance=COUNTER_COV,
                        count=100)
     return pos, neg
+
+
+def in_plane_basis(a):
+    """Orthonormal basis of {z : a^T z = 0}, shape (d, d - 1)."""
+    return np.linalg.svd(a.reshape(1, -1))[2][1:].T
 
 
 def random_moments(rng, d=3):
@@ -244,13 +249,20 @@ def _assert_stationary(pos, neg, div):
     a = pos.mean - neg.mean
     assert abs(float(sur.w @ a) - 1.0) <= 1e-12
     grad = np.zeros_like(a)
+    objective = 0.0
     for moments, rho in ((pos, div.rho_pos), (neg, div.rho_neg)):
         cov = ridge(moments.covariance)
         grad += _tau_gradient(div.kind.value, rho, cov, sur.w)
+        t = tau(div.kind, rho, cov, sur.w)
+        objective += t
         margin = abs(float(sur.w @ moments.mean) - sur.b)
-        assert abs(margin - sur.kappa * tau(div.kind, rho, cov, sur.w)) <= 1e-12
+        assert abs(margin - sur.kappa * t) <= 1e-12
     projected = grad - a * float(a @ grad) / float(a @ a)
     assert float(np.linalg.norm(projected)) <= 1e-8 * (1.0 + sur.objective)
+    # w^T grad F = F, so this one holds at every scale of the moments.
+    assert (float(np.linalg.norm(projected)) * float(np.linalg.norm(sur.w))
+            <= 1e-8 * objective)
+    return objective
 
 
 @pytest.mark.parametrize("d", (2, 5, 20))
@@ -268,25 +280,65 @@ def test_solve_stationary(kind, d):
 
 
 def test_solve_stationary_bures_fixed():
-    # Newton with Armijo backtracking on F stalls above the gradient
-    # tolerance here; backtracking on ||g|| converges.
+    # Newton with Armijo backtracking on F once stalled above the
+    # gradient tolerance on this instance.
     pos, neg = random_moments(np.random.default_rng(4), 5)
     _assert_stationary(pos, neg, Divergence(kind="bures", rho_pos=1.82,
                                             rho_neg=7.47))
 
 
+def _anisotropic_moments(seed, d, cond):
+    # Unit mean gap; both covariances have eigenvalues 1 to cond.
+    rng = np.random.default_rng(seed)
+
+    def cov():
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return (q * np.logspace(0, np.log10(cond), d)) @ q.T
+
+    a = rng.normal(size=d)
+    a /= np.linalg.norm(a)
+    return (ClassMoments(a, cov(), 100), ClassMoments(np.zeros(d), cov(), 100))
+
+
+@pytest.mark.parametrize("d, cond", [(3, 1e3), (5, 1e3), (10, 1e3), (5, 1e4)])
+def test_solve_stationary_anisotropic(d, cond):
+    # A solver whose iterates run away from w^T a = 1, or whose step
+    # meets a near-singular system, fails here.
+    divergences = [Divergence(kind="nominal")] + [
+        Divergence(kind=kind, rho_neg=1.0) for kind in KINDS]
+    for seed in range(20):
+        pos, neg = _anisotropic_moments(seed, d, cond)
+        a = pos.mean - neg.mean
+        w0 = a / float(a @ a)
+        for div in divergences:
+            objective = _assert_stationary(pos, neg, div)
+            start = sum(tau(div.kind, rho, ridge(m.covariance), w0)
+                        for m, rho in ((pos, div.rho_pos), (neg, div.rho_neg)))
+            assert objective <= start
+
+
 @pytest.mark.parametrize("cap, value, message", [
-    ("_MAX_HALVINGS", 0, "line search stalled"),
-    ("_MAX_NEWTON", 1, "after 1 Newton iterations"),
+    ("_MAX_STEPS", 0, "after 0 steps"),
+    ("_MAX_STEPS", 1, "after 1 steps"),
 ])
 def test_solve_raises_when_it_does_not_converge(monkeypatch, cap, value, message):
-    # Without halvings the line search accepts no step; after one Newton
-    # step the loop ends without a passed gradient test.
+    # The instance needs more than one step, so with the cap at 0 or 1
+    # no tested iterate passes the stop test.
     pos, neg = random_moments(np.random.default_rng(4), 5)
     divergence = Divergence(kind="bures", rho_pos=1.82, rho_neg=7.47)
     monkeypatch.setattr(surrogate, cap, value)
     with pytest.raises(SolverDidNotConverge, match=message):
         solve_cvas(pos, neg, divergence)
+
+
+def test_solve_tests_its_last_iterate(monkeypatch):
+    # With no step allowed, a w0 that passes the stop test is returned:
+    # equal isotropic classes have their optimum at a/||a||^2.
+    monkeypatch.setattr(surrogate, "_MAX_STEPS", 0)
+    pos = ClassMoments(mean=np.array([2.0, 1.0]), covariance=np.eye(2), count=10)
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=10)
+    sur = solve_cvas(pos, neg, Divergence(kind="bures", rho_neg=1.0))
+    assert_allclose(sur.w, [0.4, 0.2], rtol=1e-15)
 
 
 def test_solve_normalization_and_equalization():
@@ -502,7 +554,7 @@ def test_gaussian_bound_minimal_at_optimum(kind):
         return worst
 
     optimum = max_gauss(sur.w, sur.b)
-    basis = _reduced_basis(pos.mean - neg.mean)
+    basis = in_plane_basis(pos.mean - neg.mean)
     for _ in range(100):
         w = sur.w + basis @ rng.normal(scale=1e-2, size=basis.shape[1])
         b = sur.b + rng.normal(scale=1e-2)
@@ -551,6 +603,14 @@ def test_asymptotic_validation():
         asymptotic_surrogate(m, m, "quadratic-or-bures", 1)
 
 
+def test_asymptotic_singular_inflated_covariance():
+    # The ridge of 1e-10 lifts the -1e-10 eigenvalue to exactly 0.
+    pos, _ = counter_moments()
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.diag([-1e-10, 1.0]), count=5)
+    with pytest.raises(SingularCovariance, match="singular after ridge"):
+        asymptotic_surrogate(pos, neg, "fisher-rao-or-logdet", -1)
+
+
 def test_large_radius_approaches_asymptote():
     pos, neg = counter_moments()
     limit = asymptotic_surrogate(pos, neg, "fisher-rao-or-logdet", -1)
@@ -585,6 +645,13 @@ def test_fr_worst_case_covariance_validation():
         fr_worst_case_covariance(np.eye(2), -1.0, [1.0, 0.0])
     with pytest.raises(ZeroSlope):
         fr_worst_case_covariance(np.eye(2), 1.0, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("smallest", [-1e-10, -1.0])
+def test_fr_worst_case_covariance_rejects_singular(smallest):
+    # After the ridge the smallest eigenvalue is 0 or negative.
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        fr_worst_case_covariance(np.diag([smallest, 1.0]), 1.0, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------- mean
