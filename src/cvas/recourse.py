@@ -88,11 +88,35 @@ class RecourseResult:
         object.__setattr__(self, "x_r", np.asarray(self.x_r, dtype=float).reshape(-1))
 
 
+_DECILES = np.arange(10, 100, 10)
+
+
+def _deciles(rows):
+    """np.percentile(rows, _DECILES, axis=0) from one sort per column.
+
+    numpy's default linear method: the virtual index (n - 1) q / 100 lies
+    between the sorted rows at its floor and floor + 1 (clipped to n - 1),
+    and with gamma its fractional part numpy's _lerp gives a + (b - a)
+    gamma, or b - (b - a)(1 - gamma) where gamma >= 0.5, so every value
+    equals np.percentile's bit for bit. Can overflow: call it under
+    np.errstate.
+    """
+    ordered = np.sort(rows, axis=0)
+    n = ordered.shape[0]
+    virtual = (n - 1) * (_DECILES / 100)
+    below = np.floor(virtual).astype(np.intp)
+    gamma = (virtual - below)[:, None]
+    a, b = ordered[below], ordered[np.minimum(below + 1, n - 1)]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
 def default_action_grids(x0, training_features, kinds=None):
     """Grids of deltas to the 10..90 percentiles of each training marginal.
 
-    Every grid keeps 0; immutable features collapse to {0} and
-    non_decreasing features drop negative deltas.
+    The percentiles are np.percentile's default linear method, from one
+    sort per column. Every grid keeps 0; immutable features collapse to
+    {0} and non_decreasing features drop negative deltas.
 
     Raises
     ------
@@ -103,6 +127,8 @@ def default_action_grids(x0, training_features, kinds=None):
         If there are no training rows.
     NonFiniteInput
         If x0 or a training row contains NaN or infinity.
+    DomainError
+        If a percentile or its delta from x0 overflows float64.
     """
     x0 = np.ravel(x0)
     d = x0.shape[0]
@@ -113,16 +139,17 @@ def default_action_grids(x0, training_features, kinds=None):
     training_features = finite_array(training_features, "training rows",
                                      shape=(None, d), nonempty=True)
     x0 = finite_array(x0, "x0")
-    quantiles = np.percentile(training_features, np.arange(10, 100, 10), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = _deciles(training_features) - x0
+    if not np.isfinite(deltas).all():
+        raise DomainError("a training percentile or its delta from x0 overflows")
     grids = []
-    for j, kind in enumerate(kinds):
+    for kind, column in zip(kinds, deltas.T.tolist()):
         if kind == "immutable":
-            grids.append(np.array([0.0]))
-            continue
-        deltas = quantiles[:, j] - x0[j]
-        if kind == "non_decreasing":
-            deltas = deltas[deltas >= 0.0]
-        grids.append(np.unique(np.append(deltas, 0.0)))
+            column = []
+        elif kind == "non_decreasing":
+            column = [delta for delta in column if delta >= 0.0]
+        grids.append(column + [0.0])
     return ActionSpec(kinds=tuple(kinds), grids=tuple(grids))
 
 

@@ -283,6 +283,19 @@ def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
     return x0 + t[:, None] * directions
 
 
+def _nearest_rows(distances, m):
+    """The first m entries of np.argsort(distances, kind="stable").
+
+    For m < n, np.partition finds the m-th smallest distance, and only
+    the rows at or below it, taken in index order, are stable-sorted.
+    """
+    if m >= distances.size:
+        return np.argsort(distances, kind="stable")
+    cut = np.partition(distances, m - 1)[m - 1]
+    rows = np.flatnonzero(distances <= cut)
+    return rows[np.argsort(distances[rows], kind="stable")[:m]]
+
+
 def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     """Closest decision-boundary point reachable from x0.
 
@@ -290,9 +303,10 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     from x0, steps along the k segments in lockstep with the rows'
     values as the segment ends (one k-row forward pass per step, see
     _bracket_to_boundary), and returns the boundary point nearest to x0
-    in L2. Only the nearest rows are evaluated: the rows are sorted by
+    in L2. Only the nearest rows are evaluated: the rows are ranked by
     L1 distance (ties in row order) and labelled in that order, in
-    chunks of 4k, 8k, 16k, ... rows, until k opposite rows are found.
+    chunks of 4k, 8k, 16k, ... rows, until k opposite rows are found;
+    each chunk ranks only the rows it reaches (_nearest_rows).
 
     Raises
     ------
@@ -306,11 +320,11 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     x0 = finite_array(np.ravel(x0), "query point")
     dataset = finite_array(dataset, "dataset", shape=(None, len(x0)), nonempty=True)
     f0 = model.predict_proba(x0[None, :])[0] - model.threshold
-    order = np.argsort(np.abs(dataset - x0).sum(axis=1), kind="stable")
+    distances = np.abs(dataset - x0).sum(axis=1)
     near, f_near = [], []
     n_opposite, start, size = 0, 0, 4 * config.k
-    while n_opposite < config.k and start < order.size:
-        rows = order[start:start + size]
+    while n_opposite < config.k and start < distances.size:
+        rows = _nearest_rows(distances, start + size)[start:]
         f = model.predict_proba(dataset[rows]) - model.threshold
         opposite = (f >= 0.0) != (f0 >= 0.0)
         near.append(rows[opposite])

@@ -3,14 +3,14 @@
 Everything here is written from the problem definitions only: divergence
 balls are maximized directly with SLSQP over a Cholesky parameterization,
 the L1 projection is restated as a linear program, actionable recourse is
-enumerated exhaustively, Lambert W is bisected, gradients come from
-central differences, the boundary search labels every row and steps
-by ITP on one segment at a time with one single-row model evaluation
-per step, the maximum
-pairwise distance scans every block, and the MLP trains, predicts and
-differentiates by the plain loop: a fresh array per operation, kept
-pre-activations for the ReLU masks, and one Adam update per parameter
-array. None of it shares code with the package.
+enumerated exhaustively, the default action grids come from
+np.percentile, Lambert W is bisected, gradients come from central
+differences, the boundary search labels every row and steps by ITP on
+one segment at a time with one single-row model evaluation per step,
+the maximum pairwise distance scans every block, and the MLP trains,
+predicts and differentiates by the plain loop: a fresh array per
+operation, kept pre-activations for the ReLU masks, and one Adam update
+per parameter array. None of it shares code with the package.
 """
 
 import itertools
@@ -184,6 +184,22 @@ def exhaustive_actionable_cost(x0, w, b, grids):
         return math.inf
     costs = np.abs(points[feasible] - x0[None, :]).sum(axis=1)
     return float(costs.min())
+
+
+def default_action_grids_oracle(x0, training_features, kinds):
+    """Per-feature grids of deltas to np.percentile's 10..90 percentiles
+    of each training column, each grid made by np.unique."""
+    quantiles = np.percentile(training_features, np.arange(10, 100, 10), axis=0)
+    grids = []
+    for j, kind in enumerate(kinds):
+        if kind == "immutable":
+            grids.append(np.array([0.0]))
+            continue
+        deltas = quantiles[:, j] - x0[j]
+        if kind == "non_decreasing":
+            deltas = deltas[deltas >= 0.0]
+        grids.append(np.unique(np.append(deltas, 0.0)))
+    return grids
 
 
 def pareto_oracle(points):

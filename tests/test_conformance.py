@@ -347,6 +347,12 @@ CASES = [
     *_each("default_action_grids", "x0", VECTORS, lambda v: default_action_grids(v, X)),
     *_each("default_action_grids", "training_features", ROWS,
            lambda rows: default_action_grids(X0, rows)),
+    *_raises("default_action_grids", "delta-overflow",
+             lambda: default_action_grids([1e308, 0.0], [[-1e308, 0.0], [-1e308, 1.0],
+                                                         [-1e308, 2.0]]), DomainError),
+    *_raises("default_action_grids", "percentile-overflow",
+             lambda: default_action_grids([0.0, 0.0], [[1.7e308, 0.0], [-1.7e308, 1.0]]),
+             DomainError),
     *_each("wachter_recourse", "x0", VECTORS, lambda v: wachter_recourse(MODEL, v)),
     *_each("fit_surrogate", "x0", VECTORS,
            lambda v: fit_surrogate(MODEL, v, X, SAMPLER, FR)),

@@ -33,7 +33,11 @@ from cvas import (
 from cvas import recourse
 
 from helpers import linear_mlp
-from oracles import exhaustive_actionable_cost, lp_projection_cost
+from oracles import (
+    default_action_grids_oracle,
+    exhaustive_actionable_cost,
+    lp_projection_cost,
+)
 
 
 def lin_sur(w, b):
@@ -316,6 +320,52 @@ def test_default_action_grids_rejects_non_finite_input(bad, row, col, in_x0):
         training[row, col] = bad
     with pytest.raises(NonFiniteInput):
         default_action_grids(x0, training)
+
+
+def _marginal_columns(n, scale, seed):
+    """Constant, tied, binary, one-hot (three columns) and lognormal
+    columns of n rows, times scale."""
+    rng = np.random.default_rng(seed)
+    one_hot = np.eye(3)[rng.integers(0, 3, size=n)]
+    columns = np.column_stack([np.full(n, 0.7), rng.integers(-2, 3, size=n),
+                               rng.integers(0, 2, size=n), one_hot,
+                               rng.lognormal(size=n)])
+    return columns * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 101, 2080])
+@pytest.mark.parametrize("scale", [1e-300, -1e-7, 1.0, -3e5, 1e300])
+@pytest.mark.parametrize("kind", ["free", "non_decreasing", "immutable"])
+def test_default_action_grids_match_percentile_oracle(n, scale, kind):
+    # np.array_equal counts -0.0 equal to 0.0; a zero delta is a no-op
+    # in the search either way.
+    training = _marginal_columns(n, scale, seed=n)
+    kinds = (kind,) * training.shape[1]
+    for x0 in (training[0], training[-1] * 0.5, np.zeros(training.shape[1])):
+        spec = default_action_grids(x0, training, kinds)
+        expected = default_action_grids_oracle(x0, training, kinds)
+        assert all(np.array_equal(got, want) for got, want in zip(spec.grids, expected))
+
+
+_FLOATS = st.one_of(st.floats(-1e300, 1e300), st.integers(-3, 3).map(float),
+                    st.sampled_from([0.0, -0.0, 0.1, 1e-310]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 3))
+def test_deciles_equal_np_percentile(data, n, d):
+    rows = np.array(data.draw(st.lists(_FLOATS, min_size=n * d, max_size=n * d)),
+                    dtype=float).reshape(n, d)
+    assert np.array_equal(recourse._deciles(rows),
+                          np.percentile(rows, np.arange(10, 100, 10), axis=0))
+
+
+def test_deciles_at_half_gamma_take_the_upper_row():
+    # n = 2 puts the 50th percentile at gamma = 0.5 exactly, where numpy
+    # computes b - (b - a) * 0.5, which here differs from a + (b - a) * 0.5.
+    rows = np.array([[0.1], [0.7]])
+    assert recourse._deciles(rows)[4, 0] == 0.7 - (0.7 - 0.1) * 0.5
+    assert 0.7 - (0.7 - 0.1) * 0.5 != 0.1 + (0.7 - 0.1) * 0.5
 
 
 # ---------------------------------------------------------------- wachter

@@ -34,6 +34,7 @@ from cvas.sampler import (
     _LINE_SEARCH_TOL,
     _bracket_to_boundary,
     _candidate_pairs,
+    _nearest_rows,
     resolve_radius,
 )
 
@@ -228,6 +229,28 @@ def test_boundary_point_matches_per_segment_oracle(trained, monkeypatch):
         assert np.array_equal(seen.pop(), dataset[expected])
         assert np.linalg.norm(point - boundary_point_oracle(
             x0, dataset, case_model, 10, _LINE_SEARCH_TOL)) <= 2.0 * _LINE_SEARCH_TOL
+
+
+def _one_distinct(n, at, value):
+    distances = [0.5] * n
+    distances[at % n] = value
+    return distances
+
+
+# Integer-valued, all equal, or all equal but one.
+_TIED_DISTANCES = st.one_of(
+    st.lists(st.integers(0, 4).map(float), min_size=1, max_size=40),
+    st.builds(lambda n: [2.0] * n, st.integers(1, 40)),
+    st.builds(_one_distinct, st.integers(1, 40), st.integers(0, 39), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(distances=_TIED_DISTANCES)
+def test_nearest_rows_is_a_prefix_of_the_stable_argsort(distances):
+    distances = np.array(distances)
+    order = np.argsort(distances, kind="stable")
+    for m in range(1, distances.size + 4):
+        assert np.array_equal(_nearest_rows(distances, m), order[:m])
 
 
 def test_boundary_point_forward_calls_bounded(trained):
