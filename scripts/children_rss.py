@@ -3,9 +3,9 @@
     python3 scripts/children_rss.py --workload fixture-sweep --seed 1 --seconds 20 --trace 0
 
 perfbench/run.py reports peak_rss_mb from RUSAGE_SELF, which leaves out
-the training workers that simulate_future_models starts. This script
-runs that runner, with the arguments given, inside its own process, and
-then prints one JSON line: the runner's exit status, the largest
+the future-model ensemble's training workers. This script runs that
+runner, with the arguments given, inside its own process, and then
+prints one JSON line: the runner's exit status, the largest
 resident set of any child process it reaped (RUSAGE_CHILDREN, 0 when
 it started none) and its own peak (RUSAGE_SELF), in MB. Run it from the
 root of a source checkout, as the runner requires.

@@ -1,9 +1,9 @@
-"""Training worker of simulate_future_models.
+"""Training worker of blackbox._future_models.
 
 ``python -m cvas._trainworker`` reads one pickled ``(features, labels,
 jobs)`` triple from stdin, trains one model per ``(row indices,
 config)`` job in order, and writes the pickled list of models to
-stdout. Only simulate_future_models writes its stdin, so the bytes it
+stdout. Only _future_models writes its stdin, so the bytes it
 unpickles come from this package.
 """
 

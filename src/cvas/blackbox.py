@@ -4,7 +4,7 @@ Architecture is pinned to d -> 20 -> 50 -> 20 -> 1 with ReLU hidden
 units and a sigmoid head. Training is full-batch Adam on binary
 cross-entropy. Everything is seeded so the same data and seed reproduce
 bit-identical weights, whether a model trains in this process or in a
-training worker (see simulate_future_models). train_mlp describes the
+training worker (see _future_models). train_mlp describes the
 allocation-light kernel.
 """
 
@@ -332,12 +332,13 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
     in the master seed. A subsample that lands on a single class is
     redrawn up to 10 times before SingleClassData propagates.
 
-    The subsamples are drawn here; the models train in up to one worker
-    process per usable CPU (never more than n_models), each with one
-    BLAS thread, and come back in index order, bit-identical to
-    training them one after another in this process. With one usable
-    CPU or one model they train in this process. Features and labels
-    are validated before any worker starts.
+    The subsamples are drawn here, and every check runs before any
+    worker starts. The models train in up to one worker process per
+    usable CPU (never more than n_models), each with one BLAS thread,
+    and come back in index order, bit-identical to training them one
+    after another in this process. With one usable CPU or one model
+    they train in this process. sweep() trains its ensemble the same
+    way, while it works through its instances.
 
     Raises
     ------
@@ -348,6 +349,14 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
     CvasError
         If a training worker exits with a non-zero status.
     """
+    with _future_models(*_ensemble_jobs(shifted_features, shifted_labels,
+                                        n_models, fraction, config)) as collect:
+        return collect()
+
+
+def _ensemble_jobs(shifted_features, shifted_labels, n_models, fraction, config):
+    """simulate_future_models's checked data and its (row indices, config)
+    jobs, one per model; raises as simulate_future_models says."""
     if n_models < 1:
         raise ValueError("n_models must be >= 1")
     if not 0.0 < fraction <= 1.0:
@@ -368,10 +377,7 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
                 f"subsample for model {i} was single-class in 10 draws"
             )
         jobs.append((idx, replace(config, seed=seed_i)))
-    n_workers = min(_usable_cpus(), n_models)
-    if n_workers == 1:
-        return _train_jobs(features, labels, jobs)
-    return _train_in_workers(features, labels, jobs, n_workers)
+    return features, labels, jobs
 
 
 def _train_jobs(features, labels, jobs):
@@ -387,15 +393,30 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _train_in_workers(features, labels, jobs, n_workers):
-    """Run _train_jobs over jobs dealt round-robin to n_workers subprocesses.
+@contextlib.contextmanager
+def _future_models(features, labels, jobs):
+    """Train one model per job while the caller works; yield collect().
 
-    Each worker is ``python -m cvas._trainworker``: it gets the data and
-    its share of the jobs pickled on stdin and returns its models
-    pickled on stdout. Subprocesses, unlike multiprocessing, never
-    re-run the caller's __main__. On any exception, KeyboardInterrupt
-    included, every worker is killed and reaped before it propagates.
+    collect() returns the models in job order. On entry the jobs are
+    dealt round-robin to min(usable CPUs, len(jobs)) worker processes,
+    which train while the body of the with statement runs; collect()
+    waits for them, and raises CvasError if one exited with a non-zero
+    status. With one job or one usable CPU, the jobs train in this
+    process on entry instead.
+
+    Each worker is ``python -m cvas._trainworker`` with one BLAS thread:
+    it gets the data and its share of the jobs pickled on stdin and
+    returns its models pickled on stdout, bit-identical to _train_jobs
+    here. Subprocesses, unlike multiprocessing, never re-run the
+    caller's __main__. On leaving the with statement, normally or by
+    any exception, KeyboardInterrupt included, every worker is killed
+    (a no-op once collected) and reaped.
     """
+    n_workers = min(_usable_cpus(), len(jobs))
+    if n_workers == 1:
+        models = _train_jobs(features, labels, jobs)
+        yield lambda: models
+        return
     # This package's own source root goes first on the worker's path (and
     # is its working directory, which -m puts ahead of PYTHONPATH), so a
     # source checkout never trains with an installed copy.
@@ -404,6 +425,18 @@ def _train_in_workers(features, labels, jobs, n_workers):
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     workers = []
+
+    def collect():
+        models = [None] * len(jobs)
+        for w, worker in enumerate(workers):
+            output = worker.stdout.read()
+            if worker.wait() != 0:
+                raise CvasError(
+                    f"training worker exited with status {worker.returncode}"
+                )
+            models[w::n_workers] = pickle.loads(output)
+        return models
+
     try:
         for _ in range(n_workers):
             workers.append(subprocess.Popen(
@@ -415,16 +448,8 @@ def _train_in_workers(features, labels, jobs, n_workers):
                     pickle.dump((features, labels, jobs[w::n_workers]), worker.stdin,
                                 protocol=pickle.HIGHEST_PROTOCOL)
             except BrokenPipeError:
-                pass  # the worker has exited; its status is checked below
-        models = [None] * len(jobs)
-        for w, worker in enumerate(workers):
-            output = worker.stdout.read()
-            if worker.wait() != 0:
-                raise CvasError(
-                    f"training worker exited with status {worker.returncode}"
-                )
-            models[w::n_workers] = pickle.loads(output)
-        return models
+                pass  # the worker has exited; collect() checks its status
+        yield collect
     finally:
         for worker in workers:
             worker.kill()  # a no-op once the worker has been reaped

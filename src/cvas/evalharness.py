@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from ._io import atomic_write_text
-from .blackbox import TrainConfig, simulate_future_models, train_mlp
+from .blackbox import TrainConfig, _ensemble_jobs, _future_models, train_mlp
 from .errors import CvasError, DimensionMismatch, EmptyInput, finite_array
 from .recourse import (
     ACTION_KINDS,
@@ -32,6 +32,7 @@ from .surrogate import Divergence, solve_cvas
 _SENS_NEIGHBORS = 10  # perturbed queries per sensitivity value
 _SENS_NOISE_VAR = 0.001  # variance of sensitivity()'s query perturbations
 _FID_RADIUS_SHARE = 0.1  # sweep()'s fidelity radius per max pairwise distance
+_ENSEMBLE_FRACTION = 0.8  # share of the shifted rows each future model trains on
 
 
 def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
@@ -264,9 +265,12 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
           mode, config=EvalConfig(), model=None):
     """Full evaluation over a grid of negative-class radii.
 
-    Checks its arguments (see Raises) before any training, then
-    trains the current model on the present dataset and the future
-    ensemble on the shifted one. Each instance then gets a recourse at
+    The order is: check the arguments (see Raises); draw the future
+    ensemble's subsamples of the shifted dataset and start training it
+    (in worker processes, as simulate_future_models does); train the
+    current model on the present dataset and run the whole per-instance
+    loop while the ensemble trains; then wait for the ensemble, which
+    only the validity metrics read. Each instance gets a recourse at
     every radius, and each radius's metrics make one report row, equal
     to that of a one-radius sweep. An instance whose sampling, solve or
     search fails is counted in the row's n_skipped; a row with no
@@ -285,8 +289,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     Raises
     ------
     EmptyInput
-        If the grid or the instances are empty; after training, if every
-        instance fails at some radius.
+        If the grid or the instances are empty; after the instance loop,
+        without waiting for the ensemble, if every instance fails at
+        some radius.
     ValueError
         If `mode` is not one of MODES, or two radii print as one report
         id (config_id formats rho_neg with :g).
@@ -298,6 +303,12 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     NegativeRadius, DomainError
         If a radius is outside the solver's domain: negative, NaN,
         infinite, or above the fisher-rao and logdet cap of 700.
+    NonFiniteInput, DimensionMismatch, BadLabelValue, SingleClassData
+        As simulate_future_models, for the shifted dataset, before the
+        ensemble or the current model starts training.
+    CvasError
+        If a training worker exits with a non-zero status; raised after
+        the instance loop, when the ensemble is collected.
     """
     divergences, config_ids = _check_grid(divergence_kind, config.rho_pos,
                                           rho_grid, mode)
@@ -315,59 +326,67 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
 
     n_instances = instances.shape[0]
     seeds = _derived_seeds(config.seed, 1 + 3 * n_instances)
-    # The current model trains with config.train verbatim, so a caller's
-    # own training on the present data gives the same model to pass in.
-    if model is None:
-        model = train_mlp(present_x, present_y, config.train)
-    ensemble = simulate_future_models(*dataset_shifted, n_models=config.n_models,
-                                      config=replace(config.train, seed=seeds[0]))
-    max_distance = max_pairwise_distance(present_x, seed=config.seed)
-    r_p = resolve_radius(config.sampler, present_x, max_distance)
-    r_fid = _FID_RADIUS_SHARE * max_distance
+    ensemble_jobs = _ensemble_jobs(*dataset_shifted, config.n_models,
+                                   _ENSEMBLE_FRACTION,
+                                   replace(config.train, seed=seeds[0]))
+    # The ensemble trains in its workers while this process runs the rest.
+    with _future_models(*ensemble_jobs) as collect_ensemble:
+        # The current model trains with config.train verbatim, so a caller's
+        # own training on the present data gives the same model to pass in.
+        if model is None:
+            model = train_mlp(present_x, present_y, config.train)
+        max_distance = max_pairwise_distance(present_x, seed=config.seed)
+        r_p = resolve_radius(config.sampler, present_x, max_distance)
+        r_fid = _FID_RADIUS_SHARE * max_distance
 
-    # Per radius: the recourses, fidelities and sensitivities, in instance order.
-    results = [([], [], []) for _ in divergences]
-    for i, x0 in enumerate(instances):
-        sampler_cfg = replace(config.sampler, seed=seeds[1 + 3 * i], r_p=r_p)
-        try:
-            moments = _boundary_moments(model, x0, present_x, sampler_cfg)
-        except CvasError:
-            continue
-        actions = None
-        if mode == "actionable":
-            actions = default_action_grids(x0, present_x, kinds=kinds)
-        neighbors = _neighbor_moments(model, present_x, x0, sampler_cfg,
-                                      seeds[3 + 3 * i])
-        # local_fidelity's ball and model labels, the same at every radius.
-        ball, ball_labels = _labelled_ball(model, x0, r_fid, config.fid_n,
-                                           seeds[2 + 3 * i])
-        for divergence, (recourses, fidelities, sensitivities) in zip(
-                divergences, results):
+        # Per radius: the recourses, fidelities and sensitivities, in
+        # instance order.
+        results = [([], [], []) for _ in divergences]
+        for i, x0 in enumerate(instances):
+            sampler_cfg = replace(config.sampler, seed=seeds[1 + 3 * i], r_p=r_p)
             try:
-                surrogate = solve_cvas(*moments, divergence)
-                recourses.append(_recourse_against(model, x0, surrogate, mode,
-                                                   actions))
+                moments = _boundary_moments(model, x0, present_x, sampler_cfg)
             except CvasError:
                 continue
-            fidelities.append(float(np.mean(ball_labels == surrogate.label(ball))))
-            try:
-                sensitivities.append(_max_slope_gap(surrogate.w, neighbors,
-                                                    divergence))
-            except CvasError:
-                pass
+            actions = None
+            if mode == "actionable":
+                actions = default_action_grids(x0, present_x, kinds=kinds)
+            neighbors = _neighbor_moments(model, present_x, x0, sampler_cfg,
+                                          seeds[3 + 3 * i])
+            # local_fidelity's ball and model labels, the same at every radius.
+            ball, ball_labels = _labelled_ball(model, x0, r_fid, config.fid_n,
+                                               seeds[2 + 3 * i])
+            for divergence, (recourses, fidelities, sensitivities) in zip(
+                    divergences, results):
+                try:
+                    surrogate = solve_cvas(*moments, divergence)
+                    recourses.append(_recourse_against(model, x0, surrogate, mode,
+                                                       actions))
+                except CvasError:
+                    continue
+                fidelities.append(float(np.mean(ball_labels ==
+                                                surrogate.label(ball))))
+                try:
+                    sensitivities.append(_max_slope_gap(surrogate.w, neighbors,
+                                                        divergence))
+                except CvasError:
+                    pass
+
+        for divergence, (recourses, _, _) in zip(divergences, results):
+            if not recourses:
+                raise EmptyInput(
+                    f"every instance failed at rho_neg = {divergence.rho_neg}")
+        ensemble = collect_ensemble()
 
     rows = []
     for config_id, divergence, (recourses, fidelities, sensitivities) in zip(
             config_ids, divergences, results):
-        rho = divergence.rho_neg
-        if not recourses:
-            raise EmptyInput(f"every instance failed at rho_neg = {rho}")
         current, future, mean_cost = validity_metrics(recourses, model, ensemble)
         rows.append(EvalRow(
             config_id=config_id,
             divergence=divergence.kind.value,
             rho_pos=float(config.rho_pos),
-            rho_neg=rho,
+            rho_neg=divergence.rho_neg,
             mode=mode,
             mean_cost=mean_cost,
             current_validity=current,

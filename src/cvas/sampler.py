@@ -320,7 +320,8 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
     x0 = finite_array(np.ravel(x0), "query point")
     dataset = finite_array(dataset, "dataset", shape=(None, len(x0)), nonempty=True)
     f0 = model.predict_proba(x0[None, :])[0] - model.threshold
-    distances = np.abs(dataset - x0).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing distance ranks last
+        distances = np.abs(dataset - x0).sum(axis=1)
     near, f_near = [], []
     n_opposite, start, size = 0, 0, 4 * config.k
     while n_opposite < config.k and start < distances.size:

@@ -21,7 +21,9 @@ from cvas import (
     BadLabelValue,
     CvasError,
     DimensionMismatch,
+    EvalConfig,
     NonFiniteInput,
+    SamplerConfig,
     SingleClassData,
     TrainConfig,
     generate_synthetic,
@@ -29,8 +31,10 @@ from cvas import (
     predict,
     save_model,
     simulate_future_models,
+    sweep,
     train_mlp,
 )
+from cvas import evalharness
 
 from helpers import linear_mlp
 from oracles import (
@@ -462,10 +466,7 @@ def test_future_models_never_rerun_the_callers_main(tmp_path):
 
 @needs_workers
 def test_future_models_worker_exit_status_raises(tmp_path, monkeypatch, spawned):
-    fake = tmp_path / "python"
-    fake.write_text("#!/bin/sh\nexit 3\n")
-    fake.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(fake))
+    _fake_python(tmp_path, monkeypatch, "exit 3")
     features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
     with pytest.raises(CvasError, match="status 3"):
         simulate_future_models(features, labels, n_models=2,
@@ -491,6 +492,78 @@ def test_future_models_interrupt_kills_and_reaps_workers(monkeypatch, spawned):
         simulate_future_models(features, labels, n_models=2,
                                config=TrainConfig(epochs=5))
     assert [worker.returncode for worker in spawned] == [-signal.SIGKILL]
+
+
+def _fake_python(tmp_path, monkeypatch, body):
+    """Make the training workers run the shell script `body` instead."""
+    fake = tmp_path / "python"
+    fake.write_text(f"#!/bin/sh\n{body}\n")
+    fake.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(fake))
+
+
+def _sweep_inputs():
+    """A small two-model projection sweep's arguments; three instances."""
+    present = generate_synthetic(200, seed=0)
+    shifted = generate_synthetic(200, noise_std=1.0, seed=1)
+    config = EvalConfig(seed=3, sampler=SamplerConfig(n_p=200),
+                        train=TrainConfig(epochs=150, seed=0), n_models=2,
+                        fid_n=100)
+    return (present, shifted, present[0][:3], "nominal", [0.0], "projection",
+            config)
+
+
+# sweep's moments calls per instance: the instance's own, then its
+# sensitivity neighbors'
+CALLS_PER_INSTANCE = 1 + evalharness._SENS_NEIGHBORS
+
+
+def _counted_boundary_moments(monkeypatch, interrupt_at=None):
+    """Count sweep's moments calls; raise KeyboardInterrupt at call
+    number interrupt_at."""
+    calls = []
+    real = evalharness._boundary_moments
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) == interrupt_at:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(evalharness, "_boundary_moments", counted)
+    return calls
+
+
+@needs_workers
+def test_sweep_interrupt_kills_and_reaps_training_workers(tmp_path, monkeypatch,
+                                                          spawned):
+    # The workers sleep instead of training, so they are still running
+    # when the interrupt lands in the second instance; leaving the sweep
+    # must kill and reap every one of them.
+    _fake_python(tmp_path, monkeypatch, "exec sleep 60")
+    second_instance = CALLS_PER_INSTANCE + 1
+    calls = _counted_boundary_moments(monkeypatch, interrupt_at=second_instance)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(*_sweep_inputs())
+    assert len(calls) == second_instance
+    assert len(spawned) == 2
+    assert [worker.returncode for worker in spawned] == [-signal.SIGKILL] * 2
+
+
+@needs_workers
+def test_sweep_raises_a_worker_exit_status_after_its_instances(tmp_path,
+                                                               monkeypatch,
+                                                               spawned):
+    # The workers fail at once; sweep still runs every instance and
+    # raises the failure only when it collects the ensemble.
+    _fake_python(tmp_path, monkeypatch, "exit 3")
+    calls = _counted_boundary_moments(monkeypatch)
+    with pytest.raises(CvasError, match="status 3"):
+        sweep(*_sweep_inputs())
+    assert len(calls) == 3 * CALLS_PER_INSTANCE
+    assert len(spawned) == 2
+    assert spawned[0].returncode == 3
+    assert all(worker.returncode is not None for worker in spawned)  # reaped
 
 
 def test_model_serialization_round_trip(tmp_path):

@@ -605,7 +605,7 @@ def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
         raise AssertionError("sweep trained a model before checking its inputs")
 
     monkeypatch.setattr(evalharness, "train_mlp", no_training)
-    monkeypatch.setattr(evalharness, "simulate_future_models", no_training)
+    monkeypatch.setattr(evalharness, "_future_models", no_training)
     present, shifted, unfavorable = sweep_fixture
     if instances is None:
         instances = unfavorable[:2]

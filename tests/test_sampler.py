@@ -304,6 +304,25 @@ def test_boundary_point_checks_rows_it_never_evaluates(trained):
     assert counting.calls == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_point_ranks_overflowing_distances_last():
+    # A finite row whose L1 distance from x0 overflows ranks last, at
+    # distance +inf with ties in row order, instead of warning.
+    model = linear_mlp(np.array([1.0, -1.0]), 0.0)
+    # Every distance overflows; x0 lies on the boundary x1 = x2.
+    x0 = np.array([-1e308, -1e308])
+    rows = np.array([[1e308, 1e308], [-1.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(find_boundary_point(x0, rows, model), x0)
+    # Only the far row's distance overflows; with k = 1 the first chunk
+    # of 4 rows is the near rows, so the far row is never labelled.
+    x0 = np.array([0.0, 1.0])
+    near = np.array([[-1.0, 1.0], [1.0, -1.0], [2.0, -1.0], [-1.0, 2.0]])
+    far = np.vstack([[1.7e308, -1.7e308], near])
+    config = SamplerConfig(k=1)
+    assert np.array_equal(find_boundary_point(x0, far, model, config),
+                          find_boundary_point(x0, near, model, config))
+
+
 def test_boundary_point_rejects_non_finite_query(trained):
     features, model = trained
     for bad in (np.nan, np.inf):
