@@ -24,6 +24,7 @@ from .errors import (
     BadLabelValue,
     CvasError,
     DimensionMismatch,
+    DomainError,
     NonFiniteInput,
     SingleClassData,
     finite_array,
@@ -88,11 +89,17 @@ class MlpModel:
     def predict_proba(self, features):
         """Sigmoid outputs for a batch of rows, shape (n,).
 
-        Raises DimensionMismatch for rows of the wrong width and
-        NonFiniteInput for rows holding NaN or infinity.
+        Raises DimensionMismatch for rows of the wrong width,
+        NonFiniteInput for rows holding NaN or infinity, and DomainError
+        for finite rows whose activations overflow float64.
         """
-        for output in _forward(self._rows(features), self.weights, self.biases):
-            pass
+        rows = self._rows(features)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for output in _forward(rows, self.weights, self.biases):
+                    pass
+        except FloatingPointError as exc:
+            raise DomainError(f"prediction overflows float64 ({exc})") from None
         return output[:, 0]
 
     def label(self, features):
@@ -119,7 +126,9 @@ def _forward(features, weights, biases):
     is one fresh product that takes its bias and ReLU in place; the
     pre-activations are not kept, since a backward pass can take its
     mask from the activation. Yielding lets inference drop each layer
-    as soon as the next one is built.
+    as soon as the next one is built. Callers that set np.errstate do
+    so around the whole loop: a suspended generator would leave the
+    setting on in its caller.
     """
     activation = features
     last = len(weights) - 1
@@ -216,6 +225,8 @@ def train_mlp(features, labels, config=TrainConfig()):
         per feature row.
     BadLabelValue
         If a label is neither -1 nor +1.
+    DomainError
+        If finite data overflow float64 in training, naming the epoch.
     """
     features, labels = _check_training_data(features, labels)
     classes = np.unique(labels)
@@ -234,35 +245,42 @@ def train_mlp(features, labels, config=TrainConfig()):
     beta1, beta2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
     history = []
 
-    for step in range(1, config.epochs + 1):
-        hs = (features, *_forward(features, weights, biases))
-        proba = hs[-1]
-        # The loss after step - 1 updates; the last one is taken below.
-        history.append(_bce(proba[:, 0], target[:, 0]))
+    # An overflow or NaN anywhere in an epoch raises, rather than
+    # leaving inf in Adam's second moment, which freezes a parameter.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(1, config.epochs + 1):
+                hs = (features, *_forward(features, weights, biases))
+                proba = hs[-1]
+                # The loss after step - 1 updates; the last one is taken below.
+                history.append(_bce(proba[:, 0], target[:, 0]))
 
-        # Backward pass. Sigmoid + BCE collapse to (p - y) / n at the head;
-        # ReLU passes gradient only where its activation is positive.
-        delta = (proba - target) / n
-        for i in range(len(weights) - 1, -1, -1):
-            np.matmul(hs[i].T, delta, out=grads_w[i])
-            np.sum(delta, axis=0, out=grads_b[i])
-            if i > 0:
-                delta = delta @ weights[i].T
-                delta *= hs[i] > 0.0
-        del hs  # release the activations before the next forward pass
+                # Backward pass. Sigmoid + BCE collapse to (p - y) / n at the head;
+                # ReLU passes gradient only where its activation is positive.
+                delta = (proba - target) / n
+                for i in range(len(weights) - 1, -1, -1):
+                    np.matmul(hs[i].T, delta, out=grads_w[i])
+                    np.sum(delta, axis=0, out=grads_b[i])
+                    if i > 0:
+                        delta = delta @ weights[i].T
+                        delta *= hs[i] > 0.0
+                del hs  # release the activations before the next forward pass
 
-        lr_t = config.learning_rate
-        bc1 = 1.0 - beta1**step
-        bc2 = 1.0 - beta2**step
-        m_state *= beta1
-        m_state += (1.0 - beta1) * grads
-        v_state *= beta2
-        v_state += (1.0 - beta2) * grads * grads
-        params -= lr_t * (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
+                lr_t = config.learning_rate
+                bc1 = 1.0 - beta1**step
+                bc2 = 1.0 - beta2**step
+                m_state *= beta1
+                m_state += (1.0 - beta1) * grads
+                v_state *= beta2
+                v_state += (1.0 - beta2) * grads * grads
+                params -= lr_t * (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
 
-    for output in _forward(features, weights, biases):
-        pass
-    history.append(_bce(output[:, 0], target[:, 0]))
+            for output in _forward(features, weights, biases):
+                pass
+            history.append(_bce(output[:, 0], target[:, 0]))
+    except FloatingPointError as exc:
+        raise DomainError(f"training overflows float64 in epoch {step} ({exc})") \
+            from None
 
     return MlpModel(
         layer_dims=layer_dims,
@@ -288,17 +306,23 @@ def predict(model, x):
         If x does not have the model's input width.
     NonFiniteInput
         If x contains NaN or infinity.
+    DomainError
+        If a finite x overflows float64 in the forward or backward pass.
     """
-    hs = tuple(_forward(model._rows(np.ravel(x)), model.weights, model.biases))
-    proba = float(hs[-1][0, 0])
+    rows = model._rows(np.ravel(x))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hs = tuple(_forward(rows, model.weights, model.biases))
+            proba = float(hs[-1][0, 0])
+            # Chain rule back to the input; ReLU passes gradient only where
+            # its activation is positive.
+            grad = np.array([proba * (1.0 - proba)])
+            for i in range(len(hs) - 1, 0, -1):
+                grad = (model.weights[i] @ grad) * (hs[i - 1][0] > 0.0)
+            grad = model.weights[0] @ grad
+    except FloatingPointError as exc:
+        raise DomainError(f"prediction overflows float64 ({exc})") from None
     label = 1 if proba >= model.threshold else -1
-
-    # Chain rule back to the input; ReLU passes gradient only where its
-    # activation is positive.
-    grad = np.array([proba * (1.0 - proba)])
-    for i in range(len(hs) - 1, 0, -1):
-        grad = (model.weights[i] @ grad) * (hs[i - 1][0] > 0.0)
-    grad = model.weights[0] @ grad
     return proba, label, grad
 
 
@@ -333,12 +357,11 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
     redrawn up to 10 times before SingleClassData propagates.
 
     The subsamples are drawn here, and every check runs before any
-    worker starts. The models train in up to one worker process per
-    usable CPU (never more than n_models), each with one BLAS thread,
-    and come back in index order, bit-identical to training them one
-    after another in this process. With one usable CPU or one model
-    they train in this process. sweep() trains its ensemble the same
-    way, while it works through its instances.
+    worker starts. The models train in one worker process per usable
+    CPU (never more than n_models, one included), each with one BLAS
+    thread, and come back in index order, bit-identical to training
+    them one after another in this process. sweep() trains its ensemble
+    the same way, while it works through its instances.
 
     Raises
     ------
@@ -346,17 +369,45 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
         As train_mlp, for the full shifted data.
     SingleClassData
         If a model's subsample is single-class in 10 draws.
+    DomainError
+        As train_mlp, if a model's training overflows float64; the
+        lowest-numbered such model's error, raised from its worker.
     CvasError
         If a training worker exits with a non-zero status.
     """
-    with _future_models(*_ensemble_jobs(shifted_features, shifted_labels,
-                                        n_models, fraction, config)) as collect:
+    with _future_models(shifted_features, shifted_labels, n_models, fraction,
+                        config) as collect:
         return collect()
 
 
-def _ensemble_jobs(shifted_features, shifted_labels, n_models, fraction, config):
-    """simulate_future_models's checked data and its (row indices, config)
-    jobs, one per model; raises as simulate_future_models says."""
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _future_models(shifted_features, shifted_labels, n_models, fraction, config):
+    """Train simulate_future_models's ensemble while the caller works.
+
+    On entry, every check runs and every subsample is drawn, raising as
+    simulate_future_models says, before any worker starts. The models
+    are dealt round-robin to min(usable CPUs, n_models) worker
+    processes, which train while the body of the with statement runs.
+    The yielded collect() waits for them and returns the models in
+    index order. It raises the CvasError of the lowest-numbered model
+    whose training failed, class and message kept, and CvasError if a
+    worker exited with a non-zero status.
+
+    Each worker is ``python -m cvas._trainworker`` with one BLAS thread;
+    its models are bit-identical to train_mlp's here. Subprocesses,
+    unlike multiprocessing, never re-run the caller's __main__. On
+    leaving the with statement, normally or by any exception,
+    KeyboardInterrupt included, every worker is killed (a no-op once
+    collected) and reaped.
+    """
     if n_models < 1:
         raise ValueError("n_models must be >= 1")
     if not 0.0 < fraction <= 1.0:
@@ -377,46 +428,8 @@ def _ensemble_jobs(shifted_features, shifted_labels, n_models, fraction, config)
                 f"subsample for model {i} was single-class in 10 draws"
             )
         jobs.append((idx, replace(config, seed=seed_i)))
-    return features, labels, jobs
 
-
-def _train_jobs(features, labels, jobs):
-    """Train one model per (row indices, config) job, in order."""
-    return [train_mlp(features[idx], labels[idx], config) for idx, config in jobs]
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _future_models(features, labels, jobs):
-    """Train one model per job while the caller works; yield collect().
-
-    collect() returns the models in job order. On entry the jobs are
-    dealt round-robin to min(usable CPUs, len(jobs)) worker processes,
-    which train while the body of the with statement runs; collect()
-    waits for them, and raises CvasError if one exited with a non-zero
-    status. With one job or one usable CPU, the jobs train in this
-    process on entry instead.
-
-    Each worker is ``python -m cvas._trainworker`` with one BLAS thread:
-    it gets the data and its share of the jobs pickled on stdin and
-    returns its models pickled on stdout, bit-identical to _train_jobs
-    here. Subprocesses, unlike multiprocessing, never re-run the
-    caller's __main__. On leaving the with statement, normally or by
-    any exception, KeyboardInterrupt included, every worker is killed
-    (a no-op once collected) and reaped.
-    """
-    n_workers = min(_usable_cpus(), len(jobs))
-    if n_workers == 1:
-        models = _train_jobs(features, labels, jobs)
-        yield lambda: models
-        return
+    n_workers = min(_usable_cpus(), n_models)
     # This package's own source root goes first on the worker's path (and
     # is its working directory, which -m puts ahead of PYTHONPATH), so a
     # source checkout never trains with an installed copy.
@@ -427,14 +440,20 @@ def _future_models(features, labels, jobs):
     workers = []
 
     def collect():
-        models = [None] * len(jobs)
+        models = [None] * n_models
         for w, worker in enumerate(workers):
             output = worker.stdout.read()
             if worker.wait() != 0:
                 raise CvasError(
                     f"training worker exited with status {worker.returncode}"
                 )
-            models[w::n_workers] = pickle.loads(output)
+            # A worker stops at its first error, which ends its list, so
+            # the first entry that is no model is the error to raise.
+            trained = pickle.loads(output)
+            models[w:w + n_workers * len(trained):n_workers] = trained
+        for model in models:
+            if isinstance(model, CvasError):
+                raise model
         return models
 
     try:

@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from ._io import atomic_write_text
-from .blackbox import TrainConfig, _ensemble_jobs, _future_models, train_mlp
+from .blackbox import TrainConfig, _future_models, train_mlp
 from .errors import CvasError, DimensionMismatch, EmptyInput, finite_array
 from .recourse import (
     ACTION_KINDS,
@@ -267,7 +267,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
 
     The order is: check the arguments (see Raises); draw the future
     ensemble's subsamples of the shifted dataset and start training it
-    (in worker processes, as simulate_future_models does); train the
+    in worker processes, as simulate_future_models does; train the
     current model on the present dataset and run the whole per-instance
     loop while the ensemble trains; then wait for the ensemble, which
     only the validity metrics read. Each instance gets a recourse at
@@ -306,6 +306,10 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     NonFiniteInput, DimensionMismatch, BadLabelValue, SingleClassData
         As simulate_future_models, for the shifted dataset, before the
         ensemble or the current model starts training.
+    DomainError
+        As train_mlp, if the current model's or a future model's training
+        overflows float64; a future model's error, as
+        simulate_future_models raises it, comes after the instance loop.
     CvasError
         If a training worker exits with a non-zero status; raised after
         the instance loop, when the ensemble is collected.
@@ -326,11 +330,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
 
     n_instances = instances.shape[0]
     seeds = _derived_seeds(config.seed, 1 + 3 * n_instances)
-    ensemble_jobs = _ensemble_jobs(*dataset_shifted, config.n_models,
-                                   _ENSEMBLE_FRACTION,
-                                   replace(config.train, seed=seeds[0]))
     # The ensemble trains in its workers while this process runs the rest.
-    with _future_models(*ensemble_jobs) as collect_ensemble:
+    with _future_models(*dataset_shifted, config.n_models, _ENSEMBLE_FRACTION,
+                        replace(config.train, seed=seeds[0])) as collect_ensemble:
         # The current model trains with config.train verbatim, so a caller's
         # own training on the present data gives the same model to pass in.
         if model is None:

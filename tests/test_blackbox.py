@@ -21,6 +21,7 @@ from cvas import (
     BadLabelValue,
     CvasError,
     DimensionMismatch,
+    DomainError,
     EvalConfig,
     NonFiniteInput,
     SamplerConfig,
@@ -34,7 +35,7 @@ from cvas import (
     sweep,
     train_mlp,
 )
-from cvas import evalharness
+from cvas import blackbox, evalharness
 
 from helpers import linear_mlp
 from oracles import (
@@ -46,8 +47,9 @@ from oracles import (
 
 USABLE_CPUS = len(os.sched_getaffinity(0))
 
-needs_workers = pytest.mark.skipif(
-    USABLE_CPUS < 2, reason="one usable CPU trains the ensemble in-process")
+# Finite rows whose training overflows float64 in its first epoch.
+OVERFLOW_ROWS = np.array([[1e300, 0.0], [-1e300, 1.0], [2.0, 3.0], [1.0, 1.0]])
+OVERFLOW_LABELS = np.array([1, -1, 1, -1])
 
 
 @pytest.fixture
@@ -376,14 +378,14 @@ def test_future_models_deterministic():
 
 def test_future_models_subsample_is_reproducible(spawned):
     # model i trains on the 80-row subsample drawn with seed master+i; the
-    # five models are dealt unevenly over min(usable CPUs, 5) workers (3 + 2
-    # on two CPUs) and must equal sequential in-process training, and the
-    # plain training loop, bit for bit
+    # five models are dealt over min(usable CPUs, 5) workers (3 + 2 on two
+    # CPUs, all five to one worker on one) and must equal sequential
+    # in-process training, and the plain training loop, bit for bit
     features, labels = generate_synthetic(100, noise_std=1.0, seed=8)
     cfg = TrainConfig(epochs=5, seed=11)
     models = simulate_future_models(features, labels, n_models=5, fraction=0.8,
                                     config=cfg)
-    assert len(spawned) == (min(USABLE_CPUS, 5) if USABLE_CPUS > 1 else 0)
+    assert len(spawned) == min(USABLE_CPUS, 5)
     assert len(models) == 5
     for i, model in enumerate(models):
         rng = np.random.default_rng(cfg.seed + i)
@@ -399,6 +401,20 @@ def test_future_models_subsample_is_reproducible(spawned):
         assert _digest(model.weights, model.biases, model.loss_history) == \
             _digest(*train_mlp_oracle(features[idx], labels[idx], cfg.epochs,
                                       cfg.seed + i))
+
+
+def test_one_model_ensemble_trains_in_one_worker(spawned):
+    features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+    cfg = TrainConfig(epochs=5, seed=4)
+    (model,) = simulate_future_models(features, labels, n_models=1, fraction=1.0,
+                                      config=cfg)
+    assert len(spawned) == 1
+    idx = np.random.default_rng(cfg.seed).choice(60, size=60, replace=False)
+    expected = train_mlp(features[idx], labels[idx], cfg)
+    for wa, wb in zip(model.weights + model.biases,
+                      expected.weights + expected.biases):
+        assert np.array_equal(wa, wb)
+    assert model.loss_history == expected.loss_history
 
 
 def test_future_models_full_fraction():
@@ -464,7 +480,6 @@ def test_future_models_never_rerun_the_callers_main(tmp_path):
     assert log.read_text() == "run\n"
 
 
-@needs_workers
 def test_future_models_worker_exit_status_raises(tmp_path, monkeypatch, spawned):
     _fake_python(tmp_path, monkeypatch, "exit 3")
     features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
@@ -475,10 +490,11 @@ def test_future_models_worker_exit_status_raises(tmp_path, monkeypatch, spawned)
     assert all(worker.returncode is not None for worker in spawned)  # reaped
 
 
-@needs_workers
 def test_future_models_interrupt_kills_and_reaps_workers(monkeypatch, spawned):
-    # the interrupt lands while the second worker starts; the first,
-    # still waiting for its jobs, must be killed and reaped
+    # the interrupt lands while the second worker starts (two, on any
+    # machine); the first, still waiting for its jobs, must be killed
+    # and reaped
+    monkeypatch.setattr(blackbox, "_usable_cpus", lambda: 2)
     recording_popen = subprocess.Popen
 
     def popen(*args, **kwargs):
@@ -534,7 +550,6 @@ def _counted_boundary_moments(monkeypatch, interrupt_at=None):
     return calls
 
 
-@needs_workers
 def test_sweep_interrupt_kills_and_reaps_training_workers(tmp_path, monkeypatch,
                                                           spawned):
     # The workers sleep instead of training, so they are still running
@@ -546,11 +561,10 @@ def test_sweep_interrupt_kills_and_reaps_training_workers(tmp_path, monkeypatch,
     with pytest.raises(KeyboardInterrupt):
         sweep(*_sweep_inputs())
     assert len(calls) == second_instance
-    assert len(spawned) == 2
-    assert [worker.returncode for worker in spawned] == [-signal.SIGKILL] * 2
+    assert len(spawned) == min(USABLE_CPUS, 2)
+    assert all(worker.returncode == -signal.SIGKILL for worker in spawned)
 
 
-@needs_workers
 def test_sweep_raises_a_worker_exit_status_after_its_instances(tmp_path,
                                                                monkeypatch,
                                                                spawned):
@@ -561,9 +575,77 @@ def test_sweep_raises_a_worker_exit_status_after_its_instances(tmp_path,
     with pytest.raises(CvasError, match="status 3"):
         sweep(*_sweep_inputs())
     assert len(calls) == 3 * CALLS_PER_INSTANCE
-    assert len(spawned) == 2
+    assert len(spawned) == min(USABLE_CPUS, 2)
     assert spawned[0].returncode == 3
     assert all(worker.returncode is not None for worker in spawned)  # reaped
+
+
+@pytest.mark.parametrize("cpus", [1, None], ids=["one-cpu", "usable-cpus"])
+def test_future_models_raise_the_training_error_of_a_worker(monkeypatch, spawned,
+                                                            cpus):
+    # The worker's DomainError comes back with its class and message,
+    # the one train_mlp raises here, on one CPU as on several.
+    if cpus:
+        monkeypatch.setattr(blackbox, "_usable_cpus", lambda: cpus)
+    config = TrainConfig(epochs=50)
+    with pytest.raises(DomainError) as in_process:
+        train_mlp(OVERFLOW_ROWS, OVERFLOW_LABELS, config)
+    assert "epoch 1 " in str(in_process.value)
+    with pytest.raises(DomainError) as from_worker:
+        simulate_future_models(OVERFLOW_ROWS, OVERFLOW_LABELS, n_models=2,
+                               fraction=1.0, config=config)
+    assert str(from_worker.value) == str(in_process.value)
+    assert len(spawned) == min(cpus or USABLE_CPUS, 2)
+    assert [worker.returncode for worker in spawned] == [0] * len(spawned)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_future_models_raise_the_lowest_numbered_models_error(monkeypatch, cpus):
+    # A row of 1e170 makes model 1 (seed 4) overflow in epoch 1 and model 2
+    # (seed 5) near epoch 200, while model 0 (seed 3) trains. Two workers
+    # train models 0 and 2 and model 1; model 1's error is raised, as on
+    # one worker that trains 0, 1, 2 in order.
+    features, labels = generate_synthetic(20, seed=0)
+    features = np.vstack([features, [[1e170, -1e170]]])
+    labels = np.append(labels, 1)
+    config = TrainConfig(epochs=200, seed=3)
+    errors = []
+    for i in range(3):
+        idx = np.random.default_rng(config.seed + i).choice(21, size=21, replace=False)
+        try:
+            train_mlp(features[idx], labels[idx], replace(config, seed=config.seed + i))
+            errors.append(None)
+        except DomainError as exc:
+            errors.append(str(exc))
+    assert errors[0] is None and None not in errors[1:] and errors[1] != errors[2]
+    monkeypatch.setattr(blackbox, "_usable_cpus", lambda: cpus)
+    with pytest.raises(DomainError) as raised:
+        simulate_future_models(features, labels, n_models=3, fraction=1.0,
+                               config=config)
+    assert str(raised.value) == errors[1]
+
+
+@pytest.mark.parametrize("cpus", [1, None], ids=["one-cpu", "usable-cpus"])
+def test_sweep_raises_a_workers_training_error_after_its_instances(monkeypatch,
+                                                                   spawned, cpus):
+    # The ensemble's training overflows; sweep still runs every instance
+    # and raises the worker's DomainError when it collects the ensemble.
+    if cpus:
+        monkeypatch.setattr(blackbox, "_usable_cpus", lambda: cpus)
+    calls = _counted_boundary_moments(monkeypatch)
+    present, _, instances, *grid, config = _sweep_inputs()
+    with pytest.raises(DomainError, match="training overflows float64 in epoch 1 "):
+        sweep(present, (OVERFLOW_ROWS, OVERFLOW_LABELS), instances, *grid, config)
+    assert len(calls) == 3 * CALLS_PER_INSTANCE
+    assert len(spawned) == min(cpus or USABLE_CPUS, 2)
+    assert [worker.returncode for worker in spawned] == [0] * len(spawned)
+
+
+def test_sweep_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    sweep(*_sweep_inputs()).to_csv(tmp_path / "usable.csv")
+    monkeypatch.setattr(blackbox, "_usable_cpus", lambda: 1)
+    sweep(*_sweep_inputs()).to_csv(tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "usable.csv").read_bytes()
 
 
 def test_model_serialization_round_trip(tmp_path):

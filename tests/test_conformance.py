@@ -13,6 +13,7 @@ import enum
 import math
 import struct
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvas
+from cvas import blackbox
 from cvas import (
     ActionSpec,
     AsymptoticFamily,
@@ -117,6 +119,12 @@ HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
 TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
 FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
 FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
+# A row whose activations overflow a trained model, and rows whose
+# training overflows in its first epoch.
+TRAINED = train_mlp(*generate_synthetic(100), TrainConfig(epochs=5))
+FAR_ROW = [1.7e308, -1.7e308]
+OVERFLOW_ROWS = [[1e300, 0.0], [-1e300, 1.0], [2.0, 3.0], [1.0, 1.0]]
+OVERFLOW_LABELS = [1, -1, 1, -1]
 SWEEP_CONFIG = EvalConfig(sampler=SamplerConfig(n_p=20), train=TrainConfig(epochs=2),
                           n_models=1, fid_n=10)
 
@@ -152,6 +160,18 @@ def _nan_threshold_file():
     with open("bad.bin", "wb") as fh:
         fh.write(blob[:at] + struct.pack("<d", nan) + blob[at + 8:])
     return load_model("bad.bin")
+
+
+def _overflowing_ensemble(cpus=None):
+    """simulate_future_models on OVERFLOW_ROWS, on `cpus` training
+    workers if given."""
+    def call():
+        return simulate_future_models(OVERFLOW_ROWS, OVERFLOW_LABELS, n_models=2,
+                                      fraction=1.0, config=TrainConfig(epochs=50))
+    if cpus is None:
+        return call()
+    with mock.patch.object(blackbox, "_usable_cpus", lambda: cpus):
+        return call()
 
 
 def _surrogate_round_trip(**fields):
@@ -235,14 +255,29 @@ CASES = [
     *_raises("MlpModel", "weights=empty",
              lambda: MlpModel(layer_dims=MODEL.layer_dims, weights=[], biases=[]),
              DimensionMismatch),
+    # A row whose activations overflow used to give probability NaN and
+    # label -1.
+    *_raises("MlpModel", "predict_proba-overflow",
+             lambda: TRAINED.predict_proba([FAR_ROW]), DomainError),
+    *_raises("MlpModel", "label-overflow", lambda: TRAINED.label([FAR_ROW]),
+             DomainError),
     # blackbox
     *_each("train_mlp", "features", ROWS,
            lambda rows: train_mlp(rows, Y, TrainConfig(epochs=2))),
     *_one("train_mlp", "labels-wide", lambda: train_mlp(X, np.append(Y, 1))),
+    # Training that overflows used to freeze most weights and return.
+    *_raises("train_mlp", "features-overflow",
+             lambda: train_mlp(OVERFLOW_ROWS, OVERFLOW_LABELS, TrainConfig(epochs=50)),
+             DomainError),
     *_each("simulate_future_models", "features", ROWS,
            lambda rows: simulate_future_models(rows, Y, n_models=2,
                                                config=TrainConfig(epochs=2))),
+    *_raises("simulate_future_models", "features-overflow-one-cpu",
+             lambda: _overflowing_ensemble(cpus=1), DomainError),
+    *_raises("simulate_future_models", "features-overflow",
+             _overflowing_ensemble, DomainError),
     *_each("predict", "x", VECTORS, lambda v: predict(MODEL, v)),
+    *_raises("predict", "x-overflow", lambda: predict(TRAINED, FAR_ROW), DomainError),
     *_each("generate_synthetic", "noise_std", RADII,
            lambda r: generate_synthetic(10, noise_std=r), allowed=CONFIG),
     *_raises("generate_synthetic", "noise_std=nan-raises",
@@ -354,6 +389,8 @@ CASES = [
              lambda: default_action_grids([0.0, 0.0], [[1.7e308, 0.0], [-1.7e308, 1.0]]),
              DomainError),
     *_each("wachter_recourse", "x0", VECTORS, lambda v: wachter_recourse(MODEL, v)),
+    *_raises("wachter_recourse", "x0-overflow",
+             lambda: wachter_recourse(TRAINED, FAR_ROW), DomainError),
     *_each("fit_surrogate", "x0", VECTORS,
            lambda v: fit_surrogate(MODEL, v, X, SAMPLER, FR)),
     *_each("generate_recourse", "x0", VECTORS,

@@ -604,8 +604,11 @@ def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
     def no_training(*args, **kwargs):
         raise AssertionError("sweep trained a model before checking its inputs")
 
+    def no_ensemble(shifted_features, shifted_labels, n_models, fraction, config):
+        raise AssertionError("sweep started its ensemble before checking its inputs")
+
     monkeypatch.setattr(evalharness, "train_mlp", no_training)
-    monkeypatch.setattr(evalharness, "_future_models", no_training)
+    monkeypatch.setattr(evalharness, "_future_models", no_ensemble)
     present, shifted, unfavorable = sweep_fixture
     if instances is None:
         instances = unfavorable[:2]
