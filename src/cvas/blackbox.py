@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     NonFiniteInput,
     SingleClassData,
+    check_integer,
     finite_array,
 )
 
@@ -40,15 +41,19 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for train_mlp. Defaults match the reference setup."""
+    """Hyperparameters for train_mlp. Defaults match the reference setup.
+
+    Raises ValueError unless epochs is an integer >= 1, seed an integer
+    >= 0 (numpy integers pass) and learning_rate positive and finite.
+    """
 
     epochs: int = 1000
     learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_integer(self.epochs, "epochs", 1)
+        check_integer(self.seed, "seed", 0)
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
 
@@ -332,10 +337,10 @@ def generate_synthetic(n, noise_std=0.0, seed=0):
     Features are uniform on [-2, 4] x [-2, 7]. The label is +1 iff
     x2 >= 1 + x1 + 2*x1^2 + x1^3 - x1^4 + eps with eps ~ N(0, noise_std^2),
     so noise_std = 0 gives the clean generation and noise_std = 1 the
-    shifted one.
+    shifted one. Raises ValueError unless n is an integer >= 1 and
+    noise_std is nonnegative.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_integer(n, "n", 1)
     if not noise_std >= 0.0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
@@ -365,6 +370,8 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
 
     Raises
     ------
+    ValueError
+        Unless n_models is an integer >= 1 and fraction is in (0, 1].
     NonFiniteInput, DimensionMismatch, BadLabelValue
         As train_mlp, for the full shifted data.
     SingleClassData
@@ -408,8 +415,7 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
     KeyboardInterrupt included, every worker is killed (a no-op once
     collected) and reaped.
     """
-    if n_models < 1:
-        raise ValueError("n_models must be >= 1")
+    check_integer(n_models, "n_models", 1)
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     features, labels = _check_training_data(shifted_features, shifted_labels)

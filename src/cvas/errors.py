@@ -4,6 +4,8 @@ Every error raised on a contract violation derives from CvasError so
 callers (and the CLI) can distinguish library failures from bugs.
 """
 
+import operator
+
 import numpy as np
 
 
@@ -132,3 +134,14 @@ def finite_array(x, what, shape=None, nonzero=False, nonempty=False, frozen=Fals
     if frozen:
         x.flags.writeable = False
     return x
+
+
+def check_integer(value, what, minimum):
+    """ValueError unless value is an integer, numpy's included, and at
+    least `minimum` (internal): a setting that counts or seeds."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")

@@ -17,7 +17,13 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .blackbox import TrainConfig, _future_models, train_mlp
-from .errors import CvasError, DimensionMismatch, EmptyInput, finite_array
+from .errors import (
+    CvasError,
+    DimensionMismatch,
+    EmptyInput,
+    check_integer,
+    finite_array,
+)
 from .recourse import (
     ACTION_KINDS,
     MODES,
@@ -41,7 +47,8 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
     Draws n points uniformly from the L2 ball of radius r_fid around
     x0 and compares hard labels. `model` is anything with a
     label(matrix) -> {-1,+1} method, so a Surrogate can play the model
-    role too. Raises ValueError for r_fid <= 0 or n < 1.
+    role too. Raises ValueError for r_fid <= 0 or an n that is not an
+    integer >= 1.
     """
     points, labels = _labelled_ball(model, x0, r_fid, n, seed)
     return float(np.mean(labels == surrogate.label(points)))
@@ -51,8 +58,7 @@ def _labelled_ball(model, x0, r_fid, n, seed):
     """local_fidelity's evaluation ball and the model's labels on it."""
     if r_fid <= 0.0:
         raise ValueError("r_fid must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_integer(n, "n", 1)
     points = sample_ball(np.ravel(x0), r_fid, n, seed)
     return points, model.label(points)
 
@@ -219,6 +225,10 @@ class EvalConfig:
     present data's max pairwise distance, and sensitivity perturbs each
     instance 10 times, as sensitivity() does. action_kinds, if given,
     holds one of ACTION_KINDS per feature.
+
+    Raises ValueError unless seed is an integer >= 0 and n_models and
+    fid_n integers >= 1 (numpy integers pass), or for an action kind
+    outside ACTION_KINDS.
     """
 
     seed: int = 0
@@ -230,10 +240,9 @@ class EvalConfig:
     action_kinds: tuple = None
 
     def __post_init__(self):
-        if self.n_models < 1:
-            raise ValueError("n_models must be >= 1")
-        if self.fid_n < 1:
-            raise ValueError("fid_n must be >= 1")
+        check_integer(self.seed, "seed", 0)
+        check_integer(self.n_models, "n_models", 1)
+        check_integer(self.fid_n, "fid_n", 1)
         if not set(self.action_kinds or ()) <= set(ACTION_KINDS):
             raise ValueError(f"action_kinds must be drawn from {ACTION_KINDS}")
 

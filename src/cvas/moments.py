@@ -7,11 +7,18 @@ and computes the Mahalanobis distance from a class mean to a halfspace,
 which is the quantity both coverage and validity reduce to.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance, TooFewSamples, finite_array
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    SingularCovariance,
+    TooFewSamples,
+    finite_array,
+)
 
 
 @dataclass(frozen=True)
@@ -21,6 +28,9 @@ class ClassMoments:
     The mean is a finite vector, the covariance a finite square matrix
     of its width, symmetrized so downstream factorizations never see
     floating-point asymmetry; both are kept as read-only copies.
+    Building one raises NonFiniteInput for a NaN or infinite entry,
+    DimensionMismatch for a covariance not of the mean's width, and
+    DomainError for a covariance whose symmetrization overflows.
     """
 
     mean: np.ndarray
@@ -30,10 +40,19 @@ class ClassMoments:
     def __post_init__(self):
         mean = finite_array(self.mean, "class mean", shape=(None,), frozen=True)
         cov = finite_array(self.covariance, "class covariance", shape=mean.shape * 2)
-        cov = (cov + cov.T) / 2.0
+        cov = _symmetric(cov)
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+
+
+def _symmetric(matrix):
+    """(matrix + matrix^T) / 2, or DomainError where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (matrix + matrix.T) / 2.0
+    if not np.isfinite(sym).all():
+        raise DomainError("covariance overflows float64 when symmetrized")
+    return sym
 
 
 def estimate_moments(features):
@@ -74,10 +93,15 @@ def ridge(covariance):
     The ridge is max(1e-10, 1e-12 * trace / d), small enough to be
     invisible at the tolerances used anywhere downstream but large
     enough that Cholesky succeeds on rank-deficient sample covariances.
+    Raises DomainError if the trace overflows float64.
     """
     cov = np.asarray(covariance, dtype=float)
     d = cov.shape[0]
-    eps = max(1e-10, 1e-12 * float(np.trace(cov)) / d)
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(cov))
+    if not math.isfinite(trace):
+        raise DomainError("covariance trace overflows float64")
+    eps = max(1e-10, 1e-12 * trace / d)
     return cov + eps * np.eye(d)
 
 
@@ -132,7 +156,7 @@ def condition_number(covariance):
     cov = finite_array(covariance, "covariance", shape=(None, None), nonempty=True)
     if cov.shape[0] != cov.shape[1]:
         raise DimensionMismatch(f"covariance of shape {cov.shape} is not square")
-    cov = (cov + cov.T) / 2.0
+    cov = _symmetric(cov)
     eigenvalues = np.linalg.eigvalsh(cov)
     if eigenvalues[0] <= 0.0:
         return float("inf")

@@ -41,9 +41,9 @@ _WACHTER_RETRIES = 10
 class ActionSpec:
     """Per-feature actionability kinds and allowed delta grids.
 
-    Each grid is a finite sorted deduplicated array containing 0.
-    kind "immutable" forces the grid {0}; "non_decreasing" forbids
-    negative deltas.
+    Each grid is a finite sorted deduplicated array containing 0, kept
+    as a read-only copy. kind "immutable" forces the grid {0};
+    "non_decreasing" forbids negative deltas.
     """
 
     kinds: tuple
@@ -65,6 +65,7 @@ class ActionSpec:
                 raise ValueError("immutable features allow only the zero delta")
             if kind == "non_decreasing" and grid[0] < 0.0:
                 raise ValueError("non_decreasing features forbid negative deltas")
+            grid.flags.writeable = False
             grids.append(grid)
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "grids", tuple(grids))

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSample,
     DomainError,
     NoOppositeClassPrototypes,
+    check_integer,
     finite_array,
 )
 
@@ -45,6 +46,9 @@ class SamplerConfig:
     means "5% of the maximum pairwise distance in the dataset", resolved
     per call by resolve_radius; the max is exact for n <= 2000 and
     computed on a seeded 2000-row subsample above that.
+
+    Raises ValueError unless k is an integer >= 1, n_p one >= 2 and seed
+    one >= 0 (numpy integers pass), and r_p None or positive and finite.
     """
 
     k: int = 10
@@ -53,12 +57,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_integer(self.k, "k", 1)
         if self.r_p is not None and not 0.0 < self.r_p < np.inf:
             raise ValueError("r_p must be positive and finite")
-        if self.n_p < 2:
-            raise ValueError("n_p must be >= 2")
+        check_integer(self.n_p, "n_p", 2)
+        check_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

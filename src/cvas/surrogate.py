@@ -37,7 +37,7 @@ from .errors import (
     SolverDidNotConverge,
     finite_array,
 )
-from .moments import halfspace_distance, ridge
+from .moments import _symmetric, halfspace_distance, ridge
 
 _STOP_TOL = 1e-9
 _MAX_STEPS = 1000
@@ -239,7 +239,6 @@ def tau(kind, rho, covariance, w):
     underflows to 0. A negative w^T S w raises SingularCovariance.
     """
     kind = DivergenceKind(kind)
-    _check_radius(kind, rho)
     w = finite_array(np.ravel(w), "tau slope", nonzero=True)
     cov = finite_array(covariance, "covariance", shape=w.shape * 2)
     return _evaluate(_terms(kind, rho, cov), w)[0]
@@ -254,6 +253,18 @@ def _mean_gap(moments_pos, moments_neg):
         raise IdenticalMeans("class means are identical; no normalized slope exists")
     with np.errstate(over="ignore"):
         return a, _positive(float(a @ a), "a^T a")
+
+
+def _mpm_step(m, a):
+    """The minimax probability machine's step w = M^-1 a / (a^T M^-1 a),
+    the module's one solve; M is I or sums ridged covariances."""
+    try:
+        solved = np.linalg.solve(m, a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("the weighted class covariance is singular "
+                                 "after ridge") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solved / _positive(float(a @ solved), "a^T M^-1 a")
 
 
 def solve_cvas(moments_pos, moments_neg, divergence):
@@ -316,12 +327,7 @@ def solve_cvas(moments_pos, moments_neg, divergence):
                 raise SolverDidNotConverge(
                     f"||P grad F|| * ||w|| / F = {residual / f:.3e} above "
                     f"{_STOP_TOL} after {_MAX_STEPS} steps")
-            try:
-                solved = np.linalg.solve(m_bar, a)
-            except np.linalg.LinAlgError as exc:
-                raise SingularCovariance(
-                    "the weighted class covariance is singular") from exc
-            w = solved / _positive(float(a @ solved), "a^T M^-1 a")
+            w = _mpm_step(m_bar, a)
 
     tau_pos = _evaluate(terms_pos, w)[0]
     tau_neg = _evaluate(terms_neg, w)[0]
@@ -350,13 +356,16 @@ def worst_case_misclassification(surrogate, mean, covariance, gaussian=False):
     """Probability certificate for a class with the given moments.
 
     nu is the Mahalanobis distance from the mean to the complementary
-    halfspace. gaussian=False gives the distribution-free moment bound
+    halfspace: |w^T mean - b| over the nominal tau of the ridged
+    covariance. gaussian=False gives the distribution-free moment bound
     1/(1 + nu^2); gaussian=True gives 1 - Phi(nu) for Gaussian classes.
+    Raises as tau does for the covariance (SingularCovariance where
+    w^T Sigma w < 0, DomainError past float range, its trace included).
     """
     w, b = surrogate.w, surrogate.b
     mean = finite_array(mean, "class mean", shape=w.shape)
     cov = ridge(finite_array(covariance, "class covariance", shape=w.shape * 2))
-    nu = abs(float(w @ mean) - b) / math.sqrt(float(w @ cov @ w))
+    nu = abs(float(w @ mean) - b) / _evaluate([(1.0, cov)], w)[0]
     if gaussian:
         return 0.5 * math.erfc(nu / math.sqrt(2.0))
     return 1.0 / (1.0 + nu * nu)
@@ -365,34 +374,30 @@ def worst_case_misclassification(surrogate, mean, covariance, gaussian=False):
 def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
     """Limit of the robust surrogate as one radius grows without bound.
 
-    With a = mu_pos - mu_neg and y the inflated class:
-    quadratic-or-bures -> w = a/||a||^2; fisher-rao-or-logdet ->
-    w = Sigma_y^{-1} a / (a^T Sigma_y^{-1} a). Both put the hyperplane
+    With a = mu_pos - mu_neg and y the inflated class, the limit is one
+    step of solve_cvas's iteration, w = M^-1 a / (a^T M^-1 a), with
+    M = I for quadratic-or-bures (so w = a/||a||^2, exactly) and M the
+    ridged Sigma_y for fisher-rao-or-logdet. Both put the hyperplane
     through the other class mean: b = w^T mu_y - y.
 
     The returned Surrogate records kappa = 0.0 and objective = +inf,
     the limiting values, with the inflated radius stored as +inf.
+    Raises ValueError for an unknown family or class, and otherwise
+    what solve_cvas's step raises: SingularCovariance where the ridged
+    Sigma_y is singular or a^T Sigma_y^-1 a < 0, DomainError past float
+    range, DimensionMismatch and IdenticalMeans.
     """
     family = AsymptoticFamily(family)
     if inflated_class not in (1, -1):
         raise ValueError("inflated_class must be +1 or -1")
-    a, a_sq = _mean_gap(moments_pos, moments_neg)
-
+    a, _ = _mean_gap(moments_pos, moments_neg)
+    inflated = moments_pos if inflated_class == 1 else moments_neg
     if family is AsymptoticFamily.QUADRATIC_OR_BURES:
-        w = a / a_sq
-        kind = DivergenceKind.BURES
+        m, kind = np.eye(a.size), DivergenceKind.BURES
     else:
-        cov = ridge((moments_pos if inflated_class == 1 else moments_neg).covariance)
-        try:
-            solved = np.linalg.solve(cov, a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(
-                "inflated-class covariance is singular after ridge") from exc
-        w = solved / float(a @ solved)
-        kind = DivergenceKind.FISHER_RAO
-
-    mu_inflated = (moments_pos if inflated_class == 1 else moments_neg).mean
-    b = float(w @ mu_inflated) - inflated_class
+        m, kind = ridge(inflated.covariance), DivergenceKind.FISHER_RAO
+    w = _mpm_step(m, a)
+    b = float(w @ inflated.mean) - inflated_class
     rho_pos = math.inf if inflated_class == 1 else 0.0
     rho_neg = math.inf if inflated_class == -1 else 0.0
     divergence = Divergence(kind=kind, rho_pos=rho_pos, rho_neg=rho_neg)
@@ -405,21 +410,23 @@ def fr_worst_case_covariance(covariance, rho, w):
 
     Returns S^(1/2) (I + (e^rho - 1) vv^T/||v||^2) S^(1/2) with
     v = S^(1/2) w: the matrix at Fisher-Rao distance rho from S that
-    maximizes w^T S' w, scaling it by exactly e^rho.
+    maximizes w^T S' w, scaling it by exactly e^rho. Raises
+    SingularCovariance unless the ridged S is positive definite, and
+    DomainError if its trace or the result overflows float64.
     """
     _check_radius(DivergenceKind.FISHER_RAO, rho)
     w = finite_array(np.ravel(w), "slope", nonzero=True)
-    cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
-    cov = (cov + cov.T) / 2.0
+    cov = _symmetric(ridge(finite_array(covariance, "covariance", shape=w.shape * 2)))
     eigenvalues, vectors = np.linalg.eigh(cov)
     if eigenvalues[0] <= 0.0:
         raise SingularCovariance("covariance not positive definite after ridge")
     sqrt_cov = (vectors * np.sqrt(eigenvalues)) @ vectors.T
-    v = sqrt_cov @ w
-    scale = (math.exp(rho) - 1.0) / float(v @ v)
-    inner = np.eye(cov.shape[0]) + scale * np.outer(v, v)
-    result = sqrt_cov @ inner @ sqrt_cov
-    return (result + result.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # _symmetric checks
+        v = sqrt_cov @ w
+        scale = (math.exp(rho) - 1.0) / float(v @ v)
+        inner = np.eye(cov.shape[0]) + scale * np.outer(v, v)
+        result = sqrt_cov @ inner @ sqrt_cov
+    return _symmetric(result)
 
 
 def optimal_mean(w, b, mean_hat, covariance, nu):
@@ -429,8 +436,10 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     the minimizer moves along Sigma w. When the ball reaches the
     hyperplane the objective is 0 and w^T mu* = b; otherwise mu* sits
     on the ball boundary facing the hyperplane and the objective is
-    (|b - w^T mean_hat| - nu*sqrt(w^T Sigma w))^2. A NaN nu raises
-    DomainError; nu = +inf reaches every hyperplane.
+    (|b - w^T mean_hat| - nu*sqrt(w^T Sigma w))^2, with Sigma ridged
+    and sqrt(w^T Sigma w) its nominal tau. nu = +inf reaches every
+    hyperplane; a NaN nu raises DomainError, and the covariance raises
+    as in worst_case_misclassification.
 
     Returns
     -------
@@ -444,10 +453,9 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     mean_hat = finite_array(np.ravel(mean_hat), "mean_hat", shape=w.shape)
     cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
     shortfall = float(finite_array(b, "offset", shape=())) - float(w @ mean_hat)
-    quad = float(w @ cov @ w)
-    scale = math.sqrt(quad)
+    scale = _evaluate([(1.0, cov)], w)[0]
     if abs(shortfall) <= nu * scale:
-        mu_star = mean_hat + (shortfall / quad) * (cov @ w)
+        mu_star = mean_hat + (shortfall / scale / scale) * (cov @ w)
         return mu_star, 0.0
     mu_star = mean_hat + math.copysign(nu / scale, shortfall) * (cov @ w)
     objective = (abs(shortfall) - nu * scale) ** 2

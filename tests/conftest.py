@@ -1,4 +1,21 @@
+import subprocess
 import sys
+
+import pytest
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every training worker started during the test, in start order."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,13 +1,16 @@
 """MLP training, prediction, gradients, synthetic data, future ensembles."""
 
 import hashlib
+import io
 import math
 import os
+import pickle
 import signal
 import struct
 import subprocess
 import sys
 import textwrap
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +38,7 @@ from cvas import (
     sweep,
     train_mlp,
 )
-from cvas import blackbox, evalharness
+from cvas import _trainworker, blackbox, evalharness
 
 from helpers import linear_mlp
 from oracles import (
@@ -50,20 +53,6 @@ USABLE_CPUS = len(os.sched_getaffinity(0))
 # Finite rows whose training overflows float64 in its first epoch.
 OVERFLOW_ROWS = np.array([[1e300, 0.0], [-1e300, 1.0], [2.0, 3.0], [1.0, 1.0]])
 OVERFLOW_LABELS = np.array([1, -1, 1, -1])
-
-
-@pytest.fixture
-def spawned(monkeypatch):
-    """Every training worker started during the test, in start order."""
-    started = []
-    real_popen = subprocess.Popen
-
-    def popen(*args, **kwargs):
-        started.append(real_popen(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", popen)
-    return started
 
 
 def _separable_data(n=200, seed=0):
@@ -241,6 +230,18 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+def test_integer_settings_take_numpy_integers():
+    # The integer check takes numpy's integers, as a derived seed or a
+    # count read from an array is one.
+    one, two = np.int64(1), np.uint32(2)
+    assert TrainConfig(epochs=two, seed=one).epochs == 2
+    assert SamplerConfig(k=one, n_p=two, seed=one).n_p == 2
+    assert EvalConfig(seed=one, n_models=two, fid_n=two).fid_n == 2
+    assert generate_synthetic(two)[0].shape == (2, 2)
+    with pytest.raises(ValueError, match="epochs must be an integer, got 2.0"):
+        TrainConfig(epochs=2.0)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
@@ -639,6 +640,51 @@ def test_sweep_raises_a_workers_training_error_after_its_instances(monkeypatch,
     assert len(calls) == 3 * CALLS_PER_INSTANCE
     assert len(spawned) == min(cpus or USABLE_CPUS, 2)
     assert [worker.returncode for worker in spawned] == [0] * len(spawned)
+
+
+def test_sweep_checks_its_integer_settings_before_any_worker(spawned):
+    # fid_n = 10.5 used to build, and sweep started both training
+    # workers before sample_ball raised TypeError in the instance loop.
+    present, shifted, instances, *grid, config = _sweep_inputs()
+    with pytest.raises(ValueError, match="fid_n must be an integer"):
+        sweep(present, shifted, instances, *grid, replace(config, fid_n=10.5))
+    assert spawned == []
+
+
+def test_train_worker_main_in_process(monkeypatch):
+    # The worker's own loop, on byte buffers: its models are train_mlp's
+    # bit for bit, and a failing job's error ends the list.
+    features, labels = generate_synthetic(40, noise_std=1.0, seed=2)
+    features = np.vstack([features, OVERFLOW_ROWS])
+    labels = np.append(labels, OVERFLOW_LABELS)
+    good = np.arange(40)
+    overflow = np.arange(40, 44)
+    jobs = [(good, TrainConfig(epochs=5, seed=1)), (good[::2], TrainConfig(epochs=5)),
+            (overflow, TrainConfig(epochs=50)), (good, TrainConfig(epochs=5))]
+    stdin = types.SimpleNamespace(buffer=io.BytesIO(pickle.dumps((features, labels,
+                                                                 jobs))))
+    stdout = types.SimpleNamespace(buffer=io.BytesIO())
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    _trainworker.main()
+    *models, error = pickle.loads(stdout.buffer.getvalue())
+    assert len(models) == 2
+    for model, (idx, config) in zip(models, jobs):
+        expected = train_mlp(features[idx], labels[idx], config)
+        assert _digest(model.weights, model.biases, model.loss_history) == \
+            _digest(expected.weights, expected.biases, expected.loss_history)
+    with pytest.raises(DomainError) as in_process:
+        train_mlp(features[overflow], labels[overflow], TrainConfig(epochs=50))
+    assert type(error) is DomainError and str(error) == str(in_process.value)
+
+
+@pytest.mark.parametrize("count, usable", [(7, 7), (None, 1)])
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, count, usable):
+    # Platforms without sched_getaffinity: the CPU count, or 1 when the
+    # count is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert blackbox._usable_cpus() == usable
 
 
 def test_sweep_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):

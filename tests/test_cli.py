@@ -1,6 +1,7 @@
 """CLI and data-ingestion tests: feature specs, encoding, subcommands."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -416,6 +417,24 @@ def test_sweep_command_json_report(workspace, tmp_path):
         assert 0.0 <= record["current_validity"] <= 1.0
         assert record["mean_cost"] >= 0.0
     assert no_tmp_leftovers(tmp_path)
+
+
+def test_sweep_without_unfavorable_instances_exits_two(workspace, tmp_path,
+                                                       monkeypatch, capsys, spawned):
+    # A threshold of 0 labels every test row favourable: the sweep has no
+    # instance, so it exits before sweep() starts a training worker.
+    train_mlp = cli.train_mlp
+    monkeypatch.setattr(cli, "train_mlp", lambda *args: dataclasses.replace(
+        train_mlp(*args), threshold=0.0))
+    out = tmp_path / "report.json"
+    rc = run(["sweep", "--data", str(workspace / "d1.csv"),
+              "--shifted", str(workspace / "d2.csv"),
+              "--spec", str(workspace / "cols.txt"), "--out", str(out),
+              "--epochs", "5", "--n-models", "2", "--seed", "3"])
+    assert rc == 2
+    assert "no unfavorably classified test instances" in capsys.readouterr().err
+    assert spawned == []
+    assert not out.exists()
 
 
 def test_evaluate_command_csv_report(workspace, tmp_path):

@@ -109,6 +109,10 @@ ORIGIN = ClassMoments(mean=[0.0, 0.0], covariance=EYE, count=10)
 WIDE_POS = ClassMoments(mean=[1e-100, 0.0], covariance=1e200 * EYE, count=10)
 WIDE_NEG = ClassMoments(mean=[0.0, 0.0], covariance=1e200 * EYE, count=10)
 INDEFINITE = np.diag([-1.0, 1.0])
+# Finite covariances whose symmetrization and trace overflow, and a
+# class with covariance -I, on which the solver raises SingularCovariance.
+OVERFLOWING = [("1e308", 1e308 * EYE), ("9e307", 9e307 * EYE)]
+NEGATIVE_POS = ClassMoments(mean=[1.0, 0.0], covariance=-EYE, count=10)
 # Indefinite with trace 0, so the ridge rounds away; at w0 = a/6 the
 # weighted sum of the two covariances is exactly singular.
 SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -8e20]),
@@ -217,6 +221,9 @@ CASES = [
            lambda v: ClassMoments(mean=v, covariance=EYE, count=3)),
     *_each("ClassMoments", "covariance", MATRICES,
            lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m, count=3)),
+    *_each("ClassMoments", "covariance", OVERFLOWING,
+           lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m, count=3),
+           DomainError, must_raise=True),
     *_each("Surrogate", "w", VECTORS,
            lambda v: Surrogate(w=v, b=0.0, kappa=1.0, divergence=NOMINAL)),
     *_each("Surrogate", "b", RADII,
@@ -237,6 +244,19 @@ CASES = [
     *_each("SamplerConfig", "r_p", RADII, lambda r: SamplerConfig(r_p=r),
            allowed=CONFIG),
     *_raises("EvalConfig", "n_models=0", lambda: EvalConfig(n_models=0), ValueError),
+    # Counts and seeds that are not integers used to build, or to raise
+    # TypeError where they were first used.
+    *_raises("TrainConfig", "epochs=2.5", lambda: TrainConfig(epochs=2.5), ValueError),
+    *_raises("TrainConfig", "seed=0.5", lambda: TrainConfig(seed=0.5), ValueError),
+    *_raises("TrainConfig", "seed=-1", lambda: TrainConfig(seed=-1), ValueError),
+    *_raises("SamplerConfig", "k=2.5", lambda: SamplerConfig(k=2.5), ValueError),
+    *_raises("SamplerConfig", "k=str", lambda: SamplerConfig(k="3"), ValueError),
+    *_raises("SamplerConfig", "n_p=2.5", lambda: SamplerConfig(n_p=2.5), ValueError),
+    *_raises("SamplerConfig", "seed=-1", lambda: SamplerConfig(seed=-1), ValueError),
+    *_raises("EvalConfig", "fid_n=10.5", lambda: EvalConfig(fid_n=10.5), ValueError),
+    *_raises("EvalConfig", "n_models=2.5", lambda: EvalConfig(n_models=2.5),
+             ValueError),
+    *_raises("EvalConfig", "seed=-1", lambda: EvalConfig(seed=-1), ValueError),
     *_raises("EvalConfig", "action_kinds=unknown",
              lambda: EvalConfig(action_kinds=("free", "teleport")), ValueError),
     *_one("EvalReport", "duplicate-rows",
@@ -272,6 +292,8 @@ CASES = [
     *_each("simulate_future_models", "features", ROWS,
            lambda rows: simulate_future_models(rows, Y, n_models=2,
                                                config=TrainConfig(epochs=2))),
+    *_raises("simulate_future_models", "n_models=2.5",
+             lambda: simulate_future_models(X, Y, n_models=2.5), ValueError),
     *_raises("simulate_future_models", "features-overflow-one-cpu",
              lambda: _overflowing_ensemble(cpus=1), DomainError),
     *_raises("simulate_future_models", "features-overflow",
@@ -282,6 +304,8 @@ CASES = [
            lambda r: generate_synthetic(10, noise_std=r), allowed=CONFIG),
     *_raises("generate_synthetic", "noise_std=nan-raises",
              lambda: generate_synthetic(10, noise_std=nan), ValueError),
+    *_raises("generate_synthetic", "n=10.5", lambda: generate_synthetic(10.5),
+             ValueError),
     *_one("save_model", "nan-threshold",
           lambda: save_model(_sneak(linear_mlp([1.0, -1.0], 0.0), threshold=nan),
                              "model.bin")),
@@ -297,6 +321,11 @@ CASES = [
     *_each("halfspace_distance", "b", RADII,
            lambda r: halfspace_distance([0.0, 0.0], EYE, [1.0, 0.0], r)),
     *_each("condition_number", "covariance", MATRICES, condition_number),
+    *_each("halfspace_distance", "covariance", OVERFLOWING,
+           lambda m: halfspace_distance([0.0, 0.0], m, [1.0, 0.0], 0.0),
+           DomainError, must_raise=True),
+    *_each("condition_number", "covariance", OVERFLOWING, condition_number,
+           DomainError, must_raise=True),
     # sampler
     *_each("find_boundary_point", "x0", VECTORS,
            lambda v: find_boundary_point(v, X, MODEL, SAMPLER)),
@@ -340,6 +369,11 @@ CASES = [
           lambda: asymptotic_surrogate(POS, NEG_WIDE, "fisher-rao-or-logdet", 1)),
     *_one("asymptotic_surrogate", "identical",
           lambda: asymptotic_surrogate(POS, POS, "quadratic-or-bures", -1)),
+    # The asymptote used to solve with -I and return w = [1, 0].
+    *_raises("asymptotic_surrogate", "covariance=-I",
+             lambda: asymptotic_surrogate(NEGATIVE_POS, ORIGIN,
+                                          "fisher-rao-or-logdet", 1),
+             SingularCovariance),
     *_one("coverage_validity", "wide", lambda: coverage_validity(SUR, POS, NEG_WIDE)),
     *_raises("coverage_validity", "mean=nan",
              lambda: coverage_validity(SUR, POS, ClassMoments(
@@ -348,12 +382,27 @@ CASES = [
            lambda v: worst_case_misclassification(SUR, v, EYE)),
     *_each("worst_case_misclassification", "covariance", MATRICES,
            lambda m: worst_case_misclassification(SUR, [0.0, 0.0], m)),
+    # -I used to leak math's ValueError, and an overflowing covariance
+    # to return NaN.
+    *_raises("worst_case_misclassification", "covariance=-I",
+             lambda: worst_case_misclassification(SUR, [0.0, 0.0], -EYE),
+             SingularCovariance),
+    *_each("worst_case_misclassification", "covariance", OVERFLOWING,
+           lambda m: worst_case_misclassification(SUR, [0.0, 0.0], m),
+           DomainError, must_raise=True),
     *_each("fr_worst_case_covariance", "rho", RADII,
            lambda r: fr_worst_case_covariance(EYE, r, [1.0, 0.0])),
     *_each("fr_worst_case_covariance", "covariance", MATRICES,
            lambda m: fr_worst_case_covariance(m, 1.0, [1.0, 0.0])),
     *_each("fr_worst_case_covariance", "w", VECTORS,
            lambda v: fr_worst_case_covariance(EYE, 1.0, v)),
+    *_each("fr_worst_case_covariance", "covariance", OVERFLOWING,
+           lambda m: fr_worst_case_covariance(m, 1.0, [1.0, 0.0]),
+           DomainError, must_raise=True),
+    # The worst case itself overflows at the largest radius.
+    *_raises("fr_worst_case_covariance", "rho=700",
+             lambda: fr_worst_case_covariance(1e10 * EYE, 700.0, [1.0, 0.0]),
+             DomainError),
     *_each("optimal_mean", "nu", RADII,
            lambda r: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], EYE, r)),
     *_each("optimal_mean", "b", RADII,
@@ -364,6 +413,12 @@ CASES = [
            lambda v: optimal_mean([1.0, 0.0], 3.0, v, EYE, 1.0)),
     *_each("optimal_mean", "covariance", MATRICES,
            lambda m: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], m, 1.0)),
+    *_raises("optimal_mean", "covariance=-I",
+             lambda: optimal_mean([1.0, 0.0], 0.5, [0.0, 0.0], -EYE, 1.0),
+             SingularCovariance),
+    *_each("optimal_mean", "covariance", OVERFLOWING,
+           lambda m: optimal_mean([1.0, 0.0], 0.5, [0.0, 0.0], m, 1.0),
+           DomainError, must_raise=True),
     *_one("save_surrogate", "b=nan", lambda: _surrogate_round_trip(b=nan)),
     *_one("load_surrogate", "w=nan",
           lambda: _surrogate_round_trip(w=np.array([nan, 1.0]))),
@@ -400,6 +455,8 @@ CASES = [
            lambda v: local_fidelity(MODEL, SUR, v, 0.5)),
     *_each("local_fidelity", "r_fid", RADII,
            lambda r: local_fidelity(MODEL, SUR, X0, r), allowed=CONFIG),
+    *_raises("local_fidelity", "n=10.5",
+             lambda: local_fidelity(MODEL, SUR, X0, 0.5, n=10.5), ValueError),
     *_each("sensitivity", "x0", VECTORS,
            lambda v: sensitivity((SAMPLER, FR), MODEL, X, v)),
     *_each("validity_metrics", "x_r", VECTORS,

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from cvas import (
     ClassMoments,
+    DomainError,
     NonFiniteInput,
     SingularCovariance,
     TooFewSamples,
@@ -149,3 +150,23 @@ def test_ridge_does_not_mutate():
     cov = np.eye(2)
     ridge(cov)
     assert np.array_equal(cov, np.eye(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e308, 9e307])
+def test_ridge_rejects_an_overflowing_trace(scale):
+    # The trace used to overflow with a warning, and the ridge of inf
+    # made every later quadratic form NaN.
+    with pytest.raises(DomainError, match="trace"):
+        ridge(scale * np.eye(2))
+
+
+def test_estimated_covariance_is_stored_as_computed():
+    # centered^T centered is exactly symmetric, so symmetrizing it is a
+    # no-op, bit for bit.
+    rng = np.random.default_rng(5)
+    for d in (2, 5, 22):
+        rows = rng.normal(size=(50, d)) * rng.uniform(0.1, 10.0, size=d)
+        centered = rows - rows.mean(axis=0)
+        cov = centered.T @ centered / 49
+        assert np.array_equal(estimate_moments(rows).covariance, cov)

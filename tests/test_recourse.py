@@ -282,6 +282,17 @@ def test_action_spec_rejects_non_finite_grid(bad, kind):
         ActionSpec(kinds=(kind,), grids=(np.array([0.0, 1.0, bad]),))
 
 
+def test_action_grids_are_read_only_copies():
+    grid = np.array([0.0, 1.0, 2.0])
+    spec = ActionSpec(kinds=("free",), grids=(grid,))
+    with pytest.raises(ValueError, match="read-only"):
+        spec.grids[0][0] = math.nan
+    grid[1] = 7.0  # the caller's array stays writable and apart
+    assert spec.grids[0].tolist() == [0.0, 1.0, 2.0]
+    defaults = default_action_grids(np.zeros(2), np.arange(20.0).reshape(10, 2))
+    assert not any(g.flags.writeable for g in defaults.grids)
+
+
 def test_default_action_grids():
     # column marginals 0..100 make the 10..90 percentiles exact decades
     training = np.tile(np.arange(101.0)[:, None], (1, 3))

@@ -619,6 +619,36 @@ def test_large_radius_approaches_asymptote():
     assert_allclose(sur.b, limit.b, atol=1e-3)
 
 
+def test_quadratic_asymptote_is_the_mean_gap_over_its_norm_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, 4)
+        pos = ClassMoments(mean=mu_pos, covariance=cov_pos, count=9)
+        neg = ClassMoments(mean=mu_neg, covariance=cov_neg, count=9)
+        a = pos.mean - neg.mean
+        for inflated in (1, -1):
+            sur = asymptotic_surrogate(pos, neg, "quadratic-or-bures", inflated)
+            assert np.array_equal(sur.w, a / float(a @ a))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_asymptote_and_certificates_raise_what_the_solver_raises():
+    # -I is no covariance. The asymptote used to solve with it and return
+    # w = [1, 0], and the certificates leaked math's ValueError.
+    pos = ClassMoments(mean=[1.0, 0.0], covariance=-np.eye(2), count=5)
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=5)
+    nominal = Surrogate(w=[1.0, 0.0], b=0.5, kappa=1.0,
+                        divergence=Divergence(kind="nominal"))
+    with pytest.raises(SingularCovariance, match="< 0"):
+        solve_cvas(pos, neg, Divergence(kind="nominal"))
+    with pytest.raises(SingularCovariance, match="< 0"):
+        asymptotic_surrogate(pos, neg, "fisher-rao-or-logdet", 1)
+    with pytest.raises(SingularCovariance, match="< 0"):
+        worst_case_misclassification(nominal, pos.mean, pos.covariance)
+    with pytest.raises(SingularCovariance, match="< 0"):
+        optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 1.0)
+
+
 # ---------------------------------------------------------------- fr cov
 
 def test_fr_worst_case_covariance_identity_cases():
