@@ -4,7 +4,8 @@ Architecture is pinned to d -> 20 -> 50 -> 20 -> 1 with ReLU hidden
 units and a sigmoid head. Training is full-batch Adam on binary
 cross-entropy. Everything is seeded so the same data and seed reproduce
 bit-identical weights, whether a model trains in this process or in a
-training worker (see _future_models). train_mlp describes the
+training worker. _future_models and _train_worker hold both ends of
+the workers' pickled wire format. train_mlp describes the
 allocation-light kernel.
 """
 
@@ -184,9 +185,11 @@ def _init_parameters(layer_dims, seed):
 
 
 def _check_training_data(features, labels):
-    """Float copies of 2-d finite features and finite {-1, +1} labels,
-    one label per feature row."""
+    """Float copies of 2-d finite features with at least one column and
+    finite {-1, +1} labels, one label per feature row."""
     features = finite_array(features, "training features", shape=(None, None))
+    if features.shape[1] == 0:
+        raise DimensionMismatch("training features have no columns")
     labels = finite_array(labels, "training labels", shape=features.shape[:1])
     bad = (labels != 1.0) & (labels != -1.0)
     if bad.any():
@@ -226,8 +229,8 @@ def train_mlp(features, labels, config=TrainConfig()):
     NonFiniteInput
         If features or labels contain NaN or infinity.
     DimensionMismatch
-        If features are not 2-d, or labels are not 1-d with one entry
-        per feature row.
+        If features are not 2-d with at least one column, or labels are
+        not 1-d with one entry per feature row.
     BadLabelValue
         If a label is neither -1 nor +1.
     DomainError
@@ -364,9 +367,10 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
     The subsamples are drawn here, and every check runs before any
     worker starts. The models train in one worker process per usable
     CPU (never more than n_models, one included), each with one BLAS
-    thread, and come back in index order, bit-identical to training
-    them one after another in this process. sweep() trains its ensemble
-    the same way, while it works through its instances.
+    thread and a contiguous share of the models, and come back in index
+    order, bit-identical to training them one after another in this
+    process. sweep() trains its ensemble the same way, while it works
+    through its instances.
 
     Raises
     ------
@@ -400,20 +404,22 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
     """Train simulate_future_models's ensemble while the caller works.
 
     On entry, every check runs and every subsample is drawn, raising as
-    simulate_future_models says, before any worker starts. The models
-    are dealt round-robin to min(usable CPUs, n_models) worker
-    processes, which train while the body of the with statement runs.
-    The yielded collect() waits for them and returns the models in
-    index order. It raises the CvasError of the lowest-numbered model
-    whose training failed, class and message kept, and CvasError if a
-    worker exited with a non-zero status.
+    simulate_future_models says, before any worker starts. Each of
+    min(usable CPUs, n_models) workers trains a contiguous share of the
+    jobs while the body of the with statement runs; the first workers,
+    fed first, take the larger shares. The yielded collect()
+    reads every worker's (models, error) reply (see _train_worker) and
+    raises CvasError for a non-zero exit status, then the first error
+    in worker order, the lowest-numbered failed model's, class and
+    message kept, or returns the models in index order.
 
-    Each worker is ``python -m cvas._trainworker`` with one BLAS thread;
-    its models are bit-identical to train_mlp's here. Subprocesses,
-    unlike multiprocessing, never re-run the caller's __main__. On
-    leaving the with statement, normally or by any exception,
-    KeyboardInterrupt included, every worker is killed (a no-op once
-    collected) and reaped.
+    A worker is ``python -c "from cvas.blackbox import _train_worker;
+    _train_worker()"`` with one BLAS thread (not ``-m cvas.blackbox``,
+    whose models would pickle as __main__.MlpModel); its models are
+    bit-identical to train_mlp's here. Subprocesses, unlike
+    multiprocessing, never re-run the caller's __main__. On leaving the
+    with statement by any exit, KeyboardInterrupt included, every
+    worker is killed (a no-op once collected) and reaped.
     """
     check_integer(n_models, "n_models", 1)
     if not 0.0 < fraction <= 1.0:
@@ -436,8 +442,8 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
         jobs.append((idx, replace(config, seed=seed_i)))
 
     n_workers = min(_usable_cpus(), n_models)
-    # This package's own source root goes first on the worker's path (and
-    # is its working directory, which -m puts ahead of PYTHONPATH), so a
+    # This package's source root leads the worker's path (and is its working
+    # directory, which -c puts first unless PYTHONSAFEPATH is set), so a
     # source checkout never trains with an installed copy.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
@@ -446,31 +452,30 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
     workers = []
 
     def collect():
-        models = [None] * n_models
-        for w, worker in enumerate(workers):
+        replies = []
+        for worker in workers:
             output = worker.stdout.read()
-            if worker.wait() != 0:
+            if worker.wait():
                 raise CvasError(
-                    f"training worker exited with status {worker.returncode}"
-                )
-            # A worker stops at its first error, which ends its list, so
-            # the first entry that is no model is the error to raise.
-            trained = pickle.loads(output)
-            models[w:w + n_workers * len(trained):n_workers] = trained
-        for model in models:
-            if isinstance(model, CvasError):
-                raise model
-        return models
+                    f"training worker exited with status {worker.returncode}")
+            replies.append(pickle.loads(output))
+        for _, error in replies:
+            if error is not None:
+                raise error
+        return [model for models, _ in replies for model in models]
 
     try:
         for _ in range(n_workers):
             workers.append(subprocess.Popen(
-                [sys.executable, "-m", "cvas._trainworker"], stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, env=env, cwd=root))
+                [sys.executable, "-c",
+                 "from cvas.blackbox import _train_worker; _train_worker()"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, cwd=root))
+        size, extra = divmod(n_models, n_workers)
         for w, worker in enumerate(workers):
+            share = jobs[w * size + min(w, extra):(w + 1) * size + min(w + 1, extra)]
             try:
                 with worker.stdin:
-                    pickle.dump((features, labels, jobs[w::n_workers]), worker.stdin,
+                    pickle.dump((features, labels, share), worker.stdin,
                                 protocol=pickle.HIGHEST_PROTOCOL)
             except BrokenPipeError:
                 pass  # the worker has exited; collect() checks its status
@@ -482,6 +487,24 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
             worker.stdout.close()
             with contextlib.suppress(BrokenPipeError):
                 worker.stdin.close()
+
+
+def _train_worker():
+    """One training worker of _future_models: read the pickled
+    (features, labels, jobs) from stdin, train one model per (row
+    indices, config) job in order, and write the pickled reply
+    (models, error) to stdout. error is None, or the CvasError that
+    stopped the loop after the models before it. Only _future_models
+    writes stdin, so the bytes unpickled come from this package.
+    """
+    features, labels, jobs = pickle.load(sys.stdin.buffer)
+    models, error = [], None
+    try:
+        for idx, config in jobs:
+            models.append(train_mlp(features[idx], labels[idx], config))
+    except CvasError as exc:
+        error = exc
+    pickle.dump((models, error), sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def save_model(model, path):

@@ -64,7 +64,8 @@ class FeatureColumn:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Per-column schema: exactly one label column, unique names."""
+    """Per-column schema: exactly one label column, at least one feature
+    column, unique names."""
 
     columns: tuple
 
@@ -76,6 +77,8 @@ class FeatureSpec:
         labels = [c for c in self.columns if c.kind == "label"]
         if len(labels) != 1:
             raise SchemaMismatch("feature spec must have exactly one label column")
+        if len(self.columns) < 2:
+            raise SchemaMismatch("feature spec has no feature column")
         for c in self.columns:
             if c.kind not in FEATURE_KINDS:
                 raise SchemaMismatch(f"unknown column kind {c.kind!r}")
@@ -139,7 +142,7 @@ class Encoder:
     means: dict
     stds: dict
 
-    def apply(self, columns_raw, n_rows):
+    def apply(self, columns_raw):
         blocks, infos = [], []
         for col in self.spec.feature_columns:
             raw = columns_raw[col.name]
@@ -161,11 +164,7 @@ class Encoder:
                 std = self.stds[col.name]
                 blocks.append(centered / std if std > 0.0 else centered)
             infos.append(ColumnInfo(col.name, col.name, col.actionability))
-        if blocks:
-            features = np.column_stack(blocks)
-        else:
-            features = np.zeros((n_rows, 0))
-        return features, tuple(infos)
+        return np.column_stack(blocks), tuple(infos)
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
             means[col.name] = float(values.mean())
             stds[col.name] = float(values.std())
     encoder = Encoder(spec=spec, levels=levels, means=means, stds=stds)
-    features, infos = encoder.apply(columns_raw, n)
+    features, infos = encoder.apply(columns_raw)
     return EncodedDataset(features=features, labels=labels, columns=infos,
                           train_idx=train_idx, test_idx=test_idx,
                           encoder=encoder)
@@ -267,9 +266,9 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
 
 def encode_csv(encoder, csv_path):
     """Apply a fitted encoder to another CSV with the same schema."""
-    columns_raw, n = _read_csv(csv_path, encoder.spec)
+    columns_raw, _ = _read_csv(csv_path, encoder.spec)
     labels = _parse_labels(columns_raw[encoder.spec.label_column.name])
-    features, _ = encoder.apply(columns_raw, n)
+    features, _ = encoder.apply(columns_raw)
     return features, labels
 
 

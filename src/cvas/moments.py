@@ -132,6 +132,9 @@ def halfspace_distance(mean, covariance, w, b):
         If the ridged covariance has no Cholesky factorization.
     DimensionMismatch, NonFiniteInput
         If an input is not finite or not of the width of w.
+    DomainError
+        If b - w^T mean leaves float range, or w^T cov w does for a mean
+        outside the halfspace.
     """
     w = finite_array(np.ravel(w), "halfspace normal", nonzero=True)
     mean = finite_array(mean, "mean", shape=w.shape)
@@ -141,10 +144,23 @@ def halfspace_distance(mean, covariance, w, b):
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("covariance not positive definite after ridge") from exc
-    margin = float(w @ mean) - b
-    if margin >= 0.0:
+    deficit = _deficit(w, mean, b)
+    if deficit <= 0.0:
         return 0.0
-    return abs(margin) / float(np.sqrt(w @ cov @ w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(w @ cov @ w)
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"w^T Sigma w = {q:.3g} is outside float range")
+    return deficit / math.sqrt(q)
+
+
+def _deficit(w, x, b):
+    """b - w^T x, or DomainError where it leaves float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deficit = b - float(w @ x)
+    if not math.isfinite(deficit):
+        raise DomainError(f"the deficit b - w^T x overflows to {deficit}")
+    return deficit
 
 
 def condition_number(covariance):

@@ -24,7 +24,7 @@ from .errors import (
     NoValidRecourse,
     finite_array,
 )
-from .moments import estimate_moments
+from .moments import _deficit, estimate_moments
 from .sampler import synthesize
 from .surrogate import solve_cvas
 
@@ -162,11 +162,7 @@ def _search_start(x0, surrogate):
     """
     w, b = finite_array(surrogate.w, "surrogate slope", nonzero=True), surrogate.b
     x0 = finite_array(np.ravel(x0), "x0", shape=w.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        deficit = b - float(w @ x0)
-    if not math.isfinite(deficit):
-        raise DomainError(f"the deficit b - w^T x0 overflows to {deficit}")
-    return w, b, x0, deficit
+    return w, b, x0, _deficit(w, x0, b)
 
 
 def _search_result(x0, moves, w, b):

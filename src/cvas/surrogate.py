@@ -37,7 +37,7 @@ from .errors import (
     SolverDidNotConverge,
     finite_array,
 )
-from .moments import _symmetric, halfspace_distance, ridge
+from .moments import _deficit, _symmetric, halfspace_distance, ridge
 
 _STOP_TOL = 1e-9
 _MAX_STEPS = 1000
@@ -344,7 +344,8 @@ def coverage_validity(surrogate, moments_pos, moments_neg):
     Coverage is the distance from the positive mean to the
     negatively-predicted halfspace {x : w^T x - b <= 0}; validity the
     distance from the negative mean to {x : w^T x - b >= 0}. Either is
-    0 when the surrogate misclassifies that class mean.
+    0 when the surrogate misclassifies that class mean. Raises as
+    halfspace_distance does, DomainError past float range included.
     """
     w, b = surrogate.w, surrogate.b
     coverage = halfspace_distance(moments_pos.mean, moments_pos.covariance, -w, -b)
@@ -360,12 +361,13 @@ def worst_case_misclassification(surrogate, mean, covariance, gaussian=False):
     covariance. gaussian=False gives the distribution-free moment bound
     1/(1 + nu^2); gaussian=True gives 1 - Phi(nu) for Gaussian classes.
     Raises as tau does for the covariance (SingularCovariance where
-    w^T Sigma w < 0, DomainError past float range, its trace included).
+    w^T Sigma w < 0, DomainError past float range, its trace included),
+    and DomainError where b - w^T mean leaves float range.
     """
     w, b = surrogate.w, surrogate.b
     mean = finite_array(mean, "class mean", shape=w.shape)
     cov = ridge(finite_array(covariance, "class covariance", shape=w.shape * 2))
-    nu = abs(float(w @ mean) - b) / _evaluate([(1.0, cov)], w)[0]
+    nu = abs(_deficit(w, mean, b)) / _evaluate([(1.0, cov)], w)[0]
     if gaussian:
         return 0.5 * math.erfc(nu / math.sqrt(2.0))
     return 1.0 / (1.0 + nu * nu)
@@ -412,7 +414,8 @@ def fr_worst_case_covariance(covariance, rho, w):
     v = S^(1/2) w: the matrix at Fisher-Rao distance rho from S that
     maximizes w^T S' w, scaling it by exactly e^rho. Raises
     SingularCovariance unless the ridged S is positive definite, and
-    DomainError if its trace or the result overflows float64.
+    DomainError if its trace or the result overflows float64 or w^T S w
+    leaves float range.
     """
     _check_radius(DivergenceKind.FISHER_RAO, rho)
     w = finite_array(np.ravel(w), "slope", nonzero=True)
@@ -423,7 +426,7 @@ def fr_worst_case_covariance(covariance, rho, w):
     sqrt_cov = (vectors * np.sqrt(eigenvalues)) @ vectors.T
     with np.errstate(over="ignore", invalid="ignore"):  # _symmetric checks
         v = sqrt_cov @ w
-        scale = (math.exp(rho) - 1.0) / float(v @ v)
+        scale = (math.exp(rho) - 1.0) / _positive(float(v @ v), "w^T Sigma w")
         inner = np.eye(cov.shape[0]) + scale * np.outer(v, v)
         result = sqrt_cov @ inner @ sqrt_cov
     return _symmetric(result)
@@ -438,8 +441,9 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     on the ball boundary facing the hyperplane and the objective is
     (|b - w^T mean_hat| - nu*sqrt(w^T Sigma w))^2, with Sigma ridged
     and sqrt(w^T Sigma w) its nominal tau. nu = +inf reaches every
-    hyperplane; a NaN nu raises DomainError, and the covariance raises
-    as in worst_case_misclassification.
+    hyperplane; a NaN nu raises DomainError, as do a gap b - w^T mean_hat,
+    mu* or objective past float range, and the covariance raises as in
+    worst_case_misclassification.
 
     Returns
     -------
@@ -452,13 +456,18 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
         raise DomainError("nu must not be NaN")
     mean_hat = finite_array(np.ravel(mean_hat), "mean_hat", shape=w.shape)
     cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
-    shortfall = float(finite_array(b, "offset", shape=())) - float(w @ mean_hat)
+    shortfall = _deficit(w, mean_hat, float(finite_array(b, "offset", shape=())))
     scale = _evaluate([(1.0, cov)], w)[0]
-    if abs(shortfall) <= nu * scale:
-        mu_star = mean_hat + (shortfall / scale / scale) * (cov @ w)
-        return mu_star, 0.0
-    mu_star = mean_hat + math.copysign(nu / scale, shortfall) * (cov @ w)
-    objective = (abs(shortfall) - nu * scale) ** 2
+    reaches = abs(shortfall) <= nu * scale
+    step = shortfall / scale / scale if reaches else math.copysign(nu / scale, shortfall)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_star = mean_hat + step * (cov @ w)
+    try:
+        objective = 0.0 if reaches else (abs(shortfall) - nu * scale) ** 2
+    except OverflowError:
+        objective = math.inf
+    if not (np.isfinite(mu_star).all() and objective < math.inf):
+        raise DomainError("the optimal mean or its objective overflows float64")
     return mu_star, objective
 
 

@@ -38,7 +38,7 @@ from cvas import (
     sweep,
     train_mlp,
 )
-from cvas import _trainworker, blackbox, evalharness
+from cvas import blackbox, evalharness
 
 from helpers import linear_mlp
 from oracles import (
@@ -481,6 +481,35 @@ def test_future_models_never_rerun_the_callers_main(tmp_path):
     assert log.read_text() == "run\n"
 
 
+def test_future_models_reject_zero_width_data_before_any_worker(spawned):
+    # Zero columns used to leak ZeroDivisionError from train_mlp, and the
+    # ensemble's workers to fail with a bare exit status.
+    labels = np.array([1, -1, 1, -1, 1, -1])
+    with pytest.raises(DimensionMismatch, match="no columns"):
+        train_mlp(np.zeros((6, 0)), labels)
+    with pytest.raises(DimensionMismatch, match="no columns"):
+        simulate_future_models(np.zeros((6, 0)), labels, n_models=2)
+    assert spawned == []
+
+
+def test_future_models_ignore_a_cvas_package_in_the_callers_directory(tmp_path,
+                                                                      monkeypatch):
+    # The workers import this package from its source root, never a cvas
+    # in the caller's working directory.
+    (tmp_path / "cvas").mkdir()
+    (tmp_path / "cvas" / "__init__.py").write_text("raise ImportError('decoy')\n")
+    monkeypatch.chdir(tmp_path)
+    features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
+    cfg = TrainConfig(epochs=5, seed=2)
+    models = simulate_future_models(features, labels, n_models=2, config=cfg)
+    assert len(models) == 2
+    for i, model in enumerate(models):
+        idx = np.random.default_rng(cfg.seed + i).choice(60, size=48, replace=False)
+        expected = train_mlp(features[idx], labels[idx], replace(cfg, seed=cfg.seed + i))
+        assert _digest(model.weights, model.biases, model.loss_history) == \
+            _digest(expected.weights, expected.biases, expected.loss_history)
+
+
 def test_future_models_worker_exit_status_raises(tmp_path, monkeypatch, spawned):
     _fake_python(tmp_path, monkeypatch, "exit 3")
     features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
@@ -600,12 +629,13 @@ def test_future_models_raise_the_training_error_of_a_worker(monkeypatch, spawned
     assert [worker.returncode for worker in spawned] == [0] * len(spawned)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_future_models_raise_the_lowest_numbered_models_error(monkeypatch, cpus):
     # A row of 1e170 makes model 1 (seed 4) overflow in epoch 1 and model 2
     # (seed 5) near epoch 200, while model 0 (seed 3) trains. Two workers
-    # train models 0 and 2 and model 1; model 1's error is raised, as on
-    # one worker that trains 0, 1, 2 in order.
+    # train models 0, 1 and model 2; three train one model each, and both
+    # models 1 and 2 fail. Model 1's error is raised, as on one worker
+    # that trains 0, 1, 2 in order.
     features, labels = generate_synthetic(20, seed=0)
     features = np.vstack([features, [[1e170, -1e170]]])
     labels = np.append(labels, 1)
@@ -653,7 +683,8 @@ def test_sweep_checks_its_integer_settings_before_any_worker(spawned):
 
 def test_train_worker_main_in_process(monkeypatch):
     # The worker's own loop, on byte buffers: its models are train_mlp's
-    # bit for bit, and a failing job's error ends the list.
+    # bit for bit, and a failing job's error stops the loop and comes back
+    # beside the models trained before it.
     features, labels = generate_synthetic(40, noise_std=1.0, seed=2)
     features = np.vstack([features, OVERFLOW_ROWS])
     labels = np.append(labels, OVERFLOW_LABELS)
@@ -666,8 +697,8 @@ def test_train_worker_main_in_process(monkeypatch):
     stdout = types.SimpleNamespace(buffer=io.BytesIO())
     monkeypatch.setattr(sys, "stdin", stdin)
     monkeypatch.setattr(sys, "stdout", stdout)
-    _trainworker.main()
-    *models, error = pickle.loads(stdout.buffer.getvalue())
+    blackbox._train_worker()
+    models, error = pickle.loads(stdout.buffer.getvalue())
     assert len(models) == 2
     for model, (idx, config) in zip(models, jobs):
         expected = train_mlp(features[idx], labels[idx], config)

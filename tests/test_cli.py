@@ -60,6 +60,7 @@ def test_feature_spec_parses_comments_and_label_shorthand(tmp_path):
     "age,continuous,someday\nlabel,label\n",                  # bad action
     "age\nlabel,label\n",                                     # malformed line
     "age,continuous,free,extra\nlabel,label\n",               # too many fields
+    "label,label\n",                                          # no feature column
 ])
 def test_feature_spec_rejects_bad_schemas(tmp_path, text):
     path = write(tmp_path / "cols.txt", text)
@@ -727,6 +728,19 @@ def test_data_error_exits_two(tmp_path, capsys):
               "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     assert "label" in capsys.readouterr().err
+
+
+def test_spec_without_feature_columns_exits_two(tmp_path, capsys):
+    # A label-only spec used to encode zero-width features, on which
+    # training crashed with ZeroDivisionError.
+    spec = write(tmp_path / "cols.txt", "label,label\n")
+    data = write(tmp_path / "d.csv",
+                 "label\n" + "".join(f"{i % 2}\n" for i in range(10)))
+    rc = run(["train", "--data", data, "--spec", spec,
+              "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "no feature column" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_truncated_model_exits_two(workspace, tmp_path, capsys):

@@ -120,6 +120,9 @@ SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -
 SPLIT_NEG = ClassMoments(mean=[0.0, 0.0, 0.0], covariance=np.diag([-2e20, 1e20, 1e20]),
                          count=10)
 HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
+# Class means whose w^T mu overflows for HUGE's slope.
+FAR_200 = ClassMoments(mean=[1e200, 0.0], covariance=EYE, count=10)
+FAR_NEG_200 = ClassMoments(mean=[-1e200, 0.0], covariance=EYE, count=10)
 TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
 FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
 FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
@@ -289,6 +292,13 @@ CASES = [
     *_raises("train_mlp", "features-overflow",
              lambda: train_mlp(OVERFLOW_ROWS, OVERFLOW_LABELS, TrainConfig(epochs=50)),
              DomainError),
+    # Zero columns used to leak ZeroDivisionError, and the ensemble's
+    # workers to exit with status 1.
+    *_raises("train_mlp", "features-zero-width",
+             lambda: train_mlp(np.zeros((40, 0)), Y), DimensionMismatch),
+    *_raises("simulate_future_models", "features-zero-width",
+             lambda: simulate_future_models(np.zeros((40, 0)), Y, n_models=2),
+             DimensionMismatch),
     *_each("simulate_future_models", "features", ROWS,
            lambda rows: simulate_future_models(rows, Y, n_models=2,
                                                config=TrainConfig(epochs=2))),
@@ -324,6 +334,14 @@ CASES = [
     *_each("halfspace_distance", "covariance", OVERFLOWING,
            lambda m: halfspace_distance([0.0, 0.0], m, [1.0, 0.0], 0.0),
            DomainError, must_raise=True),
+    # w^T mean - b overflowed to a NaN distance, and w^T Sigma w to a
+    # distance of 0.0.
+    *_raises("halfspace_distance", "margin-overflow",
+             lambda: halfspace_distance([-1e200, 0.0], EYE, [1e200, 1e200], 0.0),
+             DomainError),
+    *_raises("halfspace_distance", "scale-overflow",
+             lambda: halfspace_distance([-1.0, 0.0], EYE, [1e200, 1e200], 0.0),
+             DomainError),
     *_each("condition_number", "covariance", OVERFLOWING, condition_number,
            DomainError, must_raise=True),
     # sampler
@@ -375,6 +393,9 @@ CASES = [
                                           "fisher-rao-or-logdet", 1),
              SingularCovariance),
     *_one("coverage_validity", "wide", lambda: coverage_validity(SUR, POS, NEG_WIDE)),
+    # Both margins used to be NaN.
+    *_raises("coverage_validity", "margin-overflow",
+             lambda: coverage_validity(HUGE, FAR_200, FAR_NEG_200), DomainError),
     *_raises("coverage_validity", "mean=nan",
              lambda: coverage_validity(SUR, POS, ClassMoments(
                  mean=[nan, 0.0], covariance=EYE, count=3)), NonFiniteInput),
@@ -390,6 +411,9 @@ CASES = [
     *_each("worst_case_misclassification", "covariance", OVERFLOWING,
            lambda m: worst_case_misclassification(SUR, [0.0, 0.0], m),
            DomainError, must_raise=True),
+    # w^T mean used to overflow with a RuntimeWarning.
+    *_raises("worst_case_misclassification", "margin-overflow",
+             lambda: worst_case_misclassification(HUGE, [1e200, 0.0], EYE), DomainError),
     *_each("fr_worst_case_covariance", "rho", RADII,
            lambda r: fr_worst_case_covariance(EYE, r, [1.0, 0.0])),
     *_each("fr_worst_case_covariance", "covariance", MATRICES,
@@ -403,6 +427,12 @@ CASES = [
     *_raises("fr_worst_case_covariance", "rho=700",
              lambda: fr_worst_case_covariance(1e10 * EYE, 700.0, [1.0, 0.0]),
              DomainError),
+    # w^T Sigma w underflowing to 0 used to raise ZeroDivisionError, and
+    # overflowing to return the ridged covariance unscaled.
+    *_raises("fr_worst_case_covariance", "w-underflow",
+             lambda: fr_worst_case_covariance(EYE, 1.0, [1e-300, 0.0]), DomainError),
+    *_raises("fr_worst_case_covariance", "w-overflow",
+             lambda: fr_worst_case_covariance(EYE, 1.0, [1e154, 1e154]), DomainError),
     *_each("optimal_mean", "nu", RADII,
            lambda r: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], EYE, r)),
     *_each("optimal_mean", "b", RADII,
@@ -419,6 +449,13 @@ CASES = [
     *_each("optimal_mean", "covariance", OVERFLOWING,
            lambda m: optimal_mean([1.0, 0.0], 0.5, [0.0, 0.0], m, 1.0),
            DomainError, must_raise=True),
+    # The squared gap used to raise OverflowError, and w^T mean_hat to
+    # overflow with a RuntimeWarning.
+    *_raises("optimal_mean", "objective-overflow",
+             lambda: optimal_mean([1.0, 0.0], 1e200, [0.0, 0.0], EYE, 0.0), DomainError),
+    *_raises("optimal_mean", "margin-overflow",
+             lambda: optimal_mean([1e200, 1e200], 0.0, [1e200, 0.0], EYE, 1.0),
+             DomainError),
     *_one("save_surrogate", "b=nan", lambda: _surrogate_round_trip(b=nan)),
     *_one("load_surrogate", "w=nan",
           lambda: _surrogate_round_trip(w=np.array([nan, 1.0]))),

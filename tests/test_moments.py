@@ -90,6 +90,16 @@ def test_halfspace_distance_zero_iff_inside():
     assert halfspace_distance(mu, cov, w, on_boundary + 0.5) > 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_halfspace_distance_inside_takes_no_root():
+    # w^T Sigma w overflows here, but a mean inside the halfspace is at
+    # distance 0 without it; outside, the distance raises DomainError.
+    w = [1e200, 1e200]
+    assert halfspace_distance([1.0, 0.0], np.eye(2), w, 0.0) == 0.0
+    with pytest.raises(DomainError, match="w\\^T Sigma w"):
+        halfspace_distance([-1.0, 0.0], np.eye(2), w, 0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(value=st.sampled_from([math.nan, math.inf, -math.inf]),
        rows=st.integers(2, 6), row=st.integers(0, 5), col=st.integers(0, 2))
