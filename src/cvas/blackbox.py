@@ -114,15 +114,26 @@ class MlpModel:
         return np.where(proba >= self.threshold, 1, -1)
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def _sigmoid(z):
-    # Piecewise form avoids overflow in exp for large |z|; the clamp keeps
-    # the output strictly inside (0,1) even where exp underflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
+    """1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|) <= 1.
+
+    Entry for entry, the operations of the piecewise form that gathers
+    each sign's entries, so bit for bit its result, in whole-array
+    calls: on a boundary search's small batches the gathers and np.clip
+    cost more than the arithmetic. The clamp keeps the output strictly
+    inside (0, 1) where e underflows.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= denominator
+    np.maximum(e, 5e-324, out=e)
+    return np.minimum(e, _BELOW_ONE, out=e)
 
 
 def _forward(features, weights, biases):
@@ -419,7 +430,9 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
     bit-identical to train_mlp's here. Subprocesses, unlike
     multiprocessing, never re-run the caller's __main__. On leaving the
     with statement by any exit, KeyboardInterrupt included, every
-    worker is killed (a no-op once collected) and reaped.
+    worker is killed (a no-op once collected) and reaped. A caller
+    killed without leaving it (SIGTERM's default action) leaves each
+    worker to stop before its next model (see _train_worker).
     """
     check_integer(n_models, "n_models", 1)
     if not 0.0 < fraction <= 1.0:
@@ -475,8 +488,8 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
             share = jobs[w * size + min(w, extra):(w + 1) * size + min(w + 1, extra)]
             try:
                 with worker.stdin:
-                    pickle.dump((features, labels, share), worker.stdin,
-                                protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((os.getpid(), features, labels, share),
+                                worker.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             except BrokenPipeError:
                 pass  # the worker has exited; collect() checks its status
         yield collect
@@ -491,16 +504,23 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
 
 def _train_worker():
     """One training worker of _future_models: read the pickled
-    (features, labels, jobs) from stdin, train one model per (row
-    indices, config) job in order, and write the pickled reply
+    (caller's pid, features, labels, jobs) from stdin, train one model
+    per (row indices, config) job in order, and write the pickled reply
     (models, error) to stdout. error is None, or the CvasError that
     stopped the loop after the models before it. Only _future_models
     writes stdin, so the bytes unpickled come from this package.
+
+    A caller killed without unwinding (SIGTERM's default action) never
+    kills its workers, which are then re-parented: a worker whose
+    parent is no longer the caller exits before its next model,
+    writing nothing.
     """
-    features, labels, jobs = pickle.load(sys.stdin.buffer)
+    caller, features, labels, jobs = pickle.load(sys.stdin.buffer)
     models, error = [], None
     try:
         for idx, config in jobs:
+            if os.getppid() != caller:
+                return
             models.append(train_mlp(features[idx], labels[idx], config))
     except CvasError as exc:
         error = exc

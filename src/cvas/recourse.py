@@ -56,19 +56,35 @@ class ActionSpec:
         for kind, grid in zip(self.kinds, self.grids):
             if kind not in ACTION_KINDS:
                 raise ValueError(f"unknown actionability kind {kind!r}")
-            grid = np.unique(np.asarray(grid, dtype=float))
-            if not np.all(np.isfinite(grid)):
-                raise ValueError("action grids must be finite")
+            grid = _unique_grid(grid)
             if 0.0 not in grid:
                 raise ValueError("every action grid must contain 0")
-            if kind == "immutable" and grid.size != 1:
+            if kind == "immutable" and len(grid) != 1:
                 raise ValueError("immutable features allow only the zero delta")
             if kind == "non_decreasing" and grid[0] < 0.0:
                 raise ValueError("non_decreasing features forbid negative deltas")
+            grid = np.array(grid)
             grid.flags.writeable = False
             grids.append(grid)
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "grids", tuple(grids))
+
+
+def _unique_grid(grid):
+    """The values of np.unique(np.asarray(grid, dtype=float)) as a list.
+
+    ValueError if one is not finite. Grids are a few floats, so they are
+    sorted and deduplicated in Python, which costs less than np.unique's
+    calls. Equal finite floats have equal bits, except the two zeros: a
+    grid holding both goes to np.unique, whose choice between them
+    depends on its sort.
+    """
+    values = np.asarray(grid, dtype=float).ravel().tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("action grids must be finite")
+    if len({math.copysign(1.0, v) for v in values if not v}) > 1:
+        return np.unique(values).tolist()
+    return sorted(set(values))
 
 
 @dataclass(frozen=True)

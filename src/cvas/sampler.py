@@ -255,35 +255,54 @@ def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
         return np.tile(x0, (k, 1))
     # Row by row, so each length rounds as np.linalg.norm of one vector.
     seg_len = np.array([np.linalg.norm(direction) for direction in directions])
-    a, b = np.zeros(k), np.ones(k)
-    f_a, f_b = np.full(k, f_lo), np.array(f_hi, dtype=float)
     # tol / (2 length) * 2^n_max: after `step` steps the point may lie
     # budget / 2^step - (b - a) / 2 from the midpoint.
     halvings = np.ceil(np.log2(np.maximum(seg_len / tol, 1.0)))
-    budget = tol / (2.0 * seg_len) * 2.0 ** (halvings + 1)
-    found = np.abs(f_b) <= tol
-    t = np.ones(k)
+    budget = (tol / (2.0 * seg_len) * 2.0 ** (halvings + 1)).tolist()
+    seg_len = seg_len.tolist()
+    # Each segment's bracket [a, b, f(a), f(b)] and point t, as Python
+    # floats: a step over ten segments made some 50 numpy calls on
+    # arrays of ten entries, which cost more than the arithmetic. Each
+    # operation is the one numpy applied (np.sign(gap) is
+    # (gap > 0) - (gap < 0), width ** 2 is width * width), so each bit is.
+    f_lo = float(f_lo)
+    brackets = [[0.0, 1.0, f_lo, f_b] for f_b in np.asarray(f_hi, dtype=float).tolist()]
+    found = [abs(f_b) <= tol for *_, f_b in brackets]
+    t = [1.0 if hit else 0.5 for hit in found]  # 0.5: the midpoint of [0, 1]
+    active = [j for j in range(k) if not found[j] and seg_len[j] > tol]
     # f(a) keeps the sign of f(0) through every update of a.
     a_positive = f_lo >= 0.0
     for step in range(_BISECT_CAP):
-        i = np.flatnonzero(~found & ((b - a) * seg_len > tol))
-        if i.size == 0:
+        if not active:
             break
-        width, mid = b[i] - a[i], (a[i] + b[i]) / 2.0
-        falsi = (b[i] * f_a[i] - a[i] * f_b[i]) / (f_a[i] - f_b[i])
-        toward_mid = np.sign(mid - falsi)
-        push = 0.2 * width ** 2
-        x = np.where(push <= np.abs(mid - falsi), falsi + toward_mid * push, mid)
-        reach = budget[i] / 2.0 ** step - width / 2.0
-        x = np.where(np.abs(x - mid) <= reach, x, mid - toward_mid * reach)
-        f_x = model.predict_proba(x0 + x[:, None] * directions[i]) - model.threshold
-        found[i] = np.abs(f_x) <= tol
-        t[i] = x
-        on_a = (f_x >= 0.0) == a_positive
-        a[i[on_a]], f_a[i[on_a]] = x[on_a], f_x[on_a]
-        b[i[~on_a]], f_b[i[~on_a]] = x[~on_a], f_x[~on_a]
-    t = np.where(found, t, (a + b) / 2.0)
-    return x0 + t[:, None] * directions
+        points = []
+        for j in active:
+            a, b, f_a, f_b = brackets[j]
+            width, mid = b - a, (a + b) / 2.0
+            falsi = (b * f_a - a * f_b) / (f_a - f_b)
+            gap = mid - falsi
+            toward_mid = (gap > 0.0) - (gap < 0.0)
+            push = 0.2 * (width * width)
+            x = falsi + toward_mid * push if push <= abs(gap) else mid
+            reach = budget[j] / 2.0 ** step - width / 2.0
+            points.append(x if abs(x - mid) <= reach else mid - toward_mid * reach)
+        f_points = model.predict_proba(
+            x0 + np.array(points)[:, None] * directions[active]) - model.threshold
+        still_active = []
+        for j, x, f_x in zip(active, points, f_points.tolist()):
+            bracket = brackets[j]
+            if (f_x >= 0.0) == a_positive:
+                bracket[0], bracket[2] = x, f_x
+            else:
+                bracket[1], bracket[3] = x, f_x
+            if abs(f_x) <= tol:
+                t[j] = x
+                continue
+            t[j] = (bracket[0] + bracket[1]) / 2.0
+            if (bracket[1] - bracket[0]) * seg_len[j] > tol:
+                still_active.append(j)
+        active = still_active
+    return x0 + np.array(t)[:, None] * directions
 
 
 def _nearest_rows(distances, m):

@@ -248,6 +248,45 @@ def fd_gradient(model, x, h=1e-5):
     return grad
 
 
+def itp_lockstep_oracle(model, x0, prototypes, f_lo, f_hi, tol, cap=60):
+    """The lockstep ITP search as whole-array numpy: each step gathers
+    the open segments' brackets with an index array, and writes them
+    back by masked fancy assignment. The package's search does the same
+    arithmetic on Python floats, so the points must match bit for bit.
+    """
+    directions = prototypes - x0
+    k = directions.shape[0]
+    if abs(f_lo) <= tol:
+        return np.tile(x0, (k, 1))
+    seg_len = np.array([np.linalg.norm(direction) for direction in directions])
+    a, b = np.zeros(k), np.ones(k)
+    f_a, f_b = np.full(k, f_lo), np.array(f_hi, dtype=float)
+    halvings = np.ceil(np.log2(np.maximum(seg_len / tol, 1.0)))
+    budget = tol / (2.0 * seg_len) * 2.0 ** (halvings + 1)
+    found = np.abs(f_b) <= tol
+    t = np.ones(k)
+    a_positive = f_lo >= 0.0
+    for step in range(cap):
+        i = np.flatnonzero(~found & ((b - a) * seg_len > tol))
+        if i.size == 0:
+            break
+        width, mid = b[i] - a[i], (a[i] + b[i]) / 2.0
+        falsi = (b[i] * f_a[i] - a[i] * f_b[i]) / (f_a[i] - f_b[i])
+        toward_mid = np.sign(mid - falsi)
+        push = 0.2 * width ** 2
+        x = np.where(push <= np.abs(mid - falsi), falsi + toward_mid * push, mid)
+        reach = budget[i] / 2.0 ** step - width / 2.0
+        x = np.where(np.abs(x - mid) <= reach, x, mid - toward_mid * reach)
+        f_x = model.predict_proba(x0 + x[:, None] * directions[i]) - model.threshold
+        found[i] = np.abs(f_x) <= tol
+        t[i] = x
+        on_a = (f_x >= 0.0) == a_positive
+        a[i[on_a]], f_a[i[on_a]] = x[on_a], f_x[on_a]
+        b[i[~on_a]], f_b[i[~on_a]] = x[~on_a], f_x[~on_a]
+    t = np.where(found, t, (a + b) / 2.0)
+    return x0 + t[:, None] * directions
+
+
 def itp_segment_oracle(model, x0, proto, tol, cap=60):
     """Boundary point on [x0, proto] by ITP, one segment and one row at a
     time, with the number of steps it took.

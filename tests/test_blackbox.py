@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import time
 import types
 from dataclasses import replace
 
@@ -42,6 +43,7 @@ from cvas import blackbox, evalharness
 
 from helpers import linear_mlp
 from oracles import (
+    _mlp_sigmoid,
     fd_gradient,
     predict_oracle,
     predict_proba_oracle,
@@ -297,6 +299,24 @@ def test_predict_strictly_inside_unit_interval():
     assert np.all((batch > 0.0) & (batch < 1.0))
 
 
+def test_sigmoid_matches_the_masked_form_bit_for_bit():
+    # One exp(-|z|) and a masked numerator against the form that gathers
+    # each sign's entries: both zeros, subnormals, exp's underflow edge,
+    # +-700, +-1e308 and values over every scale, on batches of 1, 10
+    # and all rows, under predict_proba's error settings.
+    tiny, normal = np.nextafter(0.0, 1.0), np.finfo(float).tiny
+    edges = [0.0, tiny, 1e-310, normal, 1e-300, 0.5, 1.0, 36.7, 37.0, 700.0,
+             709.8, 745.1, 746.0, 1e300, 1e308, np.finfo(float).max]
+    rng = np.random.default_rng(0)
+    magnitudes = np.concatenate([edges, 10.0 ** rng.uniform(-323, 308, 2000),
+                                 np.abs(rng.normal(0.0, 20.0, 2000))])
+    z = np.concatenate([magnitudes, -magnitudes])
+    z = z[rng.permutation(z.size)][:, None]
+    with np.errstate(over="raise", invalid="raise"):
+        for batch in (z[:1], z[:10], z, np.array([[0.0], [-0.0]])):
+            assert blackbox._sigmoid(batch).tobytes() == _mlp_sigmoid(batch).tobytes()
+
+
 def test_predict_gradient_matches_finite_differences():
     x, labels = _separable_data()
     rng = np.random.default_rng(9)
@@ -540,6 +560,73 @@ def test_future_models_interrupt_kills_and_reaps_workers(monkeypatch, spawned):
     assert [worker.returncode for worker in spawned] == [-signal.SIGKILL]
 
 
+def _running(pid):
+    """Whether process pid exists and is not a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_stop_before_their_next_model_once_the_caller_is_killed():
+    # SIGTERM's default action ends the caller without running the
+    # finally that kills its workers. Each worker has 60 models to
+    # train; it must stop after the model it is training, not run on
+    # through its share.
+    features, labels = generate_synthetic(300, noise_std=1.0, seed=6)
+    config = TrainConfig(epochs=400)
+    start = time.monotonic()
+    train_mlp(features, labels, config)
+    one_model = time.monotonic() - start
+    caller_script = textwrap.dedent("""\
+        import subprocess, sys, time
+        from cvas import TrainConfig, blackbox, generate_synthetic
+
+        real_popen = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            worker = real_popen(*args, **kwargs)
+            print(worker.pid, flush=True)
+            return worker
+
+        subprocess.Popen = popen
+        n_workers = min(blackbox._usable_cpus(), 2)
+        features, labels = generate_synthetic(300, noise_std=1.0, seed=6)
+        with blackbox._future_models(features, labels, 60 * n_workers, 1.0,
+                                     TrainConfig(epochs=400)):
+            print("training", flush=True)
+            time.sleep(600)
+    """)
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cvas.__file__)))
+    caller = subprocess.Popen([sys.executable, "-c", caller_script],
+                              stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=source_root))
+    workers = []
+    try:
+        for line in caller.stdout:
+            if line == "training\n":
+                break
+            workers.append(int(line))
+        assert workers
+        time.sleep(1.0)  # the workers load their jobs and start training
+        assert all(_running(pid) for pid in workers)
+        caller.send_signal(signal.SIGTERM)
+        assert caller.wait(timeout=60) == -signal.SIGTERM
+        deadline = time.monotonic() + 2.0 + 3.0 * one_model
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 def _fake_python(tmp_path, monkeypatch, body):
     """Make the training workers run the shell script `body` instead."""
     fake = tmp_path / "python"
@@ -682,9 +769,10 @@ def test_sweep_checks_its_integer_settings_before_any_worker(spawned):
 
 
 def test_train_worker_main_in_process(monkeypatch):
-    # The worker's own loop, on byte buffers: its models are train_mlp's
-    # bit for bit, and a failing job's error stops the loop and comes back
-    # beside the models trained before it.
+    # The worker's own loop, on byte buffers, with this process's parent
+    # as its caller: its models are train_mlp's bit for bit, and a
+    # failing job's error stops the loop and comes back beside the
+    # models trained before it.
     features, labels = generate_synthetic(40, noise_std=1.0, seed=2)
     features = np.vstack([features, OVERFLOW_ROWS])
     labels = np.append(labels, OVERFLOW_LABELS)
@@ -692,8 +780,8 @@ def test_train_worker_main_in_process(monkeypatch):
     overflow = np.arange(40, 44)
     jobs = [(good, TrainConfig(epochs=5, seed=1)), (good[::2], TrainConfig(epochs=5)),
             (overflow, TrainConfig(epochs=50)), (good, TrainConfig(epochs=5))]
-    stdin = types.SimpleNamespace(buffer=io.BytesIO(pickle.dumps((features, labels,
-                                                                 jobs))))
+    stdin = types.SimpleNamespace(buffer=io.BytesIO(pickle.dumps(
+        (os.getppid(), features, labels, jobs))))
     stdout = types.SimpleNamespace(buffer=io.BytesIO())
     monkeypatch.setattr(sys, "stdin", stdin)
     monkeypatch.setattr(sys, "stdout", stdout)

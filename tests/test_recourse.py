@@ -31,6 +31,7 @@ from cvas import (
     wachter_recourse,
 )
 from cvas import recourse
+from cvas.recourse import ACTION_KINDS
 
 from helpers import linear_mlp
 from oracles import (
@@ -280,6 +281,78 @@ def test_action_spec_validation():
 def test_action_spec_rejects_non_finite_grid(bad, kind):
     with pytest.raises(ValueError):
         ActionSpec(kinds=(kind,), grids=(np.array([0.0, 1.0, bad]),))
+
+
+def _unique_spec_outcome(kind, grid):
+    """The grid ActionSpec kept, as bytes, when it took np.unique of the
+    grid, or the class and message of the error it raised."""
+    try:
+        grid = np.unique(np.asarray(grid, dtype=float))
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("action grids must be finite")
+        if 0.0 not in grid:
+            raise ValueError("every action grid must contain 0")
+        if kind == "immutable" and grid.size != 1:
+            raise ValueError("immutable features allow only the zero delta")
+        if kind == "non_decreasing" and grid[0] < 0.0:
+            raise ValueError("non_decreasing features forbid negative deltas")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return grid.tobytes()
+
+
+def _spec_outcome(kind, grid):
+    try:
+        return ActionSpec(kinds=(kind,), grids=(grid,)).grids[0].tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_action_grids_are_np_unique_bit_for_bit():
+    # Unsorted grids with duplicates and either zero or both, given as
+    # float or int lists, tuples and arrays, and every error: NaN, inf,
+    # a missing 0, an immutable feature's non-zero delta and a
+    # non_decreasing feature's negative one, all as np.unique gave them.
+    rng = np.random.default_rng(7)
+    pool = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -5e-324, 1e-300,
+            1e300, math.nan, math.inf, -math.inf]
+    seen = set()
+    for trial in range(3000):
+        kind = ACTION_KINDS[trial % 3]
+        # NaN and the infinities, the last three of the pool, in one grid of four
+        top = len(pool) if trial % 4 == 0 else len(pool) - 3
+        values = [pool[j] if rng.random() < 0.7 else float(rng.normal(0.0, 4.0))
+                  for j in rng.integers(0, top, rng.integers(0, 12))]
+        form = trial % 6
+        if form == 0:
+            grid = values
+        elif form == 1:
+            grid = tuple(values)
+        elif form == 2:
+            grid = np.array(values)
+        elif form == 3:
+            grid = np.array(values).reshape(1, -1)
+        else:
+            finite = [v for v in values if math.isfinite(v) and abs(v) < 1e9]
+            grid = [round(v) for v in finite]
+            grid = np.array(grid, dtype=np.int64) if form == 4 else grid
+        want = _unique_spec_outcome(kind, grid)
+        assert _spec_outcome(kind, grid) == want, (kind, grid)
+        seen.add(want[1] if isinstance(want, tuple) else "kept")
+    assert seen == {"kept", "action grids must be finite",
+                    "every action grid must contain 0",
+                    "immutable features allow only the zero delta",
+                    "non_decreasing features forbid negative deltas"}
+
+
+@pytest.mark.parametrize("grid", [[-0.0, 1.0, -0.0], [1.0, 0.0, -0.0], [-0.0, 0.0],
+                                  np.array([2.0, -0.0, 0.0, -0.0])])
+def test_action_grids_keep_np_uniques_zero(grid):
+    # Which zero np.unique keeps depends on its sort; ActionSpec keeps
+    # the same one.
+    want = np.unique(np.asarray(grid, dtype=float))
+    kept = ActionSpec(kinds=("free",), grids=(grid,)).grids[0]
+    assert kept.tobytes() == want.tobytes()
 
 
 def test_action_grids_are_read_only_copies():

@@ -41,6 +41,7 @@ from cvas.sampler import (
 from helpers import HIDDEN, linear_mlp
 from oracles import (
     boundary_point_oracle,
+    itp_lockstep_oracle,
     itp_segment_oracle,
     ks_statistic,
     max_pairwise_distance_oracle,
@@ -193,6 +194,31 @@ def test_lockstep_points_end_on_a_crossing(trained):
             assert _ends_on_crossing(model, x0, proto, point, tol)
         lengths = np.linalg.norm(prototypes - x0, axis=1)
         assert calls <= max(math.ceil(math.log2(max(n / tol, 1.0))) + 1 for n in lengths)
+
+
+def test_lockstep_points_match_the_whole_array_search_bit_for_bit(trained):
+    # The steps run on Python floats; the same search on numpy arrays
+    # gives the same points, every bit, on segments that close at
+    # different steps, cross the boundary more than once, or start or
+    # end within tol of it.
+    tol = _LINE_SEARCH_TOL
+    features, model = trained
+    rng = np.random.default_rng(3)
+    cases = [*_trained_segments(trained), *_non_monotone_segments()]
+    for x0 in features[10:20]:
+        opposite = features[(_f(model, features) >= 0.0)
+                            != (_f(model, x0[None, :])[0] >= 0.0)]
+        size = min(40, len(opposite))
+        cases.append((model, x0, opposite[rng.choice(len(opposite), size=size,
+                                                     replace=False)]))
+    for model, x0, prototypes in cases:
+        f_lo, f_hi = _f(model, x0[None, :])[0], _f(model, prototypes)
+        for cap in (_BISECT_CAP, 3):
+            want = itp_lockstep_oracle(model, x0, prototypes, f_lo, f_hi, tol, cap)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("cvas.sampler._BISECT_CAP", cap)
+                got = _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_lockstep_segments_match_per_segment_oracle(trained):
