@@ -16,7 +16,7 @@ import pickle
 import struct
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,9 +65,9 @@ class MlpModel:
 
     weights[i] has shape (layer_dims[i], layer_dims[i+1]); biases[i] has
     shape (layer_dims[i+1],). The decision threshold applies to the
-    sigmoid output: label +1 iff probability >= threshold.
-    loss_history is training metadata and is not serialized. Building
-    one raises NonFiniteInput for a non-finite threshold, and
+    sigmoid output: label +1 iff probability >= threshold. The fields
+    are the whole model; save_model writes every one. Building one
+    raises NonFiniteInput for a non-finite threshold, and
     DimensionMismatch for shapes other than layer_dims gives or an
     output layer wider than one unit.
     """
@@ -76,7 +76,6 @@ class MlpModel:
     weights: list
     biases: list
     threshold: float = 0.5
-    loss_history: list = field(default=None, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.threshold):
@@ -156,11 +155,6 @@ def _forward(features, weights, biases):
         yield activation
 
 
-def _bce(proba, target01):
-    p = np.clip(proba, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(target01 * np.log(p) + (1.0 - target01) * np.log(1.0 - p)))
-
-
 def _layer_views(flat, layer_dims):
     """Per-layer (weights, biases) views into one flat parameter-sized vector.
 
@@ -213,12 +207,15 @@ def _check_training_data(features, labels):
 def train_mlp(features, labels, config=TrainConfig()):
     """Train the pinned-architecture MLP with full-batch Adam.
 
-    Parameters, gradients and the Adam moments live in one flat vector
-    each, with per-layer views. An epoch runs the in-place forward pass
-    (see _forward), writes each gradient into its view, masks the
-    backward pass with the activations' sign, and applies one Adam
-    update to the whole flat vector. The returned weights and biases
-    are views into the trained parameter vector.
+    Parameters, gradients, the Adam moments and Adam's two scratch
+    vectors live in one flat vector each, with per-layer views for the
+    first two. An epoch computes only its update: the in-place forward
+    pass (see _forward), each gradient written into its view (the
+    head's backward product an outer product, the backward pass masked
+    with the activations' sign), and one in-place Adam update of the
+    whole flat vector, in the order of numpy's whole-array expression.
+    No loss is computed. The returned weights and biases are views into
+    the trained parameter vector.
 
     Parameters
     ----------
@@ -230,8 +227,11 @@ def train_mlp(features, labels, config=TrainConfig()):
     Returns
     -------
     MlpModel
-        Trained model with per-epoch BCE in loss_history (entry 0 is the
-        loss of the initialization, before any update).
+        The trained model, threshold 0.5, with finite weights and biases
+        (an epoch whose update is not finite raises). Training does not
+        run the trained model: its forward pass on rows, the training
+        rows included, can still overflow, which predict_proba reports
+        as DomainError.
 
     Raises
     ------
@@ -261,8 +261,10 @@ def train_mlp(features, labels, config=TrainConfig()):
     grads_w, grads_b = _layer_views(grads, layer_dims)
     m_state = np.zeros_like(params)
     v_state = np.zeros_like(params)
+    step_size = np.empty_like(params)
+    denominator = np.empty_like(params)
     beta1, beta2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
-    history = []
+    last = len(weights) - 1
 
     # An overflow or NaN anywhere in an epoch raises, rather than
     # leaving inf in Adam's second moment, which freezes a parameter.
@@ -270,44 +272,44 @@ def train_mlp(features, labels, config=TrainConfig()):
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, config.epochs + 1):
                 hs = (features, *_forward(features, weights, biases))
-                proba = hs[-1]
-                # The loss after step - 1 updates; the last one is taken below.
-                history.append(_bce(proba[:, 0], target[:, 0]))
 
                 # Backward pass. Sigmoid + BCE collapse to (p - y) / n at the head;
                 # ReLU passes gradient only where its activation is positive.
-                delta = (proba - target) / n
-                for i in range(len(weights) - 1, -1, -1):
+                delta = (hs[-1] - target) / n
+                np.matmul(hs[last].T, delta, out=grads_w[last])
+                np.sum(delta, axis=0, out=grads_b[last])
+                # (n, 1) @ (1, 20) is an outer product: one multiply per entry.
+                delta = delta * weights[last][:, 0]
+                for i in range(last - 1, -1, -1):
+                    delta *= hs[i + 1] > 0.0
                     np.matmul(hs[i].T, delta, out=grads_w[i])
-                    np.sum(delta, axis=0, out=grads_b[i])
+                    # Bit for bit np.sum's row-by-row order at widths >= 2, not
+                    # at the head's one column. It ignores np.errstate: an
+                    # overflowing sum turns inf, and Adam's inf / inf raises.
+                    np.einsum("ij->j", delta, out=grads_b[i])
                     if i > 0:
                         delta = delta @ weights[i].T
-                        delta *= hs[i] > 0.0
                 del hs  # release the activations before the next forward pass
 
-                lr_t = config.learning_rate
-                bc1 = 1.0 - beta1**step
-                bc2 = 1.0 - beta2**step
+                # Adam, in place, in numpy's order of the whole-array form
+                # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
                 m_state *= beta1
-                m_state += (1.0 - beta1) * grads
+                m_state += np.multiply(grads, 1.0 - beta1, out=step_size)
                 v_state *= beta2
-                v_state += (1.0 - beta2) * grads * grads
-                params -= lr_t * (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
-
-            for output in _forward(features, weights, biases):
-                pass
-            history.append(_bce(output[:, 0], target[:, 0]))
+                np.multiply(grads, 1.0 - beta2, out=step_size)
+                v_state += np.multiply(step_size, grads, out=step_size)
+                np.divide(v_state, 1.0 - beta2**step, out=denominator)
+                np.sqrt(denominator, out=denominator)
+                denominator += eps
+                np.divide(m_state, 1.0 - beta1**step, out=step_size)
+                step_size *= config.learning_rate
+                step_size /= denominator
+                params -= step_size
     except FloatingPointError as exc:
         raise DomainError(f"training overflows float64 in epoch {step} ({exc})") \
             from None
 
-    return MlpModel(
-        layer_dims=layer_dims,
-        weights=weights,
-        biases=biases,
-        threshold=0.5,
-        loss_history=history,
-    )
+    return MlpModel(layer_dims=layer_dims, weights=weights, biases=biases)
 
 
 def predict(model, x):

@@ -6,7 +6,7 @@ the fitted slope to Gaussian perturbations of the query point, recourse
 cost, validity against the current model, and validity against an
 ensemble of retrained future models. sweep() runs the whole pipeline
 over a grid of negative-class radii and emits one report row per
-radius, which is the input for cost-validity Pareto plots.
+radius.
 """
 
 import json
@@ -148,28 +148,6 @@ def validity_metrics(recourses, current_model, future_models):
     return current, future, float(np.mean(costs))
 
 
-def pareto_frontier(points):
-    """Non-dominated (cost, validity) pairs, ascending in cost.
-
-    A point is dominated when another has cost <= and validity >= with
-    at least one strict. Exact duplicates keep their first occurrence.
-    """
-    points = [(float(c), float(v)) for c, v in points]
-    finite_array(points, "pareto points")
-    order = sorted(range(len(points)),
-                   key=lambda i: (points[i][0], -points[i][1], i))
-    frontier = []
-    best_validity = -math.inf
-    for i in order:
-        # A duplicate comes right after its first occurrence, which left
-        # best_validity at their shared validity, so it is not kept.
-        validity = points[i][1]
-        if validity > best_validity:
-            frontier.append(points[i])
-            best_validity = validity
-    return frontier
-
-
 @dataclass(frozen=True)
 class EvalRow:
     """One sweep configuration's metrics; the fields are the report columns."""
@@ -219,16 +197,17 @@ class EvalConfig:
     The current model trains with `train` verbatim; the ensemble and the
     per-instance sampler/fidelity/sensitivity streams take seeds derived
     from the master `seed`, so two sweeps with equal configs are
-    bit-identical. sweep() replaces `sampler.seed` with each instance's
-    derived seed, so setting `sampler.seed` has no effect. The ensemble
+    bit-identical. sweep() gives each instance's sampler a derived seed
+    of its own, so `sampler.seed` must keep its default. The ensemble
     trains on 80% subsamples, the fidelity ball's radius is 10% of the
     present data's max pairwise distance, and sensitivity perturbs each
     instance 10 times, as sensitivity() does. action_kinds, if given,
     holds one of ACTION_KINDS per feature.
 
     Raises ValueError unless seed is an integer >= 0 and n_models and
-    fid_n integers >= 1 (numpy integers pass), or for an action kind
-    outside ACTION_KINDS.
+    fid_n integers >= 1 (numpy integers pass), for a sampler seed other
+    than SamplerConfig's default, or for an action kind outside
+    ACTION_KINDS.
     """
 
     seed: int = 0
@@ -243,6 +222,9 @@ class EvalConfig:
         check_integer(self.seed, "seed", 0)
         check_integer(self.n_models, "n_models", 1)
         check_integer(self.fid_n, "fid_n", 1)
+        if self.sampler.seed != SamplerConfig.seed:
+            raise ValueError("sampler.seed must keep its default: sweep() derives "
+                             "each instance's sampler seed from seed")
         if not set(self.action_kinds or ()) <= set(ACTION_KINDS):
             raise ValueError(f"action_kinds must be drawn from {ACTION_KINDS}")
 

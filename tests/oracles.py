@@ -202,18 +202,6 @@ def default_action_grids_oracle(x0, training_features, kinds):
     return grids
 
 
-def pareto_oracle(points):
-    """Unique non-dominated (cost, validity) pairs, O(n^2)."""
-    unique = sorted({(float(c), float(v)) for c, v in points})
-    keep = []
-    for c, v in unique:
-        dominated = any((c2 <= c and v2 >= v and (c2 < c or v2 > v))
-                        for c2, v2 in unique)
-        if not dominated:
-            keep.append((c, v))
-    return keep
-
-
 def optimal_mean_oracle(mean, covariance, w, b, nu, iters=2000):
     """Projected gradient for min (w'm - b)^2 over the Mahalanobis ball.
 
@@ -416,17 +404,11 @@ def _mlp_forward(features, weights, biases):
         yield z, activation
 
 
-def _mlp_bce(proba, target01):
-    p = np.clip(proba, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(target01 * np.log(p) + (1.0 - target01) * np.log(1.0 - p)))
-
-
 def train_mlp_oracle(features, labels, epochs, seed, learning_rate=1e-3,
                      beta1=0.9, beta2=0.999, eps=1e-8):
-    """(weights, biases, loss_history) of the plain training loop.
+    """(weights, biases) of the plain training loop.
 
-    He-uniform initialisation from default_rng(seed), zero biases; the
-    loss history holds the loss before each update and after the last.
+    He-uniform initialisation from default_rng(seed), zero biases.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -443,15 +425,11 @@ def train_mlp_oracle(features, labels, epochs, seed, learning_rate=1e-3,
     params = weights + biases
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
-    history = []
 
     for step in range(1, epochs + 1):
         zs, hs = zip(*_mlp_forward(features, weights, biases))
         hs = (features,) + hs
-        proba = hs[-1]
-        history.append(_mlp_bce(proba[:, 0], target[:, 0]))
-
-        delta = (proba - target) / n
+        delta = (hs[-1] - target) / n
         grads_w, grads_b = [], []
         for i in range(len(weights) - 1, -1, -1):
             grads_w.append(hs[i].T @ delta)
@@ -468,11 +446,7 @@ def train_mlp_oracle(features, labels, epochs, seed, learning_rate=1e-3,
             v *= beta2
             v += (1.0 - beta2) * g * g
             p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    for _, output in _mlp_forward(features, weights, biases):
-        pass
-    history.append(_mlp_bce(output[:, 0], target[:, 0]))
-    return weights, biases, history
+    return weights, biases
 
 
 def predict_proba_oracle(weights, biases, features):

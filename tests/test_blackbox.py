@@ -84,12 +84,11 @@ def test_train_determinism_bit_identical():
         assert np.array_equal(ba, bb)
 
 
-def _digest(weights, biases, history):
-    """sha256 over every parameter byte and the loss history."""
+def _digest(weights, biases):
+    """sha256 over every parameter byte."""
     h = hashlib.sha256()
     for a in list(weights) + list(biases):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    h.update(np.asarray(history, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -111,9 +110,51 @@ def test_train_matches_oracle_bit_for_bit(d, n, seed):
     epochs = 40 if n == 800 else 120
     model = train_mlp(x, labels, TrainConfig(epochs=epochs, seed=seed))
     expected = train_mlp_oracle(x, labels, epochs, seed)
-    assert len(model.loss_history) == epochs + 1
-    assert _digest(model.weights, model.biases, model.loss_history) == \
-        _digest(*expected)
+    assert _digest(model.weights, model.biases) == _digest(*expected)
+
+
+def test_train_matches_oracle_at_the_recourse_queries_shape():
+    # 2080 rows of 22 encoded columns, the training set of recourse queries
+    x, labels = _kernel_data(2080, 22, 3)
+    model = train_mlp(x, labels, TrainConfig(epochs=15, seed=3))
+    assert _digest(model.weights, model.biases) == \
+        _digest(*train_mlp_oracle(x, labels, 15, 3))
+
+
+def test_train_matches_oracle_when_the_head_saturates():
+    # Rows this far out pin the sigmoid at its 5e-324 floor, where
+    # (p - y) / n underflows to zero, and the head's backward product
+    # carries signed zeros: the outer product must give the oracle's
+    # matrix product's, bit for bit.
+    x, labels = _kernel_data(50, 3, 1)
+    x *= 1e4
+    proba = predict_proba_oracle(*train_mlp_oracle(x, labels, 0, 1), x)
+    assert ((proba == 5e-324) & (labels == -1)).any()
+    model = train_mlp(x, labels, TrainConfig(epochs=100, seed=1))
+    assert _digest(model.weights, model.biases) == \
+        _digest(*train_mlp_oracle(x, labels, 100, 1))
+
+
+def test_train_overflowing_bias_gradient_raises_naming_its_epoch(monkeypatch):
+    # Hand-set weights give three rows first-layer bias-gradient entries
+    # of a finite 1e308, whose sum overflows, while every other gradient
+    # stays below 1e152. That sum ignores np.errstate, so the inf it
+    # leaves must still stop the epoch, in Adam's update.
+    init = blackbox._init_parameters
+
+    def hand_set(layer_dims, seed):
+        flat, weights, biases = init(layer_dims, seed)
+        flat[:] = 0.0
+        weights[0][...] = 1e60
+        weights[1][:, 0] = 2e157
+        weights[2][0, :] = 1e75
+        weights[3][...] = -1e75
+        return flat, weights, biases
+
+    monkeypatch.setattr(blackbox, "_init_parameters", hand_set)
+    with pytest.raises(DomainError, match="training overflows float64 in epoch 1 "):
+        train_mlp(np.full((4, 1), 1e-160), np.array([1, 1, 1, -1]),
+                  TrainConfig(epochs=3))
 
 
 def _probe_points(d, rng):
@@ -200,24 +241,19 @@ def test_future_models_reject_label_count_mismatch(spawned):
     assert spawned == []
 
 
+def _bce(model, features, labels):
+    p = np.clip(model.predict_proba(features), 1e-12, 1.0 - 1e-12)
+    target = (labels + 1.0) / 2.0
+    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+
+
 def test_train_loss_decreases():
-    features, labels = generate_synthetic(200, seed=5)
-    model = train_mlp(features, labels, TrainConfig(epochs=1000, seed=0))
-    assert model.loss_history[-1] < model.loss_history[0]
-
-
-def test_train_loss_history_per_epoch():
-    # Entry t is the loss after t updates, whatever the epoch budget, and
-    # the last entry is the loss of the returned model.
+    # The training loss, from the trained model's own predictions, falls
+    # from a short run to a long one from the same initialization.
     features, labels = generate_synthetic(200, seed=5)
     short = train_mlp(features, labels, TrainConfig(epochs=5, seed=0))
-    long = train_mlp(features, labels, TrainConfig(epochs=10, seed=0))
-    assert len(short.loss_history) == 6
-    assert short.loss_history == long.loss_history[:6]
-    p = np.clip(short.predict_proba(features), 1e-12, 1.0 - 1e-12)
-    target = (labels + 1.0) / 2.0
-    bce = float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
-    assert short.loss_history[-1] == bce
+    long = train_mlp(features, labels, TrainConfig(epochs=1000, seed=0))
+    assert _bce(long, features, labels) < 0.5 * _bce(short, features, labels)
 
 
 def test_architecture_pinned():
@@ -418,8 +454,7 @@ def test_future_models_subsample_is_reproducible(spawned):
                           expected.weights + expected.biases):
             assert np.array_equal(wa, wb)
         assert model.threshold == expected.threshold
-        assert model.loss_history == expected.loss_history
-        assert _digest(model.weights, model.biases, model.loss_history) == \
+        assert _digest(model.weights, model.biases) == \
             _digest(*train_mlp_oracle(features[idx], labels[idx], cfg.epochs,
                                       cfg.seed + i))
 
@@ -435,7 +470,6 @@ def test_one_model_ensemble_trains_in_one_worker(spawned):
     for wa, wb in zip(model.weights + model.biases,
                       expected.weights + expected.biases):
         assert np.array_equal(wa, wb)
-    assert model.loss_history == expected.loss_history
 
 
 def test_future_models_full_fraction():
@@ -526,8 +560,8 @@ def test_future_models_ignore_a_cvas_package_in_the_callers_directory(tmp_path,
     for i, model in enumerate(models):
         idx = np.random.default_rng(cfg.seed + i).choice(60, size=48, replace=False)
         expected = train_mlp(features[idx], labels[idx], replace(cfg, seed=cfg.seed + i))
-        assert _digest(model.weights, model.biases, model.loss_history) == \
-            _digest(expected.weights, expected.biases, expected.loss_history)
+        assert _digest(model.weights, model.biases) == \
+            _digest(expected.weights, expected.biases)
 
 
 def test_future_models_worker_exit_status_raises(tmp_path, monkeypatch, spawned):
@@ -790,8 +824,8 @@ def test_train_worker_main_in_process(monkeypatch):
     assert len(models) == 2
     for model, (idx, config) in zip(models, jobs):
         expected = train_mlp(features[idx], labels[idx], config)
-        assert _digest(model.weights, model.biases, model.loss_history) == \
-            _digest(expected.weights, expected.biases, expected.loss_history)
+        assert _digest(model.weights, model.biases) == \
+            _digest(expected.weights, expected.biases)
     with pytest.raises(DomainError) as in_process:
         train_mlp(features[overflow], labels[overflow], TrainConfig(epochs=50))
     assert type(error) is DomainError and str(error) == str(in_process.value)

@@ -642,6 +642,7 @@ def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
     # 1 and 1.0000001 both print as 1 in the report id.
     ("sweep", {"divergence": "logdet", "rho_neg": "1:1.0000001:0.0000001"},
      "repeat a report id"),
+    ("sweep", {"divergence": "nope"}, "invalid choice: 'nope'"),
 ])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_settings_checked_before_any_read(tmp_path, monkeypatch, capsys, command,

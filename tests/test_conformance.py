@@ -60,7 +60,6 @@ from cvas import (
     local_fidelity,
     max_pairwise_distance,
     optimal_mean,
-    pareto_frontier,
     predict,
     sample_ball,
     save_model,
@@ -260,6 +259,9 @@ CASES = [
     *_raises("EvalConfig", "n_models=2.5", lambda: EvalConfig(n_models=2.5),
              ValueError),
     *_raises("EvalConfig", "seed=-1", lambda: EvalConfig(seed=-1), ValueError),
+    # sweep() derives each instance's sampler seed; one set here had no effect.
+    *_raises("EvalConfig", "sampler.seed=1",
+             lambda: EvalConfig(sampler=SamplerConfig(seed=1)), ValueError),
     *_raises("EvalConfig", "action_kinds=unknown",
              lambda: EvalConfig(action_kinds=("free", "teleport")), ValueError),
     *_one("EvalReport", "duplicate-rows",
@@ -331,6 +333,8 @@ CASES = [
     *_each("halfspace_distance", "b", RADII,
            lambda r: halfspace_distance([0.0, 0.0], EYE, [1.0, 0.0], r)),
     *_each("condition_number", "covariance", MATRICES, condition_number),
+    *_raises("condition_number", "covariance=2x3",
+             lambda: condition_number(np.ones((2, 3))), DimensionMismatch),
     *_each("halfspace_distance", "covariance", OVERFLOWING,
            lambda m: halfspace_distance([0.0, 0.0], m, [1.0, 0.0], 0.0),
            DomainError, must_raise=True),
@@ -363,6 +367,9 @@ CASES = [
     *_each("tau", "w", VECTORS, lambda v: tau("bures", 1.0, EYE, v)),
     *_raises("tau", "covariance=1e200",
              lambda: tau("nominal", 0.0, 1e200 * EYE, [1e100, 0.0]), DomainError),
+    # A finite radius whose weight exp(700 / 2) divides a 1e-160 scale.
+    *_raises("tau", "weight-overflow",
+             lambda: tau("fisher-rao", 700.0, EYE, [1e-160, 0.0]), DomainError),
     *_raises("tau", "covariance=indefinite",
              lambda: tau("nominal", 0.0, INDEFINITE, [1.0, 0.0]), SingularCovariance),
     *_each("lambert_w_minus1", "x", RADII, lambert_w_minus1),
@@ -505,9 +512,6 @@ CASES = [
                                       MODEL, [MODEL]),
            allowed=NonFiniteInput, must_raise=True),
     *_one("validity_metrics", "empty", lambda: validity_metrics([], MODEL, [MODEL])),
-    *_each("pareto_frontier", "cost", RADII,
-           lambda r: pareto_frontier([(r, 0.5), (1.0, 0.2)])),
-    *_one("pareto_frontier", "empty", lambda: pareto_frontier([])),
     *_each("sweep", "rho_grid", RADII,
            lambda r: sweep((X, Y), (X, Y), X0[None, :], "fisher-rao", [r],
                            "projection", SWEEP_CONFIG)),

@@ -1,4 +1,4 @@
-"""Tests for evaluation metrics, Pareto filtering, and radius sweeps."""
+"""Tests for evaluation metrics and radius sweeps."""
 
 import csv
 import dataclasses
@@ -21,7 +21,6 @@ from cvas import (
     TrainConfig,
     generate_synthetic,
     local_fidelity,
-    pareto_frontier,
     sensitivity,
     solve_cvas,
     sweep,
@@ -41,7 +40,6 @@ from cvas.errors import (
 from cvas.recourse import RecourseResult
 
 from helpers import linear_mlp
-from oracles import pareto_oracle
 
 
 def halfspace(w, b):
@@ -236,38 +234,6 @@ def test_validity_empty_inputs():
         validity_metrics([], model, [model])
     with pytest.raises(EmptyInput):
         validity_metrics([_recourse([1.0], 0.0)], model, [])
-
-
-# ------------------------------------------------------------------ pareto
-
-
-def test_pareto_drops_dominated_point():
-    frontier = pareto_frontier([(1, 0.5), (2, 0.9), (3, 0.8)])
-    assert frontier == [(1.0, 0.5), (2.0, 0.9)]
-
-
-def test_pareto_single_point():
-    assert pareto_frontier([(2.5, 0.4)]) == [(2.5, 0.4)]
-
-
-def test_pareto_duplicates_keep_one():
-    frontier = pareto_frontier([(1, 0.5), (1, 0.5), (2, 0.9)])
-    assert frontier == [(1.0, 0.5), (2.0, 0.9)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(0, 1)), min_size=1,
-                max_size=24))
-def test_pareto_matches_oracle_and_is_sorted(points):
-    frontier = pareto_frontier(points)
-    assert sorted(frontier) == pareto_oracle(points)
-    costs = [c for c, _ in frontier]
-    assert costs == sorted(costs)
-    # Mutual non-domination within the frontier.
-    for i, (c1, v1) in enumerate(frontier):
-        for j, (c2, v2) in enumerate(frontier):
-            if i != j:
-                assert not (c2 <= c1 and v2 >= v1 and (c2 < c1 or v2 > v1))
 
 
 # ------------------------------------------------------------------ report
