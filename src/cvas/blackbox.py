@@ -427,9 +427,11 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
     message kept, or returns the models in index order.
 
     A worker is ``python -c "from cvas.blackbox import _train_worker;
-    _train_worker()"`` with one BLAS thread (not ``-m cvas.blackbox``,
-    whose models would pickle as __main__.MlpModel); its models are
-    bit-identical to train_mlp's here. Subprocesses, unlike
+    _train_worker()"``, run with this package's source root in place of
+    the working directory on its path and with one BLAS thread (not
+    ``-m cvas.blackbox``, whose models would pickle as
+    __main__.MlpModel); its models are bit-identical to train_mlp's
+    here. Subprocesses, unlike
     multiprocessing, never re-run the caller's __main__. On leaving the
     with statement by any exit, KeyboardInterrupt included, every
     worker is killed (a no-op once collected) and reaped. A caller
@@ -457,13 +459,15 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
         jobs.append((idx, replace(config, seed=seed_i)))
 
     n_workers = min(_usable_cpus(), n_models)
-    # This package's source root leads the worker's path (and is its working
-    # directory, which -c puts first unless PYTHONSAFEPATH is set), so a
-    # source checkout never trains with an installed copy.
+    # Before any import the worker puts this package's source root first
+    # on its path and drops the working directory that -c puts there (''),
+    # so it trains with this copy of the package, never an installed one,
+    # and takes no module from the caller's working directory.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    command = (f"import sys; sys.path[:] = [{root!r}, *filter(None, sys.path)]; "
+               "from cvas.blackbox import _train_worker; _train_worker()")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     workers = []
 
     def collect():
@@ -482,9 +486,8 @@ def _future_models(shifted_features, shifted_labels, n_models, fraction, config)
     try:
         for _ in range(n_workers):
             workers.append(subprocess.Popen(
-                [sys.executable, "-c",
-                 "from cvas.blackbox import _train_worker; _train_worker()"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, cwd=root))
+                [sys.executable, "-c", command],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
         size, extra = divmod(n_models, n_workers)
         for w, worker in enumerate(workers):
             share = jobs[w * size + min(w, extra):(w + 1) * size + min(w + 1, extra)]

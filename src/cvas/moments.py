@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     DomainError,
     SingularCovariance,
     TooFewSamples,
@@ -162,19 +161,3 @@ def _deficit(w, x, b):
         raise DomainError(f"the deficit b - w^T x overflows to {deficit}")
     return deficit
 
-
-def condition_number(covariance):
-    """Eigenvalue condition number of a ridged covariance.
-
-    Returns +inf when the smallest eigenvalue is nonpositive before
-    ridging, signalling that the estimate itself is degenerate.
-    """
-    cov = finite_array(covariance, "covariance", shape=(None, None), nonempty=True)
-    if cov.shape[0] != cov.shape[1]:
-        raise DimensionMismatch(f"covariance of shape {cov.shape} is not square")
-    cov = _symmetric(cov)
-    eigenvalues = np.linalg.eigvalsh(cov)
-    if eigenvalues[0] <= 0.0:
-        return float("inf")
-    ridged = np.linalg.eigvalsh(ridge(cov))
-    return float(ridged[-1] / ridged[0])

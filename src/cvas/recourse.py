@@ -41,8 +41,8 @@ _WACHTER_RETRIES = 10
 class ActionSpec:
     """Per-feature actionability kinds and allowed delta grids.
 
-    Each grid is a finite sorted deduplicated array containing 0, kept
-    as a read-only copy. kind "immutable" forces the grid {0};
+    Each grid is a finite sorted deduplicated array containing 0 (stored
+    as +0.0), kept as a read-only copy. kind "immutable" forces the grid {0};
     "non_decreasing" forbids negative deltas.
     """
 
@@ -71,20 +71,18 @@ class ActionSpec:
 
 
 def _unique_grid(grid):
-    """The values of np.unique(np.asarray(grid, dtype=float)) as a list.
+    """The values of np.unique(np.asarray(grid, dtype=float) + 0.0) as a
+    list: sorted, deduplicated, and every zero +0.0.
 
     ValueError if one is not finite. Grids are a few floats, so they are
     sorted and deduplicated in Python, which costs less than np.unique's
-    calls. Equal finite floats have equal bits, except the two zeros: a
-    grid holding both goes to np.unique, whose choice between them
-    depends on its sort.
+    calls. Adding 0.0 turns -0.0 into +0.0 and leaves every other float
+    as it is, so equal values have equal bits and the set keeps one.
     """
     values = np.asarray(grid, dtype=float).ravel().tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError("action grids must be finite")
-    if len({math.copysign(1.0, v) for v in values if not v}) > 1:
-        return np.unique(values).tolist()
-    return sorted(set(values))
+    return sorted({v + 0.0 for v in values})
 
 
 @dataclass(frozen=True)

@@ -308,11 +308,11 @@ def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
 def _nearest_rows(distances, m):
     """The first m entries of np.argsort(distances, kind="stable").
 
-    For m < n, np.partition finds the m-th smallest distance, and only
-    the rows at or below it, taken in index order, are stable-sorted.
+    With m clamped to n, np.partition finds the m-th smallest distance,
+    and only the rows at or below it, taken in index order, are
+    stable-sorted.
     """
-    if m >= distances.size:
-        return np.argsort(distances, kind="stable")
+    m = min(m, distances.size)
     cut = np.partition(distances, m - 1)[m - 1]
     rows = np.flatnonzero(distances <= cut)
     return rows[np.argsort(distances[rows], kind="stable")[:m]]

@@ -86,27 +86,24 @@ class Divergence:
 
 @dataclass(frozen=True)
 class Surrogate:
-    """Linear surrogate w, b with its margin kappa and solve metadata.
+    """Linear surrogate w, b with its margin kappa and divergence.
 
-    objective is sum of tau_y at the optimum (None for hand-built
-    surrogates); kappa is 1/objective, with 0.0 denoting the
-    infinite-radius asymptotic limit. w is kept as a read-only copy.
+    kappa is 1/(tau_pos + tau_neg) at the optimum, with 0.0 denoting
+    the infinite-radius asymptotic limit. w is kept as a read-only copy.
     """
 
     w: np.ndarray
     b: float
     kappa: float
     divergence: Divergence
-    objective: float = None
 
     def __post_init__(self):
         w = finite_array(np.ravel(self.w), "surrogate slope", nonzero=True,
                          frozen=True)
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
-        if not math.isfinite(self.kappa) or (self.objective is not None
-                                             and math.isnan(self.objective)):
-            raise NonFiniteInput("kappa must be finite and objective not NaN")
+        if not math.isfinite(self.kappa):
+            raise NonFiniteInput("kappa must be finite")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(finite_array(self.b, "offset", shape=())))
 
@@ -331,11 +328,9 @@ def solve_cvas(moments_pos, moments_neg, divergence):
 
     tau_pos = _evaluate(terms_pos, w)[0]
     tau_neg = _evaluate(terms_neg, w)[0]
-    objective = tau_pos + tau_neg
-    kappa = 1.0 / objective
+    kappa = 1.0 / (tau_pos + tau_neg)
     b = float(w @ moments_pos.mean) - kappa * tau_pos
-    return Surrogate(w=w, b=b, kappa=kappa, divergence=divergence,
-                     objective=objective)
+    return Surrogate(w=w, b=b, kappa=kappa, divergence=divergence)
 
 
 def coverage_validity(surrogate, moments_pos, moments_neg):
@@ -353,13 +348,12 @@ def coverage_validity(surrogate, moments_pos, moments_neg):
     return coverage, validity
 
 
-def worst_case_misclassification(surrogate, mean, covariance, gaussian=False):
+def worst_case_misclassification(surrogate, mean, covariance):
     """Probability certificate for a class with the given moments.
 
-    nu is the Mahalanobis distance from the mean to the complementary
-    halfspace: |w^T mean - b| over the nominal tau of the ridged
-    covariance. gaussian=False gives the distribution-free moment bound
-    1/(1 + nu^2); gaussian=True gives 1 - Phi(nu) for Gaussian classes.
+    The distribution-free moment bound 1/(1 + nu^2), with nu the
+    Mahalanobis distance from the mean to the complementary halfspace:
+    |w^T mean - b| over the nominal tau of the ridged covariance.
     Raises as tau does for the covariance (SingularCovariance where
     w^T Sigma w < 0, DomainError past float range, its trace included),
     and DomainError where b - w^T mean leaves float range.
@@ -368,8 +362,6 @@ def worst_case_misclassification(surrogate, mean, covariance, gaussian=False):
     mean = finite_array(mean, "class mean", shape=w.shape)
     cov = ridge(finite_array(covariance, "class covariance", shape=w.shape * 2))
     nu = abs(_deficit(w, mean, b)) / _evaluate([(1.0, cov)], w)[0]
-    if gaussian:
-        return 0.5 * math.erfc(nu / math.sqrt(2.0))
     return 1.0 / (1.0 + nu * nu)
 
 
@@ -382,8 +374,8 @@ def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
     ridged Sigma_y for fisher-rao-or-logdet. Both put the hyperplane
     through the other class mean: b = w^T mu_y - y.
 
-    The returned Surrogate records kappa = 0.0 and objective = +inf,
-    the limiting values, with the inflated radius stored as +inf.
+    The returned Surrogate records kappa = 0.0, the limiting margin,
+    with the inflated radius stored as +inf.
     Raises ValueError for an unknown family or class, and otherwise
     what solve_cvas's step raises: SingularCovariance where the ridged
     Sigma_y is singular or a^T Sigma_y^-1 a < 0, DomainError past float
@@ -403,8 +395,7 @@ def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
     rho_pos = math.inf if inflated_class == 1 else 0.0
     rho_neg = math.inf if inflated_class == -1 else 0.0
     divergence = Divergence(kind=kind, rho_pos=rho_pos, rho_neg=rho_neg)
-    return Surrogate(w=w, b=b, kappa=0.0, divergence=divergence,
-                     objective=math.inf)
+    return Surrogate(w=w, b=b, kappa=0.0, divergence=divergence)
 
 
 def fr_worst_case_covariance(covariance, rho, w):

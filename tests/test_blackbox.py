@@ -549,9 +549,10 @@ def test_future_models_reject_zero_width_data_before_any_worker(spawned):
 def test_future_models_ignore_a_cvas_package_in_the_callers_directory(tmp_path,
                                                                       monkeypatch):
     # The workers import this package from its source root, never a cvas
-    # in the caller's working directory.
+    # in the caller's working directory, and take no module from there.
     (tmp_path / "cvas").mkdir()
     (tmp_path / "cvas" / "__init__.py").write_text("raise ImportError('decoy')\n")
+    (tmp_path / "numpy.py").write_text("raise ImportError('decoy')\n")
     monkeypatch.chdir(tmp_path)
     features, labels = generate_synthetic(60, noise_std=1.0, seed=6)
     cfg = TrainConfig(epochs=5, seed=2)

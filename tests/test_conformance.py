@@ -43,7 +43,6 @@ from cvas import (
     TrainConfig,
     actionable_recourse,
     asymptotic_surrogate,
-    condition_number,
     coverage_validity,
     default_action_grids,
     estimate_moments,
@@ -332,9 +331,6 @@ CASES = [
            lambda v: halfspace_distance([0.0, 0.0], EYE, v, 0.0)),
     *_each("halfspace_distance", "b", RADII,
            lambda r: halfspace_distance([0.0, 0.0], EYE, [1.0, 0.0], r)),
-    *_each("condition_number", "covariance", MATRICES, condition_number),
-    *_raises("condition_number", "covariance=2x3",
-             lambda: condition_number(np.ones((2, 3))), DimensionMismatch),
     *_each("halfspace_distance", "covariance", OVERFLOWING,
            lambda m: halfspace_distance([0.0, 0.0], m, [1.0, 0.0], 0.0),
            DomainError, must_raise=True),
@@ -346,8 +342,6 @@ CASES = [
     *_raises("halfspace_distance", "scale-overflow",
              lambda: halfspace_distance([-1.0, 0.0], EYE, [1e200, 1e200], 0.0),
              DomainError),
-    *_each("condition_number", "covariance", OVERFLOWING, condition_number,
-           DomainError, must_raise=True),
     # sampler
     *_each("find_boundary_point", "x0", VECTORS,
            lambda v: find_boundary_point(v, X, MODEL, SAMPLER)),

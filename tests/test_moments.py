@@ -15,7 +15,6 @@ from cvas import (
     SingularCovariance,
     TooFewSamples,
     ZeroSlope,
-    condition_number,
     estimate_moments,
     halfspace_distance,
 )
@@ -133,19 +132,6 @@ def test_halfspace_distance_ridges_singular():
     singular = np.array([[1.0, 0.0], [0.0, 0.0]])
     got = halfspace_distance([0.0, 0.0], singular, [1.0, 0.0], 2.0)
     assert_allclose(got, 2.0, rtol=1e-9)
-
-
-def test_condition_number_examples():
-    assert_allclose(condition_number(np.eye(3)), 1.0, rtol=1e-9)
-    assert_allclose(condition_number(np.diag([4.0, 1.0])), 4.0, rtol=1e-9)
-    expected = (3.0 + 2.0 * math.sqrt(2.0)) / (3.0 - 2.0 * math.sqrt(2.0))
-    got = condition_number(np.array([[5.0, 2.0], [2.0, 1.0]]))
-    assert_allclose(got, expected, rtol=1e-6)
-
-
-def test_condition_number_degenerate_sentinel():
-    assert condition_number(np.diag([1.0, 0.0])) == math.inf
-    assert condition_number(np.diag([1.0, -2.0])) == math.inf
 
 
 def test_ridge_floor_and_trace_scaling():

@@ -284,10 +284,11 @@ def test_action_spec_rejects_non_finite_grid(bad, kind):
 
 
 def _unique_spec_outcome(kind, grid):
-    """The grid ActionSpec kept, as bytes, when it took np.unique of the
-    grid, or the class and message of the error it raised."""
+    """The grid ActionSpec keeps, as bytes, taken as np.unique of the
+    grid with every zero +0.0, or the class and message of the error it
+    raises."""
     try:
-        grid = np.unique(np.asarray(grid, dtype=float))
+        grid = np.unique(np.asarray(grid, dtype=float) + 0.0)
         if not np.all(np.isfinite(grid)):
             raise ValueError("action grids must be finite")
         if 0.0 not in grid:
@@ -348,11 +349,12 @@ def test_action_grids_are_np_unique_bit_for_bit():
 @pytest.mark.parametrize("grid", [[-0.0, 1.0, -0.0], [1.0, 0.0, -0.0], [-0.0, 0.0],
                                   np.array([2.0, -0.0, 0.0, -0.0])])
 def test_action_grids_keep_np_uniques_zero(grid):
-    # Which zero np.unique keeps depends on its sort; ActionSpec keeps
-    # the same one.
-    want = np.unique(np.asarray(grid, dtype=float))
+    # Which zero np.unique keeps depends on its sort, so ActionSpec keeps
+    # np.unique's grid with -0.0 turned into +0.0, on every machine.
+    want = np.unique(np.asarray(grid, dtype=float) + 0.0)
     kept = ActionSpec(kinds=("free",), grids=(grid,)).grids[0]
     assert kept.tobytes() == want.tobytes()
+    assert [math.copysign(1.0, v) for v in kept if not v] == [1.0]
 
 
 def test_action_grids_are_read_only_copies():

@@ -200,17 +200,19 @@ def test_lockstep_points_match_the_whole_array_search_bit_for_bit(trained):
     # The steps run on Python floats; the same search on numpy arrays
     # gives the same points, every bit, on segments that close at
     # different steps, cross the boundary more than once, or start or
-    # end within tol of it.
+    # end within tol of it, and on 40, 60 and 100 segments at once.
     tol = _LINE_SEARCH_TOL
     features, model = trained
     rng = np.random.default_rng(3)
     cases = [*_trained_segments(trained), *_non_monotone_segments()]
-    for x0 in features[10:20]:
-        opposite = features[(_f(model, features) >= 0.0)
-                            != (_f(model, x0[None, :])[0] >= 0.0)]
-        size = min(40, len(opposite))
-        cases.append((model, x0, opposite[rng.choice(len(opposite), size=size,
-                                                     replace=False)]))
+    rows = generate_synthetic(600, seed=4)[0]
+    for x0, pool, sizes in [(x0, features, (40,)) for x0 in features[10:20]] + [
+            (x0, rows, (60, 100)) for x0 in rows[:4]]:
+        opposite = pool[(_f(model, pool) >= 0.0) != (_f(model, x0[None, :])[0] >= 0.0)]
+        for size in sizes:
+            size = min(size, len(opposite))
+            cases.append((model, x0, opposite[rng.choice(len(opposite), size=size,
+                                                         replace=False)]))
     for model, x0, prototypes in cases:
         f_lo, f_hi = _f(model, x0[None, :])[0], _f(model, prototypes)
         for cap in (_BISECT_CAP, 3):
@@ -247,14 +249,16 @@ def test_boundary_point_matches_per_segment_oracle(trained, monkeypatch):
     monkeypatch.setattr("cvas.sampler._bracket_to_boundary", recording)
     features, model = trained
     abs_dataset = np.array([[-0.5], [0.2], [0.9], [-4.0], [2.0]])
-    cases = [(x0, features, model) for x0 in features[:25]]
-    cases += [(np.array([x0]), abs_dataset, _abs_model()) for x0 in (-3.0, 1.7, 0.1)]
-    for x0, dataset, case_model in cases:
-        point = find_boundary_point(x0, dataset, case_model)
-        expected = prototypes_oracle(x0, dataset, case_model, 10)
+    rows = generate_synthetic(600, seed=4)[0]
+    cases = [(x0, features, model, 10) for x0 in features[:25]]
+    cases += [(np.array([x0]), abs_dataset, _abs_model(), 10) for x0 in (-3.0, 1.7, 0.1)]
+    cases += [(x0, rows, model, 100) for x0 in rows[:4]]
+    for x0, dataset, case_model, k in cases:
+        point = find_boundary_point(x0, dataset, case_model, SamplerConfig(k=k))
+        expected = prototypes_oracle(x0, dataset, case_model, k)
         assert np.array_equal(seen.pop(), dataset[expected])
         assert np.linalg.norm(point - boundary_point_oracle(
-            x0, dataset, case_model, 10, _LINE_SEARCH_TOL)) <= 2.0 * _LINE_SEARCH_TOL
+            x0, dataset, case_model, k, _LINE_SEARCH_TOL)) <= 2.0 * _LINE_SEARCH_TOL
 
 
 def _one_distinct(n, at, value):
