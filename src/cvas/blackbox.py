@@ -38,6 +38,7 @@ _MAGIC = b"CVASMLP1"
 
 # Adam's moment decays and denominator guard, the reference values.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_ENSEMBLE_FRACTION = 0.8  # share of the shifted rows each future model trains on
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,7 @@ def generate_synthetic(n, noise_std=0.0, seed=0):
 
 
 def simulate_future_models(shifted_features, shifted_labels, n_models=100,
-                           fraction=0.8, config=TrainConfig()):
+                           fraction=_ENSEMBLE_FRACTION, config=TrainConfig()):
     """Train an ensemble on subsampled data to stand in for model shift.
 
     Model i subsamples ceil(fraction * n) rows without replacement and

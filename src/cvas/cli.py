@@ -1,9 +1,9 @@
 """Command-line front end and data ingestion.
 
-Subcommands: gen-synthetic, train, recourse, evaluate, sweep. Datasets
-are CSV files described by a feature-spec file (one `name,kind,
-actionability` line per column); categorical columns are one-hot
-expanded and continuous columns z-scored with training-split
+Subcommands: gen-synthetic, train, recourse, sweep (one radius or a
+grid). Datasets are CSV files described by a feature-spec file (one
+`name,kind,actionability` line per column); categorical columns are
+one-hot expanded and continuous columns z-scored with training-split
 statistics. One argparse parser reads every option; a `--config` file's
 `key = value` lines become `--key=value` flags ahead of the command
 line's own, so the last value wins: flag > config file > default. Every
@@ -96,15 +96,20 @@ class FeatureSpec:
         return tuple(c for c in self.columns if c.kind != "label")
 
 
+def _content_lines(text):
+    """(line number, line) for each stripped line not blank or a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_feature_spec(path):
     """Read a feature-spec file: `name,kind,actionability`, # comments."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     columns = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) == 2 and fields[1] == "label":
             columns.append(FeatureColumn(fields[0], "label"))
@@ -230,20 +235,30 @@ def _parse_labels(raw):
     return labels
 
 
+def _split(value):
+    """value as a train fraction, which must lie strictly between 0 and 1."""
+    fraction = float(value)
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("a split must be > 0 and < 1")
+    return fraction
+
+
 def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
     """Load a CSV + feature spec into an encoded train/test dataset.
 
     The split is a seeded permutation; categorical levels and z-score
     statistics are fitted on the training split only and applied to all
-    rows.
+    rows. Raises ValueError unless 0 < split_fraction < 1, before any
+    file is opened, and EmptySplit when the split leaves no training row.
     """
+    split_fraction = _split(split_fraction)
     spec = parse_feature_spec(spec_path)
     columns_raw, n = _read_csv(csv_path, spec)
     labels = _parse_labels(columns_raw[spec.label_column.name])
+    # Below 1, split_fraction * n rounds below n: the test side has a row.
     n_train = int(split_fraction * n)
-    if n_train < 1 or n_train >= n:
-        raise EmptySplit(f"split {split_fraction} of {n} rows leaves an "
-                         "empty train or test side")
+    if n_train < 1:
+        raise EmptySplit(f"split {split_fraction} of {n} rows leaves no training row")
     perm = np.random.default_rng(seed).permutation(n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
@@ -294,10 +309,11 @@ def _radius(text):
 
 
 def _parse_range(text):
-    """`start:stop:step` inclusive of both ends when step divides the span.
+    """One radius, or `start:stop:step` inclusive of both ends when step
+    divides the span.
 
     start, stop and step must each be finite and >= 0, so that every
-    value is a radius.
+    value is a radius, and the span must hold a finite count of steps.
     """
     parts = str(text).split(":")
     if len(parts) == 1:
@@ -308,6 +324,8 @@ def _parse_range(text):
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError("too many radii in start:stop:step")
     nearest = round(span)
     if abs(span - nearest) <= 1e-9 * max(1.0, abs(span)):
         values = [start + i * step for i in range(int(nearest) + 1)]
@@ -334,7 +352,7 @@ _COMMON = (
 _DATA = (
     _opt("data", required=True, help="dataset CSV"),
     _opt("spec", required=True, help="feature-spec file"),
-    _opt("split", float, default=0.8, help="train fraction"),
+    _opt("split", _split, default=0.8, help="train fraction"),
 )
 _TRAIN = (
     _opt("epochs", int, default=1000, help="training epochs"),
@@ -349,39 +367,6 @@ _FIT = (
     _opt("k", int, default=10, help="opposite-class prototypes to scan"),
     _opt("n_p", int, default=1000, help="boundary ball sample count"),
 )
-_EVAL = _COMMON + _DATA + _TRAIN + _FIT + (
-    _opt("shifted", required=True, help="shifted-distribution CSV"),
-    _opt("out", required=True, help="report path (.csv or .json)"),
-    _opt("n_models", int, default=100, help="future-model ensemble size"),
-    _opt("max_instances", _positive_int, default=25,
-         help="cap on evaluated test instances"),
-)
-_OPTS = {
-    "gen-synthetic": _COMMON + (
-        _opt("n", int, required=True, help="number of rows"),
-        _opt("noise", float, default=0.0, help="label noise std"),
-        _opt("out", required=True, help="output CSV path"),
-        _opt("spec_out", help="also write a matching feature spec"),
-    ),
-    "train": _COMMON + _DATA + _TRAIN + (
-        _opt("out", required=True, help="model output path"),
-    ),
-    "recourse": _COMMON + _DATA + _FIT + (
-        _opt("model", required=True, help="trained model file"),
-        _opt("instances", _parse_instances, required=True,
-             help="comma-separated row ids"),
-        _opt("rho_neg", _radius, default=0.0, help="negative-class radius"),
-        _opt("out", required=True, help="output CSV path"),
-    ),
-    "evaluate": _EVAL + (
-        _opt("rho_neg", lambda text: (_radius(text),), default=(0.0,),
-             help="negative-class radius"),
-    ),
-    "sweep": _EVAL + (
-        _opt("rho_neg", _parse_range, default=(0.0,),
-             help="radius grid start:stop:step"),
-    ),
-}
 
 
 def _build_parser():
@@ -390,8 +375,9 @@ def _build_parser():
                      allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     required = []
-    for command, opts in _OPTS.items():
+    for command, (handler, opts) in _COMMANDS.items():
         sub = subparsers.add_parser(command, allow_abbrev=False)
+        sub.set_defaults(handler=handler)
         sub.add_argument("--config", help="flat key = value config file")
         for name, kwargs in opts:
             action = sub.add_argument("--" + name.replace("_", "-"), dest=name,
@@ -409,10 +395,7 @@ def _config_flags(path):
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}")
     flags = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         key, sep, value = line.partition("=")
         key = key.strip().replace("_", "-")
         if not sep:
@@ -443,10 +426,6 @@ def _parse(argv):
     return parser.parse_args(args)
 
 
-def _format_bool(value):
-    return "" if value is None else str(bool(value)).lower()
-
-
 def _cmd_gen_synthetic(ns):
     features, labels = generate_synthetic(ns.n, noise_std=ns.noise,
                                           seed=ns.seed)
@@ -462,8 +441,7 @@ def _cmd_gen_synthetic(ns):
 
 def _cmd_train(ns):
     config = TrainConfig(epochs=ns.epochs, learning_rate=ns.lr, seed=ns.seed)
-    dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
-                           seed=ns.seed)
+    dataset = load_dataset(ns.data, ns.spec, ns.split, ns.seed)
     model = train_mlp(dataset.features[dataset.train_idx],
                       dataset.labels[dataset.train_idx], config)
     save_model(model, ns.out)
@@ -473,8 +451,7 @@ def _cmd_recourse(ns):
     divergence = Divergence(kind=ns.divergence, rho_pos=ns.rho_pos,
                             rho_neg=ns.rho_neg)
     sampler_config = SamplerConfig(k=ns.k, n_p=ns.n_p, seed=ns.seed)
-    dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
-                           seed=ns.seed)
+    dataset = load_dataset(ns.data, ns.spec, ns.split, ns.seed)
     n_rows = dataset.features.shape[0]
     for instance_id in ns.instances:
         if instance_id >= n_rows:
@@ -497,8 +474,8 @@ def _cmd_recourse(ns):
         lines.append(",".join([
             str(instance_id), ns.mode, divergence.kind.value,
             repr(ns.rho_neg), repr(result.cost),
-            _format_bool(result.surrogate_valid),
-            _format_bool(result.blackbox_valid),
+            str(result.surrogate_valid).lower(),
+            str(result.blackbox_valid).lower(),
         ]))
     atomic_write_text(ns.out, "\n".join(lines) + "\n")
 
@@ -510,8 +487,7 @@ def _cmd_sweep(ns):
                                           seed=ns.seed),
                         n_models=ns.n_models)
     _check_grid(ns.divergence, ns.rho_pos, ns.rho_neg, ns.mode)
-    dataset = load_dataset(ns.data, ns.spec, split_fraction=ns.split,
-                           seed=ns.seed)
+    dataset = load_dataset(ns.data, ns.spec, ns.split, ns.seed)
     config = replace(config, action_kinds=dataset.action_kinds)
     shifted = encode_csv(dataset.encoder, ns.shifted)
     train_features = dataset.features[dataset.train_idx]
@@ -526,18 +502,36 @@ def _cmd_sweep(ns):
     instances = unfavorable[:ns.max_instances]
     report = sweep((train_features, train_labels), shifted, instances,
                    ns.divergence, ns.rho_neg, ns.mode, config, model=model)
-    if str(ns.out).endswith(".json"):
-        report.to_json(ns.out)
-    else:
-        report.to_csv(ns.out)
+    write = report.to_json if str(ns.out).endswith(".json") else report.to_csv
+    write(ns.out)
 
 
-_HANDLERS = {
-    "gen-synthetic": _cmd_gen_synthetic,
-    "train": _cmd_train,
-    "recourse": _cmd_recourse,
-    "evaluate": _cmd_sweep,
-    "sweep": _cmd_sweep,
+_COMMANDS = {
+    "gen-synthetic": (_cmd_gen_synthetic, _COMMON + (
+        _opt("n", int, required=True, help="number of rows"),
+        _opt("noise", float, default=0.0, help="label noise std"),
+        _opt("out", required=True, help="output CSV path"),
+        _opt("spec_out", help="also write a matching feature spec"),
+    )),
+    "train": (_cmd_train, _COMMON + _DATA + _TRAIN + (
+        _opt("out", required=True, help="model output path"),
+    )),
+    "recourse": (_cmd_recourse, _COMMON + _DATA + _FIT + (
+        _opt("model", required=True, help="trained model file"),
+        _opt("instances", _parse_instances, required=True,
+             help="comma-separated row ids"),
+        _opt("rho_neg", _radius, default=0.0, help="negative-class radius"),
+        _opt("out", required=True, help="output CSV path"),
+    )),
+    "sweep": (_cmd_sweep, _COMMON + _DATA + _TRAIN + _FIT + (
+        _opt("shifted", required=True, help="shifted-distribution CSV"),
+        _opt("out", required=True, help="report path (.csv or .json)"),
+        _opt("n_models", int, default=100, help="future-model ensemble size"),
+        _opt("max_instances", _positive_int, default=25,
+             help="cap on evaluated test instances"),
+        _opt("rho_neg", _parse_range, default=(0.0,),
+             help="one radius, or a grid start:stop:step"),
+    )),
 }
 
 
@@ -545,7 +539,7 @@ def run(argv):
     """Parse argv, dispatch, and map errors to exit codes."""
     try:
         args = _parse(argv)
-        _HANDLERS[args.subcommand](args)
+        args.handler(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

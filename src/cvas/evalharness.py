@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from ._io import atomic_write_text
-from .blackbox import TrainConfig, _future_models, train_mlp
+from .blackbox import _ENSEMBLE_FRACTION, TrainConfig, _future_models, train_mlp
 from .errors import (
     CvasError,
     DimensionMismatch,
@@ -38,7 +38,6 @@ from .surrogate import Divergence, solve_cvas
 _SENS_NEIGHBORS = 10  # perturbed queries per sensitivity value
 _SENS_NOISE_VAR = 0.001  # variance of sensitivity()'s query perturbations
 _FID_RADIUS_SHARE = 0.1  # sweep()'s fidelity radius per max pairwise distance
-_ENSEMBLE_FRACTION = 0.8  # share of the shifted rows each future model trains on
 
 
 def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):

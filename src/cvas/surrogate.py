@@ -64,7 +64,12 @@ class AsymptoticFamily(str, Enum):
 @dataclass(frozen=True)
 class Divergence:
     """Divergence kind plus per-class radii (rho_pos, rho_neg): each one
-    solve_cvas accepts, or +inf as asymptotic_surrogate records it."""
+    solve_cvas accepts, or +inf as asymptotic_surrogate records it.
+
+    A radius has its tau term's units: none for fisher-rao and logdet,
+    feature units for bures (rho ||w||), feature units to the fourth power
+    for quadratic (sqrt(rho) I sits inside the covariance).
+    """
 
     kind: DivergenceKind
     rho_pos: float = 0.0

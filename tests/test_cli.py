@@ -168,9 +168,10 @@ def test_schema_mismatch_variants(tmp_path, csv_text):
 
 
 def test_empty_split_raises(tmp_path):
+    # A split inside (0, 1) that leaves 3 rows without a training row.
     spec = write(tmp_path / "cols.txt", "a,continuous,free\nlabel,label\n")
     data = write(tmp_path / "d.csv", "a,label\n1,1\n2,0\n3,1\n")
-    for fraction in (0.2, 1.0):
+    for fraction in (0.2, 0.3):
         with pytest.raises(EmptySplit):
             load_dataset(data, spec, split_fraction=fraction, seed=0)
 
@@ -205,8 +206,10 @@ def test_parse_range_non_dividing_step_stops_short():
     assert _parse_range("0:1:0.3") == pytest.approx((0.0, 0.3, 0.6, 0.9))
 
 
+# 0:1e308:1e-300 has no finite count of radii.
 @pytest.mark.parametrize("text", ["1:2", "0:10:0", "0:10:-1", "5:1:1", "nan", "-1",
-                                  "inf", "-1:1:1", "0:nan:1", "0:inf:1"])
+                                  "inf", "-1:1:1", "0:nan:1", "0:inf:1",
+                                  "0:1e308:1e-300"])
 def test_parse_range_rejects_bad_input(text):
     with pytest.raises(ValueError):
         _parse_range(text)
@@ -438,19 +441,24 @@ def test_sweep_without_unfavorable_instances_exits_two(workspace, tmp_path,
     assert not out.exists()
 
 
-def test_evaluate_command_csv_report(workspace, tmp_path):
-    out = tmp_path / "report.csv"
-    rc = run(["evaluate", "--data", str(workspace / "d1.csv"),
-              "--shifted", str(workspace / "d2.csv"),
-              "--spec", str(workspace / "cols.txt"), "--out", str(out),
-              "--divergence", "logdet", "--rho-neg", "1.5", "--epochs", "80",
-              "--n-models", "2", "--max-instances", "2", "--n-p", "200",
-              "--k", "5", "--seed", "3"])
-    assert rc == 0
-    records = list(csv.DictReader(open(out, newline="")))
+def test_one_radius_sweep_is_its_row_of_a_grid_sweep(workspace, tmp_path):
+    reports = {}
+    for rho_neg in ("1.5", "0:1.5:1.5"):
+        out = tmp_path / f"report-{rho_neg.count(':')}.csv"
+        rc = run(["sweep", "--data", str(workspace / "d1.csv"),
+                  "--shifted", str(workspace / "d2.csv"),
+                  "--spec", str(workspace / "cols.txt"), "--out", str(out),
+                  "--divergence", "logdet", "--rho-neg", rho_neg, "--epochs", "80",
+                  "--n-models", "2", "--max-instances", "2", "--n-p", "200",
+                  "--k", "5", "--seed", "3"])
+        assert rc == 0
+        reports[rho_neg] = out.read_text().splitlines()
+    records = list(csv.DictReader(reports["1.5"]))
     assert len(records) == 1
     assert records[0]["divergence"] == "logdet"
     assert float(records[0]["rho_neg"]) == 1.5
+    header, _, row = reports["0:1.5:1.5"]
+    assert reports["1.5"] == [header, row]
 
 
 def test_config_file_provides_defaults_flags_override(workspace, tmp_path,
@@ -546,8 +554,8 @@ def test_max_instances_below_one_exits_one(tmp_path, capsys, value):
     ("sweep", "--rho-neg", "inf"),
     ("sweep", "--rho-neg", "0:inf:1"),
     ("sweep", "--rho-neg", "-1:1:1"),
+    ("sweep", "--rho-neg", "0:1e308:1e-300"),
     ("sweep", "--rho-pos", "nan"),
-    ("evaluate", "--rho-neg", "-1"),
     ("recourse", "--rho-neg", "-1"),
     ("recourse", "--rho-pos", "inf"),
 ])
@@ -603,15 +611,19 @@ def _run_before_any_read(tmp_path, monkeypatch, command, options, from_config):
     return run(argv)
 
 
+# The one-radius sweep rows keep the ids they had when one radius was
+# the `evaluate` command, so each case keeps its name.
 @pytest.mark.parametrize("command, divergence, value, code, message", [
     ("sweep", "fisher-rao", "0:1000:1000", 2, "overflow cap"),
-    ("evaluate", "fisher-rao", "1000", 2, "overflow cap"),
+    pytest.param("sweep", "fisher-rao", "1000", 2, "overflow cap",
+                 id="evaluate-fisher-rao-1000-2-overflow cap"),
     ("recourse", "fisher-rao", "1000", 2, "overflow cap"),
     ("sweep", "nominal", "0:1:1", 1, "nominal"),
-    ("evaluate", "nominal", "1", 1, "nominal"),
+    pytest.param("sweep", "nominal", "1", 1, "nominal", id="evaluate-nominal-1-1-nominal"),
     ("recourse", "nominal", "1", 1, "nominal"),
     ("sweep", "logdet", "0:800:800", 2, "logdet radius 800.0 exceeds the overflow cap"),
-    ("evaluate", "logdet", "701", 2, "logdet radius 701.0 exceeds the overflow cap"),
+    pytest.param("sweep", "logdet", "701", 2, "logdet radius 701.0 exceeds the overflow cap",
+                 id="evaluate-logdet-701-2-logdet radius 701.0 exceeds the overflow cap"),
     ("recourse", "logdet", "800", 2, "logdet radius 800.0 exceeds the overflow cap"),
 ])
 @pytest.mark.parametrize("from_config", [False, True])
@@ -634,7 +646,7 @@ def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
     ("sweep", {"n_models": 0}, "n_models must be"),
     ("sweep", {"epochs": 0}, "epochs must be"),
     ("sweep", {"lr": -1}, "learning_rate must be"),
-    ("evaluate", {"k": 0}, "k must be"),
+    ("train", {"split": "inf"}, "--split"),
     ("train", {"epochs": 0}, "epochs must be"),
     ("train", {"lr": -1}, "learning_rate must be"),
     ("recourse", {"k": 0}, "k must be"),
@@ -643,6 +655,12 @@ def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
     ("sweep", {"divergence": "logdet", "rho_neg": "1:1.0000001:0.0000001"},
      "repeat a report id"),
     ("sweep", {"divergence": "nope"}, "invalid choice: 'nope'"),
+    # A split outside (0, 1) is refused before any read, inf and nan included.
+    ("train", {"split": "nan"}, "--split"),
+    ("train", {"split": 0}, "--split"),
+    ("train", {"split": 1}, "--split"),
+    ("recourse", {"split": 1.5}, "--split"),
+    ("sweep", {"split": -1}, "--split"),
 ])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_settings_checked_before_any_read(tmp_path, monkeypatch, capsys, command,
@@ -694,7 +712,7 @@ def test_config_value_is_checked_even_when_a_flag_overrides_it(tmp_path, capsys)
 
 
 def test_nominal_with_radius_exits_one(workspace, tmp_path, capsys):
-    rc = run(["evaluate", "--data", str(workspace / "d1.csv"),
+    rc = run(["sweep", "--data", str(workspace / "d1.csv"),
               "--shifted", str(workspace / "d2.csv"),
               "--spec", str(workspace / "cols.txt"),
               "--out", str(tmp_path / "r.csv"), "--rho-neg", "1.5",
@@ -768,11 +786,14 @@ def test_non_finite_model_exits_two(workspace, tmp_path, capsys):
     assert "nan_threshold.bin" in capsys.readouterr().err
 
 
-def test_evaluate_takes_one_radius(workspace, tmp_path, capsys):
+def test_evaluate_is_not_a_subcommand(workspace, tmp_path, capsys):
+    # A one-radius `sweep` is the evaluation of one radius.
     rc = run(["evaluate", "--data", str(workspace / "d1.csv"),
               "--shifted", str(workspace / "d2.csv"),
               "--spec", str(workspace / "cols.txt"),
-              "--out", str(tmp_path / "r.csv"), "--divergence", "logdet",
-              "--rho-neg", "0:10:1"])
+              "--out", str(tmp_path / "r.csv"), "--rho-neg", "1"])
     assert rc == 1
-    assert "--rho-neg" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid choice: 'evaluate'" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "r.csv").exists()

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvas
@@ -74,6 +74,7 @@ from cvas import (
     wachter_recourse,
     worst_case_misclassification,
 )
+from cvas.cli import load_dataset
 
 from helpers import linear_mlp
 
@@ -598,6 +599,35 @@ def test_learning_rate_conforms(learning_rate):
 def test_noise_std_conforms(noise_std):
     _conforms(lambda: generate_synthetic(20, noise_std=noise_std),
               (CvasError, ValueError))
+
+
+def test_split_conforms(tmp_path):
+    """A split outside (0, 1) is refused before any file is opened (the
+    missing paths would raise FileNotFoundError); inside, a 10-row CSV
+    loads, or gives EmptySplit when no row is left to train on."""
+    spec = tmp_path / "cols.txt"
+    spec.write_text("a,continuous,free\nlabel,label\n")
+    data = tmp_path / "d.csv"
+    data.write_text("a,label\n" + "".join(f"{i},{i % 2}\n" for i in range(10)))
+    missing = tmp_path / "nope"
+
+    @settings(max_examples=80, deadline=None)
+    @given(split=FLOATS)
+    @example(split=inf)
+    @example(split=nan)
+    @example(split=0.0)
+    @example(split=1.0)
+    @example(split=1.5)
+    @example(split=-1.0)
+    @example(split=5e-324)
+    def check(split):
+        if 0.0 < split < 1.0:
+            _conforms(lambda: load_dataset(data, spec, split_fraction=split), CONFIG)
+        else:
+            with pytest.raises(ValueError, match="split"):
+                load_dataset(missing, missing, split_fraction=split)
+
+    check()
 
 
 @settings(max_examples=80, deadline=None)

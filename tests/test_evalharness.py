@@ -35,6 +35,7 @@ from cvas.errors import (
     EmptyInput,
     IdenticalMeans,
     NegativeRadius,
+    NoActionableRecourse,
     NonFiniteInput,
 )
 from cvas.recourse import RecourseResult
@@ -604,6 +605,35 @@ def test_sweep_counts_skipped_instances(sweep_fixture):
     row = report.rows[0]
     assert 1 <= row.n_skipped < 6
     assert 0.0 <= row.current_validity <= 1.0
+
+
+def test_sweep_skips_an_instance_at_one_radius(sweep_fixture, counted_sweeps,
+                                               monkeypatch, tmp_path):
+    # The second instance's search fails at rho_neg = 1 only, after its
+    # boundary moments succeeded: that row counts one skip, and the other
+    # rows are those of the sweep where nothing fails.
+    present, shifted, unfavorable = sweep_fixture
+    real = evalharness._recourse_against
+    failed = []
+
+    def failing(model, x0, surrogate, mode, actions):
+        if surrogate.divergence.rho_neg == 1.0 and np.array_equal(x0, unfavorable[1]):
+            failed.append(x0)
+            raise NoActionableRecourse("no recourse at this radius")
+        return real(model, x0, surrogate, mode, actions)
+
+    monkeypatch.setattr(evalharness, "_recourse_against", failing)
+    report = sweep(present, shifted, unfavorable[:4], "fisher-rao",
+                   [0.0, 1.0, 10.0], "projection", SENS_CONFIG)
+    assert len(failed) == 1
+    assert [row.n_skipped for row in report.rows] == [0, 1, 0]
+    lines = {}
+    for name, each in (("patched", report), ("plain", counted_sweeps[3][0])):
+        each.to_csv(tmp_path / f"{name}.csv")
+        lines[name] = (tmp_path / f"{name}.csv").read_text().splitlines()
+    assert lines["patched"][0:2] == lines["plain"][0:2]
+    assert lines["patched"][3] == lines["plain"][3]
+    assert lines["patched"][2] != lines["plain"][2]
 
 
 def test_sweep_row_without_sensitivity_reports_nan(sweep_fixture, tmp_path,

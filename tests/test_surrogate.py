@@ -76,6 +76,16 @@ def test_lambert_constructed_values():
     assert_allclose(lambert_w_minus1(-5.0 * math.exp(-5.0)), -5.0, rtol=1e-12)
 
 
+def test_lambert_underflowed_denominator_stops_polishing():
+    # Near w = -751, exp(w) underflows and Halley's denominator is 0.0;
+    # the iterate then stands. Its residual cannot be computed there, so
+    # it solves w + log(-w) = log(-x) only to about 4e-8.
+    x = -5e-324
+    w = lambert_w_minus1(x)
+    assert math.isfinite(w) and w <= -1.0
+    assert_allclose(w, math.log(-x) - math.log(-w), rtol=1e-7)
+
+
 def test_lambert_against_bisection_oracle():
     x = -math.exp(-2.0)
     got = lambert_w_minus1(x)
