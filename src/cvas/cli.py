@@ -43,6 +43,7 @@ from .surrogate import Divergence, DivergenceKind
 FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
 RECOURSE_HEADER = ("instance_id,mode,divergence,rho_neg,cost,"
                    "surrogate_valid,blackbox_valid")
+_MAX_RANGE_STEPS = 10**6
 
 
 class _UsageError(Exception):
@@ -313,7 +314,10 @@ def _parse_range(text):
     divides the span.
 
     start, stop and step must each be finite and >= 0, so that every
-    value is a radius, and the span must hold a finite count of steps.
+    value is a radius, and the span must hold at most 10^6 steps, which
+    is checked before any value is built. A sweep pays one solve per
+    instance and radius, and six-significant-digit report ids stop
+    telling radii apart long before that count.
     """
     parts = str(text).split(":")
     if len(parts) == 1:
@@ -324,7 +328,7 @@ def _parse_range(text):
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     span = (stop - start) / step
-    if not math.isfinite(span):
+    if not span <= _MAX_RANGE_STEPS:  # an infinite span included
         raise ValueError("too many radii in start:stop:step")
     nearest = round(span)
     if abs(span - nearest) <= 1e-9 * max(1.0, abs(span)):

@@ -1,10 +1,10 @@
-"""Per-class moment estimation and Mahalanobis halfspace geometry.
+"""Per-class moment estimation.
 
 The surrogate machinery only ever sees a dataset through the first two
 moments of each pseudo-labeled class. This module estimates those
-moments, stabilizes near-singular covariances with a trace-scaled ridge,
-and computes the Mahalanobis distance from a class mean to a halfspace,
-which is the quantity both coverage and validity reduce to.
+moments and stabilizes near-singular covariances with a trace-scaled
+ridge; the geometry on them (tau, halfspace distances) lives in
+surrogate.
 """
 
 import math
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    SingularCovariance,
-    TooFewSamples,
-    finite_array,
-)
+from .errors import DomainError, TooFewSamples, finite_array
 
 
 @dataclass(frozen=True)
@@ -102,62 +97,3 @@ def ridge(covariance):
         raise DomainError("covariance trace overflows float64")
     eps = max(1e-10, 1e-12 * trace / d)
     return cov + eps * np.eye(d)
-
-
-def halfspace_distance(mean, covariance, w, b):
-    """Mahalanobis distance from a mean to the halfspace w^T x - b >= 0.
-
-    Parameters
-    ----------
-    mean : ndarray, shape (d,)
-    covariance : ndarray, shape (d, d)
-        Ridged internally; must be positive definite afterwards.
-    w : ndarray, shape (d,)
-        Halfspace normal. Must not be the zero vector.
-    b : float
-        Halfspace offset.
-
-    Returns
-    -------
-    float
-        |w^T mean - b| / sqrt(w^T cov w) when the mean lies strictly
-        outside the halfspace, 0.0 when it already lies inside.
-
-    Raises
-    ------
-    ZeroSlope
-        If w is identically zero.
-    SingularCovariance
-        If the ridged covariance has no Cholesky factorization.
-    DimensionMismatch, NonFiniteInput
-        If an input is not finite or not of the width of w.
-    DomainError
-        If b - w^T mean leaves float range, or w^T cov w does for a mean
-        outside the halfspace.
-    """
-    w = finite_array(np.ravel(w), "halfspace normal", nonzero=True)
-    mean = finite_array(mean, "mean", shape=w.shape)
-    cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
-    b = float(finite_array(b, "halfspace offset", shape=()))
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("covariance not positive definite after ridge") from exc
-    deficit = _deficit(w, mean, b)
-    if deficit <= 0.0:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = float(w @ cov @ w)
-    if not 0.0 < q < math.inf:
-        raise DomainError(f"w^T Sigma w = {q:.3g} is outside float range")
-    return deficit / math.sqrt(q)
-
-
-def _deficit(w, x, b):
-    """b - w^T x, or DomainError where it leaves float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        deficit = b - float(w @ x)
-    if not math.isfinite(deficit):
-        raise DomainError(f"the deficit b - w^T x overflows to {deficit}")
-    return deficit
-

@@ -24,9 +24,9 @@ from .errors import (
     NoValidRecourse,
     finite_array,
 )
-from .moments import _deficit, estimate_moments
+from .moments import estimate_moments
 from .sampler import synthesize
-from .surrogate import solve_cvas
+from .surrogate import _deficit, solve_cvas
 
 ACTION_KINDS = ("free", "immutable", "non_decreasing")
 MODES = ("projection", "actionable")

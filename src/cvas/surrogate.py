@@ -20,6 +20,7 @@ normalized by w^T (mu_pos - mu_neg) = 1.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +38,7 @@ from .errors import (
     SolverDidNotConverge,
     finite_array,
 )
-from .moments import _deficit, _symmetric, halfspace_distance, ridge
+from .moments import _symmetric, ridge
 
 _STOP_TOL = 1e-9
 _MAX_STEPS = 1000
@@ -54,17 +55,11 @@ class DivergenceKind(str, Enum):
     LOGDET = "logdet"
 
 
-class AsymptoticFamily(str, Enum):
-    """Infinite-radius limits group the divergences into two families."""
-
-    QUADRATIC_OR_BURES = "quadratic-or-bures"
-    FISHER_RAO_OR_LOGDET = "fisher-rao-or-logdet"
-
-
 @dataclass(frozen=True)
 class Divergence:
     """Divergence kind plus per-class radii (rho_pos, rho_neg): each one
-    solve_cvas accepts, or +inf as asymptotic_surrogate records it.
+    solve_cvas accepts, or, for at most one class, +inf: the
+    infinite-radius limit, which asymptotic_surrogate takes and records.
 
     A radius has its tau term's units: none for fisher-rao and logdet,
     feature units for bures (rho ||w||), feature units to the fourth power
@@ -77,6 +72,8 @@ class Divergence:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DivergenceKind(self.kind))
+        if self.rho_pos == self.rho_neg == math.inf:
+            raise DomainError("at most one radius may be +inf, the inflated class's")
         for rho in (self.rho_pos, self.rho_neg):
             if rho != math.inf:
                 _check_radius(self.kind, rho)
@@ -132,7 +129,10 @@ def lambert_w_minus1(x):
 
     Solves r * exp(r) = x for the solution r <= -1. Initialized with the
     branch-point series near -1/e and the log-log asymptotic near 0,
-    then polished with Halley steps to relative residual <= 1e-12.
+    then polished with Halley steps to relative residual <= 1e-12. For
+    subnormal x, exp(r) is subnormal too and r * exp(r) - x loses its
+    bits, so Newton steps solve the log form r + log(-r) = log(-x)
+    instead, to a relative residual of about 1e-16.
 
     Raises
     ------
@@ -149,6 +149,13 @@ def lambert_w_minus1(x):
         log_neg_x = math.log(-x)
         log_log = math.log(-log_neg_x)
         w = log_neg_x - log_log + log_log / log_neg_x
+        if -x < sys.float_info.min:
+            for _ in range(50):
+                step = (w + math.log(-w) - log_neg_x) * w / (w + 1.0)
+                w -= step
+                if abs(step) <= 1e-15 * -w:
+                    break
+            return w
     else:
         p = -math.sqrt(max(0.0, 2.0 * (1.0 + math.e * x)))
         if p == 0.0:
@@ -161,10 +168,7 @@ def lambert_w_minus1(x):
         if abs(residual) <= 0.25e-12 * abs(x):
             break
         wp1 = w + 1.0
-        denominator = ew * wp1 - (w + 2.0) * residual / (2.0 * wp1)
-        if denominator == 0.0:
-            break
-        step = residual / denominator
+        step = residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
         w -= step
         if abs(step) <= 1e-17 * abs(w):
             break
@@ -177,12 +181,12 @@ def _check_radius(kind, rho):
     if not math.isfinite(rho):
         raise DomainError(
             f"rho must be finite, got {rho}; "
-            "use asymptotic_surrogate for infinite radii"
+            "asymptotic_surrogate takes a divergence with one +inf radius"
         )
     if kind in (DivergenceKind.FISHER_RAO, DivergenceKind.LOGDET) and rho > _RHO_CAP:
         raise DomainError(
             f"{kind.value} radius {rho} exceeds the overflow cap {_RHO_CAP}; "
-            "use asymptotic_surrogate for larger radii"
+            "asymptotic_surrogate takes its +inf limit"
         )
 
 
@@ -338,6 +342,61 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     return Surrogate(w=w, b=b, kappa=kappa, divergence=divergence)
 
 
+def _deficit(w, x, b):
+    """b - w^T x, or DomainError where it leaves float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deficit = b - float(w @ x)
+    if not math.isfinite(deficit):
+        raise DomainError(f"the deficit b - w^T x overflows to {deficit}")
+    return deficit
+
+
+def halfspace_distance(mean, covariance, w, b):
+    """Mahalanobis distance from a mean to the halfspace w^T x - b >= 0.
+
+    Parameters
+    ----------
+    mean : ndarray, shape (d,)
+    covariance : ndarray, shape (d, d)
+        Ridged internally; must be positive definite afterwards.
+    w : ndarray, shape (d,)
+        Halfspace normal. Must not be the zero vector.
+    b : float
+        Halfspace offset.
+
+    Returns
+    -------
+    float
+        (b - w^T mean) over the nominal tau sqrt(w^T cov w) when the
+        mean lies strictly outside the halfspace, 0.0 when it already
+        lies inside (no tau is taken then).
+
+    Raises
+    ------
+    ZeroSlope
+        If w is identically zero.
+    SingularCovariance
+        If the ridged covariance has no Cholesky factorization.
+    DimensionMismatch, NonFiniteInput
+        If an input is not finite or not of the width of w.
+    DomainError
+        If b - w^T mean leaves float range, or w^T cov w does for a mean
+        outside the halfspace.
+    """
+    w = finite_array(np.ravel(w), "halfspace normal", nonzero=True)
+    mean = finite_array(mean, "mean", shape=w.shape)
+    cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
+    b = float(finite_array(b, "halfspace offset", shape=()))
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("covariance not positive definite after ridge") from exc
+    deficit = _deficit(w, mean, b)
+    if deficit <= 0.0:
+        return 0.0
+    return deficit / _evaluate([(1.0, cov)], w)[0]
+
+
 def coverage_validity(surrogate, moments_pos, moments_neg):
     """Mahalanobis margins of the two class means.
 
@@ -370,37 +429,35 @@ def worst_case_misclassification(surrogate, mean, covariance):
     return 1.0 / (1.0 + nu * nu)
 
 
-def asymptotic_surrogate(moments_pos, moments_neg, family, inflated_class):
+def asymptotic_surrogate(moments_pos, moments_neg, divergence):
     """Limit of the robust surrogate as one radius grows without bound.
 
-    With a = mu_pos - mu_neg and y the inflated class, the limit is one
+    The divergence's +inf radius names the inflated class y; its other
+    radius does not enter. With a = mu_pos - mu_neg, the limit is one
     step of solve_cvas's iteration, w = M^-1 a / (a^T M^-1 a), with
-    M = I for quadratic-or-bures (so w = a/||a||^2, exactly) and M the
-    ridged Sigma_y for fisher-rao-or-logdet. Both put the hyperplane
-    through the other class mean: b = w^T mu_y - y.
+    M = I for quadratic and bures (so w = a/||a||^2, exactly: the
+    l2-regularized minimax probability machine) and M the ridged
+    Sigma_y for fisher-rao and logdet (the class-reweighted one). Both
+    put the hyperplane through the other class mean: b = w^T mu_y - y.
 
     The returned Surrogate records kappa = 0.0, the limiting margin,
-    with the inflated radius stored as +inf.
-    Raises ValueError for an unknown family or class, and otherwise
-    what solve_cvas's step raises: SingularCovariance where the ridged
-    Sigma_y is singular or a^T Sigma_y^-1 a < 0, DomainError past float
-    range, DimensionMismatch and IdenticalMeans.
+    and the divergence it was given.
+    Raises ValueError for a divergence with no +inf radius, and
+    otherwise what solve_cvas's step raises: SingularCovariance where
+    the ridged Sigma_y is singular or a^T Sigma_y^-1 a < 0, DomainError
+    past float range, DimensionMismatch and IdenticalMeans.
     """
-    family = AsymptoticFamily(family)
-    if inflated_class not in (1, -1):
-        raise ValueError("inflated_class must be +1 or -1")
-    a, _ = _mean_gap(moments_pos, moments_neg)
-    inflated = moments_pos if inflated_class == 1 else moments_neg
-    if family is AsymptoticFamily.QUADRATIC_OR_BURES:
-        m, kind = np.eye(a.size), DivergenceKind.BURES
+    if divergence.rho_pos == math.inf:
+        y, inflated = 1, moments_pos
+    elif divergence.rho_neg == math.inf:
+        y, inflated = -1, moments_neg
     else:
-        m, kind = ridge(inflated.covariance), DivergenceKind.FISHER_RAO
-    w = _mpm_step(m, a)
-    b = float(w @ inflated.mean) - inflated_class
-    rho_pos = math.inf if inflated_class == 1 else 0.0
-    rho_neg = math.inf if inflated_class == -1 else 0.0
-    divergence = Divergence(kind=kind, rho_pos=rho_pos, rho_neg=rho_neg)
-    return Surrogate(w=w, b=b, kappa=0.0, divergence=divergence)
+        raise ValueError("the asymptote needs a divergence with one +inf radius")
+    a, _ = _mean_gap(moments_pos, moments_neg)
+    isotropic = divergence.kind in (DivergenceKind.QUADRATIC, DivergenceKind.BURES)
+    w = _mpm_step(np.eye(a.size) if isotropic else ridge(inflated.covariance), a)
+    return Surrogate(w=w, b=float(w @ inflated.mean) - y, kappa=0.0,
+                     divergence=divergence)
 
 
 def fr_worst_case_covariance(covariance, rho, w):

@@ -98,12 +98,13 @@ def test_criterion_02_asymptote_quadratic_bures():
                    "validity 10/sqrt(5)"):
         t0 = time.perf_counter()
         pos, neg = counter_moments()
-        sur = asymptotic_surrogate(pos, neg, "quadratic-or-bures",
-                                   inflated_class=-1)
-        assert_allclose(sur.w, [-0.1, 0.0], atol=1e-4)
-        assert abs(sur.b - 1.0) <= 1e-4
-        _, validity = coverage_validity(sur, pos, neg)
-        assert abs(validity - 10.0 / math.sqrt(5.0)) <= 1e-4
+        for kind in ("quadratic", "bures"):
+            sur = asymptotic_surrogate(pos, neg,
+                                       Divergence(kind=kind, rho_neg=math.inf))
+            assert_allclose(sur.w, [-0.1, 0.0], atol=1e-4)
+            assert abs(sur.b - 1.0) <= 1e-4
+            _, validity = coverage_validity(sur, pos, neg)
+            assert abs(validity - 10.0 / math.sqrt(5.0)) <= 1e-4
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -112,12 +113,13 @@ def test_criterion_03_asymptote_fisher_rao_logdet():
                    "validity 10"):
         t0 = time.perf_counter()
         pos, neg = counter_moments()
-        sur = asymptotic_surrogate(pos, neg, "fisher-rao-or-logdet",
-                                   inflated_class=-1)
-        assert_allclose(sur.w, [-0.1, 0.2], atol=1e-4)
-        assert abs(sur.b - 1.0) <= 1e-4
-        _, validity = coverage_validity(sur, pos, neg)
-        assert abs(validity - 10.0) <= 1e-4
+        for kind in ("fisher-rao", "logdet"):
+            sur = asymptotic_surrogate(pos, neg,
+                                       Divergence(kind=kind, rho_neg=math.inf))
+            assert_allclose(sur.w, [-0.1, 0.2], atol=1e-4)
+            assert abs(sur.b - 1.0) <= 1e-4
+            _, validity = coverage_validity(sur, pos, neg)
+            assert abs(validity - 10.0) <= 1e-4
         assert time.perf_counter() - t0 < 1.0
 
 

@@ -206,13 +206,20 @@ def test_parse_range_non_dividing_step_stops_short():
     assert _parse_range("0:1:0.3") == pytest.approx((0.0, 0.3, 0.6, 0.9))
 
 
-# 0:1e308:1e-300 has no finite count of radii.
+# 0:1e308:1e-300 has no finite count of radii, and 0:700:1e-9 has
+# 7e11: both are refused before any value is built.
 @pytest.mark.parametrize("text", ["1:2", "0:10:0", "0:10:-1", "5:1:1", "nan", "-1",
                                   "inf", "-1:1:1", "0:nan:1", "0:inf:1",
-                                  "0:1e308:1e-300"])
+                                  "0:1e308:1e-300", "0:700:1e-9"])
 def test_parse_range_rejects_bad_input(text):
     with pytest.raises(ValueError):
         _parse_range(text)
+
+
+def test_parse_range_refuses_more_than_a_million_steps():
+    assert len(_parse_range("0:1:1e-6")) == 10**6 + 1
+    with pytest.raises(ValueError, match="too many radii"):
+        _parse_range("0:1000001:1")
 
 
 def test_parse_instances():
@@ -555,6 +562,7 @@ def test_max_instances_below_one_exits_one(tmp_path, capsys, value):
     ("sweep", "--rho-neg", "0:inf:1"),
     ("sweep", "--rho-neg", "-1:1:1"),
     ("sweep", "--rho-neg", "0:1e308:1e-300"),
+    ("sweep", "--rho-neg", "0:700:1e-9"),
     ("sweep", "--rho-pos", "nan"),
     ("recourse", "--rho-neg", "-1"),
     ("recourse", "--rho-pos", "inf"),

@@ -24,7 +24,6 @@ import cvas
 from cvas import blackbox
 from cvas import (
     ActionSpec,
-    AsymptoticFamily,
     ClassMoments,
     CvasError,
     DimensionMismatch,
@@ -96,6 +95,8 @@ NEG = ClassMoments(mean=[-1.0, 0.0], covariance=EYE, count=10)
 NEG_WIDE = ClassMoments(mean=[-1.0, 0.0, 0.0], covariance=np.eye(3), count=10)
 NOMINAL = Divergence(kind="nominal")
 FR = Divergence(kind="fisher-rao", rho_neg=1.0)
+FR_POS_INF = Divergence(kind="fisher-rao", rho_pos=inf)
+BURES_NEG_INF = Divergence(kind="bures", rho_neg=inf)
 SUR = Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0, divergence=NOMINAL)
 SAMPLER = SamplerConfig(n_p=50)
 ACTIONS = default_action_grids(X0, X)
@@ -235,12 +236,13 @@ CASES = [
     *_each("Surrogate", "kappa", RADII,
            lambda r: Surrogate(w=[1.0, 0.0], b=0.0, kappa=r, divergence=NOMINAL),
            allowed=CONFIG),
-    # +inf is a valid radius here: asymptotic_surrogate records the
-    # inflated radius that way.
+    # +inf is a valid radius here: asymptotic_surrogate takes the
+    # inflated class's radius that way. Two +inf radii name no class.
     *_each("Divergence", "rho_neg", [c for c in RADII if c[0] != "inf"],
            lambda r: Divergence(kind="bures", rho_neg=r)),
+    *_raises("Divergence", "both-inf",
+             lambda: Divergence(kind="bures", rho_pos=inf, rho_neg=inf), DomainError),
     *_one("DivergenceKind", "nan", lambda: DivergenceKind(nan), allowed=CONFIG),
-    *_one("AsymptoticFamily", "nan", lambda: AsymptoticFamily(nan), allowed=CONFIG),
     *_each("TrainConfig", "learning_rate", RADII,
            lambda r: TrainConfig(learning_rate=r), allowed=CONFIG),
     *_each("SamplerConfig", "r_p", RADII, lambda r: SamplerConfig(r_p=r),
@@ -386,14 +388,15 @@ CASES = [
     *_one("solve_cvas", "rho_neg=inf",
           lambda: solve_cvas(POS, NEG, Divergence(kind="logdet", rho_neg=inf))),
     *_one("asymptotic_surrogate", "wide",
-          lambda: asymptotic_surrogate(POS, NEG_WIDE, "fisher-rao-or-logdet", 1)),
+          lambda: asymptotic_surrogate(POS, NEG_WIDE, FR_POS_INF)),
     *_one("asymptotic_surrogate", "identical",
-          lambda: asymptotic_surrogate(POS, POS, "quadratic-or-bures", -1)),
+          lambda: asymptotic_surrogate(POS, POS, BURES_NEG_INF)),
     # The asymptote used to solve with -I and return w = [1, 0].
     *_raises("asymptotic_surrogate", "covariance=-I",
-             lambda: asymptotic_surrogate(NEGATIVE_POS, ORIGIN,
-                                          "fisher-rao-or-logdet", 1),
+             lambda: asymptotic_surrogate(NEGATIVE_POS, ORIGIN, FR_POS_INF),
              SingularCovariance),
+    *_raises("asymptotic_surrogate", "radii-finite",
+             lambda: asymptotic_surrogate(POS, NEG, FR), ValueError),
     *_one("coverage_validity", "wide", lambda: coverage_validity(SUR, POS, NEG_WIDE)),
     # Both margins used to be NaN.
     *_raises("coverage_validity", "margin-overflow",
