@@ -46,14 +46,10 @@ RECOURSE_HEADER = ("instance_id,mode,divergence,rho_neg,cost,"
 _MAX_RANGE_STEPS = 10**6
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # raise instead of sys.exit so run() can map usage errors to code 1
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -124,15 +120,6 @@ def parse_feature_spec(path):
 
 
 @dataclass(frozen=True)
-class ColumnInfo:
-    """Maps an encoded column back to its source feature."""
-
-    name: str
-    source: str
-    actionability: str
-
-
-@dataclass(frozen=True)
 class Encoder:
     """Fitted encoding state: categorical levels and z-score statistics.
 
@@ -149,15 +136,15 @@ class Encoder:
     stds: dict
 
     def apply(self, columns_raw):
-        blocks, infos = [], []
+        """The encoded features, and the actionability of each column."""
+        blocks, action_kinds = [], []
         for col in self.spec.feature_columns:
             raw = columns_raw[col.name]
             if col.kind == "categorical":
                 for level in self.levels[col.name]:
                     blocks.append(np.array([1.0 if v == level else 0.0
                                             for v in raw]))
-                    infos.append(ColumnInfo(f"{col.name}={level}", col.name,
-                                            col.actionability))
+                    action_kinds.append(col.actionability)
                 continue
             values = _parse_numeric(col.name, raw)
             if col.kind == "binary":
@@ -169,22 +156,18 @@ class Encoder:
                 centered = values - self.means[col.name]
                 std = self.stds[col.name]
                 blocks.append(centered / std if std > 0.0 else centered)
-            infos.append(ColumnInfo(col.name, col.name, col.actionability))
-        return np.column_stack(blocks), tuple(infos)
+            action_kinds.append(col.actionability)
+        return np.column_stack(blocks), tuple(action_kinds)
 
 
 @dataclass(frozen=True)
 class EncodedDataset:
     features: np.ndarray
     labels: np.ndarray
-    columns: tuple
+    action_kinds: tuple
     train_idx: np.ndarray
     test_idx: np.ndarray
     encoder: Encoder
-
-    @property
-    def action_kinds(self):
-        return tuple(info.actionability for info in self.columns)
 
 
 def _read_csv(path, spec):
@@ -224,7 +207,8 @@ def _parse_numeric(name, raw):
 
 
 def _parse_labels(raw):
-    labels = np.empty(len(raw))
+    """One file's label column, in {-1,+1} or in {0,1}, as -1/+1."""
+    labels, seen = np.empty(len(raw)), set()
     for i, cell in enumerate(raw):
         try:
             value = float(cell)
@@ -233,6 +217,10 @@ def _parse_labels(raw):
         if value not in (-1.0, 0.0, 1.0):
             raise BadLabelValue(f"label {cell!r} not in {{-1,+1}} or {{0,1}}")
         labels[i] = 1.0 if value == 1.0 else -1.0
+        seen.add(value)
+    if {-1.0, 0.0} <= seen:
+        raise BadLabelValue("labels mix the {-1,+1} and {0,1} encodings: "
+                            "one column holds both -1 and 0")
     return labels
 
 
@@ -274,10 +262,10 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
             means[col.name] = float(values.mean())
             stds[col.name] = float(values.std())
     encoder = Encoder(spec=spec, levels=levels, means=means, stds=stds)
-    features, infos = encoder.apply(columns_raw)
-    return EncodedDataset(features=features, labels=labels, columns=infos,
-                          train_idx=train_idx, test_idx=test_idx,
-                          encoder=encoder)
+    features, action_kinds = encoder.apply(columns_raw)
+    return EncodedDataset(features=features, labels=labels,
+                          action_kinds=action_kinds, train_idx=train_idx,
+                          test_idx=test_idx, encoder=encoder)
 
 
 def encode_csv(encoder, csv_path):
@@ -397,15 +385,15 @@ def _config_flags(path):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     flags = []
     for lineno, line in _content_lines(text):
         key, sep, value = line.partition("=")
         key = key.strip().replace("_", "-")
         if not sep:
-            raise _UsageError(f"{path}:{lineno}: expected `key = value`")
+            raise ValueError(f"{path}:{lineno}: expected `key = value`")
         if key == "config":
-            raise _UsageError(f"{path}:{lineno}: a config file cannot set --config")
+            raise ValueError(f"{path}:{lineno}: a config file cannot set --config")
         flags.append(f"--{key}={value.strip()}")
     return flags
 
@@ -459,8 +447,8 @@ def _cmd_recourse(ns):
     n_rows = dataset.features.shape[0]
     for instance_id in ns.instances:
         if instance_id >= n_rows:
-            raise _UsageError(f"instance id {instance_id} out of range "
-                              f"(dataset has {n_rows} rows)")
+            raise ValueError(f"instance id {instance_id} out of range "
+                             f"(dataset has {n_rows} rows)")
     model = load_model(ns.model)
     train_features = dataset.features[dataset.train_idx]
     # One ball radius for every instance.
@@ -544,7 +532,7 @@ def run(argv):
     try:
         args = _parse(argv)
         args.handler(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CvasError, OSError) as exc:

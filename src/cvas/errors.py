@@ -28,7 +28,8 @@ class DimensionMismatch(CvasError):
 
 
 class BadLabelValue(CvasError):
-    """A label is outside {-1, +1} (training) or {-1, +1} / {0, 1} (CSV)."""
+    """A label is outside {-1, +1} (training) or {-1, +1} / {0, 1} (CSV),
+    or one CSV label column holds both -1 and 0."""
 
 
 # ----------------------------------------------------------------- sampler

@@ -17,7 +17,7 @@ from .errors import DomainError, TooFewSamples, finite_array
 
 @dataclass(frozen=True)
 class ClassMoments:
-    """Empirical mean, covariance, and row count of one class.
+    """Empirical mean and covariance of one class.
 
     The mean is a finite vector, the covariance a finite square matrix
     of its width, symmetrized so downstream factorizations never see
@@ -29,7 +29,6 @@ class ClassMoments:
 
     mean: np.ndarray
     covariance: np.ndarray
-    count: int
 
     def __post_init__(self):
         mean = finite_array(self.mean, "class mean", shape=(None,), frozen=True)
@@ -60,7 +59,7 @@ def estimate_moments(features):
     Returns
     -------
     ClassMoments
-        Mean vector, symmetrized unbiased covariance, and count m.
+        Mean vector and symmetrized unbiased covariance.
 
     Raises
     ------
@@ -78,7 +77,7 @@ def estimate_moments(features):
         mean = features.mean(axis=0)
         centered = features - mean
         cov = centered.T @ centered / (m - 1)
-    return ClassMoments(mean=mean, covariance=cov, count=m)
+    return ClassMoments(mean=mean, covariance=cov)
 
 
 def ridge(covariance):

@@ -230,35 +230,35 @@ def resolve_radius(config, features, max_distance=None):
     return radius
 
 
-def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
+def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi):
     """Boundary point on each segment [x0, prototypes[i]], shape (k, d).
 
     Works on f_i(t) = g(x0 + t*(prototypes[i] - x0)) - threshold, with
     f_lo = f(0) and f_hi[i] = f_i(1) as the caller computed them; their
     signs must differ (f >= 0 is the positive side), so every segment
-    crosses the boundary. Each segment keeps a bracket [a, b] of t, a on
-    x0's side, and steps by ITP (Oliveira and Takahashi, ACM TOMS 47(1),
-    2020): the regula falsi point of the bracket, pushed toward its
-    midpoint by 0.2 (b - a)^2 and kept within the distance of the
-    midpoint that still lets the bracket reach tol / length in one step
-    more than bisection would take (n0 = 1). A segment therefore takes
-    at most ceil(log2(length / tol)) + 1 steps, what bisection took,
-    and far fewer where f is smooth. All segments step in lockstep: each
-    step evaluates the new points of the segments still open in one
-    forward pass. A segment stops at a point with |f| <= tol, or at the
-    midpoint of a bracket no longer than tol, or after _BISECT_CAP
-    steps at its bracket's midpoint.
+    crosses the boundary. tol is _LINE_SEARCH_TOL. Each segment keeps a
+    bracket [a, b] of t, a on x0's side, and steps by ITP (Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020): the regula falsi point of the
+    bracket, pushed toward its midpoint by 0.2 (b - a)^2 and kept within
+    the distance of the midpoint that still lets the bracket reach tol /
+    length in one step more than bisection would take (n0 = 1). A
+    segment therefore takes at most ceil(log2(length / tol)) + 1 steps,
+    what bisection took, and far fewer where f is smooth. All segments
+    step in lockstep: each step evaluates the new points of the segments
+    still open in one forward pass. A segment stops at a point with
+    |f| <= tol, or at the midpoint of a bracket no longer than tol, or
+    after _BISECT_CAP steps at its bracket's midpoint.
     """
     directions = prototypes - x0
     k = directions.shape[0]
-    if abs(f_lo) <= tol:
+    if abs(f_lo) <= _LINE_SEARCH_TOL:
         return np.tile(x0, (k, 1))
     # Row by row, so each length rounds as np.linalg.norm of one vector.
     seg_len = np.array([np.linalg.norm(direction) for direction in directions])
     # tol / (2 length) * 2^n_max: after `step` steps the point may lie
     # budget / 2^step - (b - a) / 2 from the midpoint.
-    halvings = np.ceil(np.log2(np.maximum(seg_len / tol, 1.0)))
-    budget = (tol / (2.0 * seg_len) * 2.0 ** (halvings + 1)).tolist()
+    halvings = np.ceil(np.log2(np.maximum(seg_len / _LINE_SEARCH_TOL, 1.0)))
+    budget = (_LINE_SEARCH_TOL / (2.0 * seg_len) * 2.0 ** (halvings + 1)).tolist()
     seg_len = seg_len.tolist()
     # Each segment's bracket [a, b, f(a), f(b)] and point t, as Python
     # floats: a step over ten segments made some 50 numpy calls on
@@ -267,9 +267,9 @@ def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
     # (gap > 0) - (gap < 0), width ** 2 is width * width), so each bit is.
     f_lo = float(f_lo)
     brackets = [[0.0, 1.0, f_lo, f_b] for f_b in np.asarray(f_hi, dtype=float).tolist()]
-    found = [abs(f_b) <= tol for *_, f_b in brackets]
+    found = [abs(f_b) <= _LINE_SEARCH_TOL for *_, f_b in brackets]
     t = [1.0 if hit else 0.5 for hit in found]  # 0.5: the midpoint of [0, 1]
-    active = [j for j in range(k) if not found[j] and seg_len[j] > tol]
+    active = [j for j in range(k) if not found[j] and seg_len[j] > _LINE_SEARCH_TOL]
     # f(a) keeps the sign of f(0) through every update of a.
     a_positive = f_lo >= 0.0
     for step in range(_BISECT_CAP):
@@ -295,11 +295,11 @@ def _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol):
                 bracket[0], bracket[2] = x, f_x
             else:
                 bracket[1], bracket[3] = x, f_x
-            if abs(f_x) <= tol:
+            if abs(f_x) <= _LINE_SEARCH_TOL:
                 t[j] = x
                 continue
             t[j] = (bracket[0] + bracket[1]) / 2.0
-            if (bracket[1] - bracket[0]) * seg_len[j] > tol:
+            if (bracket[1] - bracket[0]) * seg_len[j] > _LINE_SEARCH_TOL:
                 still_active.append(j)
         active = still_active
     return x0 + np.array(t)[:, None] * directions
@@ -359,8 +359,7 @@ def find_boundary_point(x0, dataset, model, config=SamplerConfig()):
 
     near = np.concatenate(near)[:config.k]
     candidates = _bracket_to_boundary(model, x0, dataset[near], f0,
-                                      np.concatenate(f_near)[:config.k],
-                                      _LINE_SEARCH_TOL)
+                                      np.concatenate(f_near)[:config.k])
     best = np.argmin(np.linalg.norm(candidates - x0, axis=1))
     return candidates[best]
 

@@ -157,9 +157,8 @@ def lambert_w_minus1(x):
                     break
             return w
     else:
-        p = -math.sqrt(max(0.0, 2.0 * (1.0 + math.e * x)))
-        if p == 0.0:
-            return -1.0
+        # Above -1/e, 1 + e*x is at least one ulp of 1: p < 0.
+        p = -math.sqrt(2.0 * (1.0 + math.e * x))
         w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
 
     for _ in range(200):

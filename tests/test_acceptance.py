@@ -76,8 +76,8 @@ def scored(number, summary, elapsed=None):
 
 def counter_moments():
     cov = np.array([[5.0, 2.0], [2.0, 1.0]])
-    pos = ClassMoments(mean=np.array([-10.0, 0.0]), covariance=cov, count=100)
-    neg = ClassMoments(mean=np.array([0.0, 0.0]), covariance=cov, count=100)
+    pos = ClassMoments(mean=np.array([-10.0, 0.0]), covariance=cov)
+    neg = ClassMoments(mean=np.array([0.0, 0.0]), covariance=cov)
     return pos, neg
 
 
@@ -157,8 +157,8 @@ def _moment_pairs(seed, count):
     for _ in range(count):
         d = int(rng.integers(2, 5))
         mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, d)
-        pairs.append((ClassMoments(mu_pos, cov_pos, 200),
-                      ClassMoments(mu_neg, cov_neg, 200)))
+        pairs.append((ClassMoments(mu_pos, cov_pos),
+                      ClassMoments(mu_neg, cov_neg)))
     return pairs
 
 

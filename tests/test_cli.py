@@ -88,10 +88,8 @@ def mixed_dataset(tmp_path):
 def test_one_hot_encoding_and_metadata(mixed_dataset):
     data, spec = mixed_dataset
     ds = load_dataset(data, spec, seed=0)
-    names = [c.name for c in ds.columns]
     # Levels come from the training split, sorted lexicographically.
-    assert names == ["color=blue", "color=red", "age", "vip"]
-    assert [c.source for c in ds.columns] == ["color", "color", "age", "vip"]
+    assert ds.encoder.levels["color"] == ("blue", "red")
     assert ds.action_kinds == ("free", "free", "non_decreasing", "immutable")
     one_hot = ds.features[:, :2]
     assert set(map(tuple, one_hot)) == {(1.0, 0.0), (0.0, 1.0)}
@@ -143,12 +141,20 @@ def test_binary_column_rejects_other_values(tmp_path):
 
 def test_bad_label_values(tmp_path):
     spec = write(tmp_path / "cols.txt", "a,continuous,free\nlabel,label\n")
-    for cell in ("2", "yes"):
+    good = write(tmp_path / "good.csv",
+                 "a,label\n" + "".join(f"{i},{i % 2}\n" for i in range(10)))
+    encoder = load_dataset(good, spec, seed=0).encoder
+    columns = [[cell if i == 3 else "1" for i in range(10)] for cell in ("2", "yes")]
+    # -1, 0 and 1 in one column mix the {-1,+1} and {0,1} encodings, and
+    # would read 0 and -1 both as -1.
+    columns.append([str(i % 3 - 1) for i in range(10)])
+    for column in columns:
         data = write(tmp_path / "d.csv",
-                     "a,label\n" + "".join(f"{i},{cell if i == 3 else 1}\n"
-                                           for i in range(10)))
+                     "a,label\n" + "".join(f"{i},{v}\n" for i, v in enumerate(column)))
         with pytest.raises(BadLabelValue):
             load_dataset(data, spec, seed=0)
+        with pytest.raises(BadLabelValue):
+            encode_csv(encoder, data)
 
 
 @pytest.mark.parametrize("csv_text", [

@@ -90,9 +90,9 @@ X = np.random.default_rng(0).normal(size=(40, 2))
 Y = MODEL.label(X)
 X0 = X[Y == -1][0]
 EYE = np.eye(2)
-POS = ClassMoments(mean=[1.0, 0.0], covariance=EYE, count=10)
-NEG = ClassMoments(mean=[-1.0, 0.0], covariance=EYE, count=10)
-NEG_WIDE = ClassMoments(mean=[-1.0, 0.0, 0.0], covariance=np.eye(3), count=10)
+POS = ClassMoments(mean=[1.0, 0.0], covariance=EYE)
+NEG = ClassMoments(mean=[-1.0, 0.0], covariance=EYE)
+NEG_WIDE = ClassMoments(mean=[-1.0, 0.0, 0.0], covariance=np.eye(3))
 NOMINAL = Divergence(kind="nominal")
 FR = Divergence(kind="fisher-rao", rho_neg=1.0)
 FR_POS_INF = Divergence(kind="fisher-rao", rho_pos=inf)
@@ -104,25 +104,23 @@ ACTIONS = default_action_grids(X0, X)
 HUGE_ROWS = np.random.default_rng(0).normal(size=(50, 3)) * 1e154
 # Class moments whose a^T a (FAR_POS) or w0^T Sigma w0 (WIDE_*) overflows,
 # and an indefinite covariance.
-FAR_POS = ClassMoments(mean=[1e162, 0.0], covariance=EYE, count=10)
-ORIGIN = ClassMoments(mean=[0.0, 0.0], covariance=EYE, count=10)
-WIDE_POS = ClassMoments(mean=[1e-100, 0.0], covariance=1e200 * EYE, count=10)
-WIDE_NEG = ClassMoments(mean=[0.0, 0.0], covariance=1e200 * EYE, count=10)
+FAR_POS = ClassMoments(mean=[1e162, 0.0], covariance=EYE)
+ORIGIN = ClassMoments(mean=[0.0, 0.0], covariance=EYE)
+WIDE_POS = ClassMoments(mean=[1e-100, 0.0], covariance=1e200 * EYE)
+WIDE_NEG = ClassMoments(mean=[0.0, 0.0], covariance=1e200 * EYE)
 INDEFINITE = np.diag([-1.0, 1.0])
 # Finite covariances whose symmetrization and trace overflow, and a
 # class with covariance -I, on which the solver raises SingularCovariance.
 OVERFLOWING = [("1e308", 1e308 * EYE), ("9e307", 9e307 * EYE)]
-NEGATIVE_POS = ClassMoments(mean=[1.0, 0.0], covariance=-EYE, count=10)
+NEGATIVE_POS = ClassMoments(mean=[1.0, 0.0], covariance=-EYE)
 # Indefinite with trace 0, so the ridge rounds away; at w0 = a/6 the
 # weighted sum of the two covariances is exactly singular.
-SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -8e20]),
-                         count=10)
-SPLIT_NEG = ClassMoments(mean=[0.0, 0.0, 0.0], covariance=np.diag([-2e20, 1e20, 1e20]),
-                         count=10)
+SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -8e20]))
+SPLIT_NEG = ClassMoments(mean=[0.0, 0.0, 0.0], covariance=np.diag([-2e20, 1e20, 1e20]))
 HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
 # Class means whose w^T mu overflows for HUGE's slope.
-FAR_200 = ClassMoments(mean=[1e200, 0.0], covariance=EYE, count=10)
-FAR_NEG_200 = ClassMoments(mean=[-1e200, 0.0], covariance=EYE, count=10)
+FAR_200 = ClassMoments(mean=[1e200, 0.0], covariance=EYE)
+FAR_NEG_200 = ClassMoments(mean=[-1e200, 0.0], covariance=EYE)
 TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
 FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
 FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
@@ -221,11 +219,11 @@ def _surrogate_rows(method):
 CASES = [
     # value types and configs
     *_each("ClassMoments", "mean", VECTORS,
-           lambda v: ClassMoments(mean=v, covariance=EYE, count=3)),
+           lambda v: ClassMoments(mean=v, covariance=EYE)),
     *_each("ClassMoments", "covariance", MATRICES,
-           lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m, count=3)),
+           lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m)),
     *_each("ClassMoments", "covariance", OVERFLOWING,
-           lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m, count=3),
+           lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m),
            DomainError, must_raise=True),
     *_each("Surrogate", "w", VECTORS,
            lambda v: Surrogate(w=v, b=0.0, kappa=1.0, divergence=NOMINAL)),
@@ -373,15 +371,15 @@ CASES = [
     *_one("solve_cvas", "wide", lambda: solve_cvas(POS, NEG_WIDE, FR)),
     *_one("solve_cvas", "identical", lambda: solve_cvas(POS, POS, FR)),
     *_raises("solve_cvas", "mean=nan",
-             lambda: solve_cvas(ClassMoments(mean=[nan, 0.0], covariance=EYE, count=3),
+             lambda: solve_cvas(ClassMoments(mean=[nan, 0.0], covariance=EYE),
                                 NEG, FR), NonFiniteInput),
     *_raises("solve_cvas", "mean=1e162",
              lambda: solve_cvas(FAR_POS, ORIGIN, NOMINAL), DomainError),
     *_raises("solve_cvas", "covariance=1e200",
              lambda: solve_cvas(WIDE_POS, WIDE_NEG, NOMINAL), DomainError),
     *_raises("solve_cvas", "covariance=indefinite",
-             lambda: solve_cvas(POS, ClassMoments(mean=[-1.0, 0.0], covariance=INDEFINITE,
-                                                  count=10), NOMINAL),
+             lambda: solve_cvas(POS, ClassMoments(mean=[-1.0, 0.0], covariance=INDEFINITE),
+                                NOMINAL),
              SingularCovariance),
     *_raises("solve_cvas", "covariance=singular-sum",
              lambda: solve_cvas(SPLIT_POS, SPLIT_NEG, NOMINAL), SingularCovariance),
@@ -403,7 +401,7 @@ CASES = [
              lambda: coverage_validity(HUGE, FAR_200, FAR_NEG_200), DomainError),
     *_raises("coverage_validity", "mean=nan",
              lambda: coverage_validity(SUR, POS, ClassMoments(
-                 mean=[nan, 0.0], covariance=EYE, count=3)), NonFiniteInput),
+                 mean=[nan, 0.0], covariance=EYE)), NonFiniteInput),
     *_each("worst_case_misclassification", "mean", VECTORS,
            lambda v: worst_case_misclassification(SUR, v, EYE)),
     *_each("worst_case_misclassification", "covariance", MATRICES,
@@ -566,7 +564,7 @@ def test_bad_input_raises_or_returns_finite(target, label, call, allowed, must_r
 def test_value_arrays_are_read_only():
     w, mean, cov = np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.eye(2)
     surrogate = Surrogate(w=w, b=0.0, kappa=1.0, divergence=NOMINAL)
-    moments = ClassMoments(mean=mean, covariance=cov, count=3)
+    moments = ClassMoments(mean=mean, covariance=cov)
     for array in (surrogate.w, moments.mean, moments.covariance):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = nan

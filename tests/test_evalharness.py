@@ -177,7 +177,7 @@ def test_neighbor_moments_store_failures_without_traceback(linear_pipeline):
 
 def test_max_slope_gap_skips_failed_neighbors():
     def moments(mean):
-        return ClassMoments(mean=mean, covariance=np.eye(2), count=10)
+        return ClassMoments(mean=mean, covariance=np.eye(2))
 
     nominal = Divergence(kind="nominal")
     pos = moments([1.0, 0.0])
@@ -426,6 +426,16 @@ def test_sweep_scans_the_pairs_once(sweep_fixture, monkeypatch):
     sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0], "projection",
           config)
     assert len(calls) == 1
+
+
+def test_derived_seeds_extend_as_a_prefix():
+    # The first k seeds do not depend on how many follow, so an
+    # instance's seeds depend on the master seed and its index alone.
+    for master in (0, 1, 7, 12345, 2**63 - 1):
+        for n in (1, 7, 73):
+            seeds = evalharness._derived_seeds(master, n)
+            for k in range(n + 1):
+                assert evalharness._derived_seeds(master, k) == seeds[:k]
 
 
 def test_sweep_sensitivity_matches_public_sensitivity(sweep_fixture,

@@ -27,7 +27,6 @@ def test_two_point_moments():
     m = estimate_moments(np.array([[0.0, 0.0], [2.0, 0.0]]))
     assert_allclose(m.mean, [1.0, 0.0])
     assert_allclose(m.covariance, [[2.0, 0.0], [0.0, 0.0]])
-    assert m.count == 2
 
 
 def test_identical_rows_zero_covariance():
@@ -61,7 +60,7 @@ def test_covariance_symmetric_psd():
 
 def test_class_moments_symmetrizes():
     lopsided = np.array([[1.0, 1.0], [0.0, 1.0]])
-    m = ClassMoments(mean=np.zeros(2), covariance=lopsided, count=5)
+    m = ClassMoments(mean=np.zeros(2), covariance=lopsided)
     assert np.array_equal(m.covariance, m.covariance.T)
 
 

@@ -144,7 +144,7 @@ def _lockstep(model, x0, prototypes):
     """_bracket_to_boundary's points and its number of forward passes."""
     counting = _CountingModel(model)
     points = _bracket_to_boundary(counting, x0, prototypes, _f(model, x0[None, :])[0],
-                                  _f(model, prototypes), _LINE_SEARCH_TOL)
+                                  _f(model, prototypes))
     assert points.shape == prototypes.shape
     return points, counting.calls
 
@@ -219,7 +219,7 @@ def test_lockstep_points_match_the_whole_array_search_bit_for_bit(trained):
             want = itp_lockstep_oracle(model, x0, prototypes, f_lo, f_hi, tol, cap)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr("cvas.sampler._BISECT_CAP", cap)
-                got = _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi, tol)
+                got = _bracket_to_boundary(model, x0, prototypes, f_lo, f_hi)
             assert got.tobytes() == want.tobytes()
 
 

@@ -23,6 +23,7 @@ from cvas import (
     asymptotic_surrogate,
     coverage_validity,
     fr_worst_case_covariance,
+    halfspace_distance,
     lambert_w_minus1,
     load_surrogate,
     optimal_mean,
@@ -48,10 +49,8 @@ COUNTER_COV = np.array([[5.0, 2.0], [2.0, 1.0]])
 
 
 def counter_moments():
-    pos = ClassMoments(mean=np.array([-10.0, 0.0]), covariance=COUNTER_COV,
-                       count=100)
-    neg = ClassMoments(mean=np.array([0.0, 0.0]), covariance=COUNTER_COV,
-                       count=100)
+    pos = ClassMoments(mean=np.array([-10.0, 0.0]), covariance=COUNTER_COV)
+    neg = ClassMoments(mean=np.array([0.0, 0.0]), covariance=COUNTER_COV)
     return pos, neg
 
 
@@ -62,8 +61,8 @@ def in_plane_basis(a):
 
 def random_moments(rng, d=3):
     mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, d)
-    return (ClassMoments(mean=mu_pos, covariance=cov_pos, count=50),
-            ClassMoments(mean=mu_neg, covariance=cov_neg, count=50))
+    return (ClassMoments(mean=mu_pos, covariance=cov_pos),
+            ClassMoments(mean=mu_neg, covariance=cov_neg))
 
 
 # ---------------------------------------------------------------- lambert
@@ -238,7 +237,7 @@ def test_fisher_rao_counterexample():
 
 
 def test_identical_means():
-    m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=10)
+    m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     with pytest.raises(IdenticalMeans):
         solve_cvas(m, m, Divergence(kind="nominal"))
 
@@ -314,7 +313,7 @@ def _anisotropic_moments(seed, d, cond):
 
     a = rng.normal(size=d)
     a /= np.linalg.norm(a)
-    return (ClassMoments(a, cov(), 100), ClassMoments(np.zeros(d), cov(), 100))
+    return (ClassMoments(a, cov()), ClassMoments(np.zeros(d), cov()))
 
 
 @pytest.mark.parametrize("d, cond", [(3, 1e3), (5, 1e3), (10, 1e3), (5, 1e4)])
@@ -352,8 +351,8 @@ def test_solve_tests_its_last_iterate(monkeypatch):
     # With no step allowed, a w0 that passes the stop test is returned:
     # equal isotropic classes have their optimum at a/||a||^2.
     monkeypatch.setattr(surrogate, "_MAX_STEPS", 0)
-    pos = ClassMoments(mean=np.array([2.0, 1.0]), covariance=np.eye(2), count=10)
-    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=10)
+    pos = ClassMoments(mean=np.array([2.0, 1.0]), covariance=np.eye(2))
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     sur = solve_cvas(pos, neg, Divergence(kind="bures", rho_neg=1.0))
     assert_allclose(sur.w, [0.4, 0.2], rtol=1e-15)
 
@@ -427,8 +426,8 @@ def test_scale_consistency():
     base = solve_cvas(pos, neg, Divergence(kind="nominal"))
     s = 3.0
     scaled = solve_cvas(
-        ClassMoments(pos.mean, s**2 * pos.covariance, pos.count),
-        ClassMoments(neg.mean, s**2 * neg.covariance, neg.count),
+        ClassMoments(pos.mean, s**2 * pos.covariance),
+        ClassMoments(neg.mean, s**2 * neg.covariance),
         Divergence(kind="nominal"))
     assert_allclose(scaled.w, base.w, atol=1e-9)
     assert_allclose(scaled.b, base.b, atol=1e-9)
@@ -436,10 +435,8 @@ def test_scale_consistency():
 
 
 def test_one_dimensional_solve():
-    pos = ClassMoments(mean=np.array([2.0]), covariance=np.array([[1.0]]),
-                       count=10)
-    neg = ClassMoments(mean=np.array([0.0]), covariance=np.array([[4.0]]),
-                       count=10)
+    pos = ClassMoments(mean=np.array([2.0]), covariance=np.array([[1.0]]))
+    neg = ClassMoments(mean=np.array([0.0]), covariance=np.array([[4.0]]))
     sur = solve_cvas(pos, neg, Divergence(kind="nominal"))
     assert_allclose(sur.w, [0.5], rtol=1e-12)
     # margins: tau_pos = 0.5, tau_neg = 1.0, kappa = 1/1.5
@@ -467,14 +464,13 @@ def _mpm_instances(d, count=20):
     for _ in range(count):
         mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, d)
         rho_pos, rho_neg = (float(r) for r in rng.uniform(0.0, 5.0, size=2))
-        yield (ClassMoments(mean=mu_pos, covariance=cov_pos, count=50),
-               ClassMoments(mean=mu_neg, covariance=cov_neg, count=50),
+        yield (ClassMoments(mean=mu_pos, covariance=cov_pos),
+               ClassMoments(mean=mu_neg, covariance=cov_neg),
                rho_pos, rho_neg)
 
 
 def _scaled(moments, covariance):
-    return ClassMoments(mean=moments.mean, covariance=covariance,
-                        count=moments.count)
+    return ClassMoments(mean=moments.mean, covariance=covariance)
 
 
 def _assert_same_surrogate(got, want, rtol):
@@ -609,8 +605,8 @@ def test_asymptotic_fisher_rao_or_logdet():
 
 
 def test_asymptotic_families_coincide_isotropic():
-    pos = ClassMoments(mean=np.array([1.0, 1.0]), covariance=np.eye(2), count=9)
-    neg = ClassMoments(mean=np.array([-1.0, 0.0]), covariance=np.eye(2), count=9)
+    pos = ClassMoments(mean=np.array([1.0, 1.0]), covariance=np.eye(2))
+    neg = ClassMoments(mean=np.array([-1.0, 0.0]), covariance=np.eye(2))
     a = asymptotic_surrogate(pos, neg, _inflated("bures", 1))
     b = asymptotic_surrogate(pos, neg, _inflated("fisher-rao", 1))
     assert_allclose(a.w, b.w, atol=1e-12)
@@ -656,7 +652,7 @@ def test_asymptotic_validation():
             Divergence(kind=kind, rho_pos=math.inf, rho_neg=math.inf)
     with pytest.raises(ValueError, match=r"one \+inf radius"):
         asymptotic_surrogate(pos, neg, Divergence(kind="nominal"))
-    m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=5)
+    m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     with pytest.raises(IdenticalMeans):
         asymptotic_surrogate(m, m, _inflated("bures", 1))
 
@@ -664,7 +660,7 @@ def test_asymptotic_validation():
 def test_asymptotic_singular_inflated_covariance():
     # The ridge of 1e-10 lifts the -1e-10 eigenvalue to exactly 0.
     pos, _ = counter_moments()
-    neg = ClassMoments(mean=np.zeros(2), covariance=np.diag([-1e-10, 1.0]), count=5)
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.diag([-1e-10, 1.0]))
     for kind in ("fisher-rao", "logdet"):
         with pytest.raises(SingularCovariance, match="singular after ridge"):
             asymptotic_surrogate(pos, neg, _inflated(kind, -1))
@@ -687,8 +683,8 @@ def test_quadratic_asymptote_is_the_mean_gap_over_its_norm_bit_for_bit():
     rng = np.random.default_rng(21)
     for _ in range(20):
         mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, 4)
-        pos = ClassMoments(mean=mu_pos, covariance=cov_pos, count=9)
-        neg = ClassMoments(mean=mu_neg, covariance=cov_neg, count=9)
+        pos = ClassMoments(mean=mu_pos, covariance=cov_pos)
+        neg = ClassMoments(mean=mu_neg, covariance=cov_neg)
         a = pos.mean - neg.mean
         for kind in ("quadratic", "bures"):
             for y in (1, -1):
@@ -700,8 +696,8 @@ def test_quadratic_asymptote_is_the_mean_gap_over_its_norm_bit_for_bit():
 def test_asymptote_and_certificates_raise_what_the_solver_raises():
     # -I is no covariance. The asymptote used to solve with it and return
     # w = [1, 0], and the certificates leaked math's ValueError.
-    pos = ClassMoments(mean=[1.0, 0.0], covariance=-np.eye(2), count=5)
-    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2), count=5)
+    pos = ClassMoments(mean=[1.0, 0.0], covariance=-np.eye(2))
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     nominal = Surrogate(w=[1.0, 0.0], b=0.5, kappa=1.0,
                         divergence=Divergence(kind="nominal"))
     with pytest.raises(SingularCovariance, match="< 0"):
@@ -713,6 +709,28 @@ def test_asymptote_and_certificates_raise_what_the_solver_raises():
         worst_case_misclassification(nominal, pos.mean, pos.covariance)
     with pytest.raises(SingularCovariance, match="< 0"):
         optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_only_halfspace_distance_asks_for_a_cholesky_factor():
+    # diag(1, -1) has no Cholesky factor, yet w' Sigma w = 1 > 0 along
+    # w = [1, 0]. The solver and the certificates that divide by tau take
+    # it; halfspace_distance, and so coverage_validity, rejects it.
+    pos = ClassMoments(mean=[2.0, 0.0], covariance=np.diag([1.0, -1.0]))
+    neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
+    nominal = Surrogate(w=[1.0, 0.0], b=1.0, kappa=1.0,
+                        divergence=Divergence(kind="nominal"))
+    assert_allclose(solve_cvas(pos, neg, Divergence(kind="nominal")).w, [0.5, 0.0],
+                    rtol=1e-12)
+    assert_allclose(worst_case_misclassification(nominal, pos.mean, pos.covariance),
+                    0.5 + 2.5e-11, rtol=1e-12)
+    mu_star, objective = optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 0.5)
+    assert_allclose(mu_star, [1.5, 0.0], atol=1e-9)
+    assert_allclose(objective, 0.25, atol=1e-9)
+    with pytest.raises(SingularCovariance, match="after ridge"):
+        halfspace_distance(pos.mean, pos.covariance, nominal.w, nominal.b)
+    with pytest.raises(SingularCovariance, match="after ridge"):
+        coverage_validity(nominal, pos, neg)
 
 
 # ---------------------------------------------------------------- fr cov
