@@ -53,7 +53,8 @@ class ZeroSlope(CvasError):
 
 
 class SingularCovariance(CvasError):
-    """Covariance is not positive definite even after ridging."""
+    """A ridged covariance gives a negative w^T Sigma w or a^T Sigma^-1 a,
+    or the solve's weighted covariance is singular."""
 
 
 # --------------------------------------------------------------- surrogate

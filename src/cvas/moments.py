@@ -85,7 +85,7 @@ def ridge(covariance):
 
     The ridge is max(1e-10, 1e-12 * trace / d), small enough to be
     invisible at the tolerances used anywhere downstream but large
-    enough that Cholesky succeeds on rank-deficient sample covariances.
+    enough that the solve succeeds on rank-deficient sample covariances.
     Raises DomainError if the trace overflows float64.
     """
     cov = np.asarray(covariance, dtype=float)

@@ -38,7 +38,7 @@ from .errors import (
     SolverDidNotConverge,
     finite_array,
 )
-from .moments import _symmetric, ridge
+from .moments import ridge
 
 _STOP_TOL = 1e-9
 _MAX_STEPS = 1000
@@ -309,7 +309,8 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     IdenticalMeans
         If the class means coincide.
     SingularCovariance
-        If a class covariance is not positive semidefinite.
+        If a ridged class covariance gives w^T Sigma w < 0 at an
+        iterate, or the weighted covariance of a step is singular.
     SolverDidNotConverge
         If the stop test still fails after 1000 steps.
     """
@@ -357,7 +358,7 @@ def halfspace_distance(mean, covariance, w, b):
     ----------
     mean : ndarray, shape (d,)
     covariance : ndarray, shape (d, d)
-        Ridged internally; must be positive definite afterwards.
+        Ridged internally, then read only along w, as solve_cvas reads it.
     w : ndarray, shape (d,)
         Halfspace normal. Must not be the zero vector.
     b : float
@@ -375,7 +376,7 @@ def halfspace_distance(mean, covariance, w, b):
     ZeroSlope
         If w is identically zero.
     SingularCovariance
-        If the ridged covariance has no Cholesky factorization.
+        If w^T cov w < 0 for a mean outside the halfspace.
     DimensionMismatch, NonFiniteInput
         If an input is not finite or not of the width of w.
     DomainError
@@ -386,10 +387,6 @@ def halfspace_distance(mean, covariance, w, b):
     mean = finite_array(mean, "mean", shape=w.shape)
     cov = ridge(finite_array(covariance, "covariance", shape=w.shape * 2))
     b = float(finite_array(b, "halfspace offset", shape=()))
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("covariance not positive definite after ridge") from exc
     deficit = _deficit(w, mean, b)
     if deficit <= 0.0:
         return 0.0
@@ -457,31 +454,6 @@ def asymptotic_surrogate(moments_pos, moments_neg, divergence):
     w = _mpm_step(np.eye(a.size) if isotropic else ridge(inflated.covariance), a)
     return Surrogate(w=w, b=float(w @ inflated.mean) - y, kappa=0.0,
                      divergence=divergence)
-
-
-def fr_worst_case_covariance(covariance, rho, w):
-    """Covariance attaining the Fisher-Rao worst case along w.
-
-    Returns S^(1/2) (I + (e^rho - 1) vv^T/||v||^2) S^(1/2) with
-    v = S^(1/2) w: the matrix at Fisher-Rao distance rho from S that
-    maximizes w^T S' w, scaling it by exactly e^rho. Raises
-    SingularCovariance unless the ridged S is positive definite, and
-    DomainError if its trace or the result overflows float64 or w^T S w
-    leaves float range.
-    """
-    _check_radius(DivergenceKind.FISHER_RAO, rho)
-    w = finite_array(np.ravel(w), "slope", nonzero=True)
-    cov = _symmetric(ridge(finite_array(covariance, "covariance", shape=w.shape * 2)))
-    eigenvalues, vectors = np.linalg.eigh(cov)
-    if eigenvalues[0] <= 0.0:
-        raise SingularCovariance("covariance not positive definite after ridge")
-    sqrt_cov = (vectors * np.sqrt(eigenvalues)) @ vectors.T
-    with np.errstate(over="ignore", invalid="ignore"):  # _symmetric checks
-        v = sqrt_cov @ w
-        scale = (math.exp(rho) - 1.0) / _positive(float(v @ v), "w^T Sigma w")
-        inner = np.eye(cov.shape[0]) + scale * np.outer(v, v)
-        result = sqrt_cov @ inner @ sqrt_cov
-    return _symmetric(result)
 
 
 def optimal_mean(w, b, mean_hat, covariance, nu):

@@ -2,7 +2,8 @@
 
 Everything here is written from the problem definitions only: divergence
 balls are maximized directly with SLSQP over a Cholesky parameterization,
-the L1 projection is restated as a linear program, actionable recourse is
+the Fisher-Rao maximizer is built from matrix square roots, the L1
+projection is restated as a linear program, actionable recourse is
 enumerated exhaustively, the default action grids come from
 np.percentile, Lambert W is bisected, gradients come from central
 differences, the boundary search labels every row and steps by ITP on
@@ -150,6 +151,18 @@ def tau_oracle(kind, rho, covariance, w):
         if phi_divergence(kind, candidate, covariance) <= rho * (1.0 + 1e-6):
             best = max(best, float(w @ candidate @ w))
     return math.sqrt(best)
+
+
+def fr_worst_case_covariance(covariance, rho, w):
+    """The covariance at Fisher-Rao distance rho from S that maximizes
+    w' S' w: S^(1/2) (I + (e^rho - 1) v v' / ||v||^2) S^(1/2) with
+    v = S^(1/2) w. It scales w' S w by exactly e^rho, the witness that
+    the closed-form fisher-rao tau is attained. S must be positive
+    definite."""
+    root = _sqrtm(np.asarray(covariance, dtype=float))
+    v = root @ np.asarray(w, dtype=float)
+    inner = np.eye(v.size) + (math.exp(rho) - 1.0) * np.outer(v, v) / float(v @ v)
+    return root @ inner @ root
 
 
 def lp_projection_cost(x0, w, b):

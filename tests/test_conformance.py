@@ -47,7 +47,6 @@ from cvas import (
     estimate_moments,
     find_boundary_point,
     fit_surrogate,
-    fr_worst_case_covariance,
     generate_recourse,
     generate_synthetic,
     halfspace_distance,
@@ -417,25 +416,6 @@ CASES = [
     # w^T mean used to overflow with a RuntimeWarning.
     *_raises("worst_case_misclassification", "margin-overflow",
              lambda: worst_case_misclassification(HUGE, [1e200, 0.0], EYE), DomainError),
-    *_each("fr_worst_case_covariance", "rho", RADII,
-           lambda r: fr_worst_case_covariance(EYE, r, [1.0, 0.0])),
-    *_each("fr_worst_case_covariance", "covariance", MATRICES,
-           lambda m: fr_worst_case_covariance(m, 1.0, [1.0, 0.0])),
-    *_each("fr_worst_case_covariance", "w", VECTORS,
-           lambda v: fr_worst_case_covariance(EYE, 1.0, v)),
-    *_each("fr_worst_case_covariance", "covariance", OVERFLOWING,
-           lambda m: fr_worst_case_covariance(m, 1.0, [1.0, 0.0]),
-           DomainError, must_raise=True),
-    # The worst case itself overflows at the largest radius.
-    *_raises("fr_worst_case_covariance", "rho=700",
-             lambda: fr_worst_case_covariance(1e10 * EYE, 700.0, [1.0, 0.0]),
-             DomainError),
-    # w^T Sigma w underflowing to 0 used to raise ZeroDivisionError, and
-    # overflowing to return the ridged covariance unscaled.
-    *_raises("fr_worst_case_covariance", "w-underflow",
-             lambda: fr_worst_case_covariance(EYE, 1.0, [1e-300, 0.0]), DomainError),
-    *_raises("fr_worst_case_covariance", "w-overflow",
-             lambda: fr_worst_case_covariance(EYE, 1.0, [1e154, 1e154]), DomainError),
     *_each("optimal_mean", "nu", RADII,
            lambda r: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], EYE, r)),
     *_each("optimal_mean", "b", RADII,

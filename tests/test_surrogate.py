@@ -22,7 +22,6 @@ from cvas import (
     ZeroSlope,
     asymptotic_surrogate,
     coverage_validity,
-    fr_worst_case_covariance,
     halfspace_distance,
     lambert_w_minus1,
     load_surrogate,
@@ -37,6 +36,7 @@ from cvas.moments import ridge
 
 from helpers import random_instance, random_pd
 from oracles import (
+    fr_worst_case_covariance,
     lambert_oracle,
     optimal_mean_oracle,
     phi_divergence,
@@ -473,9 +473,13 @@ def _scaled(moments, covariance):
     return ClassMoments(mean=moments.mean, covariance=covariance)
 
 
-def _assert_same_surrogate(got, want, rtol):
+def _assert_same_plane(got, want, rtol=1e-13):
     assert np.linalg.norm(got.w - want.w) <= rtol * np.linalg.norm(want.w)
     assert abs(got.b - want.b) <= rtol * (1.0 + abs(want.b))
+
+
+def _assert_same_surrogate(got, want, rtol):
+    _assert_same_plane(got, want, rtol)
     assert abs(got.kappa - want.kappa) <= rtol * want.kappa
 
 
@@ -501,7 +505,7 @@ def test_quadratic_mpm_identity(d):
             _scaled(pos, pos.covariance + math.sqrt(rho_pos) * eye),
             _scaled(neg, neg.covariance + math.sqrt(rho_neg) * eye),
             Divergence(kind="nominal"))
-        _assert_same_surrogate(robust, nominal, 1e-12)
+        _assert_same_surrogate(robust, nominal, 1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 5, 20])
@@ -512,6 +516,61 @@ def test_bures_slope_depends_on_radius_sum(d):
         for split in ((total, 0.0), (0.0, total), (total / 2.0, total / 2.0)):
             other = solve_cvas(pos, neg, Divergence("bures", *split)).w
             assert np.linalg.norm(other - w) <= 1e-12 * np.linalg.norm(w)
+
+
+# ------------------------------------------ finite-radius regularization
+#
+# Fisher-rao and logdet scale each class's nominal term by a weight
+# c(rho), so w and b depend only on c(rho_neg) / c(rho_pos) (kappa = 1/F
+# scales with the weights): on rho_neg - rho_pos for fisher-rao
+# (c = exp(rho / 2)), and logdet is fisher-rao at
+# 2 ln(c(rho_neg) / c(rho_pos)). Swapping the classes (means, covariances
+# and radii) negates w and b; w exactly where F sums two terms, since
+# IEEE negation and a sum of two are exact in any order.
+
+def _regularization_instances(count=200):
+    """count random (moments_pos, moments_neg, rho_pos, rho_neg), d in
+    2..7 and radii from U(0, 10)."""
+    rng = np.random.default_rng(31)
+    for _ in range(count):
+        mu_pos, cov_pos, mu_neg, cov_neg = random_instance(rng, int(rng.integers(2, 8)))
+        rho_pos, rho_neg = (float(r) for r in rng.uniform(0.0, 10.0, size=2))
+        yield (ClassMoments(mean=mu_pos, covariance=cov_pos),
+               ClassMoments(mean=mu_neg, covariance=cov_neg),
+               rho_pos, rho_neg)
+
+
+def _fisher_rao_at(difference):
+    """Fisher-rao with rho_neg - rho_pos = difference and one radius 0."""
+    return Divergence("fisher-rao", max(-difference, 0.0), max(difference, 0.0))
+
+
+@pytest.mark.parametrize("kind", ("nominal",) + KINDS)
+def test_class_swap_negates_the_surrogate(kind):
+    for pos, neg, rho_pos, rho_neg in _regularization_instances():
+        radii = (0.0, 0.0) if kind == "nominal" else (rho_pos, rho_neg)
+        sur = solve_cvas(pos, neg, Divergence(kind, *radii))
+        swapped = solve_cvas(neg, pos, Divergence(kind, *radii[::-1]))
+        if kind == "bures":  # four terms, summed in another order
+            assert_allclose(swapped.w, -sur.w, rtol=1e-13)
+        else:
+            assert np.array_equal(swapped.w, -sur.w)
+        assert abs(swapped.b + sur.b) <= 1e-13 * (1.0 + abs(sur.b))
+
+
+def test_fisher_rao_depends_on_the_radius_difference():
+    for pos, neg, rho_pos, rho_neg in _regularization_instances():
+        sur = solve_cvas(pos, neg, Divergence("fisher-rao", rho_pos, rho_neg))
+        _assert_same_plane(solve_cvas(pos, neg, _fisher_rao_at(rho_neg - rho_pos)), sur)
+
+
+def test_logdet_is_a_reweighted_fisher_rao():
+    # MPM_SCALES["logdet"] is c(rho)^2, so 2 ln(c- / c+) is its log ratio.
+    scale = MPM_SCALES["logdet"]
+    for pos, neg, rho_pos, rho_neg in _regularization_instances():
+        sur = solve_cvas(pos, neg, Divergence("logdet", rho_pos, rho_neg))
+        difference = math.log(scale(rho_neg) / scale(rho_pos))
+        _assert_same_plane(solve_cvas(pos, neg, _fisher_rao_at(difference)), sur)
 
 
 # ---------------------------------------------------------------- bounds
@@ -695,7 +754,8 @@ def test_quadratic_asymptote_is_the_mean_gap_over_its_norm_bit_for_bit():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_asymptote_and_certificates_raise_what_the_solver_raises():
     # -I is no covariance. The asymptote used to solve with it and return
-    # w = [1, 0], and the certificates leaked math's ValueError.
+    # w = [1, 0], and the certificates leaked math's ValueError. The
+    # margins take a tau only for a mean outside the halfspace.
     pos = ClassMoments(mean=[1.0, 0.0], covariance=-np.eye(2))
     neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     nominal = Surrogate(w=[1.0, 0.0], b=0.5, kappa=1.0,
@@ -709,13 +769,18 @@ def test_asymptote_and_certificates_raise_what_the_solver_raises():
         worst_case_misclassification(nominal, pos.mean, pos.covariance)
     with pytest.raises(SingularCovariance, match="< 0"):
         optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 1.0)
+    with pytest.raises(SingularCovariance, match="< 0"):
+        halfspace_distance(pos.mean, pos.covariance, -nominal.w, -nominal.b)
+    with pytest.raises(SingularCovariance, match="< 0"):
+        coverage_validity(nominal, pos, neg)
+    assert halfspace_distance(pos.mean, pos.covariance, nominal.w, nominal.b) == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_only_halfspace_distance_asks_for_a_cholesky_factor():
+def test_every_function_takes_a_covariance_positive_along_w():
     # diag(1, -1) has no Cholesky factor, yet w' Sigma w = 1 > 0 along
-    # w = [1, 0]. The solver and the certificates that divide by tau take
-    # it; halfspace_distance, and so coverage_validity, rejects it.
+    # w = [1, 0]. The solver, the certificates and the margins all read
+    # a covariance along w only, so all of them take it.
     pos = ClassMoments(mean=[2.0, 0.0], covariance=np.diag([1.0, -1.0]))
     neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     nominal = Surrogate(w=[1.0, 0.0], b=1.0, kappa=1.0,
@@ -727,13 +792,17 @@ def test_only_halfspace_distance_asks_for_a_cholesky_factor():
     mu_star, objective = optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 0.5)
     assert_allclose(mu_star, [1.5, 0.0], atol=1e-9)
     assert_allclose(objective, 0.25, atol=1e-9)
-    with pytest.raises(SingularCovariance, match="after ridge"):
-        halfspace_distance(pos.mean, pos.covariance, nominal.w, nominal.b)
-    with pytest.raises(SingularCovariance, match="after ridge"):
-        coverage_validity(nominal, pos, neg)
+    # Both means sit at distance 1 / sqrt(1 + 1e-10), the ridged tau.
+    margin = 1.0 / math.sqrt(1.0 + 1e-10)
+    assert_allclose(halfspace_distance(pos.mean, pos.covariance, -nominal.w, -nominal.b),
+                    margin, rtol=1e-15)
+    assert_allclose(coverage_validity(nominal, pos, neg), [margin, margin], rtol=1e-15)
 
 
 # ---------------------------------------------------------------- fr cov
+#
+# The oracle's Fisher-Rao maximizer witnesses that the closed-form tau is
+# attained inside the ball.
 
 def test_fr_worst_case_covariance_identity_cases():
     cov = random_pd(np.random.default_rng(13), 3)
@@ -752,20 +821,6 @@ def test_fr_worst_case_covariance_attains_tau():
                     rtol=1e-8)
     # the maximizer sits exactly on the ball boundary
     assert_allclose(phi_divergence("fisher-rao", star, cov), 0.7, atol=1e-6)
-
-
-def test_fr_worst_case_covariance_validation():
-    with pytest.raises(NegativeRadius):
-        fr_worst_case_covariance(np.eye(2), -1.0, [1.0, 0.0])
-    with pytest.raises(ZeroSlope):
-        fr_worst_case_covariance(np.eye(2), 1.0, [0.0, 0.0])
-
-
-@pytest.mark.parametrize("smallest", [-1e-10, -1.0])
-def test_fr_worst_case_covariance_rejects_singular(smallest):
-    # After the ridge the smallest eigenvalue is 0 or negative.
-    with pytest.raises(SingularCovariance, match="not positive definite"):
-        fr_worst_case_covariance(np.diag([smallest, 1.0]), 1.0, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------- mean
