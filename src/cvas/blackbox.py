@@ -68,8 +68,8 @@ class MlpModel:
     shape (layer_dims[i+1],). The decision threshold applies to the
     sigmoid output: label +1 iff probability >= threshold. The fields
     are the whole model; save_model writes every one. Building one
-    raises NonFiniteInput for a non-finite threshold, and
-    DimensionMismatch for shapes other than layer_dims gives or an
+    raises NonFiniteInput for a non-finite threshold, weight or bias,
+    and DimensionMismatch for shapes other than layer_dims gives or an
     output layer wider than one unit.
     """
 
@@ -86,6 +86,8 @@ class MlpModel:
         if len(dims) < 2 or dims[-1] != 1 or shapes != (
                 [*zip(dims[:-1], dims[1:])] + [(fan_out,) for fan_out in dims[1:]]):
             raise DimensionMismatch(f"shapes {shapes} disagree with layer_dims {dims}")
+        if not all(np.isfinite(a).all() for a in (*self.weights, *self.biases)):
+            raise NonFiniteInput("weights and biases must be finite")
 
     def _rows(self, features):
         """features as a 2-d float batch, checked as predict_proba says."""

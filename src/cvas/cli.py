@@ -44,6 +44,9 @@ FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
 RECOURSE_HEADER = ("instance_id,mode,divergence,rho_neg,cost,"
                    "surrogate_valid,blackbox_valid")
 _MAX_RANGE_STEPS = 10**6
+# Every text file is read as UTF-8; "-sig" drops the byte-order mark
+# that spreadsheet tools write at the start of one.
+_ENCODING = "utf-8-sig"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +106,7 @@ def _content_lines(text):
 
 def parse_feature_spec(path):
     """Read a feature-spec file: `name,kind,actionability`, # comments."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding=_ENCODING) as handle:
         text = handle.read()
     columns = []
     for lineno, line in _content_lines(text):
@@ -171,13 +174,16 @@ class EncodedDataset:
 
 
 def _read_csv(path, spec):
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding=_ENCODING) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise SchemaMismatch(f"{path}: empty CSV")
         header = [h.strip() for h in header]
         rows = [[cell.strip() for cell in row] for row in reader]
+    # A blank line reads as [] or [""] and is skipped, as _content_lines
+    # skips one; a row of empty cells ("," between them) is kept.
+    rows = [row for row in rows if row not in ([], [""])]
     if len(set(header)) != len(header):
         raise SchemaMismatch(f"{path}: duplicate column in header")
     expected = {c.name for c in spec.columns}
@@ -382,7 +388,7 @@ def _build_parser():
 def _config_flags(path):
     """A config file's `key = value` lines as `--key=value` flags."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding=_ENCODING) as handle:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")

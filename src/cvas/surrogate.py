@@ -354,34 +354,14 @@ def _deficit(w, x, b):
 def halfspace_distance(mean, covariance, w, b):
     """Mahalanobis distance from a mean to the halfspace w^T x - b >= 0.
 
-    Parameters
-    ----------
-    mean : ndarray, shape (d,)
-    covariance : ndarray, shape (d, d)
-        Ridged internally, then read only along w, as solve_cvas reads it.
-    w : ndarray, shape (d,)
-        Halfspace normal. Must not be the zero vector.
-    b : float
-        Halfspace offset.
-
-    Returns
-    -------
-    float
-        (b - w^T mean) over the nominal tau sqrt(w^T cov w) when the
-        mean lies strictly outside the halfspace, 0.0 when it already
-        lies inside (no tau is taken then).
-
-    Raises
-    ------
-    ZeroSlope
-        If w is identically zero.
-    SingularCovariance
-        If w^T cov w < 0 for a mean outside the halfspace.
-    DimensionMismatch, NonFiniteInput
-        If an input is not finite or not of the width of w.
-    DomainError
-        If b - w^T mean leaves float range, or w^T cov w does for a mean
-        outside the halfspace.
+    For a mean strictly outside the halfspace, (b - w^T mean) over the
+    nominal tau sqrt(w^T cov w) of the ridged covariance, which is read
+    only along w, as solve_cvas reads it; for a mean inside, 0.0, and no
+    tau is taken. w must not be the zero vector (ZeroSlope). Raises
+    NonFiniteInput or DimensionMismatch for an input that is not finite
+    or not of w's width, DomainError where b - w^T mean leaves float
+    range, and, for a mean outside, SingularCovariance where
+    w^T cov w < 0 and DomainError where it leaves float range.
     """
     w = finite_array(np.ravel(w), "halfspace normal", nonzero=True)
     mean = finite_array(mean, "mean", shape=w.shape)
@@ -408,21 +388,16 @@ def coverage_validity(surrogate, moments_pos, moments_neg):
     return coverage, validity
 
 
-def worst_case_misclassification(surrogate, mean, covariance):
-    """Probability certificate for a class with the given moments.
+def worst_case_misclassification(surrogate, moments_pos, moments_neg):
+    """Probability certificates of the two classes, positive first.
 
-    The distribution-free moment bound 1/(1 + nu^2), with nu the
-    Mahalanobis distance from the mean to the complementary halfspace:
-    |w^T mean - b| over the nominal tau of the ridged covariance.
-    Raises as tau does for the covariance (SingularCovariance where
-    w^T Sigma w < 0, DomainError past float range, its trace included),
-    and DomainError where b - w^T mean leaves float range.
+    Each is the distribution-free moment bound 1/(1 + m^2) of the class's
+    margin m from coverage_validity (Lanckriet et al., JMLR 2002): a mean
+    on its own side certifies below 1, one on the wrong side or on the
+    hyperplane 1.0, without taking tau. Raises as coverage_validity does.
     """
-    w, b = surrogate.w, surrogate.b
-    mean = finite_array(mean, "class mean", shape=w.shape)
-    cov = ridge(finite_array(covariance, "class covariance", shape=w.shape * 2))
-    nu = abs(_deficit(w, mean, b)) / _evaluate([(1.0, cov)], w)[0]
-    return 1.0 / (1.0 + nu * nu)
+    margins = coverage_validity(surrogate, moments_pos, moments_neg)
+    return tuple(1.0 / (1.0 + m * m) for m in margins)
 
 
 def asymptotic_surrogate(moments_pos, moments_neg, divergence):
@@ -467,7 +442,7 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     and sqrt(w^T Sigma w) its nominal tau. nu = +inf reaches every
     hyperplane; a NaN nu raises DomainError, as do a gap b - w^T mean_hat,
     mu* or objective past float range, and the covariance raises as in
-    worst_case_misclassification.
+    halfspace_distance.
 
     Returns
     -------
@@ -486,10 +461,8 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     step = shortfall / scale / scale if reaches else math.copysign(nu / scale, shortfall)
     with np.errstate(over="ignore", invalid="ignore"):
         mu_star = mean_hat + step * (cov @ w)
-    try:
-        objective = 0.0 if reaches else (abs(shortfall) - nu * scale) ** 2
-    except OverflowError:
-        objective = math.inf
+    gap = abs(shortfall) - nu * scale
+    objective = 0.0 if reaches else gap * gap
     if not (np.isfinite(mu_star).all() and objective < math.inf):
         raise DomainError("the optimal mean or its objective overflows float64")
     return mu_star, objective

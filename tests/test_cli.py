@@ -33,8 +33,13 @@ from cvas.cli import (
 from cvas.errors import BadLabelValue, EmptySplit, SchemaMismatch
 
 
+# The byte-order mark that spreadsheet tools write at the start of a
+# UTF-8 file.
+BOM = "\ufeff"
+
+
 def write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -66,6 +71,13 @@ def test_feature_spec_rejects_bad_schemas(tmp_path, text):
     path = write(tmp_path / "cols.txt", text)
     with pytest.raises(SchemaMismatch):
         parse_feature_spec(path)
+
+
+def test_feature_spec_with_a_byte_order_mark(tmp_path):
+    # The mark used to become part of the first column's name.
+    text = "x1,continuous,free\nlabel,label\n"
+    assert (parse_feature_spec(write(tmp_path / "bom.txt", BOM + text))
+            == parse_feature_spec(write(tmp_path / "cols.txt", text)))
 
 
 # ---------------------------------------------------------------- encoding
@@ -165,12 +177,23 @@ def test_bad_label_values(tmp_path):
     "",                                          # empty file
     "a,label\nfoo,1\n2,0\n3,1\n4,0\n5,1\n",      # non-numeric continuous
     "a,label\ninf,1\n2,0\n3,1\n4,0\n5,1\n",      # non-finite continuous
+    "a,label\n1,1\n,,\n2,0\n3,1\n",              # empty cells, no blank line
 ])
 def test_schema_mismatch_variants(tmp_path, csv_text):
     spec = write(tmp_path / "cols.txt", "a,continuous,free\nlabel,label\n")
     data = write(tmp_path / "d.csv", csv_text)
     with pytest.raises(SchemaMismatch):
         load_dataset(data, spec, seed=0)
+
+
+def test_csv_blank_lines_are_skipped(mixed_dataset, tmp_path):
+    data, spec = mixed_dataset
+    lines = open(data, encoding="utf-8").read().splitlines()
+    blanks = write(tmp_path / "blanks.csv",
+                   "\n".join(lines[:4] + ["", "  "] + lines[4:]) + "\n\n")
+    want, got = load_dataset(data, spec, seed=0), load_dataset(blanks, spec, seed=0)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
 
 
 def test_empty_split_raises(tmp_path):
@@ -318,6 +341,18 @@ def test_gen_synthetic_deterministic(workspace, tmp_path):
     assert run(["gen-synthetic", "--n", "100", "--seed", "3",
                 "--out", str(out)]) == 0
     assert out.read_bytes() == (workspace / "d1.csv").read_bytes()
+
+
+def test_csv_with_a_byte_order_mark_and_a_blank_line_trains_the_same_model(
+        workspace, tmp_path):
+    # The mark used to hide the first column, and a trailing blank line
+    # was a row of 0 cells.
+    text = (workspace / "d1.csv").read_text(encoding="utf-8")
+    data = write(tmp_path / "d1.csv", BOM + text + "\n")
+    out = tmp_path / "model.bin"
+    assert run(["train", "--data", data, "--spec", str(workspace / "cols.txt"),
+                "--out", str(out), "--epochs", "80", "--seed", "3"]) == 0
+    assert out.read_bytes() == (workspace / "model.bin").read_bytes()
 
 
 def test_train_writes_loadable_model(workspace):
@@ -492,6 +527,16 @@ def test_config_file_provides_defaults_flags_override(workspace, tmp_path,
     rc = run(["gen-synthetic", "--config", str(config), "--out", str(out)])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # The mark used to make the first key an unrecognized argument.
+    config = write(tmp_path / "gen.cfg", BOM + "n = 30\nseed = 3\n")
+    from_config, from_flags = tmp_path / "from_config.csv", tmp_path / "from_flags.csv"
+    assert run(["gen-synthetic", "--config", config, "--out", str(from_config)]) == 0
+    assert run(["gen-synthetic", "--n", "30", "--seed", "3",
+                "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 # ------------------------------------------------------------- exit codes

@@ -178,6 +178,21 @@ def _overflowing_ensemble(cpus=None):
         return call()
 
 
+def _spoiled(arrays, bad):
+    """Copies of a model's weights or biases, the first entry set to bad."""
+    arrays = [np.array(a) for a in arrays]
+    arrays[0].flat[0] = bad
+    return arrays
+
+
+def _certificates(**fields):
+    """worst_case_misclassification(SUR, ...) with a positive class whose
+    fields are set past ClassMoments' checks, so that the margins' own
+    checks see them."""
+    pos = _sneak(ClassMoments(mean=[1.0, 0.0], covariance=EYE), **fields)
+    return worst_case_misclassification(SUR, pos, NEG)
+
+
 def _surrogate_round_trip(**fields):
     save_surrogate(_sneak(Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0,
                                     divergence=NOMINAL), **fields), "s.json")
@@ -279,6 +294,15 @@ CASES = [
     *_raises("MlpModel", "weights=empty",
              lambda: MlpModel(layer_dims=MODEL.layer_dims, weights=[], biases=[]),
              DimensionMismatch),
+    # A NaN weight or bias used to build a model that answers NaN.
+    *_each("MlpModel", "weights", RADII[:3],
+           lambda r: MlpModel(layer_dims=MODEL.layer_dims,
+                              weights=_spoiled(MODEL.weights, r), biases=MODEL.biases),
+           NonFiniteInput, must_raise=True),
+    *_each("MlpModel", "biases", RADII[:3],
+           lambda r: MlpModel(layer_dims=MODEL.layer_dims, weights=MODEL.weights,
+                              biases=_spoiled(MODEL.biases, r)),
+           NonFiniteInput, must_raise=True),
     # A row whose activations overflow used to give probability NaN and
     # label -1.
     *_raises("MlpModel", "predict_proba-overflow",
@@ -402,20 +426,21 @@ CASES = [
              lambda: coverage_validity(SUR, POS, ClassMoments(
                  mean=[nan, 0.0], covariance=EYE)), NonFiniteInput),
     *_each("worst_case_misclassification", "mean", VECTORS,
-           lambda v: worst_case_misclassification(SUR, v, EYE)),
+           lambda v: _certificates(mean=v)),
     *_each("worst_case_misclassification", "covariance", MATRICES,
-           lambda m: worst_case_misclassification(SUR, [0.0, 0.0], m)),
-    # -I used to leak math's ValueError, and an overflowing covariance
-    # to return NaN.
+           lambda m: _certificates(covariance=m)),
+    # Each positive mean below is on its own side, where the margin takes
+    # a tau. -I used to leak math's ValueError, and an overflowing
+    # covariance to return NaN.
     *_raises("worst_case_misclassification", "covariance=-I",
-             lambda: worst_case_misclassification(SUR, [0.0, 0.0], -EYE),
+             lambda: worst_case_misclassification(SUR, NEGATIVE_POS, NEG),
              SingularCovariance),
     *_each("worst_case_misclassification", "covariance", OVERFLOWING,
-           lambda m: worst_case_misclassification(SUR, [0.0, 0.0], m),
-           DomainError, must_raise=True),
+           lambda m: _certificates(covariance=m), DomainError, must_raise=True),
     # w^T mean used to overflow with a RuntimeWarning.
     *_raises("worst_case_misclassification", "margin-overflow",
-             lambda: worst_case_misclassification(HUGE, [1e200, 0.0], EYE), DomainError),
+             lambda: worst_case_misclassification(HUGE, FAR_200, FAR_NEG_200),
+             DomainError),
     *_each("optimal_mean", "nu", RADII,
            lambda r: optimal_mean([1.0, 0.0], 3.0, [0.0, 0.0], EYE, r)),
     *_each("optimal_mean", "b", RADII,

@@ -578,15 +578,40 @@ def test_logdet_is_a_reweighted_fisher_rao():
 def test_worst_case_misclassification_examples():
     pos, neg = counter_moments()
     sur = solve_cvas(pos, neg, Divergence(kind="nominal"))
-    for m in (pos, neg):
-        bound = worst_case_misclassification(sur, m.mean, m.covariance)
-        assert_allclose(bound, 1.0 / 26.0, rtol=1e-6)
+    assert_allclose(worst_case_misclassification(sur, pos, neg), [1.0 / 26.0] * 2,
+                    rtol=1e-6)
 
 
 def test_worst_case_misclassification_boundary_mean():
     sur = Surrogate(w=np.array([1.0, 0.0]), b=0.0, kappa=1.0,
                     divergence=Divergence(kind="nominal"))
-    assert worst_case_misclassification(sur, np.zeros(2), np.eye(2)) == 1.0
+    origin = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
+    assert worst_case_misclassification(sur, origin, origin) == (1.0, 1.0)
+
+
+def _unsigned_bound(sur, moments):
+    """1/(1 + nu^2) with nu = |b - w^T mean| over the ridged nominal tau:
+    the per-class certificate before it took coverage_validity's signed
+    margins, computed as it was."""
+    w = sur.w
+    nu = abs(sur.b - float(w @ moments.mean)) / math.sqrt(
+        float(w @ (ridge(moments.covariance) @ w)))
+    return 1.0 / (1.0 + nu * nu)
+
+
+def test_certificates_are_the_bounds_of_the_two_margins():
+    # A mean on its own side keeps the unsigned bound bit for bit. A
+    # mean on the wrong side has margin 0 and certifies 1.0; the
+    # unsigned bound certified it below 1.
+    for pos, neg, rho_pos, rho_neg in _regularization_instances(40):
+        for div in [Divergence("nominal")] + [Divergence(kind, rho_pos, rho_neg)
+                                              for kind in KINDS]:
+            sur = solve_cvas(pos, neg, div)
+            assert worst_case_misclassification(sur, pos, neg) == (
+                _unsigned_bound(sur, pos), _unsigned_bound(sur, neg))
+            flipped = Surrogate(w=-sur.w, b=-sur.b, kappa=sur.kappa, divergence=div)
+            assert worst_case_misclassification(flipped, pos, neg) == (1.0, 1.0)
+            assert max(_unsigned_bound(flipped, pos), _unsigned_bound(flipped, neg)) < 1.0
 
 
 def _inflated_covariance(kind, rho, cov, w):
@@ -616,12 +641,10 @@ def test_moment_bound_minimal_at_optimum(kind):
 
     def max_bound(w, b):
         probe = Surrogate(w=w, b=b, kappa=1.0, divergence=div)
-        worst = 0.0
-        for moments, rho in ((pos, div.rho_pos), (neg, div.rho_neg)):
-            inflated = _inflated_covariance(kind, rho, moments.covariance, w)
-            worst = max(worst, worst_case_misclassification(
-                probe, moments.mean, inflated))
-        return worst
+        inflated = [ClassMoments(mean=moments.mean, covariance=_inflated_covariance(
+                        kind, rho, moments.covariance, w))
+                    for moments, rho in ((pos, div.rho_pos), (neg, div.rho_neg))]
+        return max(worst_case_misclassification(probe, *inflated))
 
     optimum = max_bound(sur.w, sur.b)
     basis = in_plane_basis(pos.mean - neg.mean)
@@ -755,7 +778,8 @@ def test_quadratic_asymptote_is_the_mean_gap_over_its_norm_bit_for_bit():
 def test_asymptote_and_certificates_raise_what_the_solver_raises():
     # -I is no covariance. The asymptote used to solve with it and return
     # w = [1, 0], and the certificates leaked math's ValueError. The
-    # margins take a tau only for a mean outside the halfspace.
+    # margins, and so the certificates, take a tau only for a mean
+    # outside the halfspace.
     pos = ClassMoments(mean=[1.0, 0.0], covariance=-np.eye(2))
     neg = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     nominal = Surrogate(w=[1.0, 0.0], b=0.5, kappa=1.0,
@@ -766,7 +790,7 @@ def test_asymptote_and_certificates_raise_what_the_solver_raises():
         with pytest.raises(SingularCovariance, match="< 0"):
             asymptotic_surrogate(pos, neg, _inflated(kind, 1))
     with pytest.raises(SingularCovariance, match="< 0"):
-        worst_case_misclassification(nominal, pos.mean, pos.covariance)
+        worst_case_misclassification(nominal, pos, neg)
     with pytest.raises(SingularCovariance, match="< 0"):
         optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 1.0)
     with pytest.raises(SingularCovariance, match="< 0"):
@@ -774,6 +798,8 @@ def test_asymptote_and_certificates_raise_what_the_solver_raises():
     with pytest.raises(SingularCovariance, match="< 0"):
         coverage_validity(nominal, pos, neg)
     assert halfspace_distance(pos.mean, pos.covariance, nominal.w, nominal.b) == 0.0
+    flipped = Surrogate(w=[-1.0, 0.0], b=-0.5, kappa=1.0, divergence=nominal.divergence)
+    assert worst_case_misclassification(flipped, pos, neg) == (1.0, 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -787,8 +813,8 @@ def test_every_function_takes_a_covariance_positive_along_w():
                         divergence=Divergence(kind="nominal"))
     assert_allclose(solve_cvas(pos, neg, Divergence(kind="nominal")).w, [0.5, 0.0],
                     rtol=1e-12)
-    assert_allclose(worst_case_misclassification(nominal, pos.mean, pos.covariance),
-                    0.5 + 2.5e-11, rtol=1e-12)
+    assert_allclose(worst_case_misclassification(nominal, pos, neg), [0.5 + 2.5e-11] * 2,
+                    rtol=1e-12)
     mu_star, objective = optimal_mean(nominal.w, nominal.b, pos.mean, pos.covariance, 0.5)
     assert_allclose(mu_star, [1.5, 0.0], atol=1e-9)
     assert_allclose(objective, 0.25, atol=1e-9)
