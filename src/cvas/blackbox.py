@@ -356,10 +356,11 @@ def generate_synthetic(n, noise_std=0.0, seed=0):
     Features are uniform on [-2, 4] x [-2, 7]. The label is +1 iff
     x2 >= 1 + x1 + 2*x1^2 + x1^3 - x1^4 + eps with eps ~ N(0, noise_std^2),
     so noise_std = 0 gives the clean generation and noise_std = 1 the
-    shifted one. Raises ValueError unless n is an integer >= 1 and
-    noise_std is nonnegative.
+    shifted one. Raises ValueError unless n is an integer >= 1, seed one
+    >= 0 and noise_std is nonnegative.
     """
     check_integer(n, "n", 1)
+    check_integer(seed, "seed", 0)
     if not noise_std >= 0.0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)

@@ -139,10 +139,10 @@ def finite_array(x, what, shape=None, nonzero=False, nonempty=False, frozen=Fals
 
 
 def check_integer(value, what, minimum):
-    """ValueError unless value is an integer, numpy's included, and at
-    least `minimum` (internal): a setting that counts or seeds."""
+    """ValueError unless value is an integer, numpy's included but not a
+    bool, and at least `minimum` (internal): a setting that counts or seeds."""
     try:
-        operator.index(value)
+        operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if value < minimum:

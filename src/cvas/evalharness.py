@@ -46,8 +46,8 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
     Draws n points uniformly from the L2 ball of radius r_fid around
     x0 and compares hard labels. `model` is anything with a
     label(matrix) -> {-1,+1} method, so a Surrogate can play the model
-    role too. Raises ValueError for r_fid <= 0 or an n that is not an
-    integer >= 1.
+    role too. Raises ValueError for r_fid <= 0, an n that is not an
+    integer >= 1 or a seed that is not one >= 0.
     """
     points, labels = _labelled_ball(model, x0, r_fid, n, seed)
     return float(np.mean(labels == surrogate.label(points)))
@@ -57,7 +57,6 @@ def _labelled_ball(model, x0, r_fid, n, seed):
     """local_fidelity's evaluation ball and the model's labels on it."""
     if r_fid <= 0.0:
         raise ValueError("r_fid must be positive")
-    check_integer(n, "n", 1)
     points = sample_ball(np.ravel(x0), r_fid, n, seed)
     return points, model.label(points)
 
@@ -71,8 +70,10 @@ def sensitivity(pipeline_config, model, dataset, x0, seed=0):
     only varying input is the query point, and returns
     max ||w(x0) - w(x')||_2 over the neighbors (normalized slopes).
     Neighbors whose pipeline fails are skipped; at least one must
-    succeed. sweep() reuses the neighbors' moments across radii.
+    succeed. sweep() reuses the neighbors' moments across radii. Raises
+    ValueError unless seed is an integer >= 0.
     """
+    check_integer(seed, "seed", 0)
     sampler_config, divergence = pipeline_config
     # The base fit and every neighbor sample balls of one radius.
     sampler_config = replace(sampler_config,

@@ -112,6 +112,8 @@ def max_pairwise_distance(features, seed=0):
 
     Raises
     ------
+    ValueError
+        Unless seed is an integer >= 0.
     DomainError
         If 4 max_i ||x_i||^2 over the scanned rows overflows float64.
         Below that bound no squared distance in the scan can overflow,
@@ -123,6 +125,7 @@ def max_pairwise_distance(features, seed=0):
     NonFiniteInput
         If any row contains NaN or infinity.
     """
+    check_integer(seed, "seed", 0)
     features = finite_array(features, "features", shape=(None, None), nonempty=True)
     n = features.shape[0]
     if n > _GUARD:
@@ -370,11 +373,15 @@ def sample_ball(center, radius, n, seed):
 
     Raises
     ------
+    ValueError
+        Unless n is an integer >= 1 and seed one >= 0.
     DomainError
         If `radius` is negative, NaN or infinite.
     DimensionMismatch, EmptyInput, NonFiniteInput
         If `center` is not a vector, is empty, or is not finite.
     """
+    check_integer(n, "n", 1)
+    check_integer(seed, "seed", 0)
     if not 0.0 <= radius < np.inf:
         raise DomainError(f"ball radius must be finite and >= 0, got {radius}")
     center = finite_array(center, "ball centre", shape=(None,), nonempty=True)

@@ -57,9 +57,9 @@ class DivergenceKind(str, Enum):
 
 @dataclass(frozen=True)
 class Divergence:
-    """Divergence kind plus per-class radii (rho_pos, rho_neg): each one
-    solve_cvas accepts, or, for at most one class, +inf: the
-    infinite-radius limit, which asymptotic_surrogate takes and records.
+    """Divergence kind plus per-class radii (rho_pos, rho_neg): each
+    finite, nonnegative and at most 700 for fisher-rao and logdet, or,
+    for at most one class, +inf, whose limit solve_cvas takes.
 
     A radius has its tau term's units: none for fisher-rao and logdet,
     feature units for bures (rho ||w||), feature units to the fourth power
@@ -81,7 +81,7 @@ class Divergence:
             raise ValueError("nominal divergence requires both radii equal to 0")
 
     def check_finite(self):
-        """DomainError unless solve_cvas takes both radii (neither is +inf)."""
+        """DomainError if a radius is +inf."""
         for rho in (self.rho_pos, self.rho_neg):
             _check_radius(self.kind, rho)
 
@@ -90,8 +90,8 @@ class Divergence:
 class Surrogate:
     """Linear surrogate w, b with its margin kappa and divergence.
 
-    kappa is 1/(tau_pos + tau_neg) at the optimum, with 0.0 denoting
-    the infinite-radius asymptotic limit. w is kept as a read-only copy.
+    kappa is 1/(tau_pos + tau_neg) at the optimum, or 0.0 at the limit of
+    a +inf radius. w is kept as a read-only copy.
     """
 
     w: np.ndarray
@@ -178,15 +178,11 @@ def _check_radius(kind, rho):
     if rho < 0.0:
         raise NegativeRadius(f"rho must be nonnegative, got {rho}")
     if not math.isfinite(rho):
-        raise DomainError(
-            f"rho must be finite, got {rho}; "
-            "asymptotic_surrogate takes a divergence with one +inf radius"
-        )
+        raise DomainError(f"rho must be finite, got {rho}; solve_cvas takes "
+                          "a divergence with one +inf radius")
     if kind in (DivergenceKind.FISHER_RAO, DivergenceKind.LOGDET) and rho > _RHO_CAP:
-        raise DomainError(
-            f"{kind.value} radius {rho} exceeds the overflow cap {_RHO_CAP}; "
-            "asymptotic_surrogate takes its +inf limit"
-        )
+        raise DomainError(f"{kind.value} radius {rho} exceeds the overflow cap "
+                          f"{_RHO_CAP}; solve_cvas takes its +inf limit")
 
 
 def _terms(kind, rho, covariance):
@@ -223,7 +219,7 @@ def _evaluate(terms, w):
             q = float(w @ (m @ w))
         s = math.sqrt(_positive(q, "w^T Sigma w"))
         if not math.isfinite(c * s + c / s):  # a finite radius past float range
-            raise DomainError(f"tau overflows at weight {c:.3g}; use the asymptote")
+            raise DomainError(f"tau overflows at weight {c:.3g}; use a +inf radius")
         value += c * s
         weights.append(c / s)
     return value, weights
@@ -292,30 +288,42 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     Every iterate is tested, w0 and the last one included; with d = 1,
     w0 passes at once.
 
+    A +inf radius names the inflated class y, whose limit is one step
+    with M = I for quadratic and bures (w = a/||a||^2 exactly: the
+    l2-regularized minimax probability machine) or the ridged Sigma_y for
+    fisher-rao and logdet (the class-reweighted one), and b = w^T mu_y - y
+    through the other class mean; the other radius does not enter.
+
     Returns
     -------
     Surrogate
         With kappa = 1/(tau_pos + tau_neg) and b placed so both classes
-        sit at Mahalanobis margin kappa.
+        sit at Mahalanobis margin kappa (kappa = 0.0 at a +inf radius),
+        and the divergence it was given.
 
     Raises
     ------
     DomainError
-        If a radius is not finite, or a fisher-rao or logdet radius
-        exceeds 700 (use asymptotic_surrogate for the infinite-radius
-        limit), or if a^T a, w^T Sigma w or tau leaves float range.
+        If a^T a, w^T Sigma w, a^T M^-1 a or tau leaves float range.
     DimensionMismatch
         If the two classes have different widths.
     IdenticalMeans
         If the class means coincide.
     SingularCovariance
         If a ridged class covariance gives w^T Sigma w < 0 at an
-        iterate, or the weighted covariance of a step is singular.
+        iterate, a step's M is singular or a^T M^-1 a < 0.
     SolverDidNotConverge
         If the stop test still fails after 1000 steps.
     """
     a, a_sq = _mean_gap(moments_pos, moments_neg)
     kind = divergence.kind
+    if math.inf in (divergence.rho_pos, divergence.rho_neg):
+        y, inflated = ((1, moments_pos) if divergence.rho_pos == math.inf
+                       else (-1, moments_neg))
+        isotropic = kind in (DivergenceKind.QUADRATIC, DivergenceKind.BURES)
+        w = _mpm_step(np.eye(a.size) if isotropic else ridge(inflated.covariance), a)
+        return Surrogate(w=w, b=float(w @ inflated.mean) - y, kappa=0.0,
+                         divergence=divergence)
     terms_pos = _terms(kind, divergence.rho_pos, ridge(moments_pos.covariance))
     terms_neg = _terms(kind, divergence.rho_neg, ridge(moments_neg.covariance))
     terms = terms_pos + terms_neg
@@ -398,37 +406,6 @@ def worst_case_misclassification(surrogate, moments_pos, moments_neg):
     """
     margins = coverage_validity(surrogate, moments_pos, moments_neg)
     return tuple(1.0 / (1.0 + m * m) for m in margins)
-
-
-def asymptotic_surrogate(moments_pos, moments_neg, divergence):
-    """Limit of the robust surrogate as one radius grows without bound.
-
-    The divergence's +inf radius names the inflated class y; its other
-    radius does not enter. With a = mu_pos - mu_neg, the limit is one
-    step of solve_cvas's iteration, w = M^-1 a / (a^T M^-1 a), with
-    M = I for quadratic and bures (so w = a/||a||^2, exactly: the
-    l2-regularized minimax probability machine) and M the ridged
-    Sigma_y for fisher-rao and logdet (the class-reweighted one). Both
-    put the hyperplane through the other class mean: b = w^T mu_y - y.
-
-    The returned Surrogate records kappa = 0.0, the limiting margin,
-    and the divergence it was given.
-    Raises ValueError for a divergence with no +inf radius, and
-    otherwise what solve_cvas's step raises: SingularCovariance where
-    the ridged Sigma_y is singular or a^T Sigma_y^-1 a < 0, DomainError
-    past float range, DimensionMismatch and IdenticalMeans.
-    """
-    if divergence.rho_pos == math.inf:
-        y, inflated = 1, moments_pos
-    elif divergence.rho_neg == math.inf:
-        y, inflated = -1, moments_neg
-    else:
-        raise ValueError("the asymptote needs a divergence with one +inf radius")
-    a, _ = _mean_gap(moments_pos, moments_neg)
-    isotropic = divergence.kind in (DivergenceKind.QUADRATIC, DivergenceKind.BURES)
-    w = _mpm_step(np.eye(a.size) if isotropic else ridge(inflated.covariance), a)
-    return Surrogate(w=w, b=float(w @ inflated.mean) - y, kappa=0.0,
-                     divergence=divergence)
 
 
 def optimal_mean(w, b, mean_hat, covariance, nu):

@@ -30,7 +30,6 @@ from cvas import (
 from cvas.errors import NoActionableRecourse
 from cvas.recourse import ActionSpec, actionable_recourse, l1_projection
 from cvas.surrogate import (
-    asymptotic_surrogate,
     coverage_validity,
     lambert_w_minus1,
     optimal_mean,
@@ -99,8 +98,7 @@ def test_criterion_02_asymptote_quadratic_bures():
         t0 = time.perf_counter()
         pos, neg = counter_moments()
         for kind in ("quadratic", "bures"):
-            sur = asymptotic_surrogate(pos, neg,
-                                       Divergence(kind=kind, rho_neg=math.inf))
+            sur = solve_cvas(pos, neg, Divergence(kind=kind, rho_neg=math.inf))
             assert_allclose(sur.w, [-0.1, 0.0], atol=1e-4)
             assert abs(sur.b - 1.0) <= 1e-4
             _, validity = coverage_validity(sur, pos, neg)
@@ -114,8 +112,7 @@ def test_criterion_03_asymptote_fisher_rao_logdet():
         t0 = time.perf_counter()
         pos, neg = counter_moments()
         for kind in ("fisher-rao", "logdet"):
-            sur = asymptotic_surrogate(pos, neg,
-                                       Divergence(kind=kind, rho_neg=math.inf))
+            sur = solve_cvas(pos, neg, Divergence(kind=kind, rho_neg=math.inf))
             assert_allclose(sur.w, [-0.1, 0.2], atol=1e-4)
             assert abs(sur.b - 1.0) <= 1e-4
             _, validity = coverage_validity(sur, pos, neg)

@@ -41,7 +41,6 @@ from cvas import (
     Surrogate,
     TrainConfig,
     actionable_recourse,
-    asymptotic_surrogate,
     coverage_validity,
     default_action_grids,
     estimate_moments,
@@ -101,6 +100,11 @@ SAMPLER = SamplerConfig(n_p=50)
 ACTIONS = default_action_grids(X0, X)
 # Finite inputs whose squared norms, deficit or recourse point overflow.
 HUGE_ROWS = np.random.default_rng(0).normal(size=(50, 3)) * 1e154
+# Seeds that are not integers >= 0; each used to raise numpy's TypeError
+# or ValueError, or to go unread, as on 50 rows, which
+# max_pairwise_distance scans without subsampling.
+SEEDS = [("-1", -1), ("2.5", 2.5)]
+ROWS_50 = np.random.default_rng(0).normal(size=(50, 2))
 # Class moments whose a^T a (FAR_POS) or w0^T Sigma w0 (WIDE_*) overflows,
 # and an indefinite covariance.
 FAR_POS = ClassMoments(mean=[1e162, 0.0], covariance=EYE)
@@ -185,12 +189,17 @@ def _spoiled(arrays, bad):
     return arrays
 
 
+def _sneaked(moments, **fields):
+    """A copy of moments with fields set past ClassMoments' checks, so
+    that the margins' own checks see them."""
+    return _sneak(ClassMoments(mean=moments.mean, covariance=moments.covariance),
+                  **fields)
+
+
 def _certificates(**fields):
     """worst_case_misclassification(SUR, ...) with a positive class whose
-    fields are set past ClassMoments' checks, so that the margins' own
-    checks see them."""
-    pos = _sneak(ClassMoments(mean=[1.0, 0.0], covariance=EYE), **fields)
-    return worst_case_misclassification(SUR, pos, NEG)
+    fields are set past ClassMoments' checks."""
+    return worst_case_misclassification(SUR, _sneaked(POS, **fields), NEG)
 
 
 def _surrogate_round_trip(**fields):
@@ -248,8 +257,8 @@ CASES = [
     *_each("Surrogate", "kappa", RADII,
            lambda r: Surrogate(w=[1.0, 0.0], b=0.0, kappa=r, divergence=NOMINAL),
            allowed=CONFIG),
-    # +inf is a valid radius here: asymptotic_surrogate takes the
-    # inflated class's radius that way. Two +inf radii name no class.
+    # +inf is a valid radius here: solve_cvas takes the inflated class's
+    # radius that way. Two +inf radii name no class.
     *_each("Divergence", "rho_neg", [c for c in RADII if c[0] != "inf"],
            lambda r: Divergence(kind="bures", rho_neg=r)),
     *_raises("Divergence", "both-inf",
@@ -263,6 +272,8 @@ CASES = [
     # Counts and seeds that are not integers used to build, or to raise
     # TypeError where they were first used.
     *_raises("TrainConfig", "epochs=2.5", lambda: TrainConfig(epochs=2.5), ValueError),
+    # A bool is no count: epochs=True used to train one epoch.
+    *_raises("TrainConfig", "epochs=True", lambda: TrainConfig(epochs=True), ValueError),
     *_raises("TrainConfig", "seed=0.5", lambda: TrainConfig(seed=0.5), ValueError),
     *_raises("TrainConfig", "seed=-1", lambda: TrainConfig(seed=-1), ValueError),
     *_raises("SamplerConfig", "k=2.5", lambda: SamplerConfig(k=2.5), ValueError),
@@ -341,6 +352,11 @@ CASES = [
              lambda: generate_synthetic(10, noise_std=nan), ValueError),
     *_raises("generate_synthetic", "n=10.5", lambda: generate_synthetic(10.5),
              ValueError),
+    # These used to pass the check and raise numpy's TypeError or ValueError.
+    *_raises("generate_synthetic", "n=True", lambda: generate_synthetic(True),
+             ValueError),
+    *_each("generate_synthetic", "seed", SEEDS, lambda s: generate_synthetic(10, seed=s),
+           ValueError, must_raise=True),
     *_one("save_model", "nan-threshold",
           lambda: save_model(_sneak(linear_mlp([1.0, -1.0], 0.0), threshold=nan),
                              "model.bin")),
@@ -374,9 +390,18 @@ CASES = [
     *_each("max_pairwise_distance", "features", ROWS, max_pairwise_distance),
     *_raises("max_pairwise_distance", "features=1e154",
              lambda: max_pairwise_distance(HUGE_ROWS), DomainError),
+    # A bad seed used to be read only above 2000 rows, by numpy.
+    *_each("max_pairwise_distance", "seed", SEEDS,
+           lambda s: max_pairwise_distance(ROWS_50, seed=s),
+           ValueError, must_raise=True),
     *_each("sample_ball", "center", VECTORS, lambda v: sample_ball(v, 1.0, 5, 0)),
     *_each("sample_ball", "radius", RADII,
            lambda r: sample_ball([0.0, 0.0], r, 5, 0)),
+    # n=0 used to return an empty ball.
+    *_each("sample_ball", "n", [("2.5", 2.5), ("0", 0), ("True", True)],
+           lambda n: sample_ball([0.0, 0.0], 1.0, n, 0), ValueError, must_raise=True),
+    *_each("sample_ball", "seed", SEEDS, lambda s: sample_ball([0.0, 0.0], 1.0, 5, s),
+           ValueError, must_raise=True),
     *_each("synthesize", "x0", VECTORS, lambda v: synthesize(v, X, MODEL, SAMPLER)),
     # surrogate
     *_each("tau", "rho", RADII, lambda r: tau("bures", r, EYE, [1.0, 0.0])),
@@ -408,23 +433,26 @@ CASES = [
              lambda: solve_cvas(SPLIT_POS, SPLIT_NEG, NOMINAL), SingularCovariance),
     *_one("solve_cvas", "rho_neg=inf",
           lambda: solve_cvas(POS, NEG, Divergence(kind="logdet", rho_neg=inf))),
-    *_one("asymptotic_surrogate", "wide",
-          lambda: asymptotic_surrogate(POS, NEG_WIDE, FR_POS_INF)),
-    *_one("asymptotic_surrogate", "identical",
-          lambda: asymptotic_surrogate(POS, POS, BURES_NEG_INF)),
-    # The asymptote used to solve with -I and return w = [1, 0].
-    *_raises("asymptotic_surrogate", "covariance=-I",
-             lambda: asymptotic_surrogate(NEGATIVE_POS, ORIGIN, FR_POS_INF),
+    *_one("solve_cvas", "wide-rho_pos=inf",
+          lambda: solve_cvas(POS, NEG_WIDE, FR_POS_INF)),
+    *_one("solve_cvas", "identical-rho_neg=inf",
+          lambda: solve_cvas(POS, POS, BURES_NEG_INF)),
+    # The +inf limit used to solve with -I and return w = [1, 0].
+    *_raises("solve_cvas", "covariance=-I-rho_pos=inf",
+             lambda: solve_cvas(NEGATIVE_POS, ORIGIN, FR_POS_INF),
              SingularCovariance),
-    *_raises("asymptotic_surrogate", "radii-finite",
-             lambda: asymptotic_surrogate(POS, NEG, FR), ValueError),
     *_one("coverage_validity", "wide", lambda: coverage_validity(SUR, POS, NEG_WIDE)),
     # Both margins used to be NaN.
     *_raises("coverage_validity", "margin-overflow",
              lambda: coverage_validity(HUGE, FAR_200, FAR_NEG_200), DomainError),
+    # The NaN mean used to be refused by ClassMoments, before the margins
+    # ran; now each class's margin refuses it.
     *_raises("coverage_validity", "mean=nan",
-             lambda: coverage_validity(SUR, POS, ClassMoments(
-                 mean=[nan, 0.0], covariance=EYE)), NonFiniteInput),
+             lambda: coverage_validity(SUR, POS, _sneaked(NEG, mean=[nan, 0.0])),
+             NonFiniteInput),
+    *_raises("coverage_validity", "pos-mean=nan",
+             lambda: coverage_validity(SUR, _sneaked(POS, mean=[nan, 0.0]), NEG),
+             NonFiniteInput),
     *_each("worst_case_misclassification", "mean", VECTORS,
            lambda v: _certificates(mean=v)),
     *_each("worst_case_misclassification", "covariance", MATRICES,
@@ -504,6 +532,9 @@ CASES = [
              lambda: local_fidelity(MODEL, SUR, X0, 0.5, n=10.5), ValueError),
     *_each("sensitivity", "x0", VECTORS,
            lambda v: sensitivity((SAMPLER, FR), MODEL, X, v)),
+    *_each("sensitivity", "seed", SEEDS,
+           lambda s: sensitivity((SAMPLER, FR), MODEL, ROWS_50, X0, seed=s),
+           ValueError, must_raise=True),
     *_each("validity_metrics", "x_r", VECTORS,
            lambda v: validity_metrics([RecourseResult(x_r=v, cost=0.0,
                                                       surrogate_valid=True)],
@@ -529,8 +560,12 @@ CASES = [
 
 
 def _finite(value):
-    """Every number inside value (arrays, sequences, dataclasses) is finite."""
-    if value is None or isinstance(value, (str, enum.Enum)):
+    """Every number inside value (arrays, sequences, dataclasses) is finite.
+
+    A Divergence is an input that a Surrogate records as it was given:
+    it checks itself when built, and its +inf radius names the class
+    whose limit was taken."""
+    if value is None or isinstance(value, (str, enum.Enum, Divergence)):
         return True
     if dataclasses.is_dataclass(value):
         return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))

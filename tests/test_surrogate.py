@@ -20,7 +20,6 @@ from cvas import (
     SolverDidNotConverge,
     Surrogate,
     ZeroSlope,
-    asymptotic_surrogate,
     coverage_validity,
     halfspace_distance,
     lambert_w_minus1,
@@ -174,7 +173,7 @@ def test_divergence_validation():
         Divergence(kind="bures", rho_neg=math.nan)
     with pytest.raises(DomainError):
         Divergence(kind="logdet", rho_pos=math.nan)
-    # +inf is how asymptotic_surrogate takes the inflated class's radius;
+    # +inf is how solve_cvas takes the inflated class's radius;
     # two of them name no class.
     assert Divergence(kind="bures", rho_neg=math.inf).rho_neg == math.inf
     with pytest.raises(DomainError, match="at most one radius"):
@@ -208,7 +207,7 @@ def test_divergence_rejects_logdet_radius_above_the_cap():
 def test_divergence_check_finite():
     Divergence(kind="fisher-rao", rho_pos=1.0, rho_neg=700.0).check_finite()
     for radii in ({"rho_neg": math.inf}, {"rho_pos": math.inf}):
-        with pytest.raises(DomainError, match="asymptotic_surrogate"):
+        with pytest.raises(DomainError, match="solve_cvas takes a divergence"):
             Divergence(kind="bures", **radii).check_finite()
 
 
@@ -240,13 +239,6 @@ def test_identical_means():
     m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     with pytest.raises(IdenticalMeans):
         solve_cvas(m, m, Divergence(kind="nominal"))
-
-
-def test_solve_rejects_infinite_radius():
-    pos, neg = counter_moments()
-    for kind in KINDS:
-        with pytest.raises(DomainError, match="asymptotic_surrogate"):
-            solve_cvas(pos, neg, Divergence(kind=kind, rho_neg=math.inf))
 
 
 def _tau_gradient(kind, rho, cov, w):
@@ -666,7 +658,7 @@ def _inflated(kind, y, other=0.0):
 def test_asymptotic_quadratic_or_bures():
     pos, neg = counter_moments()
     for kind in ("quadratic", "bures"):
-        sur = asymptotic_surrogate(pos, neg, _inflated(kind, -1))
+        sur = solve_cvas(pos, neg, _inflated(kind, -1))
         assert_allclose(sur.w, [-0.1, 0.0], atol=1e-12)
         assert_allclose(sur.b, 1.0, atol=1e-12)
         assert sur.kappa == 0.0
@@ -678,7 +670,7 @@ def test_asymptotic_quadratic_or_bures():
 def test_asymptotic_fisher_rao_or_logdet():
     pos, neg = counter_moments()
     for kind in ("fisher-rao", "logdet"):
-        sur = asymptotic_surrogate(pos, neg, _inflated(kind, -1))
+        sur = solve_cvas(pos, neg, _inflated(kind, -1))
         assert_allclose(sur.w, [-0.1, 0.2], atol=1e-10)
         assert_allclose(sur.b, 1.0, atol=1e-10)
         assert sur.kappa == 0.0
@@ -689,8 +681,8 @@ def test_asymptotic_fisher_rao_or_logdet():
 def test_asymptotic_families_coincide_isotropic():
     pos = ClassMoments(mean=np.array([1.0, 1.0]), covariance=np.eye(2))
     neg = ClassMoments(mean=np.array([-1.0, 0.0]), covariance=np.eye(2))
-    a = asymptotic_surrogate(pos, neg, _inflated("bures", 1))
-    b = asymptotic_surrogate(pos, neg, _inflated("fisher-rao", 1))
+    a = solve_cvas(pos, neg, _inflated("bures", 1))
+    b = solve_cvas(pos, neg, _inflated("fisher-rao", 1))
     assert_allclose(a.w, b.w, atol=1e-12)
     assert_allclose(a.b, b.b, atol=1e-12)
 
@@ -709,10 +701,35 @@ def test_asymptote_is_its_familys_step_bit_for_bit():
                     inflated.covariance)
                 solved = np.linalg.solve(m, a)
                 w = solved / float(a @ solved)
-                sur = asymptotic_surrogate(pos, neg, _inflated(kind, y, 2.5))
+                sur = solve_cvas(pos, neg, _inflated(kind, y, 2.5))
                 assert np.array_equal(sur.w, w)
                 assert sur.b == float(w @ inflated.mean) - y
                 assert sur.kappa == 0.0
+
+
+def test_solve_takes_infinite_radius():
+    # solve_cvas used to raise DomainError on a +inf radius. The limit does
+    # not read the other radius, so 0 gives the bits that 2.5 gives (whose
+    # closed form the test above pins). Swapping the classes and their
+    # radii negates w and b bit for bit: a negated right-hand side solves
+    # to the exact negation.
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        pos, neg = random_moments(rng, 4)
+        for y in (1, -1):
+            for kind in KINDS:
+                sur = solve_cvas(pos, neg, _inflated(kind, y, 2.5))
+                for other in (0.0, 2.5):
+                    divergence = _inflated(kind, y, other)
+                    limit = solve_cvas(pos, neg, divergence)
+                    assert np.array_equal(limit.w, sur.w)
+                    assert limit.b == sur.b
+                    assert limit.kappa == 0.0
+                    assert limit.divergence == divergence
+                    swapped = solve_cvas(neg, pos, _inflated(kind, -y, other))
+                    assert np.array_equal(swapped.w, -sur.w)
+                    assert swapped.b == -sur.b
+                    assert swapped.kappa == 0.0
 
 
 def test_asymptote_records_the_divergence_it_was_given():
@@ -722,21 +739,16 @@ def test_asymptote_records_the_divergence_it_was_given():
     for kind in KINDS:
         for y in (1, -1):
             divergence = _inflated(kind, y, 3.0)
-            assert asymptotic_surrogate(pos, neg, divergence).divergence == divergence
+            assert solve_cvas(pos, neg, divergence).divergence == divergence
 
 
 def test_asymptotic_validation():
-    pos, neg = counter_moments()
     for kind in KINDS:
-        with pytest.raises(ValueError, match=r"one \+inf radius"):
-            asymptotic_surrogate(pos, neg, Divergence(kind=kind, rho_neg=1.0))
         with pytest.raises(DomainError, match="at most one radius"):
             Divergence(kind=kind, rho_pos=math.inf, rho_neg=math.inf)
-    with pytest.raises(ValueError, match=r"one \+inf radius"):
-        asymptotic_surrogate(pos, neg, Divergence(kind="nominal"))
     m = ClassMoments(mean=np.zeros(2), covariance=np.eye(2))
     with pytest.raises(IdenticalMeans):
-        asymptotic_surrogate(m, m, _inflated("bures", 1))
+        solve_cvas(m, m, _inflated("bures", 1))
 
 
 def test_asymptotic_singular_inflated_covariance():
@@ -745,7 +757,7 @@ def test_asymptotic_singular_inflated_covariance():
     neg = ClassMoments(mean=np.zeros(2), covariance=np.diag([-1e-10, 1.0]))
     for kind in ("fisher-rao", "logdet"):
         with pytest.raises(SingularCovariance, match="singular after ridge"):
-            asymptotic_surrogate(pos, neg, _inflated(kind, -1))
+            solve_cvas(pos, neg, _inflated(kind, -1))
 
 
 def test_large_radius_approaches_asymptote():
@@ -754,7 +766,7 @@ def test_large_radius_approaches_asymptote():
     pos, neg = counter_moments()
     for kind, rho in (("fisher-rao", 40.0), ("bures", 1e6), ("quadratic", 1e16)):
         for y in (1, -1):
-            limit = asymptotic_surrogate(pos, neg, _inflated(kind, y))
+            limit = solve_cvas(pos, neg, _inflated(kind, y))
             radii = {"rho_pos": rho} if y == 1 else {"rho_neg": rho}
             sur = solve_cvas(pos, neg, Divergence(kind=kind, **radii))
             assert_allclose(sur.w, limit.w, atol=1e-3)
@@ -770,7 +782,7 @@ def test_quadratic_asymptote_is_the_mean_gap_over_its_norm_bit_for_bit():
         a = pos.mean - neg.mean
         for kind in ("quadratic", "bures"):
             for y in (1, -1):
-                sur = asymptotic_surrogate(pos, neg, _inflated(kind, y))
+                sur = solve_cvas(pos, neg, _inflated(kind, y))
                 assert np.array_equal(sur.w, a / float(a @ a))
 
 
@@ -788,7 +800,7 @@ def test_asymptote_and_certificates_raise_what_the_solver_raises():
         solve_cvas(pos, neg, Divergence(kind="nominal"))
     for kind in ("fisher-rao", "logdet"):
         with pytest.raises(SingularCovariance, match="< 0"):
-            asymptotic_surrogate(pos, neg, _inflated(kind, 1))
+            solve_cvas(pos, neg, _inflated(kind, 1))
     with pytest.raises(SingularCovariance, match="< 0"):
         worst_case_misclassification(nominal, pos, neg)
     with pytest.raises(SingularCovariance, match="< 0"):
@@ -923,7 +935,7 @@ def test_surrogate_serialization_round_trip(tmp_path):
 
 def test_surrogate_serialization_asymptotic(tmp_path):
     pos, neg = counter_moments()
-    sur = asymptotic_surrogate(pos, neg, _inflated("logdet", -1, 2.0))
+    sur = solve_cvas(pos, neg, _inflated("logdet", -1, 2.0))
     path = tmp_path / "asymptotic.json"
     save_surrogate(sur, path)
     loaded = load_surrogate(path)
