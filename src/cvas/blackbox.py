@@ -357,12 +357,12 @@ def generate_synthetic(n, noise_std=0.0, seed=0):
     x2 >= 1 + x1 + 2*x1^2 + x1^3 - x1^4 + eps with eps ~ N(0, noise_std^2),
     so noise_std = 0 gives the clean generation and noise_std = 1 the
     shifted one. Raises ValueError unless n is an integer >= 1, seed one
-    >= 0 and noise_std is nonnegative.
+    >= 0 and noise_std is finite and nonnegative.
     """
     check_integer(n, "n", 1)
     check_integer(seed, "seed", 0)
-    if not noise_std >= 0.0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     features = rng.uniform(low=[-2.0, -2.0], high=[4.0, 7.0], size=(n, 2))
     eps = rng.normal(0.0, noise_std, size=n) if noise_std > 0.0 else np.zeros(n)

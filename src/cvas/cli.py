@@ -298,20 +298,20 @@ def _positive_int(text):
 
 def _radius(text):
     value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise ValueError("a radius must be finite and >= 0")
+    if not value >= 0.0:
+        raise ValueError("a radius must be a number >= 0")
     return value
 
 
 def _parse_range(text):
-    """One radius, or `start:stop:step` inclusive of both ends when step
-    divides the span.
+    """One radius, a number >= 0, or `start:stop:step` inclusive of both
+    ends when step divides the span.
 
-    start, stop and step must each be finite and >= 0, so that every
-    value is a radius, and the span must hold at most 10^6 steps, which
-    is checked before any value is built. A sweep pays one solve per
-    instance and radius, and six-significant-digit report ids stop
-    telling radii apart long before that count.
+    start and stop must each be a number >= 0 and step a finite one > 0,
+    and the span must hold at most 10^6 steps, which is checked before
+    any value is built. A sweep pays one solve per instance and radius,
+    and six-significant-digit report ids stop telling radii apart long
+    before that count.
     """
     parts = str(text).split(":")
     if len(parts) == 1:
@@ -319,8 +319,8 @@ def _parse_range(text):
     if len(parts) != 3:
         raise ValueError("expected start:stop:step")
     start, stop, step = (_radius(p) for p in parts)
-    if step <= 0.0 or stop < start:
-        raise ValueError("need step > 0 and stop >= start")
+    if not 0.0 < step < math.inf or stop < start:
+        raise ValueError("need a finite step > 0 and stop >= start")
     span = (stop - start) / step
     if not span <= _MAX_RANGE_STEPS:  # an infinite span included
         raise ValueError("too many radii in start:stop:step")

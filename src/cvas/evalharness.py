@@ -134,14 +134,18 @@ def validity_metrics(recourses, current_model, future_models):
     model labels +1; future validity averages that fraction over the
     ensemble; mean cost averages the L1 costs.
 
-    Raises EmptyInput for no recourses or no models, and NonFiniteInput
-    for a recourse point or cost holding NaN or infinity.
+    Raises EmptyInput for no recourses or no models, DimensionMismatch
+    for recourse points of different widths, and NonFiniteInput for a
+    recourse point or cost holding NaN or infinity.
     """
     if not recourses:
         raise EmptyInput("no recourses to evaluate")
     if not future_models:
         raise EmptyInput("future-model ensemble is empty")
     costs = finite_array([r.cost for r in recourses], "recourse cost")
+    widths = {r.x_r.size for r in recourses}
+    if len(widths) > 1:
+        raise DimensionMismatch(f"recourse points have widths {sorted(widths)}")
     points = np.vstack([r.x_r for r in recourses])
     current = float(np.mean(current_model.label(points) == 1))
     future = float(np.mean([np.mean(m.label(points) == 1) for m in future_models]))
@@ -241,8 +245,6 @@ def _check_grid(divergence_kind, rho_pos, rho_grid, mode):
                               rho_neg=float(rho)) for rho in rho_grid]
     if not divergences:
         raise EmptyInput("empty rho grid")
-    for divergence in divergences:
-        divergence.check_finite()
     if mode not in MODES:
         raise ValueError(f"unknown recourse mode {mode!r}")
     config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
@@ -292,8 +294,8 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     NonFiniteInput
         If an instance holds NaN or infinity.
     NegativeRadius, DomainError
-        If a radius is outside the solver's domain: negative, NaN,
-        infinite, or above the fisher-rao and logdet cap of 700.
+        If a radius is outside Divergence's domain: negative, NaN, finite
+        above the fisher-rao and logdet cap of 700, or +inf for both classes.
     NonFiniteInput, DimensionMismatch, BadLabelValue, SingleClassData
         As simulate_future_models, for the shifted dataset, before the
         ensemble or the current model starts training.

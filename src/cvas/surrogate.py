@@ -80,11 +80,6 @@ class Divergence:
         if self.kind is DivergenceKind.NOMINAL and (self.rho_pos or self.rho_neg):
             raise ValueError("nominal divergence requires both radii equal to 0")
 
-    def check_finite(self):
-        """DomainError if a radius is +inf."""
-        for rho in (self.rho_pos, self.rho_neg):
-            _check_radius(self.kind, rho)
-
 
 @dataclass(frozen=True)
 class Surrogate:
@@ -112,12 +107,17 @@ class Surrogate:
     def decision_values(self, features):
         """w^T x - b for a batch of rows, shape (n,).
 
-        Raises DimensionMismatch for rows of the wrong width and
-        NonFiniteInput for rows holding NaN or infinity.
+        Raises DimensionMismatch for rows of the wrong width,
+        NonFiniteInput for rows holding NaN or infinity, and DomainError
+        for finite rows whose value overflows float64.
         """
         features = finite_array(np.atleast_2d(features), "surrogate input",
                                 shape=(None, self.w.size))
-        return features @ self.w - self.b
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = features @ self.w - self.b
+        if not np.isfinite(values).all():
+            raise DomainError("a decision value w^T x - b overflows float64")
+        return values
 
     def label(self, features):
         """Hard labels in {-1, +1}; the boundary itself counts as +1."""
@@ -178,16 +178,15 @@ def _check_radius(kind, rho):
     if rho < 0.0:
         raise NegativeRadius(f"rho must be nonnegative, got {rho}")
     if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho}; solve_cvas takes "
-                          "a divergence with one +inf radius")
+        raise DomainError(f"rho must be finite, got {rho}; a Divergence "
+                          "takes one +inf radius, as its class's limit")
     if kind in (DivergenceKind.FISHER_RAO, DivergenceKind.LOGDET) and rho > _RHO_CAP:
         raise DomainError(f"{kind.value} radius {rho} exceeds the overflow cap "
-                          f"{_RHO_CAP}; solve_cvas takes its +inf limit")
+                          f"{_RHO_CAP}; a +inf radius takes its limit")
 
 
 def _terms(kind, rho, covariance):
     # tau = sum of weight * sqrt(w^T M w) over these (weight, M) pairs.
-    _check_radius(kind, rho)
     if kind is DivergenceKind.QUADRATIC:
         return [(1.0, covariance + math.sqrt(rho) * np.eye(len(covariance)))]
     if kind is DivergenceKind.BURES:
@@ -242,6 +241,7 @@ def tau(kind, rho, covariance, w):
     kind = DivergenceKind(kind)
     w = finite_array(np.ravel(w), "tau slope", nonzero=True)
     cov = finite_array(covariance, "covariance", shape=w.shape * 2)
+    _check_radius(kind, rho)
     return _evaluate(_terms(kind, rho, cov), w)[0]
 
 

@@ -229,6 +229,8 @@ def test_parse_range_inclusive_grid():
 
 def test_parse_range_single_value():
     assert _parse_range("3") == (3.0,)
+    # One +inf radius names the class whose limit the solve takes.
+    assert _parse_range("inf") == (math.inf,)
 
 
 def test_parse_range_non_dividing_step_stops_short():
@@ -236,9 +238,10 @@ def test_parse_range_non_dividing_step_stops_short():
 
 
 # 0:1e308:1e-300 has no finite count of radii, and 0:700:1e-9 has
-# 7e11: both are refused before any value is built.
+# 7e11: both are refused before any value is built. An infinite step
+# would leave the range its stop alone.
 @pytest.mark.parametrize("text", ["1:2", "0:10:0", "0:10:-1", "5:1:1", "nan", "-1",
-                                  "inf", "-1:1:1", "0:nan:1", "0:inf:1",
+                                  "-1:1:1", "0:nan:1", "0:inf:1", "0:1:inf",
                                   "0:1e308:1e-300", "0:700:1e-9"])
 def test_parse_range_rejects_bad_input(text):
     with pytest.raises(ValueError):
@@ -509,6 +512,45 @@ def test_one_radius_sweep_is_its_row_of_a_grid_sweep(workspace, tmp_path):
     assert reports["1.5"] == [header, row]
 
 
+@pytest.mark.parametrize("option, config_id", [
+    ("--rho-neg", "fisher-rao_rpos0_rneginf_projection"),
+    ("--rho-pos", "fisher-rao_rposinf_rneg0_projection"),
+])
+def test_sweep_takes_one_infinite_radius(workspace, tmp_path, option, config_id):
+    out = tmp_path / "report.csv"
+    rc = run(["sweep", "--data", str(workspace / "d1.csv"),
+              "--shifted", str(workspace / "d2.csv"),
+              "--spec", str(workspace / "cols.txt"), "--out", str(out),
+              "--divergence", "fisher-rao", option, "inf", "--epochs", "80",
+              "--n-models", "2", "--max-instances", "2", "--n-p", "200",
+              "--k", "5", "--seed", "3"])
+    assert rc == 0
+    [record] = list(csv.DictReader(out.read_text().splitlines()))
+    assert record["config_id"] == config_id
+    assert record[option[2:].replace("-", "_")] == "inf"
+    for column in ("mean_cost", "current_validity", "future_validity",
+                   "local_fidelity", "sensitivity", "n_skipped"):
+        assert math.isfinite(float(record[column]))
+
+
+def test_recourse_takes_one_infinite_radius(workspace, tmp_path):
+    out = tmp_path / "rec.csv"
+    rc = run(["recourse", "--data", str(workspace / "d1.csv"),
+              "--spec", str(workspace / "cols.txt"),
+              "--model", str(workspace / "model.bin"),
+              "--instances", "3,4,15", "--n-p", "200", "--k", "5",
+              "--seed", "3", "--divergence", "bures",
+              "--rho-neg", "inf", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as handle:
+        records = list(csv.DictReader(handle))
+    assert [r["instance_id"] for r in records] == ["3", "4", "15"]
+    for record in records:
+        assert record["rho_neg"] == "inf"
+        assert 0.0 <= float(record["cost"]) < math.inf
+        assert record["surrogate_valid"] == "true"
+
+
 def test_config_file_provides_defaults_flags_override(workspace, tmp_path,
                                                       capsys):
     config = tmp_path / "gen.cfg"
@@ -609,14 +651,13 @@ def test_max_instances_below_one_exits_one(tmp_path, capsys, value):
 @pytest.mark.parametrize("command, option, value", [
     ("sweep", "--rho-neg", "nan"),
     ("sweep", "--rho-neg", "-1"),
-    ("sweep", "--rho-neg", "inf"),
     ("sweep", "--rho-neg", "0:inf:1"),
+    ("sweep", "--rho-neg", "0:1:inf"),
     ("sweep", "--rho-neg", "-1:1:1"),
     ("sweep", "--rho-neg", "0:1e308:1e-300"),
     ("sweep", "--rho-neg", "0:700:1e-9"),
     ("sweep", "--rho-pos", "nan"),
     ("recourse", "--rho-neg", "-1"),
-    ("recourse", "--rho-pos", "inf"),
 ])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_bad_radius_exits_one_before_any_read(tmp_path, monkeypatch, capsys,
@@ -696,6 +737,19 @@ def test_solver_radius_checked_before_any_read(tmp_path, monkeypatch, capsys,
     assert _run_before_any_read(tmp_path, monkeypatch, command, options,
                                 from_config) == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "recourse"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_two_infinite_radii_exit_two_before_any_read(tmp_path, monkeypatch, capsys,
+                                                     command, from_config):
+    # One +inf radius names the class whose limit the solve takes; two
+    # name none, and the divergence refuses them when built.
+    options = {"divergence": "bures", "rho_pos": "inf", "rho_neg": "inf"}
+    assert _run_before_any_read(tmp_path, monkeypatch, command, options,
+                                from_config) == 2
+    assert "at most one radius may be +inf" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

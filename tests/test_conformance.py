@@ -121,6 +121,7 @@ NEGATIVE_POS = ClassMoments(mean=[1.0, 0.0], covariance=-EYE)
 SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -8e20]))
 SPLIT_NEG = ClassMoments(mean=[0.0, 0.0, 0.0], covariance=np.diag([-2e20, 1e20, 1e20]))
 HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
+HUGE_308 = Surrogate(w=[1e308, 1e308], b=0.0, kappa=1.0, divergence=NOMINAL)
 # Class means whose w^T mu overflows for HUGE's slope.
 FAR_200 = ClassMoments(mean=[1e200, 0.0], covariance=EYE)
 FAR_NEG_200 = ClassMoments(mean=[-1e200, 0.0], covariance=EYE)
@@ -202,6 +203,11 @@ def _certificates(**fields):
     return worst_case_misclassification(SUR, _sneaked(POS, **fields), NEG)
 
 
+def _metrics(report):
+    """The metric columns of each of a report's rows, mean_cost on."""
+    return [dataclasses.astuple(row)[5:] for row in report.rows]
+
+
 def _surrogate_round_trip(**fields):
     save_surrogate(_sneak(Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0,
                                     divergence=NOMINAL), **fields), "s.json")
@@ -236,7 +242,11 @@ def _surrogate_rows(method):
         return getattr(SUR, method)([row])
     return (_each("Surrogate", method, VECTORS[:3], call, NonFiniteInput, must_raise=True)
             + _each("Surrogate", method, VECTORS[3:], call, DimensionMismatch,
-                    must_raise=True))
+                    must_raise=True)
+            # A finite row whose w^T x overflows used to give inf with a
+            # RuntimeWarning.
+            + _raises("Surrogate", f"{method}=overflow",
+                      lambda: getattr(HUGE_308, method)([[1e308, 1e308]]), DomainError))
 
 
 CASES = [
@@ -350,6 +360,9 @@ CASES = [
            lambda r: generate_synthetic(10, noise_std=r), allowed=CONFIG),
     *_raises("generate_synthetic", "noise_std=nan-raises",
              lambda: generate_synthetic(10, noise_std=nan), ValueError),
+    # Infinite noise used to label by its sign alone.
+    *_raises("generate_synthetic", "noise_std=inf-raises",
+             lambda: generate_synthetic(10, noise_std=inf), ValueError),
     *_raises("generate_synthetic", "n=10.5", lambda: generate_synthetic(10.5),
              ValueError),
     # These used to pass the check and raise numpy's TypeError or ValueError.
@@ -544,9 +557,21 @@ CASES = [
                                       MODEL, [MODEL]),
            allowed=NonFiniteInput, must_raise=True),
     *_one("validity_metrics", "empty", lambda: validity_metrics([], MODEL, [MODEL])),
-    *_each("sweep", "rho_grid", RADII,
+    # Points of two widths used to leak numpy's ValueError.
+    *_raises("validity_metrics", "x_r=mixed-widths",
+             lambda: validity_metrics([RecourseResult(x_r=v, cost=0.0,
+                                                      surrogate_valid=True)
+                                       for v in ([0.5, 0.5], [0.5, 0.5, 0.5])],
+                                      MODEL, [MODEL]),
+             DimensionMismatch),
+    *_each("sweep", "rho_grid", [c for c in RADII if c[0] != "inf"],
            lambda r: sweep((X, Y), (X, Y), X0[None, :], "fisher-rao", [r],
                            "projection", SWEEP_CONFIG)),
+    # +inf is the limit of the negative class; its row's rho_neg is the
+    # radius as given, and every metric must be finite.
+    *_one("sweep", "rho_grid=inf",
+          lambda: _metrics(sweep((X, Y), (X, Y), X0[None, :], "fisher-rao", [inf],
+                                 "projection", SWEEP_CONFIG)), allowed=()),
     *_each("sweep", "instances", VECTORS,
            lambda v: sweep((X, Y), (X, Y), [v], "fisher-rao", [1.0], "projection",
                            SWEEP_CONFIG)),

@@ -517,6 +517,30 @@ def test_sweep_row_depends_only_on_its_radius(sweep_fixture, counted_sweeps,
         assert (tmp_path / "alone.csv").read_text().splitlines() == [header, row]
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "bures", "fisher-rao", "logdet"])
+def test_sweep_takes_an_infinite_radius_as_its_own_row(sweep_fixture, tmp_path,
+                                                      kind):
+    # A +inf radius is one more row: the two-radius sweep writes the CSV
+    # lines of the one-radius sweeps over 0 and +inf, and the +inf row's
+    # metrics are finite.
+    present, shifted, unfavorable = sweep_fixture
+    config = dataclasses.replace(SENS_CONFIG, n_models=1)
+    model = train_mlp(present[0], present[1], config.train)
+    lines = {}
+    for grid in ((0.0, math.inf), (0.0,), (math.inf,)):
+        report = sweep(present, shifted, unfavorable[:3], kind, grid,
+                       "projection", config, model=model)
+        report.to_csv(tmp_path / "report.csv")
+        lines[grid] = (tmp_path / "report.csv").read_text().splitlines()
+    header, zero, limit = lines[0.0, math.inf]
+    assert lines[0.0,] == [header, zero]
+    assert lines[math.inf,] == [header, limit]
+    [row] = report.rows  # the one-radius +inf sweep's
+    assert row.config_id == f"{kind}_rpos0_rneginf_projection"
+    assert row.rho_neg == math.inf
+    assert all(math.isfinite(value) for value in dataclasses.astuple(row)[5:])
+
+
 def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
     moves = []
     real = evalharness._recourse_against
@@ -573,8 +597,9 @@ def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
                  id="fisher-rao-radius-above-the-cap"),
     pytest.param("fisher-rao", [1.0], None, DomainError, "projection",
                  {"rho_pos": 701.0}, id="fisher-rao-rho-pos-above-the-cap"),
-    pytest.param("logdet", [1.0, math.inf], None, DomainError, "projection", {},
-                 id="infinite-radius"),
+    # One +inf radius is the limit of its class; two name no class.
+    pytest.param("logdet", [1.0, math.inf], None, DomainError, "projection",
+                 {"rho_pos": math.inf}, id="infinite-radius"),
 ])
 def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
                                              grid, instances, error, mode, changes):

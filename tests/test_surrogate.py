@@ -204,13 +204,6 @@ def test_divergence_rejects_logdet_radius_above_the_cap():
             tau("logdet", rho, np.eye(2), [1.0, 0.0])
 
 
-def test_divergence_check_finite():
-    Divergence(kind="fisher-rao", rho_pos=1.0, rho_neg=700.0).check_finite()
-    for radii in ({"rho_neg": math.inf}, {"rho_pos": math.inf}):
-        with pytest.raises(DomainError, match="solve_cvas takes a divergence"):
-            Divergence(kind="bures", **radii).check_finite()
-
-
 # ---------------------------------------------------------------- solve
 
 def test_nominal_counterexample():
