@@ -30,7 +30,6 @@ from .errors import (
     NoActionableRecourse,
     NonFiniteInput,
     NoOppositeClassPrototypes,
-    NoValidRecourse,
     SchemaMismatch,
     SingleClassData,
     SingularCovariance,
@@ -59,7 +58,6 @@ from .recourse import (
     fit_surrogate,
     generate_recourse,
     l1_projection,
-    wachter_recourse,
 )
 from .sampler import (
     BoundarySample,
@@ -76,9 +74,7 @@ from .surrogate import (
     coverage_validity,
     halfspace_distance,
     lambert_w_minus1,
-    load_surrogate,
     optimal_mean,
-    save_surrogate,
     solve_cvas,
     tau,
     worst_case_misclassification,
@@ -107,7 +103,6 @@ __all__ = [
     "NegativeRadius",
     "NoActionableRecourse",
     "NoOppositeClassPrototypes",
-    "NoValidRecourse",
     "NonFiniteInput",
     "RecourseResult",
     "SamplerConfig",
@@ -131,14 +126,12 @@ __all__ = [
     "l1_projection",
     "lambert_w_minus1",
     "load_model",
-    "load_surrogate",
     "local_fidelity",
     "max_pairwise_distance",
     "optimal_mean",
     "predict",
     "sample_ball",
     "save_model",
-    "save_surrogate",
     "sensitivity",
     "simulate_future_models",
     "solve_cvas",
@@ -147,6 +140,5 @@ __all__ = [
     "tau",
     "train_mlp",
     "validity_metrics",
-    "wachter_recourse",
     "worst_case_misclassification",
 ]

@@ -307,11 +307,11 @@ def _parse_range(text):
     """One radius, a number >= 0, or `start:stop:step` inclusive of both
     ends when step divides the span.
 
-    start and stop must each be a number >= 0 and step a finite one > 0,
-    and the span must hold at most 10^6 steps, which is checked before
-    any value is built. A sweep pays one solve per instance and radius,
-    and six-significant-digit report ids stop telling radii apart long
-    before that count.
+    start must be a number >= 0, stop a finite one >= start (inf is a
+    radius of its own) and step a finite one > 0, and the span must hold
+    at most 10^6 steps, which is checked before any value is built. A
+    sweep pays one solve per instance and radius, and six-significant-digit
+    report ids stop telling radii apart long before that count.
     """
     parts = str(text).split(":")
     if len(parts) == 1:
@@ -319,6 +319,8 @@ def _parse_range(text):
     if len(parts) != 3:
         raise ValueError("expected start:stop:step")
     start, stop, step = (_radius(p) for p in parts)
+    if stop == math.inf:
+        raise ValueError("a grid needs a finite stop; give inf as a radius of its own")
     if not 0.0 < step < math.inf or stop < start:
         raise ValueError("need a finite step > 0 and stop >= start")
     span = (stop - start) / step

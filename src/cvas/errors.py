@@ -85,17 +85,6 @@ class NoActionableRecourse(CvasError):
     """No combination of allowed feature changes crosses the boundary."""
 
 
-class NoValidRecourse(CvasError):
-    """Recourse search exhausted its retries without flipping the model.
-
-    Carries the best attempt in ``result`` so callers can still inspect it.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 # ------------------------------------------------------------- evalharness
 
 class EmptyInput(CvasError):

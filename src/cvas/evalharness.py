@@ -286,8 +286,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         without waiting for the ensemble, if every instance fails at
         some radius.
     ValueError
-        If `mode` is not one of MODES, or two radii print as one report
-        id (config_id formats rho_neg with :g).
+        If `mode` is not one of MODES, two radii print as one report id
+        (config_id formats rho_neg with :g), or a radius other than 0
+        sits next to a +inf one, whose limit does not read it.
     DimensionMismatch
         If the instances are not rows of the present data's width, or
         the model or config.action_kinds has another width.

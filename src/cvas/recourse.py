@@ -1,13 +1,12 @@
 """Recourse generation on top of a linear surrogate.
 
-Three searches are provided: an exact 1-norm projection onto the
-surrogate's favorable halfspace, an exact branch-and-bound search over
-discrete per-feature action grids, and the gradient-based Wachter
-baseline that works directly against the black-box model. The
-generate_recourse pipeline ties sampling, moment estimation, the
-surrogate solve, and the chosen search together. generate_recourse,
-sweep and sensitivity share one moments step (_boundary_moments) and
-one recourse step (_recourse_against).
+Two searches are provided: an exact 1-norm projection onto the
+surrogate's favorable halfspace, and an exact branch-and-bound search
+over discrete per-feature action grids. The generate_recourse pipeline
+ties sampling, moment estimation, the surrogate solve, and the chosen
+search together. generate_recourse, sweep and sensitivity share one
+moments step (_boundary_moments) and one recourse step
+(_recourse_against).
 """
 
 import heapq
@@ -16,25 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blackbox import predict
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NoActionableRecourse,
-    NoValidRecourse,
-    finite_array,
-)
+from .errors import DimensionMismatch, DomainError, NoActionableRecourse, finite_array
 from .moments import estimate_moments
 from .sampler import synthesize
 from .surrogate import _deficit, solve_cvas
 
 ACTION_KINDS = ("free", "immutable", "non_decreasing")
 MODES = ("projection", "actionable")
-
-_WACHTER_STEP = 0.01
-_WACHTER_LAMBDA0 = 0.1
-_WACHTER_STEPS = 1000
-_WACHTER_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,7 @@ class RecourseResult:
     """A recourse point with its L1 cost and validity flags.
 
     blackbox_valid is None when no black-box was consulted (bare
-    projection or actionable searches); surrogate_valid is None for the
-    Wachter baseline, which never sees a surrogate.
+    projection or actionable searches).
     """
 
     x_r: np.ndarray
@@ -308,49 +294,6 @@ def actionable_recourse(x0, surrogate, actions):
                 pushes, pos + 1, left, spent,
                 chosen + ((index, delta),) if delta else chosen))
     raise NoActionableRecourse(f"no grid combination covers the deficit {deficit:.6g}")
-
-
-def wachter_recourse(model, x0):
-    """Gradient-based recourse against the raw black-box.
-
-    Minimizes (g(x) - threshold)^2 + lambda * ||x - x0||_1 by 1000 steps
-    of fixed-step gradient descent (step 0.01, L1 subgradient 0 at
-    kinks), from lambda = 0.1. If the final point is still unfavorable,
-    lambda is halved and the descent restarts from x0, up to 10 times.
-
-    Raises
-    ------
-    NoValidRecourse
-        When every attempt fails; the best attempt is attached to the
-        exception's `result`.
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    proba0, label0, _ = predict(model, x0)
-    if label0 == 1:
-        return RecourseResult(x_r=x0.copy(), cost=0.0, surrogate_valid=None,
-                              blackbox_valid=True)
-
-    best = None
-    best_proba = -math.inf
-    lam = _WACHTER_LAMBDA0
-    for _ in range(_WACHTER_RETRIES + 1):
-        x = x0.copy()
-        for _ in range(_WACHTER_STEPS):
-            proba, _, grad = predict(model, x)
-            direction = 2.0 * (proba - model.threshold) * grad
-            direction = direction + lam * np.sign(x - x0)
-            x = x - _WACHTER_STEP * direction
-        proba, label, _ = predict(model, x)
-        result = RecourseResult(x_r=x, cost=float(np.abs(x - x0).sum()),
-                                surrogate_valid=None, blackbox_valid=label == 1)
-        if label == 1:
-            return result
-        if proba > best_proba:
-            best, best_proba = result, proba
-        lam /= 2.0
-    raise NoValidRecourse(
-        f"no valid recourse after {_WACHTER_RETRIES + 1} attempts "
-        f"(best probability {best_proba:.4f})", result=best)
 
 
 def _boundary_moments(model, x0, dataset, sampler_config):

@@ -18,7 +18,6 @@ Conventions: the favorable side is w^T x - b >= 0, slopes are
 normalized by w^T (mu_pos - mu_neg) = 1.
 """
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -26,9 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._io import atomic_write_text
 from .errors import (
-    CvasError,
     DimensionMismatch,
     DomainError,
     IdenticalMeans,
@@ -59,7 +56,8 @@ class DivergenceKind(str, Enum):
 class Divergence:
     """Divergence kind plus per-class radii (rho_pos, rho_neg): each
     finite, nonnegative and at most 700 for fisher-rao and logdet, or,
-    for at most one class, +inf, whose limit solve_cvas takes.
+    for at most one class, +inf, whose limit solve_cvas takes; the other
+    radius is then 0, since that limit does not read it.
 
     A radius has its tau term's units: none for fisher-rao and logdet,
     feature units for bures (rho ||w||), feature units to the fourth power
@@ -77,6 +75,9 @@ class Divergence:
         for rho in (self.rho_pos, self.rho_neg):
             if rho != math.inf:
                 _check_radius(self.kind, rho)
+        if math.inf in (self.rho_pos, self.rho_neg) and min(self.rho_pos, self.rho_neg):
+            raise ValueError("a +inf radius needs 0 as the other class's radius, "
+                             "which its limit does not read")
         if self.kind is DivergenceKind.NOMINAL and (self.rho_pos or self.rho_neg):
             raise ValueError("nominal divergence requires both radii equal to 0")
 
@@ -292,7 +293,8 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     with M = I for quadratic and bures (w = a/||a||^2 exactly: the
     l2-regularized minimax probability machine) or the ridged Sigma_y for
     fisher-rao and logdet (the class-reweighted one), and b = w^T mu_y - y
-    through the other class mean; the other radius does not enter.
+    through the other class mean; the other radius, 0 by Divergence's
+    rule, does not enter.
 
     Returns
     -------
@@ -443,39 +445,3 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     if not (np.isfinite(mu_star).all() and objective < math.inf):
         raise DomainError("the optimal mean or its objective overflows float64")
     return mu_star, objective
-
-
-def save_surrogate(surrogate, path):
-    """Atomic JSON write of {w, b, kappa, divergence, rho_pos, rho_neg}
-    (infinities serialized in Python's extended JSON form)."""
-    divergence = surrogate.divergence
-    record = {"w": [float(v) for v in surrogate.w], "b": surrogate.b,
-              "kappa": surrogate.kappa, "divergence": divergence.kind.value,
-              "rho_pos": divergence.rho_pos, "rho_neg": divergence.rho_neg}
-    atomic_write_text(path, json.dumps(record, indent=2) + "\n")
-
-
-def load_surrogate(path):
-    """Read a surrogate written by save_surrogate; Surrogate checks it.
-
-    Raises
-    ------
-    CvasError
-        Naming the path, for a file that is not a whole surrogate
-        record: malformed JSON, a missing key, or a field of the wrong
-        type or outside its domain (an unknown divergence, a negative
-        kappa).
-    NonFiniteInput, ZeroSlope, DimensionMismatch, NegativeRadius, DomainError
-        As Divergence and Surrogate raise them for the values read.
-    OSError
-        If the file cannot be read.
-    """
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-        divergence = Divergence(kind=record["divergence"], rho_pos=record["rho_pos"],
-                                rho_neg=record["rho_neg"])
-        return Surrogate(w=record["w"], b=record["b"], kappa=record["kappa"],
-                         divergence=divergence)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CvasError(f"{path} is not a surrogate record: {exc!r}") from exc

@@ -241,10 +241,19 @@ def test_parse_range_non_dividing_step_stops_short():
 # 7e11: both are refused before any value is built. An infinite step
 # would leave the range its stop alone.
 @pytest.mark.parametrize("text", ["1:2", "0:10:0", "0:10:-1", "5:1:1", "nan", "-1",
-                                  "-1:1:1", "0:nan:1", "0:inf:1", "0:1:inf",
-                                  "0:1e308:1e-300", "0:700:1e-9"])
+                                  "-1:1:1", "0:nan:1", "0:inf:1", "1:inf:1",
+                                  "inf:inf:1", "0:1:inf", "0:1e308:1e-300",
+                                  "0:700:1e-9"])
 def test_parse_range_rejects_bad_input(text):
     with pytest.raises(ValueError):
+        _parse_range(text)
+
+
+# These used to be refused as "too many radii", a count rather than the
+# infinite end.
+@pytest.mark.parametrize("text", ["0:inf:1", "1:inf:1", "inf:inf:1"])
+def test_parse_range_names_an_infinite_stop(text):
+    with pytest.raises(ValueError, match="give inf as a radius of its own"):
         _parse_range(text)
 
 
@@ -652,6 +661,8 @@ def test_max_instances_below_one_exits_one(tmp_path, capsys, value):
     ("sweep", "--rho-neg", "nan"),
     ("sweep", "--rho-neg", "-1"),
     ("sweep", "--rho-neg", "0:inf:1"),
+    ("sweep", "--rho-neg", "1:inf:1"),
+    ("sweep", "--rho-neg", "inf:inf:1"),
     ("sweep", "--rho-neg", "0:1:inf"),
     ("sweep", "--rho-neg", "-1:1:1"),
     ("sweep", "--rho-neg", "0:1e308:1e-300"),
@@ -774,6 +785,11 @@ def test_two_infinite_radii_exit_two_before_any_read(tmp_path, monkeypatch, caps
     ("train", {"split": 1}, "--split"),
     ("recourse", {"split": 1.5}, "--split"),
     ("sweep", {"split": -1}, "--split"),
+    # The limit at a +inf radius does not read the other radius.
+    ("sweep", {"divergence": "logdet", "rho_pos": "inf", "rho_neg": "0:2:1"},
+     "needs 0 as the other class's radius"),
+    ("recourse", {"divergence": "logdet", "rho_pos": "inf", "rho_neg": 2},
+     "needs 0 as the other class's radius"),
 ])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_settings_checked_before_any_read(tmp_path, monkeypatch, capsys, command,

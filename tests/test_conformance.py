@@ -52,14 +52,12 @@ from cvas import (
     l1_projection,
     lambert_w_minus1,
     load_model,
-    load_surrogate,
     local_fidelity,
     max_pairwise_distance,
     optimal_mean,
     predict,
     sample_ball,
     save_model,
-    save_surrogate,
     sensitivity,
     simulate_future_models,
     solve_cvas,
@@ -68,7 +66,6 @@ from cvas import (
     tau,
     train_mlp,
     validity_metrics,
-    wachter_recourse,
     worst_case_misclassification,
 )
 from cvas.cli import load_dataset
@@ -208,12 +205,6 @@ def _metrics(report):
     return [dataclasses.astuple(row)[5:] for row in report.rows]
 
 
-def _surrogate_round_trip(**fields):
-    save_surrogate(_sneak(Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0,
-                                    divergence=NOMINAL), **fields), "s.json")
-    return load_surrogate("s.json")
-
-
 # A case is (target, label, call, allowed, must_raise): call() raises one
 # of `allowed`, or, unless must_raise, returns a finite result.
 CONFIG = (CvasError, ValueError)
@@ -262,6 +253,9 @@ CASES = [
            lambda v: Surrogate(w=v, b=0.0, kappa=1.0, divergence=NOMINAL)),
     *_each("Surrogate", "b", RADII,
            lambda r: Surrogate(w=[1.0, 0.0], b=r, kappa=1.0, divergence=NOMINAL)),
+    *_raises("Surrogate", "b=inf-raises",
+             lambda: Surrogate(w=[1.0, 0.0], b=inf, kappa=1.0, divergence=NOMINAL),
+             NonFiniteInput),
     *_surrogate_rows("decision_values"),
     *_surrogate_rows("label"),
     *_each("Surrogate", "kappa", RADII,
@@ -505,9 +499,6 @@ CASES = [
     *_raises("optimal_mean", "margin-overflow",
              lambda: optimal_mean([1e200, 1e200], 0.0, [1e200, 0.0], EYE, 1.0),
              DomainError),
-    *_one("save_surrogate", "b=nan", lambda: _surrogate_round_trip(b=nan)),
-    *_one("load_surrogate", "w=nan",
-          lambda: _surrogate_round_trip(w=np.array([nan, 1.0]))),
     # recourse
     *_each("l1_projection", "x0", VECTORS, lambda v: l1_projection(v, SUR)),
     *_raises("l1_projection", "deficit-overflow",
@@ -529,9 +520,6 @@ CASES = [
     *_raises("default_action_grids", "percentile-overflow",
              lambda: default_action_grids([0.0, 0.0], [[1.7e308, 0.0], [-1.7e308, 1.0]]),
              DomainError),
-    *_each("wachter_recourse", "x0", VECTORS, lambda v: wachter_recourse(MODEL, v)),
-    *_raises("wachter_recourse", "x0-overflow",
-             lambda: wachter_recourse(TRAINED, FAR_ROW), DomainError),
     *_each("fit_surrogate", "x0", VECTORS,
            lambda v: fit_surrogate(MODEL, v, X, SAMPLER, FR)),
     *_each("generate_recourse", "x0", VECTORS,

@@ -597,9 +597,12 @@ def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
                  id="fisher-rao-radius-above-the-cap"),
     pytest.param("fisher-rao", [1.0], None, DomainError, "projection",
                  {"rho_pos": 701.0}, id="fisher-rao-rho-pos-above-the-cap"),
-    # One +inf radius is the limit of its class; two name no class.
-    pytest.param("logdet", [1.0, math.inf], None, DomainError, "projection",
+    # One +inf radius is the limit of its class, with 0 as the other;
+    # two name no class.
+    pytest.param("logdet", [0.0, math.inf], None, DomainError, "projection",
                  {"rho_pos": math.inf}, id="infinite-radius"),
+    pytest.param("logdet", [0.0, 1.0], None, ValueError, "projection",
+                 {"rho_pos": math.inf}, id="infinite-radius-with-a-finite-partner"),
 ])
 def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
                                              grid, instances, error, mode, changes):

@@ -1,4 +1,4 @@
-"""Recourse generation: projection, actionable search, Wachter baseline."""
+"""Recourse generation: projection and actionable search."""
 
 import hashlib
 import math
@@ -15,7 +15,6 @@ from cvas import (
     DimensionMismatch,
     Divergence,
     NoActionableRecourse,
-    NoValidRecourse,
     NonFiniteInput,
     SamplerConfig,
     Surrogate,
@@ -26,14 +25,11 @@ from cvas import (
     generate_recourse,
     generate_synthetic,
     l1_projection,
-    predict,
     train_mlp,
-    wachter_recourse,
 )
 from cvas import recourse
 from cvas.recourse import ACTION_KINDS
 
-from helpers import linear_mlp
 from oracles import (
     default_action_grids_oracle,
     exhaustive_actionable_cost,
@@ -452,40 +448,6 @@ def test_deciles_at_half_gamma_take_the_upper_row():
     rows = np.array([[0.1], [0.7]])
     assert recourse._deciles(rows)[4, 0] == 0.7 - (0.7 - 0.1) * 0.5
     assert 0.7 - (0.7 - 0.1) * 0.5 != 0.1 + (0.7 - 0.1) * 0.5
-
-
-# ---------------------------------------------------------------- wachter
-
-def test_wachter_already_favorable():
-    model = linear_mlp(np.array([2.0, 0.0]), 0.5)
-    result = wachter_recourse(model, np.zeros(2))
-    assert result.cost == 0.0
-    assert result.blackbox_valid
-    assert result.surrogate_valid is None
-
-
-def test_wachter_crosses_known_boundary():
-    # boundary of sigma(40 (x1 - 1)) sits at x1 = 1; the slope is steep
-    # enough that the descent overshoots the plane instead of stalling
-    # at the pre-boundary equilibrium of the penalized loss
-    model = linear_mlp(np.array([40.0, 0.0]), -40.0)
-    result = wachter_recourse(model, np.array([0.8, 0.0]))
-    assert result.blackbox_valid
-    assert predict(model, result.x_r)[1] == 1
-    assert result.x_r[0] >= 1.0
-    assert np.all(np.isfinite(result.x_r))
-
-
-def test_wachter_failure_carries_best_attempt():
-    # The boundary is at x1 = 10; from x1 = 0 the sigmoid's gradient is
-    # about 4e-9, so no attempt gets there.
-    model = linear_mlp(np.array([2.0, 0.0]), -20.0)
-    with pytest.raises(NoValidRecourse, match="after 11 attempts") as excinfo:
-        wachter_recourse(model, np.zeros(2))
-    best = excinfo.value.result
-    assert best is not None
-    assert best.blackbox_valid is False
-    assert np.all(np.isfinite(best.x_r))
 
 
 # ---------------------------------------------------------------- pipeline

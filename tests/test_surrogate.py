@@ -1,6 +1,5 @@
 """Robust surrogate solves, tau closed forms, asymptotics, certificates."""
 
-import json
 import math
 import sys
 
@@ -10,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from cvas import (
     ClassMoments,
-    CvasError,
     Divergence,
     DomainError,
     IdenticalMeans,
@@ -23,9 +21,7 @@ from cvas import (
     coverage_validity,
     halfspace_distance,
     lambert_w_minus1,
-    load_surrogate,
     optimal_mean,
-    save_surrogate,
     solve_cvas,
     tau,
     worst_case_misclassification,
@@ -178,6 +174,15 @@ def test_divergence_validation():
     assert Divergence(kind="bures", rho_neg=math.inf).rho_neg == math.inf
     with pytest.raises(DomainError, match="at most one radius"):
         Divergence(kind="bures", rho_pos=math.inf, rho_neg=math.inf)
+
+
+def test_divergence_refuses_a_finite_partner_of_an_infinite_radius():
+    # The limit at a +inf radius does not read the other radius, so a
+    # sweep over it used to print one equal row per radius.
+    for kind in KINDS:
+        for radii in ((math.inf, 2.5), (2.5, math.inf)):
+            with pytest.raises(ValueError, match="needs 0 as the other class's radius"):
+                Divergence(kind, *radii)
 
 
 def test_divergence_rejects_fisher_rao_radius_above_the_cap():
@@ -641,11 +646,11 @@ def test_moment_bound_minimal_at_optimum(kind):
 
 # ---------------------------------------------------------------- limits
 
-def _inflated(kind, y, other=0.0):
-    """kind with class y's radius +inf and the other class's `other`."""
+def _inflated(kind, y):
+    """kind with class y's radius +inf and the other class's 0."""
     if y == 1:
-        return Divergence(kind=kind, rho_pos=math.inf, rho_neg=other)
-    return Divergence(kind=kind, rho_pos=other, rho_neg=math.inf)
+        return Divergence(kind=kind, rho_pos=math.inf)
+    return Divergence(kind=kind, rho_neg=math.inf)
 
 
 def test_asymptotic_quadratic_or_bures():
@@ -682,8 +687,8 @@ def test_asymptotic_families_coincide_isotropic():
 
 def test_asymptote_is_its_familys_step_bit_for_bit():
     # Quadratic and bures take M = I, fisher-rao and logdet the ridged
-    # covariance of the inflated class y, whatever the other radius;
-    # b puts the plane through the other class mean.
+    # covariance of the inflated class y; b puts the plane through the
+    # other class mean.
     rng = np.random.default_rng(22)
     for _ in range(20):
         pos, neg = random_moments(rng, 4)
@@ -694,44 +699,38 @@ def test_asymptote_is_its_familys_step_bit_for_bit():
                     inflated.covariance)
                 solved = np.linalg.solve(m, a)
                 w = solved / float(a @ solved)
-                sur = solve_cvas(pos, neg, _inflated(kind, y, 2.5))
+                sur = solve_cvas(pos, neg, _inflated(kind, y))
                 assert np.array_equal(sur.w, w)
                 assert sur.b == float(w @ inflated.mean) - y
                 assert sur.kappa == 0.0
 
 
 def test_solve_takes_infinite_radius():
-    # solve_cvas used to raise DomainError on a +inf radius. The limit does
-    # not read the other radius, so 0 gives the bits that 2.5 gives (whose
-    # closed form the test above pins). Swapping the classes and their
-    # radii negates w and b bit for bit: a negated right-hand side solves
-    # to the exact negation.
+    # solve_cvas used to raise DomainError on a +inf radius; it returns
+    # the limit whose closed form the test above pins. Swapping the
+    # classes and their radii negates w and b bit for bit: a negated
+    # right-hand side solves to the exact negation.
     rng = np.random.default_rng(23)
     for _ in range(20):
         pos, neg = random_moments(rng, 4)
         for y in (1, -1):
             for kind in KINDS:
-                sur = solve_cvas(pos, neg, _inflated(kind, y, 2.5))
-                for other in (0.0, 2.5):
-                    divergence = _inflated(kind, y, other)
-                    limit = solve_cvas(pos, neg, divergence)
-                    assert np.array_equal(limit.w, sur.w)
-                    assert limit.b == sur.b
-                    assert limit.kappa == 0.0
-                    assert limit.divergence == divergence
-                    swapped = solve_cvas(neg, pos, _inflated(kind, -y, other))
-                    assert np.array_equal(swapped.w, -sur.w)
-                    assert swapped.b == -sur.b
-                    assert swapped.kappa == 0.0
+                divergence = _inflated(kind, y)
+                limit = solve_cvas(pos, neg, divergence)
+                assert limit.kappa == 0.0
+                assert limit.divergence == divergence
+                swapped = solve_cvas(neg, pos, _inflated(kind, -y))
+                assert np.array_equal(swapped.w, -limit.w)
+                assert swapped.b == -limit.b
+                assert swapped.kappa == 0.0
 
 
 def test_asymptote_records_the_divergence_it_was_given():
-    # A logdet limit used to be recorded as fisher-rao, and the other
-    # radius as 0.
+    # A logdet limit used to be recorded as fisher-rao.
     pos, neg = counter_moments()
     for kind in KINDS:
         for y in (1, -1):
-            divergence = _inflated(kind, y, 3.0)
+            divergence = _inflated(kind, y)
             assert solve_cvas(pos, neg, divergence).divergence == divergence
 
 
@@ -912,68 +911,3 @@ def test_surrogate_zero_slope_rejected():
     with pytest.raises(ZeroSlope):
         Surrogate(w=np.zeros(2), b=0.0, kappa=1.0,
                   divergence=Divergence(kind="nominal"))
-
-
-def test_surrogate_serialization_round_trip(tmp_path):
-    pos, neg = counter_moments()
-    sur = solve_cvas(pos, neg, Divergence(kind="logdet", rho_neg=1.5))
-    path = tmp_path / "surrogate.json"
-    save_surrogate(sur, path)
-    loaded = load_surrogate(path)
-    assert np.array_equal(loaded.w, sur.w)
-    assert loaded.b == sur.b
-    assert loaded.kappa == sur.kappa
-    assert loaded.divergence == sur.divergence
-
-
-def test_surrogate_serialization_asymptotic(tmp_path):
-    pos, neg = counter_moments()
-    sur = solve_cvas(pos, neg, _inflated("logdet", -1, 2.0))
-    path = tmp_path / "asymptotic.json"
-    save_surrogate(sur, path)
-    loaded = load_surrogate(path)
-    assert loaded.kappa == 0.0
-    assert loaded.divergence == sur.divergence
-    assert np.array_equal(loaded.w, sur.w)
-
-
-def _truncated(text):
-    return text[:len(text) // 2]
-
-
-def _edited(**changes):
-    def edit(text):
-        record = json.loads(text)
-        for key, value in changes.items():
-            if value is None:
-                del record[key]
-            else:
-                record[key] = value
-        return json.dumps(record)
-    return edit
-
-
-@pytest.mark.parametrize("edit, error", [
-    (_truncated, CvasError),
-    (lambda text: "[1, 2]", CvasError),
-    (_edited(kappa=None), CvasError),
-    (_edited(kappa="x"), CvasError),
-    (_edited(kappa=-1), CvasError),
-    (_edited(w="abc"), CvasError),
-    (_edited(divergence="foo"), CvasError),
-    # The checks of Divergence and Surrogate keep their own classes.
-    (_edited(rho_neg=-1.0), NegativeRadius),
-    (_edited(w=[0.0, 0.0]), ZeroSlope),
-    (_edited(b=math.inf), NonFiniteInput),
-], ids=["truncated", "not-an-object", "no-kappa", "kappa-string", "kappa-negative",
-        "w-string", "unknown-divergence", "negative-radius", "zero-slope", "b-inf"])
-def test_load_surrogate_rejects_malformed_files(tmp_path, edit, error):
-    path = tmp_path / "surrogate.json"
-    save_surrogate(Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0,
-                             divergence=Divergence(kind="bures", rho_neg=1.0)), path)
-    path.write_text(edit(path.read_text()))
-    with pytest.raises(error) as raised:
-        load_surrogate(path)
-    if error is CvasError:
-        assert type(raised.value) is CvasError
-        assert "surrogate.json" in str(raised.value)
