@@ -41,7 +41,7 @@ from .sampler import SamplerConfig, resolve_radius
 from .surrogate import Divergence, DivergenceKind
 
 FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
-RECOURSE_HEADER = ("instance_id,mode,divergence,rho_neg,cost,"
+RECOURSE_HEADER = ("instance_id,mode,divergence,rho_pos,rho_neg,cost,"
                    "surrogate_valid,blackbox_valid")
 _MAX_RANGE_STEPS = 10**6
 # Every text file is read as UTF-8; "-sig" drops the byte-order mark
@@ -473,7 +473,7 @@ def _cmd_recourse(ns):
                                    divergence, ns.mode, actions=actions)
         lines.append(",".join([
             str(instance_id), ns.mode, divergence.kind.value,
-            repr(ns.rho_neg), repr(result.cost),
+            repr(ns.rho_pos), repr(ns.rho_neg), repr(result.cost),
             str(result.surrogate_valid).lower(),
             str(result.blackbox_valid).lower(),
         ]))

@@ -11,6 +11,7 @@ radius.
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -84,24 +85,24 @@ def sensitivity(pipeline_config, model, dataset, x0, seed=0):
     return _max_slope_gap(base.w, neighbors, divergence)
 
 
-def _neighbor_moments(model, dataset, x0, sampler_config, seed):
-    """(mom_pos, mom_neg) at each of sensitivity()'s draws around x0.
+def _caught(stage, *args):
+    """stage(*args), or the CvasError it raised, stripped of its traceback,
+    whose frames would keep the stage's arrays alive for as long as the
+    error is kept."""
+    try:
+        return stage(*args)
+    except CvasError as exc:
+        return exc.with_traceback(None)
 
-    A neighbor whose sampling fails contributes the CvasError it raised
-    instead, stripped of its traceback, whose frames would keep the
-    neighbor's ball sample alive for as long as the list is kept.
-    """
+
+def _neighbor_moments(model, dataset, x0, sampler_config, seed):
+    """(mom_pos, mom_neg) at each of sensitivity()'s draws around x0, or
+    the CvasError of a neighbor whose sampling fails."""
     rng = np.random.default_rng(seed)
     neighbors = x0 + rng.normal(0.0, math.sqrt(_SENS_NOISE_VAR),
                                 size=(_SENS_NEIGHBORS, x0.shape[0]))
-    moments = []
-    for neighbor in neighbors:
-        try:
-            moments.append(_boundary_moments(model, neighbor, dataset,
-                                             sampler_config))
-        except CvasError as exc:
-            moments.append(exc.with_traceback(None))
-    return moments
+    return [_caught(_boundary_moments, model, neighbor, dataset, sampler_config)
+            for neighbor in neighbors]
 
 
 def _max_slope_gap(base_w, neighbor_moments, divergence):
@@ -111,19 +112,12 @@ def _max_slope_gap(base_w, neighbor_moments, divergence):
     solve fails, are skipped; if none is left, the last error is raised,
     or EmptyInput when there were no neighbors at all.
     """
-    gaps = []
-    error = EmptyInput("no sensitivity neighbors")
-    for item in neighbor_moments:
-        if isinstance(item, CvasError):
-            error = item
-            continue
-        try:
-            gaps.append(float(np.linalg.norm(
-                base_w - solve_cvas(*item, divergence).w)))
-        except CvasError as exc:
-            error = exc
+    solved = [item if isinstance(item, CvasError)
+              else _caught(solve_cvas, *item, divergence) for item in neighbor_moments]
+    gaps = [float(np.linalg.norm(base_w - surrogate.w)) for surrogate in solved
+            if not isinstance(surrogate, CvasError)]
     if not gaps:
-        raise error
+        raise (solved or [EmptyInput("no sensitivity neighbors")])[-1]
     return max(gaps)
 
 
@@ -254,6 +248,59 @@ def _check_grid(divergence_kind, rho_pos, rho_grid, mode):
     return divergences, config_ids
 
 
+def _prepare(model, present_x, x0, config, mode, r_p, r_fid, seeds):
+    """sweep()'s radius-free work on one instance: (boundary moments, action
+    grids or None, neighbor moments, labelled fidelity ball), or the
+    CvasError of its boundary sample. seeds: its sampler, ball, neighbors."""
+    sampler_config = replace(config.sampler, seed=seeds[0], r_p=r_p)
+    moments = _caught(_boundary_moments, model, x0, present_x, sampler_config)
+    if isinstance(moments, CvasError):
+        return moments
+    actions = None
+    if mode == "actionable":
+        actions = default_action_grids(x0, present_x, kinds=config.action_kinds)
+    return (moments, actions,
+            _neighbor_moments(model, present_x, x0, sampler_config, seeds[2]),
+            _labelled_ball(model, x0, r_fid, config.fid_n, seeds[1]))
+
+
+def _score(model, x0, prepared, divergence, mode):
+    """A prepared instance's (recourse, fidelity, sensitivity) at divergence,
+    or the CvasError of its boundary sample, solve or search; a failed
+    sensitivity is the triple's CvasError."""
+    if isinstance(prepared, CvasError):
+        return prepared
+    moments, actions, neighbors, (ball, ball_labels) = prepared
+    surrogate = _caught(solve_cvas, *moments, divergence)
+    recourse = surrogate if isinstance(surrogate, CvasError) else _caught(
+        _recourse_against, model, x0, surrogate, mode, actions)
+    if isinstance(recourse, CvasError):
+        return recourse
+    return (recourse, float(np.mean(ball_labels == surrogate.label(ball))),
+            _caught(_max_slope_gap, surrogate.w, neighbors, divergence))
+
+
+def _row(config_id, divergence, mode, outcomes, model, ensemble):
+    """One radius's EvalRow from its instances' _score outcomes."""
+    scored = [o for o in outcomes if not isinstance(o, CvasError)]
+    current, future, mean_cost = validity_metrics([r for r, _, _ in scored],
+                                                  model, ensemble)
+    sensitivities = [s for _, _, s in scored if not isinstance(s, CvasError)]
+    return EvalRow(
+        config_id=config_id,
+        divergence=divergence.kind.value,
+        rho_pos=float(divergence.rho_pos),
+        rho_neg=divergence.rho_neg,
+        mode=mode,
+        mean_cost=mean_cost,
+        current_validity=current,
+        future_validity=future,
+        local_fidelity=float(np.mean([f for _, f, _ in scored])),
+        sensitivity=float(np.mean(sensitivities)) if sensitivities else math.nan,
+        n_skipped=len(outcomes) - len(scored),
+    )
+
+
 def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid,
           mode, config=EvalConfig(), model=None):
     """Full evaluation over a grid of negative-class radii.
@@ -265,9 +312,11 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     loop while the ensemble trains; then wait for the ensemble, which
     only the validity metrics read. Each instance gets a recourse at
     every radius, and each radius's metrics make one report row, equal
-    to that of a one-radius sweep. An instance whose sampling, solve or
-    search fails is counted in the row's n_skipped; a row with no
-    sensitivity reports NaN. Deterministic per master seed.
+    to that of a one-radius sweep. An instance whose boundary sample,
+    solve or search fails is counted in the row's n_skipped; one whose
+    sensitivity fails keeps its recourse and drops out of the sensitivity
+    mean, and a row with no sensitivity reports NaN. Deterministic per
+    master seed.
 
     The radius enters only through solve_cvas, so each instance's
     boundary moments, its default action grids (actionable mode), its
@@ -284,7 +333,8 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     EmptyInput
         If the grid or the instances are empty; after the instance loop,
         without waiting for the ensemble, if every instance fails at
-        some radius.
+        some radius, naming its config_id and counting the failures by
+        CvasError class.
     ValueError
         If `mode` is not one of MODES, two radii print as one report id
         (config_id formats rho_neg with :g), or a radius other than 0
@@ -335,60 +385,22 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         r_p = resolve_radius(config.sampler, present_x, max_distance)
         r_fid = _FID_RADIUS_SHARE * max_distance
 
-        # Per radius: the recourses, fidelities and sensitivities, in
-        # instance order.
-        results = [([], [], []) for _ in divergences]
+        # Each instance is prepared once and scored at every radius.
+        outcomes = []
         for i, x0 in enumerate(instances):
-            sampler_cfg = replace(config.sampler, seed=seeds[1 + 3 * i], r_p=r_p)
-            try:
-                moments = _boundary_moments(model, x0, present_x, sampler_cfg)
-            except CvasError:
-                continue
-            actions = None
-            if mode == "actionable":
-                actions = default_action_grids(x0, present_x, kinds=kinds)
-            neighbors = _neighbor_moments(model, present_x, x0, sampler_cfg,
-                                          seeds[3 + 3 * i])
-            # local_fidelity's ball and model labels, the same at every radius.
-            ball, ball_labels = _labelled_ball(model, x0, r_fid, config.fid_n,
-                                               seeds[2 + 3 * i])
-            for divergence, (recourses, fidelities, sensitivities) in zip(
-                    divergences, results):
-                try:
-                    surrogate = solve_cvas(*moments, divergence)
-                    recourses.append(_recourse_against(model, x0, surrogate, mode,
-                                                       actions))
-                except CvasError:
-                    continue
-                fidelities.append(float(np.mean(ball_labels ==
-                                                surrogate.label(ball))))
-                try:
-                    sensitivities.append(_max_slope_gap(surrogate.w, neighbors,
-                                                        divergence))
-                except CvasError:
-                    pass
-
-        for divergence, (recourses, _, _) in zip(divergences, results):
-            if not recourses:
-                raise EmptyInput(
-                    f"every instance failed at rho_neg = {divergence.rho_neg}")
+            prepared = _prepare(model, present_x, x0, config, mode, r_p, r_fid,
+                                seeds[1 + 3 * i:4 + 3 * i])
+            outcomes.append([_score(model, x0, prepared, divergence, mode)
+                             for divergence in divergences])
+        by_radius = list(zip(*outcomes))
+        for config_id, scored in zip(config_ids, by_radius):
+            causes = Counter(type(outcome).__name__ for outcome in scored
+                             if isinstance(outcome, CvasError))
+            if sum(causes.values()) == n_instances:
+                counts = ", ".join(f"{n} {name}" for name, n in sorted(causes.items()))
+                raise EmptyInput(f"every instance failed at {config_id}: {counts}")
         ensemble = collect_ensemble()
 
-    rows = []
-    for config_id, divergence, (recourses, fidelities, sensitivities) in zip(
-            config_ids, divergences, results):
-        current, future, mean_cost = validity_metrics(recourses, model, ensemble)
-        rows.append(EvalRow(
-            config_id=config_id,
-            divergence=divergence.kind.value,
-            rho_pos=float(config.rho_pos),
-            rho_neg=divergence.rho_neg,
-            mode=mode,
-            mean_cost=mean_cost,
-            current_validity=current,
-            future_validity=future,
-            local_fidelity=float(np.mean(fidelities)),
-            sensitivity=float(np.mean(sensitivities)) if sensitivities else math.nan,
-            n_skipped=n_instances - len(recourses),
-        ))
-    return EvalReport(rows=tuple(rows))
+    return EvalReport(rows=tuple(
+        _row(config_id, divergence, mode, scored, model, ensemble)
+        for config_id, divergence, scored in zip(config_ids, divergences, by_radius)))

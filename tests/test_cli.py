@@ -764,32 +764,46 @@ def test_two_infinite_radii_exit_two_before_any_read(tmp_path, monkeypatch, caps
     assert not (tmp_path / "r.csv").exists()
 
 
+# Each case keeps the id pytest gave it by position, so a case inserted
+# anywhere renames no other.
 @pytest.mark.parametrize("command, options, message", [
-    ("sweep", {"k": 0}, "k must be"),
-    ("sweep", {"n_p": 1}, "n_p must be"),
-    ("sweep", {"n_models": 0}, "n_models must be"),
-    ("sweep", {"epochs": 0}, "epochs must be"),
-    ("sweep", {"lr": -1}, "learning_rate must be"),
-    ("train", {"split": "inf"}, "--split"),
-    ("train", {"epochs": 0}, "epochs must be"),
-    ("train", {"lr": -1}, "learning_rate must be"),
-    ("recourse", {"k": 0}, "k must be"),
-    ("recourse", {"n_p": 1}, "n_p must be"),
+    pytest.param("sweep", {"k": 0}, "k must be", id="sweep-options0-k must be"),
+    pytest.param("sweep", {"n_p": 1}, "n_p must be", id="sweep-options1-n_p must be"),
+    pytest.param("sweep", {"n_models": 0}, "n_models must be",
+                 id="sweep-options2-n_models must be"),
+    pytest.param("sweep", {"epochs": 0}, "epochs must be",
+                 id="sweep-options3-epochs must be"),
+    pytest.param("sweep", {"lr": -1}, "learning_rate must be",
+                 id="sweep-options4-learning_rate must be"),
+    pytest.param("train", {"split": "inf"}, "--split", id="train-options5---split"),
+    pytest.param("train", {"epochs": 0}, "epochs must be",
+                 id="train-options6-epochs must be"),
+    pytest.param("train", {"lr": -1}, "learning_rate must be",
+                 id="train-options7-learning_rate must be"),
+    pytest.param("recourse", {"k": 0}, "k must be", id="recourse-options8-k must be"),
+    pytest.param("recourse", {"n_p": 1}, "n_p must be",
+                 id="recourse-options9-n_p must be"),
     # 1 and 1.0000001 both print as 1 in the report id.
-    ("sweep", {"divergence": "logdet", "rho_neg": "1:1.0000001:0.0000001"},
-     "repeat a report id"),
-    ("sweep", {"divergence": "nope"}, "invalid choice: 'nope'"),
+    pytest.param("sweep",
+                 {"divergence": "logdet", "rho_neg": "1:1.0000001:0.0000001"},
+                 "repeat a report id", id="sweep-options10-repeat a report id"),
+    pytest.param("sweep", {"divergence": "nope"}, "invalid choice: 'nope'",
+                 id="sweep-options11-invalid choice: 'nope'"),
     # A split outside (0, 1) is refused before any read, inf and nan included.
-    ("train", {"split": "nan"}, "--split"),
-    ("train", {"split": 0}, "--split"),
-    ("train", {"split": 1}, "--split"),
-    ("recourse", {"split": 1.5}, "--split"),
-    ("sweep", {"split": -1}, "--split"),
+    pytest.param("train", {"split": "nan"}, "--split", id="train-options12---split"),
+    pytest.param("train", {"split": 0}, "--split", id="train-options13---split"),
+    pytest.param("train", {"split": 1}, "--split", id="train-options14---split"),
+    pytest.param("recourse", {"split": 1.5}, "--split",
+                 id="recourse-options15---split"),
+    pytest.param("sweep", {"split": -1}, "--split", id="sweep-options16---split"),
     # The limit at a +inf radius does not read the other radius.
-    ("sweep", {"divergence": "logdet", "rho_pos": "inf", "rho_neg": "0:2:1"},
-     "needs 0 as the other class's radius"),
-    ("recourse", {"divergence": "logdet", "rho_pos": "inf", "rho_neg": 2},
-     "needs 0 as the other class's radius"),
+    pytest.param("sweep",
+                 {"divergence": "logdet", "rho_pos": "inf", "rho_neg": "0:2:1"},
+                 "needs 0 as the other class's radius",
+                 id="sweep-options17-needs 0 as the other class's radius"),
+    pytest.param("recourse", {"divergence": "logdet", "rho_pos": "inf", "rho_neg": 2},
+                 "needs 0 as the other class's radius",
+                 id="recourse-options18-needs 0 as the other class's radius"),
 ])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_settings_checked_before_any_read(tmp_path, monkeypatch, capsys, command,
@@ -876,6 +890,28 @@ def test_data_error_exits_two(tmp_path, capsys):
               "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     assert "label" in capsys.readouterr().err
+
+
+def test_recourse_writes_its_positive_radius(workspace, tmp_path):
+    # The positive class's limit and the default radius read apart, each
+    # written as rho_neg is.
+    out = tmp_path / "rec.csv"
+    for options, expected in (([], "0.0"), (["--rho-pos", "inf"], "inf")):
+        rc = run(["recourse", "--data", str(workspace / "d1.csv"),
+                  "--spec", str(workspace / "cols.txt"),
+                  "--model", str(workspace / "model.bin"),
+                  "--instances", "3,4", "--n-p", "200", "--k", "5",
+                  "--seed", "3", "--divergence", "bures", *options,
+                  "--out", str(out)])
+        assert rc == 0
+        with open(out, newline="") as handle:
+            assert handle.readline().strip() == (
+                "instance_id,mode,divergence,rho_pos,rho_neg,cost,"
+                "surrogate_valid,blackbox_valid")
+            handle.seek(0)
+            records = list(csv.DictReader(handle))
+        assert [(r["rho_pos"], r["rho_neg"]) for r in records] == [
+            (expected, "0.0")] * 2
 
 
 def test_spec_without_feature_columns_exits_two(tmp_path, capsys):

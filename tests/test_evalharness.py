@@ -174,6 +174,19 @@ def test_neighbor_moments_store_failures_without_traceback(linear_pipeline):
         assert isinstance(entry, DegenerateSample)
         assert entry.__traceback__ is None
 
+    # Every error sweep keeps as a value comes from one helper, which
+    # lets any other exception through.
+    def fails(message):
+        raise DegenerateSample(message)
+
+    error = evalharness._caught(fails, "stored")
+    assert isinstance(error, DegenerateSample)
+    assert error.args == ("stored",)
+    assert error.__traceback__ is None
+    assert evalharness._caught(int, "7") == 7
+    with pytest.raises(ValueError):
+        evalharness._caught(int, "seven")
+
 
 def test_max_slope_gap_skips_failed_neighbors():
     def moments(mean):
@@ -645,6 +658,35 @@ def test_sweep_counts_skipped_instances(sweep_fixture):
     assert 0.0 <= row.current_validity <= 1.0
 
 
+def test_sweep_skips_a_failed_boundary_sample_at_every_radius(sweep_fixture,
+                                                              monkeypatch):
+    # The second instance's boundary sample fails: every row counts one
+    # skip, its sensitivity neighbors are never sampled, and each sample
+    # that succeeds is solved once per radius, so nothing of it is solved.
+    present, shifted, unfavorable = sweep_fixture
+    real_sample, real_solve = evalharness._boundary_moments, evalharness.solve_cvas
+    samples, sampled, solves = [], [], []
+
+    def failing(model, x0, dataset, sampler_config):
+        samples.append(x0)
+        if np.array_equal(x0, unfavorable[1]):
+            raise DegenerateSample("no boundary sample here")
+        sampled.append(real_sample(model, x0, dataset, sampler_config))
+        return sampled[-1]
+
+    def counted(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(evalharness, "_boundary_moments", failing)
+    monkeypatch.setattr(evalharness, "solve_cvas", counted)
+    report = sweep(present, shifted, unfavorable[:4], "fisher-rao",
+                   [0.0, 1.0, 10.0], "projection", SENS_CONFIG)
+    assert [row.n_skipped for row in report.rows] == [1, 1, 1]
+    assert len(samples) == 1 + 3 * (1 + evalharness._SENS_NEIGHBORS)
+    assert len(solves) == 3 * len(sampled)
+
+
 def test_sweep_skips_an_instance_at_one_radius(sweep_fixture, counted_sweeps,
                                                monkeypatch, tmp_path):
     # The second instance's search fails at rho_neg = 1 only, after its
@@ -700,7 +742,8 @@ def test_sweep_all_instances_failing_raises(sweep_fixture):
     present, shifted, unfavorable = sweep_fixture
     config = EvalConfig(seed=5, sampler=SamplerConfig(n_p=2),
                         train=TrainConfig(epochs=150, seed=0), n_models=2)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(EmptyInput, match="every instance failed at "
+                       "nominal_rpos0_rneg0_projection: 3 DegenerateSample$"):
         sweep(present, shifted, unfavorable[:3], "nominal", [0.0],
               "projection", config)
 
