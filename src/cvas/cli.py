@@ -16,6 +16,8 @@ import argparse
 import csv
 import math
 import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +44,7 @@ from .surrogate import Divergence, DivergenceKind
 
 FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
 RECOURSE_HEADER = ("instance_id,mode,divergence,rho_pos,rho_neg,cost,"
-                   "surrogate_valid,blackbox_valid")
+                   "surrogate_valid,blackbox_valid,error")
 _MAX_RANGE_STEPS = 10**6
 # Every text file is read as UTF-8; "-sig" drops the byte-order mark
 # that spreadsheet tools write at the start of one.
@@ -123,6 +125,28 @@ def parse_feature_spec(path):
 
 
 @dataclass(frozen=True)
+class _Table:
+    """A dataset CSV as read in one pass.
+
+    A continuous or binary column is a float array with NaN where a cell
+    is not a number; `bad_cells` holds the line and text of a column's
+    first such cell. A categorical or label column is an array of codes
+    into `distinct`, its stripped cells in the order they first appear.
+    `lines` holds the file line of each kept row.
+    """
+
+    path: str
+    lines: np.ndarray
+    columns: dict
+    distinct: dict
+    bad_cells: dict
+
+    def line_of_first(self, flags):
+        """The file line of the first row whose flag is true."""
+        return self.lines[np.argmax(flags)]
+
+
+@dataclass(frozen=True)
 class Encoder:
     """Fitted encoding state: categorical levels and z-score statistics.
 
@@ -138,29 +162,38 @@ class Encoder:
     means: dict
     stds: dict
 
-    def apply(self, columns_raw):
-        """The encoded features, and the actionability of each column."""
-        blocks, action_kinds = [], []
-        for col in self.spec.feature_columns:
-            raw = columns_raw[col.name]
+    def apply(self, table):
+        """The encoded features, and the actionability of each column.
+
+        Every block is written into one preallocated matrix."""
+        columns = self.spec.feature_columns
+        widths = [len(self.levels[col.name]) if col.kind == "categorical" else 1
+                  for col in columns]
+        features = np.zeros((len(table.lines), sum(widths)))
+        action_kinds, start = [], 0
+        for col, width in zip(columns, widths):
+            block = features[:, start:start + width]
+            start += width
+            action_kinds += [col.actionability] * width
             if col.kind == "categorical":
-                for level in self.levels[col.name]:
-                    blocks.append(np.array([1.0 if v == level else 0.0
-                                            for v in raw]))
-                    action_kinds.append(col.actionability)
-                continue
-            values = _parse_numeric(col.name, raw)
-            if col.kind == "binary":
-                if not np.all((values == 0.0) | (values == 1.0)):
-                    raise SchemaMismatch(
-                        f"binary column {col.name!r} has values outside {{0,1}}")
-                blocks.append(values)
+                # A cell that is no fitted level maps to -1: an all-zero row.
+                position = {level: k
+                            for k, level in enumerate(self.levels[col.name])}
+                level_of_code = np.array([position.get(cell, -1)
+                                          for cell in table.distinct[col.name]],
+                                         dtype=np.intp)
+                level = level_of_code[table.columns[col.name]]
+                rows = np.flatnonzero(level >= 0)
+                block[rows, level[rows]] = 1.0
+            elif col.kind == "binary":
+                block[:, 0] = _parse_numeric(table, col)
             else:
-                centered = values - self.means[col.name]
+                np.subtract(_parse_numeric(table, col), self.means[col.name],
+                            out=block[:, 0])
                 std = self.stds[col.name]
-                blocks.append(centered / std if std > 0.0 else centered)
-            action_kinds.append(col.actionability)
-        return np.column_stack(blocks), tuple(action_kinds)
+                if std > 0.0:
+                    block[:, 0] /= std
+        return features, tuple(action_kinds)
 
 
 @dataclass(frozen=True)
@@ -174,60 +207,104 @@ class EncodedDataset:
 
 
 def _read_csv(path, spec):
+    """The CSV at path as a _Table, read row by row: each row's length is
+    checked as it arrives, a numeric cell goes straight into its column's
+    float buffer, and a text cell is kept once per distinct value."""
     with open(path, newline="", encoding=_ENCODING) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise SchemaMismatch(f"{path}: empty CSV")
         header = [h.strip() for h in header]
-        rows = [[cell.strip() for cell in row] for row in reader]
-    # A blank line reads as [] or [""] and is skipped, as _content_lines
-    # skips one; a row of empty cells ("," between them) is kept.
-    rows = [row for row in rows if row not in ([], [""])]
-    if len(set(header)) != len(header):
-        raise SchemaMismatch(f"{path}: duplicate column in header")
-    expected = {c.name for c in spec.columns}
-    missing = expected - set(header)
-    if missing:
-        raise SchemaMismatch(f"{path}: missing column {sorted(missing)[0]!r}")
-    unknown = set(header) - expected
-    if unknown:
-        raise SchemaMismatch(f"{path}: unknown column {sorted(unknown)[0]!r}")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaMismatch(f"{path}: row {i + 1} has {len(row)} cells, "
-                                 f"expected {len(header)}")
-    columns_raw = {name: [row[j] for row in rows]
-                   for j, name in enumerate(header)}
-    return columns_raw, len(rows)
+        if len(set(header)) != len(header):
+            raise SchemaMismatch(f"{path}: duplicate column in header")
+        kinds = {c.name: c.kind for c in spec.columns}
+        missing = kinds.keys() - set(header)
+        if missing:
+            raise SchemaMismatch(f"{path}: missing column {sorted(missing)[0]!r}")
+        unknown = set(header) - kinds.keys()
+        if unknown:
+            raise SchemaMismatch(f"{path}: unknown column {sorted(unknown)[0]!r}")
+        numeric = [(j, array("d")) for j, name in enumerate(header)
+                   if kinds[name] in ("continuous", "binary")]
+        text = [(j, array("q"), {}) for j, name in enumerate(header)
+                if kinds[name] in ("categorical", "label")]
+        lines, bad_cells = array("q"), {}
+        for row in reader:
+            if len(row) != len(header):
+                # A blank line reads as [] or [""] and is skipped, as
+                # _content_lines skips one; a row of empty cells ("," between
+                # them) is kept. A header has at least two columns.
+                if len(row) <= 1 and not "".join(row).strip():
+                    continue
+                raise SchemaMismatch(f"{path}:{reader.line_num}: row has "
+                                     f"{len(row)} cells, expected {len(header)}")
+            lines.append(reader.line_num)
+            for j, values in numeric:
+                try:
+                    values.append(float(row[j]))
+                except ValueError:
+                    values.append(math.nan)
+                    bad_cells.setdefault(header[j],
+                                         (reader.line_num, row[j].strip()))
+            for j, codes, index in text:
+                codes.append(index.setdefault(row[j].strip(), len(index)))
+    return _Table(path=path, lines=np.asarray(lines),
+                  columns={header[j]: np.asarray(buffer)
+                           for j, buffer, *_ in numeric + text},
+                  distinct={header[j]: tuple(index) for j, _, index in text},
+                  bad_cells=bad_cells)
 
 
-def _parse_numeric(name, raw):
-    try:
-        values = np.array([float(v) for v in raw])
-    except ValueError as exc:
-        raise SchemaMismatch(f"column {name!r}: {exc}")
-    if not np.all(np.isfinite(values)):
-        raise SchemaMismatch(f"column {name!r} has non-finite values")
+def _parse_numeric(table, col):
+    """A continuous or binary column's floats. SchemaMismatch names the
+    line of its first cell that is not a number, else of its first
+    non-finite value, else, for a binary column, of its first value
+    outside {0,1}."""
+    if col.name in table.bad_cells:
+        line, cell = table.bad_cells[col.name]
+        raise SchemaMismatch(f"{table.path}:{line}: column {col.name!r}: "
+                             f"{cell!r} is not a number")
+    values = table.columns[col.name]
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise SchemaMismatch(f"{table.path}:{table.line_of_first(~finite)}: "
+                             f"column {col.name!r} has non-finite values")
+    if col.kind == "binary":
+        binary = (values == 0.0) | (values == 1.0)
+        if not binary.all():
+            raise SchemaMismatch(f"{table.path}:{table.line_of_first(~binary)}: "
+                                 f"binary column {col.name!r} has values "
+                                 f"outside {{0,1}}")
     return values
 
 
-def _parse_labels(raw):
-    """One file's label column, in {-1,+1} or in {0,1}, as -1/+1."""
-    labels, seen = np.empty(len(raw)), set()
-    for i, cell in enumerate(raw):
+def _parse_labels(table, name):
+    """One file's label column, in {-1,+1} or in {0,1}, as -1/+1. Each
+    distinct cell is converted once, in the order cells first appear, so
+    an error names the first bad cell's line."""
+    codes, signs, first_code = table.columns[name], [], {}
+
+    def bad(code, message):
+        line = table.line_of_first(codes == code)
+        return BadLabelValue(f"{table.path}:{line}: {message}")
+
+    for code, cell in enumerate(table.distinct[name]):
         try:
             value = float(cell)
         except ValueError:
-            raise BadLabelValue(f"label {cell!r} is not numeric")
+            raise bad(code, f"label {cell!r} is not numeric")
         if value not in (-1.0, 0.0, 1.0):
-            raise BadLabelValue(f"label {cell!r} not in {{-1,+1}} or {{0,1}}")
-        labels[i] = 1.0 if value == 1.0 else -1.0
-        seen.add(value)
-    if {-1.0, 0.0} <= seen:
-        raise BadLabelValue("labels mix the {-1,+1} and {0,1} encodings: "
-                            "one column holds both -1 and 0")
-    return labels
+            raise bad(code, f"label {cell!r} not in {{-1,+1}} or {{0,1}}")
+        signs.append(1.0 if value == 1.0 else -1.0)
+        first_code.setdefault(value, code)
+    if {-1.0, 0.0} <= first_code.keys():
+        # Codes number cells as they first appear: the later of the two
+        # first codes is the line where the encodings mix.
+        raise bad(max(first_code[-1.0], first_code[0.0]),
+                  "labels mix the {-1,+1} and {0,1} encodings: "
+                  "one column holds both -1 and 0")
+    return np.array(signs)[codes]
 
 
 def _split(value):
@@ -248,8 +325,9 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
     """
     split_fraction = _split(split_fraction)
     spec = parse_feature_spec(spec_path)
-    columns_raw, n = _read_csv(csv_path, spec)
-    labels = _parse_labels(columns_raw[spec.label_column.name])
+    table = _read_csv(csv_path, spec)
+    labels = _parse_labels(table, spec.label_column.name)
+    n = len(labels)
     # Below 1, split_fraction * n rounds below n: the test side has a row.
     n_train = int(split_fraction * n)
     if n_train < 1:
@@ -260,15 +338,18 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
 
     levels, means, stds = {}, {}, {}
     for col in spec.feature_columns:
-        raw = columns_raw[col.name]
         if col.kind == "categorical":
-            levels[col.name] = tuple(sorted({raw[i] for i in train_idx}))
+            distinct = table.distinct[col.name]
+            in_train = np.zeros(len(distinct), dtype=bool)
+            in_train[table.columns[col.name][train_idx]] = True
+            levels[col.name] = tuple(sorted(distinct[c]
+                                            for c in np.flatnonzero(in_train)))
         elif col.kind == "continuous":
-            values = _parse_numeric(col.name, raw)[train_idx]
+            values = _parse_numeric(table, col)[train_idx]
             means[col.name] = float(values.mean())
             stds[col.name] = float(values.std())
     encoder = Encoder(spec=spec, levels=levels, means=means, stds=stds)
-    features, action_kinds = encoder.apply(columns_raw)
+    features, action_kinds = encoder.apply(table)
     return EncodedDataset(features=features, labels=labels,
                           action_kinds=action_kinds, train_idx=train_idx,
                           test_idx=test_idx, encoder=encoder)
@@ -276,9 +357,9 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
 
 def encode_csv(encoder, csv_path):
     """Apply a fitted encoder to another CSV with the same schema."""
-    columns_raw, _ = _read_csv(csv_path, encoder.spec)
-    labels = _parse_labels(columns_raw[encoder.spec.label_column.name])
-    features, _ = encoder.apply(columns_raw)
+    table = _read_csv(csv_path, encoder.spec)
+    labels = _parse_labels(table, encoder.spec.label_column.name)
+    features, _ = encoder.apply(table)
     return features, labels
 
 
@@ -462,21 +543,28 @@ def _cmd_recourse(ns):
     # One ball radius for every instance.
     sampler_config = replace(sampler_config,
                              r_p=resolve_radius(sampler_config, train_features))
-    lines = [RECOURSE_HEADER]
+    lines, causes = [RECOURSE_HEADER], Counter()
     for instance_id in ns.instances:
         x0 = dataset.features[instance_id]
-        actions = None
-        if ns.mode == "actionable":
-            actions = default_action_grids(x0, train_features,
-                                           kinds=dataset.action_kinds)
-        result = generate_recourse(model, x0, train_features, sampler_config,
-                                   divergence, ns.mode, actions=actions)
-        lines.append(",".join([
-            str(instance_id), ns.mode, divergence.kind.value,
-            repr(ns.rho_pos), repr(ns.rho_neg), repr(result.cost),
-            str(result.surrogate_valid).lower(),
-            str(result.blackbox_valid).lower(),
-        ]))
+        cells = [str(instance_id), ns.mode, divergence.kind.value,
+                 repr(ns.rho_pos), repr(ns.rho_neg)]
+        try:
+            actions = None
+            if ns.mode == "actionable":
+                actions = default_action_grids(x0, train_features,
+                                               kinds=dataset.action_kinds)
+            result = generate_recourse(model, x0, train_features, sampler_config,
+                                       divergence, ns.mode, actions=actions)
+        except CvasError as exc:
+            causes[type(exc).__name__] += 1
+            cells += ["", "", "", type(exc).__name__]
+        else:
+            cells += [repr(result.cost), str(result.surrogate_valid).lower(),
+                      str(result.blackbox_valid).lower(), ""]
+        lines.append(",".join(cells))
+    if sum(causes.values()) == len(ns.instances):
+        counts = ", ".join(f"{n} {name}" for name, n in sorted(causes.items()))
+        raise EmptyInput(f"every instance failed: {counts}")
     atomic_write_text(ns.out, "\n".join(lines) + "\n")
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from cvas.cli import (
     parse_feature_spec,
     run,
 )
-from cvas.errors import BadLabelValue, EmptySplit, SchemaMismatch
+from cvas.errors import (
+    BadLabelValue,
+    DegenerateSample,
+    EmptySplit,
+    NoOppositeClassPrototypes,
+    SchemaMismatch,
+)
 
 
 # The byte-order mark that spreadsheet tools write at the start of a
@@ -215,6 +222,111 @@ def test_load_dataset_deterministic(mixed_dataset):
     assert np.array_equal(a.test_idx, b.test_idx)
     assert not np.array_equal(a.train_idx, load_dataset(data, spec,
                                                         seed=5).train_idx)
+
+
+BINARY_SPEC = "a,continuous,free\nv,binary,free\nlabel,label\n"
+
+
+@pytest.fixture()
+def binary_encoder(tmp_path):
+    """An encoder fitted with BINARY_SPEC, and the spec's path."""
+    spec = write(tmp_path / "cols.txt", BINARY_SPEC)
+    good = write(tmp_path / "good.csv", "a,v,label\n"
+                 + "".join(f"{i},{i % 2},{i % 2}\n" for i in range(10)))
+    return load_dataset(good, spec, seed=0).encoder, spec
+
+
+# Line 3 and line 5 are blank, and line 6 holds the defect: a count of
+# kept rows would call it row 3.
+@pytest.mark.parametrize("bad_row, error", [
+    ("3", SchemaMismatch),          # a short row
+    ("foo,1,1", SchemaMismatch),    # a non-numeric cell
+    ("inf,1,1", SchemaMismatch),    # a non-finite cell
+    ("3,2,1", SchemaMismatch),      # a binary cell outside {0,1}
+    ("3,1,yes", BadLabelValue),     # a non-numeric label
+    ("3,1,2", BadLabelValue),       # a label outside both encodings
+    ("3,1,-1", BadLabelValue),      # -1 after 0: the encodings mix here
+])
+def test_ingestion_errors_name_the_file_line(tmp_path, binary_encoder, bad_row,
+                                             error):
+    encoder, spec = binary_encoder
+    data = write(tmp_path / "d.csv",
+                 f"a,v,label\n1,0,1\n\n2,1,0\n\n{bad_row}\n4,0,1\n")
+    with pytest.raises(error, match=r"d\.csv:6: "):
+        load_dataset(data, spec, seed=0)
+    with pytest.raises(error, match=r"d\.csv:6: "):
+        encode_csv(encoder, data)
+
+
+@pytest.mark.parametrize("csv_text, error, match", [
+    # A non-numeric cell, then a short row on a later line: the short row.
+    pytest.param("a,v,label\nfoo,0,1\n2,1,0\n3\n", SchemaMismatch,
+                 "1 cells, expected 3", id="short-row"),
+    # A non-numeric feature cell, then a bad label: the label.
+    pytest.param("a,v,label\nfoo,0,1\n2,1,yes\n3,0,0\n", BadLabelValue, "yes",
+                 id="bad-label"),
+])
+def test_first_error_of_two_defects(tmp_path, binary_encoder, csv_text, error,
+                                    match):
+    encoder, spec = binary_encoder
+    data = write(tmp_path / "d.csv", csv_text)
+    with pytest.raises(error, match=match):
+        load_dataset(data, spec, seed=0)
+    with pytest.raises(error, match=match):
+        encode_csv(encoder, data)
+
+
+def test_continuous_statistics_fail_before_a_binary_column(tmp_path):
+    # load_dataset fits the continuous statistics before it encodes, so
+    # the continuous column's error wins; encode_csv goes in spec order.
+    spec = write(tmp_path / "cols.txt",
+                 "v,binary,free\na,continuous,free\nlabel,label\n")
+    good = write(tmp_path / "good.csv", "v,a,label\n"
+                 + "".join(f"{i % 2},{i},{i % 2}\n" for i in range(10)))
+    encoder = load_dataset(good, spec, seed=0).encoder
+    data = write(tmp_path / "d.csv", "v,a,label\n2,1,1\n0,foo,0\n1,3,1\n0,4,0\n")
+    with pytest.raises(SchemaMismatch, match="column 'a'"):
+        load_dataset(data, spec, seed=0)
+    with pytest.raises(SchemaMismatch, match="binary column 'v'"):
+        encode_csv(encoder, data)
+
+
+def test_empty_split_fails_before_a_non_numeric_cell(tmp_path):
+    spec = write(tmp_path / "cols.txt", BINARY_SPEC)
+    data = write(tmp_path / "d.csv", "a,v,label\nfoo,0,1\n2,1,0\n3,0,1\n")
+    with pytest.raises(EmptySplit):
+        load_dataset(data, spec, split_fraction=0.2, seed=0)
+
+
+def test_load_dataset_peak_memory_stays_near_its_features(tmp_path):
+    # A cell held as a Python string takes about 50 bytes, against 8 as a
+    # float: a loader that keeps one string per cell peaks at 5.5 times
+    # the encoded matrix on this table.
+    n, rng = 20000, np.random.default_rng(0)
+    spec = write(tmp_path / "cols.txt",
+                 "age,continuous,free\nincome,continuous,free\n"
+                 "debt,continuous,free\nregion,categorical,immutable\n"
+                 "job,categorical,free\nmarried,binary,immutable\n"
+                 "owns_home,binary,free\nlabel,label\n")
+    regions = np.array(["north", "south", "east", "west"])
+    jobs = np.array(["clerk", "manager", "trades"])
+    columns = [rng.uniform(18, 80, n), rng.lognormal(10, 0.5, n),
+               rng.uniform(0, 5e4, n), regions[rng.integers(0, 4, n)],
+               jobs[rng.integers(0, 3, n)], rng.integers(0, 2, n),
+               rng.integers(0, 2, n), rng.integers(0, 2, n)]
+    rows = (f"{a:.4f},{b:.4f},{c:.4f},{r},{j},{m},{o},{y}\n"
+            for a, b, c, r, j, m, o, y in zip(*columns))
+    data = write(tmp_path / "d.csv",
+                 "age,income,debt,region,job,married,owns_home,label\n"
+                 + "".join(rows))
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(data, spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.features.shape == (n, 12)
+    assert peak <= 3 * dataset.features.nbytes
 
 
 # ------------------------------------------------------------ flag parsing
@@ -443,6 +555,58 @@ def test_recourse_scans_the_pairs_once(workspace, tmp_path, monkeypatch):
         assert [r["cost"] for r in csv.DictReader(handle)] == expected
 
 
+
+
+RECOURSE_ARGS = ("--n-p", "200", "--k", "5", "--seed", "3", "--divergence",
+                 "fisher-rao", "--rho-neg", "2.0")
+
+
+def run_recourse(workspace, out, ids):
+    return run(["recourse", "--data", str(workspace / "d1.csv"),
+                "--spec", str(workspace / "cols.txt"),
+                "--model", str(workspace / "model.bin"),
+                "--instances", ids, *RECOURSE_ARGS, "--out", str(out)])
+
+
+def test_recourse_writes_a_row_for_an_instance_that_fails(workspace, tmp_path,
+                                                          monkeypatch):
+    # The second instance's pipeline raises: its row names the error and
+    # the other rows are those of a run where nothing fails.
+    want = tmp_path / "want.csv"
+    assert run_recourse(workspace, want, "3,4,15") == 0
+    real, calls = cli.generate_recourse, []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DegenerateSample("one class in the ball")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_recourse", second_fails)
+    out = tmp_path / "rec.csv"
+    assert run_recourse(workspace, out, "3,4,15") == 0
+    want_rows, rows = want.read_text().splitlines(), out.read_text().splitlines()
+    assert rows[0].endswith(",error") and rows[0] == want_rows[0]
+    assert rows[2] == "4,projection,fisher-rao,0.0,2.0,,,,DegenerateSample"
+    assert [rows[1], rows[3]] == [want_rows[1], want_rows[3]]
+    assert all(row.endswith(",") for row in want_rows[1:])
+
+
+def test_recourse_exits_two_when_every_instance_fails(workspace, tmp_path,
+                                                      monkeypatch, capsys):
+    errors = iter([DegenerateSample("one class"), NoOppositeClassPrototypes("none"),
+                   DegenerateSample("one class")])
+
+    def fails(*args, **kwargs):
+        raise next(errors)
+
+    monkeypatch.setattr(cli, "generate_recourse", fails)
+    out = tmp_path / "rec.csv"
+    assert run_recourse(workspace, out, "3,4,15") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: every instance failed: 2 DegenerateSample, "
+                   "1 NoOppositeClassPrototypes\n")
+    assert not out.exists()
 
 
 def test_recourse_rejects_out_of_range_instance(workspace, tmp_path,
@@ -907,7 +1071,7 @@ def test_recourse_writes_its_positive_radius(workspace, tmp_path):
         with open(out, newline="") as handle:
             assert handle.readline().strip() == (
                 "instance_id,mode,divergence,rho_pos,rho_neg,cost,"
-                "surrogate_valid,blackbox_valid")
+                "surrogate_valid,blackbox_valid,error")
             handle.seek(0)
             records = list(csv.DictReader(handle))
         assert [(r["rho_pos"], r["rho_neg"]) for r in records] == [
