@@ -24,9 +24,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
-    EmptySplit,
     IdenticalMeans,
-    NegativeRadius,
     NoActionableRecourse,
     NonFiniteInput,
     NoOppositeClassPrototypes,
@@ -34,7 +32,6 @@ from .errors import (
     SingleClassData,
     SingularCovariance,
     SolverDidNotConverge,
-    TooFewSamples,
     ZeroSlope,
 )
 from .evalharness import (
@@ -69,7 +66,6 @@ from .sampler import (
 )
 from .surrogate import (
     Divergence,
-    DivergenceKind,
     Surrogate,
     coverage_validity,
     halfspace_distance,
@@ -91,16 +87,13 @@ __all__ = [
     "DegenerateSample",
     "DimensionMismatch",
     "Divergence",
-    "DivergenceKind",
     "DomainError",
     "EmptyInput",
-    "EmptySplit",
     "EvalConfig",
     "EvalReport",
     "EvalRow",
     "IdenticalMeans",
     "MlpModel",
-    "NegativeRadius",
     "NoActionableRecourse",
     "NoOppositeClassPrototypes",
     "NonFiniteInput",
@@ -111,7 +104,6 @@ __all__ = [
     "SingularCovariance",
     "SolverDidNotConverge",
     "Surrogate",
-    "TooFewSamples",
     "TrainConfig",
     "ZeroSlope",
     "actionable_recourse",

@@ -13,6 +13,7 @@ error.
 """
 
 import argparse
+import codecs
 import csv
 import math
 import sys
@@ -34,13 +35,12 @@ from .errors import (
     BadLabelValue,
     CvasError,
     EmptyInput,
-    EmptySplit,
     SchemaMismatch,
 )
 from .evalharness import EvalConfig, _check_grid, sweep
 from .recourse import ACTION_KINDS, MODES, default_action_grids, generate_recourse
 from .sampler import SamplerConfig, resolve_radius
-from .surrogate import Divergence, DivergenceKind
+from .surrogate import DIVERGENCE_KINDS, Divergence
 
 FEATURE_KINDS = ("continuous", "categorical", "binary", "label")
 RECOURSE_HEADER = ("instance_id,mode,divergence,rho_pos,rho_neg,cost,"
@@ -106,10 +106,27 @@ def _content_lines(text):
             yield lineno, line
 
 
+def _not_utf8(path):
+    """The message for a file that is not UTF-8, naming its first line that
+    does not decode. Only this error path reads the file's bytes line by
+    line, so a good file is still read in one pass."""
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
+    for lineno, line in enumerate(data.splitlines(), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"{path}:{lineno}: not UTF-8 text ({exc.reason})"
+    return f"{path}: not UTF-8 text"
+
+
 def parse_feature_spec(path):
     """Read a feature-spec file: `name,kind,actionability`, # comments."""
-    with open(path, encoding=_ENCODING) as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding=_ENCODING) as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise SchemaMismatch(_not_utf8(path)) from None
     columns = []
     for lineno, line in _content_lines(text):
         fields = [f.strip() for f in line.split(",")]
@@ -206,13 +223,26 @@ class EncodedDataset:
     encoder: Encoder
 
 
+def _rows(reader, path):
+    """The rows of a csv.reader over the file at path. A csv.Error (a cell
+    over the csv module's field limit) or a byte that is not UTF-8 becomes
+    a SchemaMismatch naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaMismatch(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaMismatch(_not_utf8(path)) from None
+
+
 def _read_csv(path, spec):
     """The CSV at path as a _Table, read row by row: each row's length is
     checked as it arrives, a numeric cell goes straight into its column's
     float buffer, and a text cell is kept once per distinct value."""
     with open(path, newline="", encoding=_ENCODING) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        rows = _rows(reader, path)
+        header = next(rows, None)
         if header is None:
             raise SchemaMismatch(f"{path}: empty CSV")
         header = [h.strip() for h in header]
@@ -230,7 +260,7 @@ def _read_csv(path, spec):
         text = [(j, array("q"), {}) for j, name in enumerate(header)
                 if kinds[name] in ("categorical", "label")]
         lines, bad_cells = array("q"), {}
-        for row in reader:
+        for row in rows:
             if len(row) != len(header):
                 # A blank line reads as [] or [""] and is skipped, as
                 # _content_lines skips one; a row of empty cells ("," between
@@ -321,7 +351,7 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
     The split is a seeded permutation; categorical levels and z-score
     statistics are fitted on the training split only and applied to all
     rows. Raises ValueError unless 0 < split_fraction < 1, before any
-    file is opened, and EmptySplit when the split leaves no training row.
+    file is opened, and EmptyInput when the split leaves no training row.
     """
     split_fraction = _split(split_fraction)
     spec = parse_feature_spec(spec_path)
@@ -331,7 +361,7 @@ def load_dataset(csv_path, spec_path, split_fraction=0.8, seed=0):
     # Below 1, split_fraction * n rounds below n: the test side has a row.
     n_train = int(split_fraction * n)
     if n_train < 1:
-        raise EmptySplit(f"split {split_fraction} of {n} rows leaves no training row")
+        raise EmptyInput(f"split {split_fraction} of {n} rows leaves no training row")
     perm = np.random.default_rng(seed).permutation(n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
@@ -440,8 +470,7 @@ _TRAIN = (
     _opt("lr", float, default=1e-3, help="learning rate"),
 )
 _FIT = (
-    _opt("divergence", default="nominal",
-         choices=tuple(kind.value for kind in DivergenceKind),
+    _opt("divergence", default="nominal", choices=DIVERGENCE_KINDS,
          help="covariance divergence"),
     _opt("rho_pos", _radius, default=0.0, help="positive-class radius"),
     _opt("mode", default="projection", choices=MODES, help="recourse mode"),
@@ -475,6 +504,8 @@ def _config_flags(path):
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read config file: {_not_utf8(path)}") from None
     flags = []
     for lineno, line in _content_lines(text):
         key, sep, value = line.partition("=")
@@ -546,7 +577,7 @@ def _cmd_recourse(ns):
     lines, causes = [RECOURSE_HEADER], Counter()
     for instance_id in ns.instances:
         x0 = dataset.features[instance_id]
-        cells = [str(instance_id), ns.mode, divergence.kind.value,
+        cells = [str(instance_id), ns.mode, divergence.kind,
                  repr(ns.rho_pos), repr(ns.rho_neg)]
         try:
             actions = None

@@ -39,14 +39,11 @@ class NoOppositeClassPrototypes(CvasError):
 
 
 class DegenerateSample(CvasError):
-    """Pseudo-labeled ball sample has fewer than two points in a class."""
+    """Too few rows to estimate from: a pseudo-labeled ball sample with
+    fewer than two points in a class, or moments of fewer than two rows."""
 
 
 # ----------------------------------------------------------------- moments
-
-class TooFewSamples(CvasError):
-    """Moment estimation needs at least two rows."""
-
 
 class ZeroSlope(CvasError):
     """Slope vector is identically zero."""
@@ -61,10 +58,6 @@ class SingularCovariance(CvasError):
 
 class DomainError(CvasError):
     """Scalar argument outside the mathematical domain of the function."""
-
-
-class NegativeRadius(CvasError):
-    """Divergence radius must be nonnegative."""
 
 
 class IdenticalMeans(CvasError):
@@ -88,17 +81,14 @@ class NoActionableRecourse(CvasError):
 # ------------------------------------------------------------- evalharness
 
 class EmptyInput(CvasError):
-    """Metric requested over an empty collection."""
+    """Metric requested over an empty collection, or a train/test split
+    that leaves no training row."""
 
 
 # --------------------------------------------------------------------- cli
 
 class SchemaMismatch(CvasError):
     """CSV columns do not line up with the feature-spec schema."""
-
-
-class EmptySplit(CvasError):
-    """Train/test split produced an empty side."""
 
 
 # ------------------------------------------------------------ input checks

@@ -182,10 +182,16 @@ class EvalReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
     def to_json(self, path):
-        # n_skipped may be a numpy integer, which json cannot encode; numpy
-        # floats need no coercion, as np.float64 subclasses float.
-        records = [dict(asdict(r), n_skipped=int(r.n_skipped)) for r in self.rows]
-        atomic_write_text(path, json.dumps(records, indent=2) + "\n")
+        # RFC 8259 JSON has no Infinity or NaN: a non-finite float is written
+        # as the string the CSV holds ("inf", "-inf", "nan"). n_skipped may
+        # be a numpy integer, which json cannot encode; numpy floats need no
+        # coercion, as np.float64 subclasses float.
+        def strict(v):
+            return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+        records = [{name: strict(v) for name, v in asdict(r).items()}
+                   | {"n_skipped": int(r.n_skipped)} for r in self.rows]
+        atomic_write_text(path, json.dumps(records, indent=2, allow_nan=False) + "\n")
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,7 @@ def _check_grid(divergence_kind, rho_pos, rho_grid, mode):
         raise EmptyInput("empty rho grid")
     if mode not in MODES:
         raise ValueError(f"unknown recourse mode {mode!r}")
-    config_ids = [f"{d.kind.value}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
+    config_ids = [f"{d.kind}_rpos{d.rho_pos:g}_rneg{d.rho_neg:g}_{mode}"
                   for d in divergences]
     if len(set(config_ids)) != len(config_ids):
         raise ValueError(f"radii that print alike repeat a report id: {config_ids}")
@@ -288,7 +294,7 @@ def _row(config_id, divergence, mode, outcomes, model, ensemble):
     sensitivities = [s for _, _, s in scored if not isinstance(s, CvasError)]
     return EvalRow(
         config_id=config_id,
-        divergence=divergence.kind.value,
+        divergence=divergence.kind,
         rho_pos=float(divergence.rho_pos),
         rho_neg=divergence.rho_neg,
         mode=mode,
@@ -344,7 +350,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         the model or config.action_kinds has another width.
     NonFiniteInput
         If an instance holds NaN or infinity.
-    NegativeRadius, DomainError
+    DomainError
         If a radius is outside Divergence's domain: negative, NaN, finite
         above the fisher-rao and logdet cap of 700, or +inf for both classes.
     NonFiniteInput, DimensionMismatch, BadLabelValue, SingleClassData

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TooFewSamples, finite_array
+from .errors import DegenerateSample, DomainError, finite_array
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def estimate_moments(features):
 
     Raises
     ------
-    TooFewSamples
+    DegenerateSample
         If fewer than two rows are supplied.
     NonFiniteInput
         If a row holds NaN or infinity, or the covariance overflows.
@@ -71,7 +71,7 @@ def estimate_moments(features):
     features = np.atleast_2d(np.asarray(features, dtype=float))
     m = features.shape[0]
     if m < 2:
-        raise TooFewSamples(f"need at least 2 rows to estimate a covariance, got {m}")
+        raise DegenerateSample(f"need at least 2 rows to estimate a covariance, got {m}")
     # A non-finite row gives a non-finite mean, which ClassMoments rejects.
     with np.errstate(invalid="ignore", over="ignore"):
         mean = features.mean(axis=0)

@@ -21,7 +21,6 @@ normalized by w^T (mu_pos - mu_neg) = 1.
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     IdenticalMeans,
-    NegativeRadius,
     NonFiniteInput,
     SingularCovariance,
     SolverDidNotConverge,
@@ -44,17 +42,12 @@ _MAX_STEPS = 1000
 _RHO_CAP = 700.0
 
 
-class DivergenceKind(str, Enum):
-    NOMINAL = "nominal"
-    QUADRATIC = "quadratic"
-    BURES = "bures"
-    FISHER_RAO = "fisher-rao"
-    LOGDET = "logdet"
+DIVERGENCE_KINDS = ("nominal", "quadratic", "bures", "fisher-rao", "logdet")
 
 
 @dataclass(frozen=True)
 class Divergence:
-    """Divergence kind plus per-class radii (rho_pos, rho_neg): each
+    """One of DIVERGENCE_KINDS plus per-class radii (rho_pos, rho_neg): each
     finite, nonnegative and at most 700 for fisher-rao and logdet, or,
     for at most one class, +inf, whose limit solve_cvas takes; the other
     radius is then 0, since that limit does not read it.
@@ -64,12 +57,12 @@ class Divergence:
     for quadratic (sqrt(rho) I sits inside the covariance).
     """
 
-    kind: DivergenceKind
+    kind: str
     rho_pos: float = 0.0
     rho_neg: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", DivergenceKind(self.kind))
+        _check_kind(self.kind)
         if self.rho_pos == self.rho_neg == math.inf:
             raise DomainError("at most one radius may be +inf, the inflated class's")
         for rho in (self.rho_pos, self.rho_neg):
@@ -78,13 +71,13 @@ class Divergence:
         if math.inf in (self.rho_pos, self.rho_neg) and min(self.rho_pos, self.rho_neg):
             raise ValueError("a +inf radius needs 0 as the other class's radius, "
                              "which its limit does not read")
-        if self.kind is DivergenceKind.NOMINAL and (self.rho_pos or self.rho_neg):
+        if self.kind == "nominal" and (self.rho_pos or self.rho_neg):
             raise ValueError("nominal divergence requires both radii equal to 0")
 
 
 @dataclass(frozen=True)
 class Surrogate:
-    """Linear surrogate w, b with its margin kappa and divergence.
+    """Linear surrogate w, b with its margin kappa.
 
     kappa is 1/(tau_pos + tau_neg) at the optimum, or 0.0 at the limit of
     a +inf radius. w is kept as a read-only copy.
@@ -93,7 +86,6 @@ class Surrogate:
     w: np.ndarray
     b: float
     kappa: float
-    divergence: Divergence
 
     def __post_init__(self):
         w = finite_array(np.ravel(self.w), "surrogate slope", nonzero=True,
@@ -175,26 +167,32 @@ def lambert_w_minus1(x):
     return min(w, -1.0)
 
 
+def _check_kind(kind):
+    if kind not in DIVERGENCE_KINDS:
+        raise ValueError(f"divergence kind must be one of {DIVERGENCE_KINDS}, "
+                         f"got {kind!r}")
+
+
 def _check_radius(kind, rho):
     if rho < 0.0:
-        raise NegativeRadius(f"rho must be nonnegative, got {rho}")
+        raise DomainError(f"rho must be nonnegative, got {rho}")
     if not math.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho}; a Divergence "
                           "takes one +inf radius, as its class's limit")
-    if kind in (DivergenceKind.FISHER_RAO, DivergenceKind.LOGDET) and rho > _RHO_CAP:
-        raise DomainError(f"{kind.value} radius {rho} exceeds the overflow cap "
+    if kind in ("fisher-rao", "logdet") and rho > _RHO_CAP:
+        raise DomainError(f"{kind} radius {rho} exceeds the overflow cap "
                           f"{_RHO_CAP}; a +inf radius takes its limit")
 
 
 def _terms(kind, rho, covariance):
     # tau = sum of weight * sqrt(w^T M w) over these (weight, M) pairs.
-    if kind is DivergenceKind.QUADRATIC:
+    if kind == "quadratic":
         return [(1.0, covariance + math.sqrt(rho) * np.eye(len(covariance)))]
-    if kind is DivergenceKind.BURES:
+    if kind == "bures":
         return [(1.0, covariance), (rho, np.eye(len(covariance)))]
-    if kind is DivergenceKind.FISHER_RAO:
+    if kind == "fisher-rao":
         return [(math.exp(rho / 2.0), covariance)]
-    if kind is DivergenceKind.LOGDET:
+    if kind == "logdet":
         # sqrt(-W_-1(-exp(-rho-1))); equals 1 at rho = 0.
         return [(math.sqrt(-lambert_w_minus1(-math.exp(-rho - 1.0))), covariance)]
     return [(1.0, covariance)]
@@ -239,7 +237,7 @@ def tau(kind, rho, covariance, w):
     tau or its derivatives overflow, and a w^T S w that overflows or
     underflows to 0. A negative w^T S w raises SingularCovariance.
     """
-    kind = DivergenceKind(kind)
+    _check_kind(kind)
     w = finite_array(np.ravel(w), "tau slope", nonzero=True)
     cov = finite_array(covariance, "covariance", shape=w.shape * 2)
     _check_radius(kind, rho)
@@ -300,8 +298,7 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     -------
     Surrogate
         With kappa = 1/(tau_pos + tau_neg) and b placed so both classes
-        sit at Mahalanobis margin kappa (kappa = 0.0 at a +inf radius),
-        and the divergence it was given.
+        sit at Mahalanobis margin kappa (kappa = 0.0 at a +inf radius).
 
     Raises
     ------
@@ -322,10 +319,9 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     if math.inf in (divergence.rho_pos, divergence.rho_neg):
         y, inflated = ((1, moments_pos) if divergence.rho_pos == math.inf
                        else (-1, moments_neg))
-        isotropic = kind in (DivergenceKind.QUADRATIC, DivergenceKind.BURES)
+        isotropic = kind in ("quadratic", "bures")
         w = _mpm_step(np.eye(a.size) if isotropic else ridge(inflated.covariance), a)
-        return Surrogate(w=w, b=float(w @ inflated.mean) - y, kappa=0.0,
-                         divergence=divergence)
+        return Surrogate(w=w, b=float(w @ inflated.mean) - y, kappa=0.0)
     terms_pos = _terms(kind, divergence.rho_pos, ridge(moments_pos.covariance))
     terms_neg = _terms(kind, divergence.rho_neg, ridge(moments_neg.covariance))
     terms = terms_pos + terms_neg
@@ -349,7 +345,7 @@ def solve_cvas(moments_pos, moments_neg, divergence):
     tau_neg = _evaluate(terms_neg, w)[0]
     kappa = 1.0 / (tau_pos + tau_neg)
     b = float(w @ moments_pos.mean) - kappa * tau_pos
-    return Surrogate(w=w, b=b, kappa=kappa, divergence=divergence)
+    return Surrogate(w=w, b=b, kappa=kappa)
 
 
 def _deficit(w, x, b):
@@ -429,7 +425,7 @@ def optimal_mean(w, b, mean_hat, covariance, nu):
     """
     w = finite_array(np.ravel(w), "slope", nonzero=True)
     if nu < 0.0:
-        raise NegativeRadius(f"nu must be nonnegative, got {nu}")
+        raise DomainError(f"nu must be nonnegative, got {nu}")
     if math.isnan(nu):
         raise DomainError("nu must not be NaN")
     mean_hat = finite_array(np.ravel(mean_hat), "mean_hat", shape=w.shape)

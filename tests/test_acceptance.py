@@ -206,7 +206,7 @@ def test_criterion_08_equalization_at_every_solve():
                    "at every suite solve"):
         for pos, neg, divergence in _suite_solves():
             sur = solve_cvas(pos, neg, divergence)
-            kind = divergence.kind.value
+            kind = divergence.kind
             for moments, rho in ((pos, divergence.rho_pos),
                                  (neg, divergence.rho_neg)):
                 margin = abs(float(sur.w @ moments.mean) - sur.b)
@@ -231,8 +231,7 @@ def test_criterion_10_recourse_matches_oracles():
             w = rng.normal(size=d)
             b = float(rng.normal())
             x0 = 2.0 * rng.normal(size=d)
-            sur = Surrogate(w=w, b=b, kappa=1.0,
-                            divergence=Divergence(kind="nominal"))
+            sur = Surrogate(w=w, b=b, kappa=1.0)
             result = l1_projection(x0, sur)
             assert abs(result.cost - lp_projection_cost(x0, w, b)) <= 1e-9
         for _ in range(100):
@@ -240,8 +239,7 @@ def test_criterion_10_recourse_matches_oracles():
             w = rng.normal(size=d)
             b = float(rng.normal())
             x0 = 2.0 * rng.normal(size=d)
-            sur = Surrogate(w=w, b=b, kappa=1.0,
-                            divergence=Divergence(kind="nominal"))
+            sur = Surrogate(w=w, b=b, kappa=1.0)
             grids = [np.concatenate([[0.0], rng.normal(scale=2.0, size=3)])
                      for _ in range(d)]
             actions = ActionSpec(kinds=("free",) * d, grids=tuple(grids))

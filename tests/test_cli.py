@@ -34,7 +34,7 @@ from cvas.cli import (
 from cvas.errors import (
     BadLabelValue,
     DegenerateSample,
-    EmptySplit,
+    EmptyInput,
     NoOppositeClassPrototypes,
     SchemaMismatch,
 )
@@ -208,7 +208,7 @@ def test_empty_split_raises(tmp_path):
     spec = write(tmp_path / "cols.txt", "a,continuous,free\nlabel,label\n")
     data = write(tmp_path / "d.csv", "a,label\n1,1\n2,0\n3,1\n")
     for fraction in (0.2, 0.3):
-        with pytest.raises(EmptySplit):
+        with pytest.raises(EmptyInput):
             load_dataset(data, spec, split_fraction=fraction, seed=0)
 
 
@@ -246,6 +246,8 @@ def binary_encoder(tmp_path):
     ("3,1,yes", BadLabelValue),     # a non-numeric label
     ("3,1,2", BadLabelValue),       # a label outside both encodings
     ("3,1,-1", BadLabelValue),      # -1 after 0: the encodings mix here
+    # A cell over the csv module's field limit used to escape as csv.Error.
+    pytest.param("1" * 200_000 + ",1,1", SchemaMismatch, id="field-limit"),
 ])
 def test_ingestion_errors_name_the_file_line(tmp_path, binary_encoder, bad_row,
                                              error):
@@ -294,7 +296,7 @@ def test_continuous_statistics_fail_before_a_binary_column(tmp_path):
 def test_empty_split_fails_before_a_non_numeric_cell(tmp_path):
     spec = write(tmp_path / "cols.txt", BINARY_SPEC)
     data = write(tmp_path / "d.csv", "a,v,label\nfoo,0,1\n2,1,0\n3,0,1\n")
-    with pytest.raises(EmptySplit):
+    with pytest.raises(EmptyInput):
         load_dataset(data, spec, split_fraction=0.2, seed=0)
 
 
@@ -1089,6 +1091,52 @@ def test_spec_without_feature_columns_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "no feature column" in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+TWO_COLUMN_SPEC = b"x1,continuous,free\nx2,continuous,free\nlabel,label\n"
+TWO_COLUMN_ROWS = b"x1,x2,label\n0,0,-1\n1,0,1\n0,1,1\n1,1,-1\n"
+
+
+def _train_fails(tmp_path, capsys, data=TWO_COLUMN_ROWS, spec=TWO_COLUMN_SPEC,
+                 config=None):
+    """run's exit code and its one stderr line for a `train` on these bytes;
+    no model is written."""
+    paths = {}
+    for name, blob in (("d.csv", data), ("cols.txt", spec), ("run.cfg", config)):
+        if blob is not None:
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(blob)
+    argv = ["train", "--data", str(paths["d.csv"]), "--spec", str(paths["cols.txt"]),
+            "--epochs", "5", "--out", str(tmp_path / "m.bin")]
+    if config is not None:
+        argv += ["--config", str(paths["run.cfg"])]
+    rc = run(argv)
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "m.bin").exists()
+    return rc, line, paths
+
+
+def test_csv_that_is_not_utf8_exits_two_naming_its_line(tmp_path, capsys):
+    # It used to be a usage error (exit 1) that named neither file nor line.
+    rows = BOM.encode() + TWO_COLUMN_ROWS.replace(b"0,1,1", b"0,\xff1,1")
+    rc, line, paths = _train_fails(tmp_path, capsys, data=rows)
+    assert rc == 2
+    assert line.startswith(f"error: {paths['d.csv']}:4: not UTF-8")
+
+
+def test_spec_that_is_not_utf8_exits_two_naming_its_line(tmp_path, capsys):
+    spec = TWO_COLUMN_SPEC.replace(b"x2,continuous", b"x2,contin\xc3uous")
+    rc, line, paths = _train_fails(tmp_path, capsys, spec=spec)
+    assert rc == 2
+    assert line.startswith(f"error: {paths['cols.txt']}:2: not UTF-8")
+
+
+def test_config_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    # A config file is part of the command line: a usage error, as before,
+    # whose message now names the file.
+    rc, line, paths = _train_fails(tmp_path, capsys, config=b"epochs = 5\n\xff = 1\n")
+    assert rc == 1
+    assert line.startswith(f"error: cannot read config file: {paths['run.cfg']}:2: ")
 
 
 def test_truncated_model_exits_two(workspace, tmp_path, capsys):

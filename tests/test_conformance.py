@@ -9,7 +9,6 @@ so that a path where numpy only warns about a NaN fails as well.
 """
 
 import dataclasses
-import enum
 import math
 import struct
 from functools import partial
@@ -28,7 +27,6 @@ from cvas import (
     CvasError,
     DimensionMismatch,
     Divergence,
-    DivergenceKind,
     DomainError,
     EvalConfig,
     EvalReport,
@@ -92,7 +90,7 @@ NOMINAL = Divergence(kind="nominal")
 FR = Divergence(kind="fisher-rao", rho_neg=1.0)
 FR_POS_INF = Divergence(kind="fisher-rao", rho_pos=inf)
 BURES_NEG_INF = Divergence(kind="bures", rho_neg=inf)
-SUR = Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0, divergence=NOMINAL)
+SUR = Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0)
 SAMPLER = SamplerConfig(n_p=50)
 ACTIONS = default_action_grids(X0, X)
 # Finite inputs whose squared norms, deficit or recourse point overflow.
@@ -117,13 +115,13 @@ NEGATIVE_POS = ClassMoments(mean=[1.0, 0.0], covariance=-EYE)
 # weighted sum of the two covariances is exactly singular.
 SPLIT_POS = ClassMoments(mean=[1.0, 2.0, 1.0], covariance=np.diag([4e20, 4e20, -8e20]))
 SPLIT_NEG = ClassMoments(mean=[0.0, 0.0, 0.0], covariance=np.diag([-2e20, 1e20, 1e20]))
-HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0, divergence=NOMINAL)
-HUGE_308 = Surrogate(w=[1e308, 1e308], b=0.0, kappa=1.0, divergence=NOMINAL)
+HUGE = Surrogate(w=[1e200, 1e200], b=0.0, kappa=1.0)
+HUGE_308 = Surrogate(w=[1e308, 1e308], b=0.0, kappa=1.0)
 # Class means whose w^T mu overflows for HUGE's slope.
 FAR_200 = ClassMoments(mean=[1e200, 0.0], covariance=EYE)
 FAR_NEG_200 = ClassMoments(mean=[-1e200, 0.0], covariance=EYE)
-TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0, divergence=NOMINAL)
-FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0, divergence=NOMINAL)
+TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0)
+FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0)
 FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
 # A row whose activations overflow a trained model, and rows whose
 # training overflows in its first epoch.
@@ -140,6 +138,7 @@ MATRICES = [("nan", [[nan, 0.0], [0.0, 1.0]]), ("inf", [[inf, 0.0], [0.0, 1.0]])
             ("-inf", [[1.0, 0.0], [0.0, -inf]]), ("wide", np.eye(3)),
             ("empty", np.zeros((0, 0)))]
 RADII = [("nan", nan), ("inf", inf), ("-inf", -inf), ("negative", -1.0)]
+KINDS = [("nan", nan), ("unknown", "frobenius")]
 
 
 def _rows(bad):
@@ -250,16 +249,16 @@ CASES = [
            lambda m: ClassMoments(mean=[0.0, 0.0], covariance=m),
            DomainError, must_raise=True),
     *_each("Surrogate", "w", VECTORS,
-           lambda v: Surrogate(w=v, b=0.0, kappa=1.0, divergence=NOMINAL)),
+           lambda v: Surrogate(w=v, b=0.0, kappa=1.0)),
     *_each("Surrogate", "b", RADII,
-           lambda r: Surrogate(w=[1.0, 0.0], b=r, kappa=1.0, divergence=NOMINAL)),
+           lambda r: Surrogate(w=[1.0, 0.0], b=r, kappa=1.0)),
     *_raises("Surrogate", "b=inf-raises",
-             lambda: Surrogate(w=[1.0, 0.0], b=inf, kappa=1.0, divergence=NOMINAL),
+             lambda: Surrogate(w=[1.0, 0.0], b=inf, kappa=1.0),
              NonFiniteInput),
     *_surrogate_rows("decision_values"),
     *_surrogate_rows("label"),
     *_each("Surrogate", "kappa", RADII,
-           lambda r: Surrogate(w=[1.0, 0.0], b=0.0, kappa=r, divergence=NOMINAL),
+           lambda r: Surrogate(w=[1.0, 0.0], b=0.0, kappa=r),
            allowed=CONFIG),
     # +inf is a valid radius here: solve_cvas takes the inflated class's
     # radius that way. Two +inf radii name no class.
@@ -267,7 +266,8 @@ CASES = [
            lambda r: Divergence(kind="bures", rho_neg=r)),
     *_raises("Divergence", "both-inf",
              lambda: Divergence(kind="bures", rho_pos=inf, rho_neg=inf), DomainError),
-    *_one("DivergenceKind", "nan", lambda: DivergenceKind(nan), allowed=CONFIG),
+    *_each("Divergence", "kind", KINDS, lambda k: Divergence(kind=k),
+           ValueError, must_raise=True),
     *_each("TrainConfig", "learning_rate", RADII,
            lambda r: TrainConfig(learning_rate=r), allowed=CONFIG),
     *_each("SamplerConfig", "r_p", RADII, lambda r: SamplerConfig(r_p=r),
@@ -415,6 +415,8 @@ CASES = [
     *_each("tau", "covariance", MATRICES,
            lambda m: tau("bures", 1.0, m, [1.0, 0.0])),
     *_each("tau", "w", VECTORS, lambda v: tau("bures", 1.0, EYE, v)),
+    *_each("tau", "kind", KINDS, lambda k: tau(k, 0.0, EYE, [1.0, 0.0]),
+           ValueError, must_raise=True),
     *_raises("tau", "covariance=1e200",
              lambda: tau("nominal", 0.0, 1e200 * EYE, [1e100, 0.0]), DomainError),
     # A finite radius whose weight exp(700 / 2) divides a 1e-160 scale.
@@ -575,10 +577,9 @@ CASES = [
 def _finite(value):
     """Every number inside value (arrays, sequences, dataclasses) is finite.
 
-    A Divergence is an input that a Surrogate records as it was given:
-    it checks itself when built, and its +inf radius names the class
-    whose limit was taken."""
-    if value is None or isinstance(value, (str, enum.Enum, Divergence)):
+    A Divergence checks itself when built, and its +inf radius names
+    the class whose limit is taken."""
+    if value is None or isinstance(value, (str, Divergence)):
         return True
     if dataclasses.is_dataclass(value):
         return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
@@ -616,7 +617,7 @@ def test_bad_input_raises_or_returns_finite(target, label, call, allowed, must_r
 
 def test_value_arrays_are_read_only():
     w, mean, cov = np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.eye(2)
-    surrogate = Surrogate(w=w, b=0.0, kappa=1.0, divergence=NOMINAL)
+    surrogate = Surrogate(w=w, b=0.0, kappa=1.0)
     moments = ClassMoments(mean=mean, covariance=cov)
     for array in (surrogate.w, moments.mean, moments.covariance):
         with pytest.raises(ValueError, match="read-only"):
@@ -658,7 +659,7 @@ def test_noise_std_conforms(noise_std):
 def test_split_conforms(tmp_path):
     """A split outside (0, 1) is refused before any file is opened (the
     missing paths would raise FileNotFoundError); inside, a 10-row CSV
-    loads, or gives EmptySplit when no row is left to train on."""
+    loads, or gives EmptyInput when no row is left to train on."""
     spec = tmp_path / "cols.txt"
     spec.write_text("a,continuous,free\nlabel,label\n")
     data = tmp_path / "d.csv"

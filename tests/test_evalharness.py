@@ -34,7 +34,6 @@ from cvas.errors import (
     DomainError,
     EmptyInput,
     IdenticalMeans,
-    NegativeRadius,
     NoActionableRecourse,
     NonFiniteInput,
 )
@@ -44,8 +43,7 @@ from helpers import linear_mlp
 
 
 def halfspace(w, b):
-    return Surrogate(w=np.asarray(w, dtype=float), b=float(b), kappa=1.0,
-                     divergence=Divergence(kind="nominal"))
+    return Surrogate(w=np.asarray(w, dtype=float), b=float(b), kappa=1.0)
 
 
 # ---------------------------------------------------------------- fidelity
@@ -303,6 +301,27 @@ def test_report_csv_round_trip(tmp_path):
                 assert int(got) == want
             else:
                 assert got == want
+
+
+def test_report_json_is_strict(tmp_path):
+    # RFC 8259 has no Infinity or NaN, which the report used to write: a
+    # non-finite value is the string the CSV holds.
+    rows = (_row("a", rho_neg=math.inf, sensitivity=math.nan),
+            _row("b", mean_cost=np.float64(-math.inf)))
+    report = EvalReport(rows=rows)
+    report.to_json(tmp_path / "report.json")
+    report.to_csv(tmp_path / "report.csv")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    records = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=refuse)
+    assert records[0]["rho_neg"] == "inf" and records[0]["sensitivity"] == "nan"
+    assert records[1]["mean_cost"] == "-inf"
+    with open(tmp_path / "report.csv", newline="") as handle:
+        assert [{k: str(v) for k, v in r.items()} for r in records] == list(
+            csv.DictReader(handle))
 
 
 def test_report_json_round_trip(tmp_path):
@@ -580,13 +599,14 @@ def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
 
 
 # The ids are the ones pytest generated when the table had its first
-# four columns only, so each case keeps its name.
+# four columns only, so each case keeps its name; a negative radius now
+# raises DomainError, where the id still names NegativeRadius.
 @pytest.mark.parametrize("kind, grid, instances, error, mode, changes", [
     pytest.param("walk", [0.0], None, ValueError, "projection", {},
                  id="walk-grid0-None-ValueError"),
     pytest.param("nominal", [0.0, 1.0], None, ValueError, "projection", {},
                  id="nominal-grid1-None-ValueError"),
-    pytest.param("fisher-rao", [1.0, -1.0], None, NegativeRadius, "projection", {},
+    pytest.param("fisher-rao", [1.0, -1.0], None, DomainError, "projection", {},
                  id="fisher-rao-grid2-None-NegativeRadius"),
     pytest.param("fisher-rao", [math.nan], None, DomainError, "projection", {},
                  id="fisher-rao-grid3-None-DomainError"),
@@ -694,12 +714,16 @@ def test_sweep_skips_an_instance_at_one_radius(sweep_fixture, counted_sweeps,
     # rows are those of the sweep where nothing fails.
     present, shifted, unfavorable = sweep_fixture
     real = evalharness._recourse_against
-    failed = []
+    searched, failed = [], []
 
     def failing(model, x0, surrogate, mode, actions):
-        if surrogate.divergence.rho_neg == 1.0 and np.array_equal(x0, unfavorable[1]):
-            failed.append(x0)
-            raise NoActionableRecourse("no recourse at this radius")
+        # _score takes an instance's radii in grid order, so its second
+        # search is the one at rho_neg = 1.
+        if np.array_equal(x0, unfavorable[1]):
+            searched.append(x0)
+            if len(searched) == 2:
+                failed.append(x0)
+                raise NoActionableRecourse("no recourse at this radius")
         return real(model, x0, surrogate, mode, actions)
 
     monkeypatch.setattr(evalharness, "_recourse_against", failing)
@@ -735,7 +759,7 @@ def test_sweep_row_without_sensitivity_reports_nan(sweep_fixture, tmp_path,
         (record,) = csv.DictReader(handle)
     assert record["sensitivity"] == "nan"
     report.to_json(tmp_path / "report.json")
-    assert '"sensitivity": NaN' in (tmp_path / "report.json").read_text()
+    assert '"sensitivity": "nan"' in (tmp_path / "report.json").read_text()
 
 
 def test_sweep_all_instances_failing_raises(sweep_fixture):

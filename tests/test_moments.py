@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 
 from cvas import (
     ClassMoments,
+    DegenerateSample,
     DomainError,
     NonFiniteInput,
     SingularCovariance,
-    TooFewSamples,
     ZeroSlope,
     estimate_moments,
     halfspace_distance,
@@ -45,7 +45,7 @@ def test_monte_carlo_covariance():
 
 
 def test_too_few_samples():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DegenerateSample):
         estimate_moments(np.array([[1.0, 2.0]]))
 
 

@@ -38,8 +38,7 @@ from oracles import (
 
 
 def lin_sur(w, b):
-    return Surrogate(w=np.asarray(w, dtype=float), b=float(b), kappa=1.0,
-                     divergence=Divergence(kind="nominal"))
+    return Surrogate(w=np.asarray(w, dtype=float), b=float(b), kappa=1.0)
 
 
 # ---------------------------------------------------------------- projection
