@@ -260,15 +260,21 @@ def _read_csv(path, spec):
         text = [(j, array("q"), {}) for j, name in enumerate(header)
                 if kinds[name] in ("categorical", "label")]
         lines, bad_cells = array("q"), {}
+        end = reader.line_num
         for row in rows:
+            # A row starts on the line after the last one ended; a quoted
+            # newline, or a quote left open, makes it end on a later line.
+            start, end = end + 1, reader.line_num
             if len(row) != len(header):
                 # A blank line reads as [] or [""] and is skipped, as
                 # _content_lines skips one; a row of empty cells ("," between
                 # them) is kept. A header has at least two columns.
                 if len(row) <= 1 and not "".join(row).strip():
                     continue
-                raise SchemaMismatch(f"{path}:{reader.line_num}: row has "
-                                     f"{len(row)} cells, expected {len(header)}")
+                hint = (f" (the row runs to line {end}: a quote may be open)"
+                        if end > start else "")
+                raise SchemaMismatch(f"{path}:{start}: row has {len(row)} cells, "
+                                     f"expected {len(header)}{hint}")
             lines.append(reader.line_num)
             for j, values in numeric:
                 try:

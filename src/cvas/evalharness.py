@@ -17,10 +17,17 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from ._io import atomic_write_text
-from .blackbox import _ENSEMBLE_FRACTION, TrainConfig, _future_models, train_mlp
+from .blackbox import (
+    _ENSEMBLE_FRACTION,
+    TrainConfig,
+    _check_training_data,
+    _future_models,
+    train_mlp,
+)
 from .errors import (
     CvasError,
     DimensionMismatch,
+    DomainError,
     EmptyInput,
     check_integer,
     finite_array,
@@ -47,8 +54,9 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
     Draws n points uniformly from the L2 ball of radius r_fid around
     x0 and compares hard labels. `model` is anything with a
     label(matrix) -> {-1,+1} method, so a Surrogate can play the model
-    role too. Raises ValueError for r_fid <= 0, an n that is not an
-    integer >= 1 or a seed that is not one >= 0.
+    role too. Raises DomainError for an r_fid outside (0, inf), and
+    ValueError for an n that is not an integer >= 1 or a seed that is
+    not one >= 0.
     """
     points, labels = _labelled_ball(model, x0, r_fid, n, seed)
     return float(np.mean(labels == surrogate.label(points)))
@@ -56,8 +64,8 @@ def local_fidelity(model, surrogate, x0, r_fid, n=1000, seed=0):
 
 def _labelled_ball(model, x0, r_fid, n, seed):
     """local_fidelity's evaluation ball and the model's labels on it."""
-    if r_fid <= 0.0:
-        raise ValueError("r_fid must be positive")
+    if not 0.0 < r_fid < math.inf:
+        raise DomainError(f"r_fid must be finite and > 0, got {r_fid}")
     points = sample_ball(np.ravel(x0), r_fid, n, seed)
     return points, model.label(points)
 
@@ -109,15 +117,15 @@ def _max_slope_gap(base_w, neighbor_moments, divergence):
     """max ||base_w - w(x')||_2 over the neighbors that solve at divergence.
 
     Entries of neighbor_moments that are errors, and neighbors whose
-    solve fails, are skipped; if none is left, the last error is raised,
-    or EmptyInput when there were no neighbors at all.
+    solve fails, are skipped; if none is left, the last error is raised.
+    Both callers pass _SENS_NEIGHBORS entries.
     """
     solved = [item if isinstance(item, CvasError)
               else _caught(solve_cvas, *item, divergence) for item in neighbor_moments]
     gaps = [float(np.linalg.norm(base_w - surrogate.w)) for surrogate in solved
             if not isinstance(surrogate, CvasError)]
     if not gaps:
-        raise (solved or [EmptyInput("no sensitivity neighbors")])[-1]
+        raise solved[-1]
     return max(gaps)
 
 
@@ -337,7 +345,8 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     Raises
     ------
     EmptyInput
-        If the grid or the instances are empty; after the instance loop,
+        If the grid, the instances or the present dataset are empty;
+        after the instance loop,
         without waiting for the ensemble, if every instance fails at
         some radius, naming its config_id and counting the failures by
         CvasError class.
@@ -350,6 +359,9 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         the model or config.action_kinds has another width.
     NonFiniteInput
         If an instance holds NaN or infinity.
+    NonFiniteInput, DimensionMismatch, BadLabelValue
+        As train_mlp, for the present dataset, before the ensemble
+        starts.
     DomainError
         If a radius is outside Divergence's domain: negative, NaN, finite
         above the fisher-rao and logdet cap of 700, or +inf for both classes.
@@ -366,9 +378,10 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     """
     divergences, config_ids = _check_grid(divergence_kind, config.rho_pos,
                                           rho_grid, mode)
-    present_x, present_y = dataset_present
-    present_x = np.asarray(present_x, dtype=float)
-    width = present_x.shape[-1]
+    present_x, present_y = _check_training_data(*dataset_present)
+    if present_x.shape[0] == 0:
+        raise EmptyInput("the present dataset has no rows")
+    width = present_x.shape[1]
     instances = finite_array(np.atleast_2d(instances), "instances",
                              shape=(None, width), nonempty=True)
     if model is not None and model.layer_dims[0] != width:

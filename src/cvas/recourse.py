@@ -26,34 +26,24 @@ MODES = ("projection", "actionable")
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """Per-feature actionability kinds and allowed delta grids.
+    """Per-feature grids of allowed deltas.
 
     Each grid is a finite sorted deduplicated array containing 0 (stored
-    as +0.0), kept as a read-only copy. kind "immutable" forces the grid {0};
-    "non_decreasing" forbids negative deltas.
+    as +0.0), kept as a read-only copy. Actionability kinds live where
+    grids are built from them (default_action_grids).
     """
 
-    kinds: tuple
     grids: tuple
 
     def __post_init__(self):
-        if len(self.kinds) != len(self.grids):
-            raise ValueError("kinds and grids must have equal length")
         grids = []
-        for kind, grid in zip(self.kinds, self.grids):
-            if kind not in ACTION_KINDS:
-                raise ValueError(f"unknown actionability kind {kind!r}")
+        for grid in self.grids:
             grid = _unique_grid(grid)
             if 0.0 not in grid:
                 raise ValueError("every action grid must contain 0")
-            if kind == "immutable" and len(grid) != 1:
-                raise ValueError("immutable features allow only the zero delta")
-            if kind == "non_decreasing" and grid[0] < 0.0:
-                raise ValueError("non_decreasing features forbid negative deltas")
             grid = np.array(grid)
             grid.flags.writeable = False
             grids.append(grid)
-        object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "grids", tuple(grids))
 
 
@@ -130,6 +120,8 @@ def default_action_grids(x0, training_features, kinds=None):
         If x0 or a training row contains NaN or infinity.
     DomainError
         If a percentile or its delta from x0 overflows float64.
+    ValueError
+        If a kind is not one of ACTION_KINDS.
     """
     x0 = np.ravel(x0)
     d = x0.shape[0]
@@ -150,8 +142,10 @@ def default_action_grids(x0, training_features, kinds=None):
             column = []
         elif kind == "non_decreasing":
             column = [delta for delta in column if delta >= 0.0]
+        elif kind != "free":
+            raise ValueError(f"unknown actionability kind {kind!r}")
         grids.append(column + [0.0])
-    return ActionSpec(kinds=tuple(kinds), grids=tuple(grids))
+    return ActionSpec(grids=tuple(grids))
 
 
 def _search_start(x0, surrogate):
@@ -255,7 +249,7 @@ def actionable_recourse(x0, surrogate, actions):
     cost so far plus the fractional fill of the remaining deficit at
     the best remaining rates, then by push order. That bound is
     admissible, so the first goal popped is optimal, and ties go to
-    the first pushed.
+    the first pushed; a feasible x0 is the root, a goal of cost 0.
 
     Raises
     ------
@@ -271,8 +265,6 @@ def actionable_recourse(x0, surrogate, actions):
     w, b, x0, deficit = _search_start(x0, surrogate)
     if len(actions.grids) != x0.shape[0]:
         raise DimensionMismatch(f"{len(actions.grids)} grids for {len(x0)} features")
-    if deficit <= 0.0:
-        return RecourseResult(x_r=x0.copy(), cost=0.0, surrogate_valid=True)
 
     features = _branch_features(w, actions)
     # Heap entries: (bound, push order, feature position, remaining

@@ -242,7 +242,7 @@ def test_criterion_10_recourse_matches_oracles():
             sur = Surrogate(w=w, b=b, kappa=1.0)
             grids = [np.concatenate([[0.0], rng.normal(scale=2.0, size=3)])
                      for _ in range(d)]
-            actions = ActionSpec(kinds=("free",) * d, grids=tuple(grids))
+            actions = ActionSpec(grids=tuple(grids))
             want = exhaustive_actionable_cost(x0, w, b, actions.grids)
             try:
                 result = actionable_recourse(x0, sur, actions)

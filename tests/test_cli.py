@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cvas import (
@@ -1137,6 +1137,58 @@ def test_config_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
     rc, line, paths = _train_fails(tmp_path, capsys, config=b"epochs = 5\n\xff = 1\n")
     assert rc == 1
     assert line.startswith(f"error: cannot read config file: {paths['run.cfg']}:2: ")
+
+
+def test_open_quote_names_the_line_where_its_row_starts(tmp_path, capsys):
+    # A quote opened on line 6 never closes, so the rest of the file reads
+    # as one cell; the error used to name the file's last line, 61.
+    rows = [f"{i % 2},{i % 3},{2 * (i % 2) - 1}\n" for i in range(60)]
+    rows[4] = '"0.5,1.0,1\n'
+    rc, line, paths = _train_fails(tmp_path, capsys,
+                                   data=("x1,x2,label\n" + "".join(rows)).encode())
+    assert rc == 2
+    assert line == (f"error: {paths['d.csv']}:6: row has 1 cells, expected 3 "
+                    "(the row runs to line 61: a quote may be open)")
+
+
+MUTATED_SPEC = b"x,continuous,free\nc,categorical,immutable\nv,binary,free\ny,label\n"
+MUTATED_ROWS = (b'x,c,v,y\n0.5,red,1,1\n-1,"blue",0,-1\n2,red,0,1\n'
+                b'0,green,1,-1\n1.5,blue,1,1\n-0.5,green,0,-1\n')
+# The bytes that most often change how a CSV or spec parses or decodes.
+_EDIT_BYTES = (st.sampled_from([b'"', b",", b"\n", b"\0", b"\xff", b"\xc3"])
+               | st.binary(min_size=1, max_size=1))
+
+
+@st.composite
+def _byte_edits(draw):
+    """The CSV and spec bytes after 1-4 inserted, replaced or deleted bytes."""
+    blobs = [bytearray(MUTATED_ROWS), bytearray(MUTATED_SPEC)]
+    for _ in range(draw(st.integers(1, 4))):
+        blob = blobs[draw(st.integers(0, 1))]
+        at = draw(st.integers(0, len(blob)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "delete":
+            del blob[at:at + 1]
+        else:
+            blob[at:at + (op == "replace")] = draw(_EDIT_BYTES)
+    return [bytes(blob) for blob in blobs]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edited=_byte_edits())
+def test_mutated_inputs_train_or_exit_two(tmp_path, capsys, edited):
+    # Every defect of an edited file is a data error (exit 2), never a
+    # usage error or an escaped exception, and writes no model.
+    data, spec, model = tmp_path / "d.csv", tmp_path / "cols.txt", tmp_path / "m.bin"
+    data.write_bytes(edited[0])
+    spec.write_bytes(edited[1])
+    model.unlink(missing_ok=True)
+    rc = run(["train", "--data", str(data), "--spec", str(spec), "--epochs", "1",
+              "--out", str(model)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    assert model.exists() == (rc == 0)
 
 
 def test_truncated_model_exits_two(workspace, tmp_path, capsys):

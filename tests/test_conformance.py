@@ -122,7 +122,7 @@ FAR_200 = ClassMoments(mean=[1e200, 0.0], covariance=EYE)
 FAR_NEG_200 = ClassMoments(mean=[-1e200, 0.0], covariance=EYE)
 TINY = Surrogate(w=[1e-300, 1e-300], b=1e10, kappa=1.0)
 FAR = Surrogate(w=[1.0, 1.0], b=1.7e308, kappa=1.0)
-FAR_ACTIONS = ActionSpec(kinds=("free", "free"), grids=([0.0, 1e308], [0.0]))
+FAR_ACTIONS = ActionSpec(grids=([0.0, 1e308], [0.0]))
 # A row whose activations overflow a trained model, and rows whose
 # training overflows in its first epoch.
 TRAINED = train_mlp(*generate_synthetic(100), TrainConfig(epochs=5))
@@ -298,7 +298,7 @@ CASES = [
                                            0.0, 1.0, 1.0, 1.0, 0.0, 0)] * 2),
           allowed=CONFIG),
     *_each("ActionSpec", "grid", RADII,
-           lambda r: ActionSpec(kinds=("free",), grids=([0.0, r],)), allowed=CONFIG),
+           lambda r: ActionSpec(grids=([0.0, r],)), allowed=CONFIG),
     *_each("MlpModel", "threshold", RADII[:3],
            lambda r: MlpModel(layer_dims=MODEL.layer_dims, weights=MODEL.weights,
                               biases=MODEL.biases, threshold=r)),
@@ -530,7 +530,7 @@ CASES = [
     *_each("local_fidelity", "x0", VECTORS,
            lambda v: local_fidelity(MODEL, SUR, v, 0.5)),
     *_each("local_fidelity", "r_fid", RADII,
-           lambda r: local_fidelity(MODEL, SUR, X0, r), allowed=CONFIG),
+           lambda r: local_fidelity(MODEL, SUR, X0, r)),
     *_raises("local_fidelity", "n=10.5",
              lambda: local_fidelity(MODEL, SUR, X0, 0.5, n=10.5), ValueError),
     *_each("sensitivity", "x0", VECTORS,

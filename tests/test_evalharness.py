@@ -72,8 +72,8 @@ def test_fidelity_rotated_quarter_turn_is_half():
 
 def test_fidelity_rejects_nonpositive_radius():
     sur = halfspace([1.0], 0.0)
-    for r in (0.0, -1.0):
-        with pytest.raises(ValueError):
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
             local_fidelity(sur, sur, [0.0], r)
 
 
@@ -205,8 +205,6 @@ def test_max_slope_gap_skips_failed_neighbors():
     with pytest.raises(DegenerateSample) as raised:
         evalharness._max_slope_gap(base_w, [identical, stored], nominal)
     assert raised.value is stored
-    with pytest.raises(EmptyInput):
-        evalharness._max_slope_gap(base_w, [], nominal)
 
 
 # ---------------------------------------------------------------- validity
@@ -598,9 +596,21 @@ def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
     assert any(move[1] != 0.0 for move in moves)
 
 
+def _nan_present_row(present):
+    features = present[0].copy()
+    features[3, 1] = math.nan
+    return features, present[1]
+
+
+def _no_present_rows(present):
+    return present[0][:0], present[1][:0]
+
+
 # The ids are the ones pytest generated when the table had its first
 # four columns only, so each case keeps its name; a negative radius now
-# raises DomainError, where the id still names NegativeRadius.
+# raises DomainError, where the id still names NegativeRadius. A
+# "present" entry of `changes` edits the present dataset, the others
+# the config.
 @pytest.mark.parametrize("kind, grid, instances, error, mode, changes", [
     pytest.param("walk", [0.0], None, ValueError, "projection", {},
                  id="walk-grid0-None-ValueError"),
@@ -636,8 +646,13 @@ def test_actionable_sweep_keeps_immutable_columns(sweep_fixture, monkeypatch):
                  {"rho_pos": math.inf}, id="infinite-radius"),
     pytest.param("logdet", [0.0, 1.0], None, ValueError, "projection",
                  {"rho_pos": math.inf}, id="infinite-radius-with-a-finite-partner"),
+    # Both used to raise only after the ensemble's workers had started.
+    pytest.param("fisher-rao", [1.0], None, NonFiniteInput, "projection",
+                 {"present": _nan_present_row}, id="nan-present-row"),
+    pytest.param("fisher-rao", [1.0], None, EmptyInput, "projection",
+                 {"present": _no_present_rows}, id="empty-present-dataset"),
 ])
-def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
+def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, spawned, kind,
                                              grid, instances, error, mode, changes):
     def no_training(*args, **kwargs):
         raise AssertionError("sweep trained a model before checking its inputs")
@@ -650,9 +665,12 @@ def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, kind,
     present, shifted, unfavorable = sweep_fixture
     if instances is None:
         instances = unfavorable[:2]
+    changes = dict(changes)
+    present = changes.pop("present", lambda data: data)(present)
     with pytest.raises(error):
         sweep(present, shifted, instances, kind, grid, mode,
               dataclasses.replace(SENS_CONFIG, **changes))
+    assert spawned == []
 
 
 def test_sweep_rejects_model_of_other_width(sweep_fixture):

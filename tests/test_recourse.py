@@ -28,7 +28,6 @@ from cvas import (
     train_mlp,
 )
 from cvas import recourse
-from cvas.recourse import ACTION_KINDS
 
 from oracles import (
     default_action_grids_oracle,
@@ -105,13 +104,12 @@ def test_searches_check_x0(search, x0, error):
         if search == "projection":
             l1_projection(x0, sur)
         else:
-            spec = ActionSpec(kinds=("free",) * len(x0),
-                              grids=(np.array([0.0, 1.0]),) * len(x0))
+            spec = ActionSpec(grids=(np.array([0.0, 1.0]),) * len(x0))
             actionable_recourse(x0, sur, spec)
 
 
 def test_actionable_rejects_spec_of_other_width():
-    spec = ActionSpec(kinds=("free",), grids=(np.array([0.0, 1.0]),))
+    spec = ActionSpec(grids=(np.array([0.0, 1.0]),))
     with pytest.raises(DimensionMismatch):
         actionable_recourse(np.zeros(2), lin_sur([1.0, -1.0], 1.0), spec)
 
@@ -119,14 +117,13 @@ def test_actionable_rejects_spec_of_other_width():
 # ---------------------------------------------------------------- actionable
 
 def test_actionable_feasible_point():
-    spec = ActionSpec(kinds=("free",), grids=(np.array([-1.0, 0.0, 1.0]),))
+    spec = ActionSpec(grids=(np.array([-1.0, 0.0, 1.0]),))
     result = actionable_recourse(np.array([5.0]), lin_sur([1.0], 2.0), spec)
     assert result.cost == 0.0
 
 
 def test_actionable_unit_grid_example():
-    spec = ActionSpec(kinds=("free", "free"),
-                      grids=(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+    spec = ActionSpec(grids=(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
     result = actionable_recourse(np.zeros(2), lin_sur([1.0, 1.0], 1.0), spec)
     assert_allclose(result.cost, 1.0, atol=1e-12)
     assert result.surrogate_valid
@@ -141,7 +138,7 @@ def test_actionable_matches_exhaustive():
         b = float(w @ x0) + rng.uniform(0.1, 2.0)
         grids = tuple(np.unique(np.append(rng.normal(scale=1.5, size=3), 0.0))
                       for _ in range(d))
-        spec = ActionSpec(kinds=("free",) * d, grids=grids)
+        spec = ActionSpec(grids=grids)
         expected = exhaustive_actionable_cost(x0, w, b, spec.grids)
         if math.isinf(expected):
             with pytest.raises(NoActionableRecourse):
@@ -153,12 +150,11 @@ def test_actionable_matches_exhaustive():
 
 def test_actionable_respects_kinds():
     rng = np.random.default_rng(3)
-    kinds = ("immutable", "non_decreasing", "free")
     for _ in range(10):
         x0 = rng.normal(size=3)
         w = rng.normal(size=3)
         b = float(w @ x0) + rng.uniform(0.1, 1.0)
-        spec = ActionSpec(kinds=kinds, grids=(
+        spec = ActionSpec(grids=(
             np.array([0.0]),
             np.array([0.0, 0.5, 1.5]),
             np.unique(np.append(rng.normal(scale=2.0, size=3), 0.0)),
@@ -174,8 +170,7 @@ def test_actionable_respects_kinds():
 
 
 def test_actionable_infeasible():
-    spec = ActionSpec(kinds=("immutable", "immutable"),
-                      grids=(np.array([0.0]), np.array([0.0])))
+    spec = ActionSpec(grids=(np.array([0.0]), np.array([0.0])))
     with pytest.raises(NoActionableRecourse):
         actionable_recourse(np.zeros(2), lin_sur([1.0, 1.0], 1.0), spec)
 
@@ -185,8 +180,7 @@ def test_actionable_overflowing_cost_exhausts_the_search():
     # relaxation bound is finite, but the two moves together cost inf,
     # so the node that takes both has an infinite bound and the search
     # gives up when that node tops the heap.
-    spec = ActionSpec(kinds=("free", "free"),
-                      grids=(np.array([0.0, 1e308]), np.array([0.0, 1e308])))
+    spec = ActionSpec(grids=(np.array([0.0, 1e308]), np.array([0.0, 1e308])))
     with pytest.raises(NoActionableRecourse, match="no grid combination"):
         actionable_recourse(np.zeros(2), lin_sur([1e-300, 1e-300], 1.5e8), spec)
 
@@ -194,8 +188,7 @@ def test_actionable_overflowing_cost_exhausts_the_search():
 def test_actionable_overflowing_gain_does_not_warn():
     # w_0 * delta overflows to inf: the move covers any deficit. The
     # search forms no such product when it picks helpful deltas.
-    spec = ActionSpec(kinds=("free", "immutable"),
-                      grids=(np.array([0.0, 1e200]), np.array([0.0])))
+    spec = ActionSpec(grids=(np.array([0.0, 1e200]), np.array([0.0])))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         result = actionable_recourse(np.zeros(2), lin_sur([1e200, 1.0], 1.0), spec)
@@ -207,8 +200,7 @@ def test_actionable_equal_rates_keep_index_order():
     # Both features buy 0.1 of margin per unit of cost, and either
     # delta 2 covers the deficit at cost 2: the lower index wins, though
     # 0.1 * 3 / 3 rounds one ulp above 0.1 on feature 1's grid.
-    spec = ActionSpec(kinds=("free", "free"),
-                      grids=(np.array([0.0, 2.0]), np.array([0.0, 2.0, 3.0])))
+    spec = ActionSpec(grids=(np.array([0.0, 2.0]), np.array([0.0, 2.0, 3.0])))
     result = actionable_recourse(np.zeros(2), lin_sur([0.1, 0.1], 0.2), spec)
     assert np.array_equal(result.x_r, [2.0, 0.0])
     assert result.cost == 2.0
@@ -240,7 +232,7 @@ def _tie_heavy_outcomes():
             grids = [np.array(_ONE_HOT_GRIDS[k]) for k in rng.integers(0, 4, size=d)]
         x0 = rng.integers(-2, 3, size=d).astype(float)
         b = float(w @ x0) + float(rng.choice([-1.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
-        spec = ActionSpec(kinds=("free",) * d, grids=tuple(grids))
+        spec = ActionSpec(grids=tuple(grids))
         try:
             result = actionable_recourse(x0, lin_sur(w, b), spec)
         except NoActionableRecourse:
@@ -260,25 +252,19 @@ def test_actionable_tie_order_is_pinned():
 
 def test_action_spec_validation():
     with pytest.raises(ValueError):
-        ActionSpec(kinds=("free",), grids=())
-    with pytest.raises(ValueError):
-        ActionSpec(kinds=("garden",), grids=(np.array([0.0]),))
-    with pytest.raises(ValueError):
-        ActionSpec(kinds=("free",), grids=(np.array([1.0, 2.0]),))
-    with pytest.raises(ValueError):
-        ActionSpec(kinds=("immutable",), grids=(np.array([0.0, 1.0]),))
-    with pytest.raises(ValueError):
-        ActionSpec(kinds=("non_decreasing",), grids=(np.array([-1.0, 0.0]),))
+        ActionSpec(grids=(np.array([1.0, 2.0]),))
+    # Kinds turn into grids in default_action_grids, which checks them.
+    with pytest.raises(ValueError, match="unknown actionability kind 'garden'"):
+        default_action_grids(np.zeros(1), np.arange(5.0)[:, None], kinds=("garden",))
 
 
-@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
-       kind=st.sampled_from(["free", "non_decreasing"]))
-def test_action_spec_rejects_non_finite_grid(bad, kind):
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_action_spec_rejects_non_finite_grid(bad):
     with pytest.raises(ValueError):
-        ActionSpec(kinds=(kind,), grids=(np.array([0.0, 1.0, bad]),))
+        ActionSpec(grids=(np.array([0.0, 1.0, bad]),))
 
 
-def _unique_spec_outcome(kind, grid):
+def _unique_spec_outcome(grid):
     """The grid ActionSpec keeps, as bytes, taken as np.unique of the
     grid with every zero +0.0, or the class and message of the error it
     raises."""
@@ -288,33 +274,27 @@ def _unique_spec_outcome(kind, grid):
             raise ValueError("action grids must be finite")
         if 0.0 not in grid:
             raise ValueError("every action grid must contain 0")
-        if kind == "immutable" and grid.size != 1:
-            raise ValueError("immutable features allow only the zero delta")
-        if kind == "non_decreasing" and grid[0] < 0.0:
-            raise ValueError("non_decreasing features forbid negative deltas")
     except ValueError as exc:
         return type(exc), str(exc)
     return grid.tobytes()
 
 
-def _spec_outcome(kind, grid):
+def _spec_outcome(grid):
     try:
-        return ActionSpec(kinds=(kind,), grids=(grid,)).grids[0].tobytes()
+        return ActionSpec(grids=(grid,)).grids[0].tobytes()
     except ValueError as exc:
         return type(exc), str(exc)
 
 
 def test_action_grids_are_np_unique_bit_for_bit():
     # Unsorted grids with duplicates and either zero or both, given as
-    # float or int lists, tuples and arrays, and every error: NaN, inf,
-    # a missing 0, an immutable feature's non-zero delta and a
-    # non_decreasing feature's negative one, all as np.unique gave them.
+    # float or int lists, tuples and arrays, and every error: NaN, inf
+    # and a missing 0, all as np.unique gave them.
     rng = np.random.default_rng(7)
     pool = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -5e-324, 1e-300,
             1e300, math.nan, math.inf, -math.inf]
     seen = set()
     for trial in range(3000):
-        kind = ACTION_KINDS[trial % 3]
         # NaN and the infinities, the last three of the pool, in one grid of four
         top = len(pool) if trial % 4 == 0 else len(pool) - 3
         values = [pool[j] if rng.random() < 0.7 else float(rng.normal(0.0, 4.0))
@@ -332,13 +312,11 @@ def test_action_grids_are_np_unique_bit_for_bit():
             finite = [v for v in values if math.isfinite(v) and abs(v) < 1e9]
             grid = [round(v) for v in finite]
             grid = np.array(grid, dtype=np.int64) if form == 4 else grid
-        want = _unique_spec_outcome(kind, grid)
-        assert _spec_outcome(kind, grid) == want, (kind, grid)
+        want = _unique_spec_outcome(grid)
+        assert _spec_outcome(grid) == want, grid
         seen.add(want[1] if isinstance(want, tuple) else "kept")
     assert seen == {"kept", "action grids must be finite",
-                    "every action grid must contain 0",
-                    "immutable features allow only the zero delta",
-                    "non_decreasing features forbid negative deltas"}
+                    "every action grid must contain 0"}
 
 
 @pytest.mark.parametrize("grid", [[-0.0, 1.0, -0.0], [1.0, 0.0, -0.0], [-0.0, 0.0],
@@ -347,14 +325,14 @@ def test_action_grids_keep_np_uniques_zero(grid):
     # Which zero np.unique keeps depends on its sort, so ActionSpec keeps
     # np.unique's grid with -0.0 turned into +0.0, on every machine.
     want = np.unique(np.asarray(grid, dtype=float) + 0.0)
-    kept = ActionSpec(kinds=("free",), grids=(grid,)).grids[0]
+    kept = ActionSpec(grids=(grid,)).grids[0]
     assert kept.tobytes() == want.tobytes()
     assert [math.copysign(1.0, v) for v in kept if not v] == [1.0]
 
 
 def test_action_grids_are_read_only_copies():
     grid = np.array([0.0, 1.0, 2.0])
-    spec = ActionSpec(kinds=("free",), grids=(grid,))
+    spec = ActionSpec(grids=(grid,))
     with pytest.raises(ValueError, match="read-only"):
         spec.grids[0][0] = math.nan
     grid[1] = 7.0  # the caller's array stays writable and apart
@@ -373,7 +351,8 @@ def test_default_action_grids():
     assert_allclose(spec.grids[1], np.arange(0.0, 50.0, 10.0))
     assert_allclose(spec.grids[2], [0.0])
     free = default_action_grids(x0, training)
-    assert all(kind == "free" for kind in free.kinds)
+    for grid in free.grids:
+        assert_allclose(grid, np.arange(-40.0, 50.0, 10.0))
 
 
 @settings(max_examples=30, deadline=None)
