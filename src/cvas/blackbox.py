@@ -26,6 +26,7 @@ from .errors import (
     CvasError,
     DimensionMismatch,
     DomainError,
+    EmptyInput,
     NonFiniteInput,
     SingleClassData,
     check_integer,
@@ -194,7 +195,8 @@ def _init_parameters(layer_dims, seed):
 
 def _check_training_data(features, labels):
     """Float copies of 2-d finite features with at least one column and
-    finite {-1, +1} labels, one label per feature row."""
+    one row, and finite {-1, +1} labels of both classes, one label per
+    feature row: the one gate of train_mlp, sweep and _future_models."""
     features = finite_array(features, "training features", shape=(None, None))
     if features.shape[1] == 0:
         raise DimensionMismatch("training features have no columns")
@@ -204,6 +206,11 @@ def _check_training_data(features, labels):
         raise BadLabelValue(
             f"training labels must be -1 or +1, got {np.unique(labels[bad])[:5]}"
         )
+    if labels.size == 0:
+        raise EmptyInput("training features have no rows")
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise SingleClassData(f"training labels contain a single class {classes}")
     return features, labels
 
 
@@ -238,6 +245,8 @@ def train_mlp(features, labels, config=TrainConfig()):
 
     Raises
     ------
+    EmptyInput
+        If there are no rows.
     SingleClassData
         If labels contain only one class.
     NonFiniteInput
@@ -251,9 +260,6 @@ def train_mlp(features, labels, config=TrainConfig()):
         If finite data overflow float64 in training, naming the epoch.
     """
     features, labels = _check_training_data(features, labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise SingleClassData(f"training labels contain a single class {classes}")
 
     n, d = features.shape
     layer_dims = (d,) + HIDDEN_DIMS + (1,)
@@ -393,10 +399,11 @@ def simulate_future_models(shifted_features, shifted_labels, n_models=100,
     ------
     ValueError
         Unless n_models is an integer >= 1 and fraction is in (0, 1].
-    NonFiniteInput, DimensionMismatch, BadLabelValue
+    NonFiniteInput, DimensionMismatch, BadLabelValue, EmptyInput
         As train_mlp, for the full shifted data.
     SingleClassData
-        If a model's subsample is single-class in 10 draws.
+        As train_mlp, for the full shifted data, or if a model's subsample
+        is single-class in 10 draws.
     DomainError
         As train_mlp, if a model's training overflows float64; the
         lowest-numbered such model's error, raised from its worker.

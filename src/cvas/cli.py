@@ -149,7 +149,9 @@ class _Table:
     is not a number; `bad_cells` holds the line and text of a column's
     first such cell. A categorical or label column is an array of codes
     into `distinct`, its stripped cells in the order they first appear.
-    `lines` holds the file line of each kept row.
+    `lines` holds the file line of each kept row. A row's line, there and
+    in `bad_cells`, is the one it starts on, as a quoted newline can make
+    it end on a later one.
     """
 
     path: str
@@ -275,14 +277,13 @@ def _read_csv(path, spec):
                         if end > start else "")
                 raise SchemaMismatch(f"{path}:{start}: row has {len(row)} cells, "
                                      f"expected {len(header)}{hint}")
-            lines.append(reader.line_num)
+            lines.append(start)
             for j, values in numeric:
                 try:
                     values.append(float(row[j]))
                 except ValueError:
                     values.append(math.nan)
-                    bad_cells.setdefault(header[j],
-                                         (reader.line_num, row[j].strip()))
+                    bad_cells.setdefault(header[j], (start, row[j].strip()))
             for j, codes, index in text:
                 codes.append(index.setdefault(row[j].strip(), len(index)))
     return _Table(path=path, lines=np.asarray(lines),

@@ -57,7 +57,9 @@ class SingularCovariance(CvasError):
 # --------------------------------------------------------------- surrogate
 
 class DomainError(CvasError):
-    """Scalar argument outside the mathematical domain of the function."""
+    """Input outside the domain of the function: a scalar argument outside
+    its mathematical domain, a result that overflows float64, or a sweep
+    instance that the current model already labels favorable."""
 
 
 class IdenticalMeans(CvasError):

@@ -213,8 +213,8 @@ class EvalConfig:
     of its own, so `sampler.seed` must keep its default. The ensemble
     trains on 80% subsamples, the fidelity ball's radius is 10% of the
     present data's max pairwise distance, and sensitivity perturbs each
-    instance 10 times, as sensitivity() does. action_kinds, if given,
-    holds one of ACTION_KINDS per feature.
+    instance 10 times, as sensitivity() does. action_kinds holds one of
+    ACTION_KINDS per feature; an actionable sweep needs it.
 
     Raises ValueError unless seed is an integer >= 0 and n_models and
     fid_n integers >= 1 (numpy integers pass), for a sampler seed other
@@ -260,6 +260,15 @@ def _check_grid(divergence_kind, rho_pos, rho_grid, mode):
     if len(set(config_ids)) != len(config_ids):
         raise ValueError(f"radii that print alike repeat a report id: {config_ids}")
     return divergences, config_ids
+
+
+def _check_unfavorable(model, instances):
+    """Raise DomainError unless the model labels every instance -1."""
+    favorable = np.flatnonzero(model.label(instances) == 1)
+    if favorable.size:
+        raise DomainError(f"the current model labels {favorable.size} of "
+                          f"{len(instances)} instances favorable, the first at index "
+                          f"{favorable[0]}: a sweep needs unfavorable instances")
 
 
 def _prepare(model, present_x, x0, config, mode, r_p, r_fid, seeds):
@@ -322,9 +331,11 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     The order is: check the arguments (see Raises); draw the future
     ensemble's subsamples of the shifted dataset and start training it
     in worker processes, as simulate_future_models does; train the
-    current model on the present dataset and run the whole per-instance
-    loop while the ensemble trains; then wait for the ensemble, which
-    only the validity metrics read. Each instance gets a recourse at
+    current model on the present dataset and label the instances, which
+    must all be unfavorable (-1; a passed model labels them with the
+    argument checks), and run the whole per-instance loop while the
+    ensemble trains; then wait for the ensemble, which only
+    the validity metrics read. Each instance gets a recourse at
     every radius, and each radius's metrics make one report row, equal
     to that of a one-radius sweep. An instance whose boundary sample,
     solve or search fails is counted in the row's n_skipped; one whose
@@ -345,33 +356,40 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     Raises
     ------
     EmptyInput
-        If the grid, the instances or the present dataset are empty;
-        after the instance loop,
+        If the grid or the instances are empty; after the instance loop,
         without waiting for the ensemble, if every instance fails at
         some radius, naming its config_id and counting the failures by
         CvasError class.
     ValueError
-        If `mode` is not one of MODES, two radii print as one report id
-        (config_id formats rho_neg with :g), or a radius other than 0
-        sits next to a +inf one, whose limit does not read it.
+        If `mode` is not in MODES or is "actionable" without action_kinds,
+        two radii print as one report id (config_id formats rho_neg with
+        :g), or a radius other than 0 sits next to a +inf one.
     DimensionMismatch
         If the instances are not rows of the present data's width, or
         the model or config.action_kinds has another width.
     NonFiniteInput
         If an instance holds NaN or infinity.
-    NonFiniteInput, DimensionMismatch, BadLabelValue
+    NonFiniteInput, DimensionMismatch, BadLabelValue, EmptyInput,
+    SingleClassData
         As train_mlp, for the present dataset, before the ensemble
         starts.
     DomainError
         If a radius is outside Divergence's domain: negative, NaN, finite
         above the fisher-rao and logdet cap of 700, or +inf for both classes.
-    NonFiniteInput, DimensionMismatch, BadLabelValue, SingleClassData
+    NonFiniteInput, DimensionMismatch, BadLabelValue, EmptyInput,
+    SingleClassData
         As simulate_future_models, for the shifted dataset, before the
         ensemble or the current model starts training.
     DomainError
         As train_mlp, if the current model's or a future model's training
         overflows float64; a future model's error, as
         simulate_future_models raises it, comes after the instance loop.
+    DomainError
+        If the current model labels an instance favorable (+1), naming
+        how many do and the first index: a passed model's labels are
+        checked before the ensemble starts, and the model sweep trains
+        itself labels them before the instance loop, once the ensemble
+        has started.
     CvasError
         If a training worker exits with a non-zero status; raised after
         the instance loop, when the ensemble is collected.
@@ -379,8 +397,6 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
     divergences, config_ids = _check_grid(divergence_kind, config.rho_pos,
                                           rho_grid, mode)
     present_x, present_y = _check_training_data(*dataset_present)
-    if present_x.shape[0] == 0:
-        raise EmptyInput("the present dataset has no rows")
     width = present_x.shape[1]
     instances = finite_array(np.atleast_2d(instances), "instances",
                              shape=(None, width), nonempty=True)
@@ -388,8 +404,13 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         raise DimensionMismatch(f"model expects {model.layer_dims[0]} features, "
                                 f"the present dataset has {width}")
     kinds = config.action_kinds
-    if mode == "actionable" and kinds is not None and len(kinds) != width:
+    if mode == "actionable" and kinds is None:
+        raise ValueError("an actionable sweep needs config.action_kinds")
+    if mode == "actionable" and len(kinds) != width:
         raise DimensionMismatch(f"{len(kinds)} action kinds for {width} features")
+
+    if model is not None:
+        _check_unfavorable(model, instances)
 
     n_instances = instances.shape[0]
     seeds = _derived_seeds(config.seed, 1 + 3 * n_instances)
@@ -400,6 +421,7 @@ def sweep(dataset_present, dataset_shifted, instances, divergence_kind, rho_grid
         # own training on the present data gives the same model to pass in.
         if model is None:
             model = train_mlp(present_x, present_y, config.train)
+            _check_unfavorable(model, instances)
         max_distance = max_pairwise_distance(present_x, seed=config.seed)
         r_p = resolve_radius(config.sampler, present_x, max_distance)
         r_fid = _FID_RADIUS_SHARE * max_distance

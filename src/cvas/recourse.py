@@ -102,12 +102,12 @@ def _deciles(rows):
     return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
 
 
-def default_action_grids(x0, training_features, kinds=None):
+def default_action_grids(x0, training_features, kinds):
     """Grids of deltas to the 10..90 percentiles of each training marginal.
 
     The percentiles are np.percentile's default linear method, from one
-    sort per column. Every grid keeps 0; immutable features collapse to
-    {0} and non_decreasing features drop negative deltas.
+    sort per column. Every grid keeps 0; by `kinds`, immutable features
+    collapse to {0} and non_decreasing features drop negative deltas.
 
     Raises
     ------
@@ -125,8 +125,6 @@ def default_action_grids(x0, training_features, kinds=None):
     """
     x0 = np.ravel(x0)
     d = x0.shape[0]
-    if kinds is None:
-        kinds = ["free"] * d
     if len(kinds) != d:
         raise DimensionMismatch(f"{len(kinds)} action kinds for {d} features")
     training_features = finite_array(training_features, "training rows",
@@ -315,7 +313,7 @@ def generate_recourse(model, x0, dataset, sampler_config, divergence, mode,
     """Full pipeline from an input to a recourse against the surrogate.
 
     mode "projection" runs l1_projection, mode "actionable" runs
-    actionable_recourse (with default percentile grids built from the
+    actionable_recourse (with all-free percentile grids built from the
     dataset when no ActionSpec is supplied). blackbox_valid is filled by
     querying the model at the recourse point.
 
@@ -331,5 +329,5 @@ def generate_recourse(model, x0, dataset, sampler_config, divergence, mode,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     surrogate = fit_surrogate(model, x0, dataset, sampler_config, divergence)
     if mode == "actionable" and actions is None:
-        actions = default_action_grids(x0, dataset)
+        actions = default_action_grids(x0, dataset, ("free",) * x0.shape[0])
     return _recourse_against(model, x0, surrogate, mode, actions)

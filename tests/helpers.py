@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cvas import MlpModel
+from cvas import MlpModel, train_mlp
 
 HIDDEN = (20, 50, 20)
 
@@ -40,6 +40,21 @@ def linear_mlp(alpha, c, big=1e4, threshold=0.5):
                     weights=[w0, w1, w2, w3],
                     biases=[np.zeros(HIDDEN[0]), b1, np.zeros(HIDDEN[2]), b3],
                     threshold=threshold)
+
+
+_UNFAVORABLE = {}
+
+
+def unfavorable_rows(present, train, count):
+    """The first `count` present rows that the model trained on them with
+    `train` labels -1: instances sweep() takes with that current model.
+    The model trains once per (present, train)."""
+    features, labels = present
+    key = (features.shape, features.tobytes(), labels.tobytes(), train)
+    if key not in _UNFAVORABLE:
+        model = train_mlp(features, labels, train)
+        _UNFAVORABLE[key] = model.label(features) == -1
+    return features[_UNFAVORABLE[key]][:count]
 
 
 def random_pd(rng, d, scale=1.0):

@@ -26,6 +26,7 @@ from cvas import (
     CvasError,
     DimensionMismatch,
     DomainError,
+    EmptyInput,
     EvalConfig,
     NonFiniteInput,
     SamplerConfig,
@@ -41,7 +42,7 @@ from cvas import (
 )
 from cvas import blackbox, evalharness
 
-from helpers import linear_mlp
+from helpers import linear_mlp, unfavorable_rows
 from oracles import (
     _mlp_sigmoid,
     fd_gradient,
@@ -513,6 +514,20 @@ def test_future_models_single_class_subsamples_raise_before_any_worker(spawned):
     assert spawned == []
 
 
+def test_training_data_gate_refuses_no_rows_then_one_class(spawned):
+    # train_mlp, simulate_future_models and sweep share one gate, which
+    # refuses no rows before one class, and a one-class shifted set with
+    # train_mlp's message, before any subsample is drawn.
+    features = np.random.default_rng(0).normal(size=(10, 2))
+    for call in (train_mlp, simulate_future_models):
+        with pytest.raises(EmptyInput, match="no rows"):
+            call(features[:0], np.ones(0))
+        with pytest.raises(SingleClassData,
+                           match=r"training labels contain a single class \[1\.\]"):
+            call(features, np.ones(10))
+    assert spawned == []
+
+
 def test_future_models_never_rerun_the_callers_main(tmp_path):
     # spawn and forkserver pools re-import the caller's __main__; the
     # workers must not, so a script with no __main__ guard runs once
@@ -671,14 +686,15 @@ def _fake_python(tmp_path, monkeypatch, body):
 
 
 def _sweep_inputs():
-    """A small two-model projection sweep's arguments; three instances."""
+    """A small two-model projection sweep's arguments; three instances,
+    the first present rows that the current model labels unfavorable."""
     present = generate_synthetic(200, seed=0)
     shifted = generate_synthetic(200, noise_std=1.0, seed=1)
     config = EvalConfig(seed=3, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=150, seed=0), n_models=2,
                         fid_n=100)
-    return (present, shifted, present[0][:3], "nominal", [0.0], "projection",
-            config)
+    return (present, shifted, unfavorable_rows(present, config.train, 3), "nominal",
+            [0.0], "projection", config)
 
 
 # sweep's moments calls per instance: the instance's own, then its
@@ -713,6 +729,26 @@ def test_sweep_interrupt_kills_and_reaps_training_workers(tmp_path, monkeypatch,
     with pytest.raises(KeyboardInterrupt):
         sweep(*_sweep_inputs())
     assert len(calls) == second_instance
+    assert len(spawned) == min(USABLE_CPUS, 2)
+    assert all(worker.returncode == -signal.SIGKILL for worker in spawned)
+
+
+def test_sweep_refuses_a_favorable_instance_and_kills_its_workers(tmp_path, monkeypatch,
+                                                                  spawned):
+    # sweep trains its current model while the ensemble's workers run, so
+    # it labels the instances only then; refusing a favorable one must
+    # kill and reap every worker, before any instance is prepared.
+    def no_instance(*args):
+        raise AssertionError("sweep prepared an instance before labelling them")
+
+    _fake_python(tmp_path, monkeypatch, "exec sleep 60")
+    monkeypatch.setattr(evalharness, "_boundary_moments", no_instance)
+    present, shifted, instances, *grid, config = _sweep_inputs()
+    model = train_mlp(present[0], present[1], config.train)
+    favorable = present[0][model.label(present[0]) == 1][:2]
+    with pytest.raises(DomainError, match="labels 2 of 5 instances favorable, "
+                                          "the first at index 3"):
+        sweep(present, shifted, np.vstack([instances, favorable]), *grid, config)
     assert len(spawned) == min(USABLE_CPUS, 2)
     assert all(worker.returncode == -signal.SIGKILL for worker in spawned)
 

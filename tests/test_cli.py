@@ -1151,6 +1151,20 @@ def test_open_quote_names_the_line_where_its_row_starts(tmp_path, capsys):
                     "(the row runs to line 61: a quote may be open)")
 
 
+@pytest.mark.parametrize("row, message", [
+    pytest.param(b'foo,"1\n",-1', "column 'x1': 'foo' is not a number", id="cell"),
+    pytest.param(b'0,"1\n",yes', "label 'yes' is not numeric", id="label"),
+])
+def test_a_value_error_names_the_line_where_its_row_starts(tmp_path, capsys, row,
+                                                            message):
+    # The row starts on line 3 and its quoted newline ends it on line 4:
+    # every error names the line a row starts on, as the length check does.
+    data = b"x1,x2,label\n0,0,-1\n" + row + b"\n1,1,1\n2,0,-1\n"
+    rc, line, paths = _train_fails(tmp_path, capsys, data=data)
+    assert rc == 2
+    assert line.startswith(f"error: {paths['d.csv']}:3: {message}")
+
+
 MUTATED_SPEC = b"x,continuous,free\nc,categorical,immutable\nv,binary,free\ny,label\n"
 MUTATED_ROWS = (b'x,c,v,y\n0.5,red,1,1\n-1,"blue",0,-1\n2,red,0,1\n'
                 b'0,green,1,-1\n1.5,blue,1,1\n-0.5,green,0,-1\n')

@@ -92,7 +92,8 @@ FR_POS_INF = Divergence(kind="fisher-rao", rho_pos=inf)
 BURES_NEG_INF = Divergence(kind="bures", rho_neg=inf)
 SUR = Surrogate(w=[1.0, -1.0], b=0.5, kappa=1.0)
 SAMPLER = SamplerConfig(n_p=50)
-ACTIONS = default_action_grids(X0, X)
+FREE = ("free",) * 2
+ACTIONS = default_action_grids(X0, X, FREE)
 # Finite inputs whose squared norms, deficit or recourse point overflow.
 HUGE_ROWS = np.random.default_rng(0).normal(size=(50, 3)) * 1e154
 # Seeds that are not integers >= 0; each used to raise numpy's TypeError
@@ -513,14 +514,17 @@ CASES = [
              lambda: actionable_recourse([-1e200, -1e200], HUGE, ACTIONS), DomainError),
     *_raises("actionable_recourse", "point-overflow",
              lambda: actionable_recourse([1e308, 0.0], FAR, FAR_ACTIONS), DomainError),
-    *_each("default_action_grids", "x0", VECTORS, lambda v: default_action_grids(v, X)),
+    *_each("default_action_grids", "x0", VECTORS,
+           lambda v: default_action_grids(v, X, FREE)),
     *_each("default_action_grids", "training_features", ROWS,
-           lambda rows: default_action_grids(X0, rows)),
+           lambda rows: default_action_grids(X0, rows, FREE)),
     *_raises("default_action_grids", "delta-overflow",
              lambda: default_action_grids([1e308, 0.0], [[-1e308, 0.0], [-1e308, 1.0],
-                                                         [-1e308, 2.0]]), DomainError),
+                                                         [-1e308, 2.0]], FREE),
+             DomainError),
     *_raises("default_action_grids", "percentile-overflow",
-             lambda: default_action_grids([0.0, 0.0], [[1.7e308, 0.0], [-1.7e308, 1.0]]),
+             lambda: default_action_grids([0.0, 0.0], [[1.7e308, 0.0], [-1.7e308, 1.0]],
+                                          FREE),
              DomainError),
     *_each("fit_surrogate", "x0", VECTORS,
            lambda v: fit_surrogate(MODEL, v, X, SAMPLER, FR)),

@@ -19,6 +19,7 @@ from cvas import (
     SamplerConfig,
     Surrogate,
     TrainConfig,
+    generate_recourse,
     generate_synthetic,
     local_fidelity,
     sensitivity,
@@ -36,10 +37,11 @@ from cvas.errors import (
     IdenticalMeans,
     NoActionableRecourse,
     NonFiniteInput,
+    SingleClassData,
 )
 from cvas.recourse import RecourseResult
 
-from helpers import linear_mlp
+from helpers import linear_mlp, unfavorable_rows
 
 
 def halfspace(w, b):
@@ -448,13 +450,13 @@ def test_sweep_samples_each_neighbor_once(counted_sweeps):
 
 def test_sweep_scans_the_pairs_once(sweep_fixture, monkeypatch):
     # One scan gives both the ball radius and the fidelity radius.
-    present, shifted, unfavorable = sweep_fixture
+    present, shifted, _ = sweep_fixture
     calls = _count_pair_scans(monkeypatch)
     config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=20, seed=0), n_models=1,
                         fid_n=50)
-    sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0], "projection",
-          config)
+    sweep(present, shifted, unfavorable_rows(present, config.train, 2), "bures",
+          [0.0, 1.0], "projection", config)
     assert len(calls) == 1
 
 
@@ -513,7 +515,7 @@ def test_sweep_fidelity_matches_public_local_fidelity(sweep_fixture,
 
 
 def test_sweep_draws_each_fidelity_ball_once(sweep_fixture, monkeypatch):
-    present, shifted, unfavorable = sweep_fixture
+    present, shifted, _ = sweep_fixture
     draws = []
     real = evalharness.sample_ball
 
@@ -525,8 +527,8 @@ def test_sweep_draws_each_fidelity_ball_once(sweep_fixture, monkeypatch):
     config = EvalConfig(seed=7, sampler=SamplerConfig(n_p=200),
                         train=TrainConfig(epochs=20, seed=0), n_models=1,
                         fid_n=50)
-    report = sweep(present, shifted, unfavorable[:2], "bures", [0.0, 1.0, 2.0],
-                   "projection", config)
+    report = sweep(present, shifted, unfavorable_rows(present, config.train, 2),
+                   "bures", [0.0, 1.0, 2.0], "projection", config)
     assert all(row.n_skipped == 0 for row in report.rows)
     assert len(draws) == 2
 
@@ -606,6 +608,10 @@ def _no_present_rows(present):
     return present[0][:0], present[1][:0]
 
 
+def _one_present_class(present):
+    return present[0], np.ones_like(present[1])
+
+
 # The ids are the ones pytest generated when the table had its first
 # four columns only, so each case keeps its name; a negative radius now
 # raises DomainError, where the id still names NegativeRadius. A
@@ -651,6 +657,12 @@ def _no_present_rows(present):
                  {"present": _nan_present_row}, id="nan-present-row"),
     pytest.param("fisher-rao", [1.0], None, EmptyInput, "projection",
                  {"present": _no_present_rows}, id="empty-present-dataset"),
+    # train_mlp's class check is the shared gate's; an actionable sweep
+    # assumes no kinds.
+    pytest.param("fisher-rao", [1.0], None, SingleClassData, "projection",
+                 {"present": _one_present_class}, id="single-class-present"),
+    pytest.param("fisher-rao", [1.0], None, ValueError, "actionable", {},
+                 id="actionable-without-action-kinds"),
 ])
 def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, spawned, kind,
                                              grid, instances, error, mode, changes):
@@ -671,6 +683,27 @@ def test_sweep_checks_inputs_before_training(sweep_fixture, monkeypatch, spawned
         sweep(present, shifted, instances, kind, grid, mode,
               dataclasses.replace(SENS_CONFIG, **changes))
     assert spawned == []
+
+
+def test_sweep_refuses_instances_its_model_labels_favorable(sweep_fixture, spawned):
+    # A favorable row's recourse is itself or a short move, valid on every
+    # model, so it used to lower the mean cost and raise every validity.
+    # A passed model labels them before any worker starts.
+    # generate_recourse and sensitivity still answer for one.
+    present, shifted, _ = sweep_fixture
+    model = train_mlp(present[0], present[1], SENS_CONFIG.train)
+    labels = model.label(present[0])
+    unfavorable, favorable = present[0][labels == -1], present[0][labels == 1]
+    instances = [unfavorable[0], unfavorable[1], favorable[0]]
+    with pytest.raises(DomainError, match="labels 1 of 3 instances favorable, "
+                                          "the first at index 2"):
+        sweep(present, shifted, instances, "nominal", [0.0], "projection",
+              SENS_CONFIG, model=model)
+    assert spawned == []
+    pipeline = (SENS_CONFIG.sampler, Divergence(kind="nominal"))
+    assert generate_recourse(model, favorable[0], present[0], *pipeline,
+                             "projection").blackbox_valid
+    assert math.isfinite(sensitivity(pipeline, model, present[0], favorable[0]))
 
 
 def test_sweep_rejects_model_of_other_width(sweep_fixture):

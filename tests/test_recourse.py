@@ -337,7 +337,8 @@ def test_action_grids_are_read_only_copies():
         spec.grids[0][0] = math.nan
     grid[1] = 7.0  # the caller's array stays writable and apart
     assert spec.grids[0].tolist() == [0.0, 1.0, 2.0]
-    defaults = default_action_grids(np.zeros(2), np.arange(20.0).reshape(10, 2))
+    defaults = default_action_grids(np.zeros(2), np.arange(20.0).reshape(10, 2),
+                                    kinds=("free",) * 2)
     assert not any(g.flags.writeable for g in defaults.grids)
 
 
@@ -350,9 +351,15 @@ def test_default_action_grids():
     assert_allclose(spec.grids[0], np.arange(-40.0, 50.0, 10.0))
     assert_allclose(spec.grids[1], np.arange(0.0, 50.0, 10.0))
     assert_allclose(spec.grids[2], [0.0])
-    free = default_action_grids(x0, training)
+    free = default_action_grids(x0, training, kinds=("free",) * 3)
     for grid in free.grids:
         assert_allclose(grid, np.arange(-40.0, 50.0, 10.0))
+
+
+def test_default_action_grids_needs_kinds():
+    # No kind is assumed: all-free grids would let an immutable feature move.
+    with pytest.raises(TypeError, match="kinds"):
+        default_action_grids(np.zeros(2), np.arange(20.0).reshape(10, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,11 +367,11 @@ def test_default_action_grids():
 def test_default_action_grids_rejects_other_widths(width):
     training = np.random.default_rng(0).normal(size=(20, 3))
     with pytest.raises(DimensionMismatch):
-        default_action_grids(np.zeros(width), training)
+        default_action_grids(np.zeros(width), training, kinds=("free",) * width)
     with pytest.raises(DimensionMismatch):
         default_action_grids(np.zeros(3), training, kinds=("free",) * width)
     with pytest.raises(DimensionMismatch):
-        default_action_grids(np.zeros(3), training[:, 0])
+        default_action_grids(np.zeros(3), training[:, 0], kinds=("free",) * 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -379,7 +386,7 @@ def test_default_action_grids_rejects_non_finite_input(bad, row, col, in_x0):
     else:
         training[row, col] = bad
     with pytest.raises(NonFiniteInput):
-        default_action_grids(x0, training)
+        default_action_grids(x0, training, kinds=("free",) * 3)
 
 
 def _marginal_columns(n, scale, seed):
